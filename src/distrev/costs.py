@@ -3,11 +3,15 @@
 Costs are exact rationals, optionally extended with a single infinite top
 element.  Two order modes exist: the real order (finite costs only) and the
 liberal order (the top element strictly above every finite cost).
+
+Costs stay exact at the input/output boundary.  The minimization only needs
+their order, so each distance compiles once, on first use, to integer ranks
+(``PseudoDistance.kernel``) and the hot loops compare plain ints.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -122,6 +126,36 @@ class PseudoDistance:
 
     def d(self, v, w):
         return self.table[(v, w)]
+
+    def kernel(self):
+        """The table compiled to integers on first use and cached on the
+        instance: ``(index, ranks)`` where ``index`` maps each point to its
+        row and ``ranks[i][j]`` is the dense rank of d(point i, point j)
+        among the distinct finite costs.  The infinite cost, admitted only
+        under the liberal order, ranks above every finite one.  Ranks keep
+        the order and the ties of the costs, which is all minimization
+        needs."""
+        compiled = self.__dict__.get("_kernel")
+        if compiled is not None:
+            return compiled
+        table, pts = self.table, self.universe
+        # exact integer keys: each finite cost times the common denominator
+        scale = math.lcm(*{c.denominator for c in table.values() if c is not INF})
+        keys = [
+            [None if (c := table[v, w]) is INF else c.numerator * (scale // c.denominator)
+             for w in pts]
+            for v in pts
+        ]
+        distinct = sorted({key for row in keys for key in row if key is not None})
+        rank = dict(zip(distinct, range(len(distinct))))
+        rank[None] = len(distinct)
+        index = {p: i for i, p in enumerate(pts)}
+        # the instance is frozen; the cache is not a field, so it stays out
+        # of equality, repr and replaced() copies
+        compiled = self.__dict__["_kernel"] = (
+            index, [[rank[key] for key in row] for row in keys]
+        )
+        return compiled
 
     @classmethod
     def from_function(cls, universe, mode, fn):

@@ -7,31 +7,24 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .costs import Ordering, PropertyReport, compare_costs
+from .costs import PropertyReport
 from .errors import FamilyError, UndefinedPairError, UnknownAtomError
 
 
 def apply(dist, vset, wset):
     """Members of ``wset`` attaining the globally minimal cost over
-    ``vset`` x ``wset``.  Empty on an empty argument."""
+    ``vset`` x ``wset``.  Empty on an empty argument.  Minimizes over the
+    distance's compiled integer ranks."""
     vset = frozenset(vset)
     wset = frozenset(wset)
     if not vset or not wset:
         return frozenset()
-    best = None
-    for v in vset:
-        for w in wset:
-            c = dist.d(v, w)
-            if best is None or compare_costs(c, best, dist.mode) is Ordering.LESS:
-                best = c
-    return frozenset(
-        w
-        for w in wset
-        if any(
-            compare_costs(dist.d(v, w), best, dist.mode) is Ordering.EQUAL
-            for v in vset
-        )
-    )
+    index, ranks = dist.kernel()
+    rows = [ranks[index[v]] for v in vset]
+    cols = [(w, index[w]) for w in wset]
+    col_min = [min([row[j] for row in rows]) for _, j in cols]
+    best = min(col_min)
+    return frozenset(w for (w, _), c in zip(cols, col_min) if c == best)
 
 
 def _canon(s):
@@ -169,73 +162,124 @@ def recheck_chain(op, chain):
     return not _conclusion(op, chain[0], chain[1], chain[k])
 
 
+def _premise_index(op, sets):
+    """Premise tests over indices into ``sets``, filled lazily.
+
+    ``premise(a, b, c)`` is memoized under the integer code of the index
+    triple, and the operator is consulted once per (V_b, V_a u V_c).  The
+    bitmask ``after(a, b)`` holds every c with premise(a, b, c), and
+    ``between(a, c)`` every b with premise(a, b, c).
+    """
+    n = len(sets)
+    memo, looked, nxt, mid = {}, {}, {}, {}
+
+    def premise(a, b, c):
+        key = (a * n + b) * n + c
+        hit = memo.get(key)
+        if hit is None:
+            union = sets[a] | sets[c]
+            result = looked.get((b, union))
+            if result is None:
+                result = looked[b, union] = op.lookup(sets[b], union)
+            hit = memo[key] = bool(result & sets[a])
+        return hit
+
+    def after(a, b):
+        key = a * n + b
+        mask = nxt.get(key)
+        if mask is None:
+            mask = nxt[key] = sum(1 << c for c in range(n) if premise(a, b, c))
+        return mask
+
+    def between(a, c):
+        key = a * n + c
+        mask = mid.get(key)
+        if mask is None:
+            mask = mid[key] = sum(1 << b for b in range(n) if premise(a, b, c))
+        return mask
+
+    return premise, after, between
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     """Check the loop condition for chains from ``family`` with k <= k_max.
 
     Exhaustive (with premise-pruned search) when the chain space fits the
     budget, uniformly sampled with a fixed seed otherwise.  Returns the
-    first counterexample found, in deterministic order.
+    first counterexample found, in deterministic order.  The search runs
+    over indices into the sorted family.
     """
     sets = validate_family(op.universe, family)
     sets = sorted(sets, key=sorted)
-    cache = {}
-
-    def premise(a, b, c):
-        key = (a, b, c)
-        if key not in cache:
-            cache[key] = _premise(op, a, b, c)
-        return cache[key]
-
-    def conclusion(v0, v1, vk):
-        return premise(v1, v0, vk)
-
+    n = len(sets)
+    premise, after, between = _premise_index(op, sets)
     checked = 0
     any_sampled = False
     for k in range(1, k_max + 1):
-        total = len(sets) ** (k + 1)
+        total = n ** (k + 1)
         if total <= budget:
-            found = _loop_exhaustive(premise, conclusion, sets, k)
+            found = _loop_exhaustive(premise, after, between, n, k)
             checked += total
         else:
             any_sampled = True
-            found = _loop_sampled(premise, conclusion, sets, k, samples, seed)
+            found = _loop_sampled(premise, n, k, samples, seed)
             checked += samples
         if found is not None:
-            return LoopVerdict(False, k, found, checked, any_sampled)
+            chain = tuple(sets[i] for i in found)
+            return LoopVerdict(False, k, chain, checked, any_sampled)
     return LoopVerdict(True, k_max, (), checked, any_sampled)
 
 
-def _loop_exhaustive(premise, conclusion, sets, k):
-    chain = [None] * (k + 1)
+def _loop_exhaustive(premise, after, between, n, k):
+    """The lexicographically first index chain whose premises hold and
+    whose conclusion fails, or None."""
+    if k == 1:
+        # a single premise (V_1 | (V_0 u V_0)) n V_0
+        for a in range(n):
+            for b in range(n):
+                if premise(a, b, a) and not premise(b, a, b):
+                    return (a, b)
+        return None
+    chain = [0] * (k + 1)
 
     def extend(depth):
+        if depth == k:
+            # the V_k meeting premises k-1 and k and failing the conclusion
+            hits = (after(chain[k - 2], chain[k - 1])
+                    & between(chain[k - 1], chain[0])
+                    & ~after(chain[1], chain[0]))
+            if not hits:
+                return None
+            chain[k] = (hits & -hits).bit_length() - 1
+            return tuple(chain)
         # premise i is checkable once V_{i+1} is chosen
-        for s in sets:
+        mask = after(chain[depth - 2], chain[depth - 1]) if depth >= 2 else (1 << n) - 1
+        for s in _bits(mask):
             chain[depth] = s
-            if depth >= 2 and not premise(chain[depth - 2], chain[depth - 1], s):
-                continue
-            if depth == k:
-                if not premise(chain[k - 1], chain[k], chain[0]):
-                    continue
-                if not conclusion(chain[0], chain[1], chain[k]):
-                    return tuple(chain)
-            else:
-                hit = extend(depth + 1)
-                if hit is not None:
-                    return hit
+            hit = extend(depth + 1)
+            if hit is not None:
+                return hit
         return None
 
-    # k == 1 has a single premise (V_1 | (V_0 u V_0)) n V_0, checked at depth k
     return extend(0)
 
 
-def _loop_sampled(premise, conclusion, sets, k, samples, seed):
+def _loop_sampled(premise, n, k, samples, seed):
     rng = random.Random(f"{seed}:{k}")
+    indices = range(n)
     for _ in range(samples):
-        chain = tuple(rng.choice(sets) for _ in range(k + 1))
-        ring = list(chain) + [chain[0]]
+        chain = tuple(rng.choice(indices) for _ in range(k + 1))
+        ring = chain + chain[:1]
         if all(premise(ring[i - 1], ring[i], ring[i + 1]) for i in range(1, k + 1)):
-            if not conclusion(chain[0], chain[1], chain[k]):
+            if not premise(chain[1], chain[0], chain[k]):
                 return chain
     return None
 
@@ -250,21 +294,7 @@ def find_loop_violation(op, sets, k_max):
     """
     sets = sorted({_canon(s) for s in sets if s}, key=sorted)
     n = len(sets)
-    prem = {}
-
-    def p(a, b, c):
-        key = (a, b, c)
-        if key not in prem:
-            prem[key] = _premise(op, sets[a], sets[b], sets[c])
-        return prem[key]
-
-    succ = {}
-
-    def successors(state):
-        if state not in succ:
-            a, b = state
-            succ[state] = [c for c in range(n) if p(a, b, c)]
-        return succ[state]
+    premise, after, _ = _premise_index(op, sets)
 
     best = None
     for i0 in range(n):
@@ -277,7 +307,7 @@ def find_loop_violation(op, sets, k_max):
                 state = queue.popleft()
                 if dist[state] + 1 > k_max:
                     continue
-                for c in successors(state):
+                for c in _bits(after(*state)):
                     nxt = (state[1], c)
                     if nxt not in dist:
                         dist[nxt] = dist[state] + 1
@@ -288,7 +318,7 @@ def find_loop_violation(op, sets, k_max):
                 if goal not in dist or dist[goal] < 1:
                     continue
                 k = dist[goal]
-                if _conclusion(op, sets[i0], sets[i1], sets[ik]):
+                if premise(i1, i0, ik):  # the conclusion holds
                     continue
                 # reconstruct V_0..V_k from the state path
                 states = [goal]

@@ -40,6 +40,11 @@ class UnrealizableError(DistrevError):
     no search (empty result on a finite nonempty pair, or X not within W)."""
 
 
+class WitnessError(DistrevError):
+    """A sat verdict whose witness does not reproduce the table it claims
+    to realize: a solver fault, never a property of the input."""
+
+
 class InconsistentTheoryError(DistrevError):
     pass
 

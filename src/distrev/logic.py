@@ -8,8 +8,11 @@ represented by their model sets throughout the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BoundExceededError,
@@ -333,6 +336,18 @@ def satisfies(v, phi, matrix=CLASSICAL):
     return eval_formula(v, phi, matrix) in matrix.designated
 
 
+# Small universes are enumerated once and shared, so model sets built from
+# separate enumerations hash and compare their members by identity.
+_SHARED_VALUATIONS = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _valuations(sig, values):
+    return tuple(
+        Valuation(sig, combo) for combo in itertools.product(values, repeat=len(sig))
+    )
+
+
 def enumerate_valuations(signature, matrix=CLASSICAL, bound=1_000_000):
     """All valuations over ``signature``, lexicographic by atom order then
     truth-value order."""
@@ -342,10 +357,8 @@ def enumerate_valuations(signature, matrix=CLASSICAL, bound=1_000_000):
         raise BoundExceededError(
             f"{total} valuations exceed the bound of {bound}"
         )
-    out = []
-    for combo in itertools.product(matrix.values, repeat=len(sig)):
-        out.append(Valuation(sig, combo))
-    return out
+    make = _valuations if total <= _SHARED_VALUATIONS else _valuations.__wrapped__
+    return list(make(sig, matrix.values))
 
 
 def models(gamma, signature, matrix=CLASSICAL):
@@ -416,53 +429,90 @@ def canonical_dnf(model_set, signature):
 # the sets definable by a formula collection are their intersections.
 
 
+_BLOCK_PAIRS = 1 << 14  # (f, g) pairs per vectorized closure step
+
+
+def _unique_rows(rows):
+    """The distinct rows of a 2-D code array, as their bytes.  Rows are
+    compared as zero-padded 64-bit words, so no width can overflow a key."""
+    rows = np.ascontiguousarray(rows)
+    n = len(rows)
+    raw = rows.view(np.uint8).reshape(n, rows.shape[1] * rows.itemsize)
+    buf = np.zeros((n, -(-raw.shape[1] // 8) * 8), np.uint8)
+    buf[:, :raw.shape[1]] = raw
+    words = buf.view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(n, bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return [rows[i].tobytes() for i in order[first]]
+
+
 def formula_extensions(signature, matrix, bound=200_000):
-    """All functions valuation -> value realized by some formula."""
+    """All functions valuation -> value realized by some formula.
+
+    Returns the valuations and a 2-D array with one row per function: its
+    values on the valuations, as codes indexing ``matrix.values``.  The
+    closure runs on the codes with flat connective tables, over blocks of
+    about 2^14 (f, g) pairs, so temporaries stay bounded.
+    """
     vals = enumerate_valuations(signature, matrix)
-    gens = set()
-    for a in tuple(signature):
-        gens.add(tuple(v[a] for v in vals))
+    k = len(matrix.values)
+    code = {x: i for i, x in enumerate(matrix.values)}
+    dtype = np.min_scalar_type(k - 1)
+    gens = [[code[v[a]] for v in vals] for a in tuple(signature)]
     for const in ("true", "false"):
         if const in matrix.tables:
-            gens.add(tuple(matrix.tables[const][()] for _ in vals))
-    known = set(gens)
-    frontier = list(gens)
-    unary = [n for n in ("not",) if n in matrix.tables]
-    binary = [n for n in ("and", "or", "implies", "iff") if n in matrix.tables]
-    while frontier:
+            gens.append([code[matrix.tables[const][()]]] * len(vals))
+    unary = [
+        np.array([code[matrix.tables[name][(x,)]] for x in matrix.values], dtype)
+        for name in ("not",) if name in matrix.tables
+    ]
+    binary = [
+        np.array([code[matrix.tables[name][(x, y)]]
+                  for x in matrix.values for y in matrix.values], dtype)
+        for name in ("and", "or", "implies", "iff") if name in matrix.tables
+    ]
+    width = len(vals)
+    seen = set()
+
+    def fresh(candidates):
+        out = [key for key in _unique_rows(candidates) if key not in seen]
+        seen.update(out)
+        return out
+
+    known = np.frombuffer(b"".join(fresh(np.array(gens, dtype).reshape(-1, width))),
+                          dtype).reshape(-1, width)
+    frontier = known
+    while len(frontier):
         if len(known) > bound:
             raise BoundExceededError("formula-extension closure exceeds bound")
         new = []
-        for f in frontier:
-            for name in unary:
-                tbl = matrix.tables[name]
-                g = tuple(tbl[(x,)] for x in f)
-                if g not in known:
-                    known.add(g)
-                    new.append(g)
-        for f in frontier:
-            for name in binary:
-                tbl = matrix.tables[name]
-                for g in list(known):
-                    for h1, h2 in ((f, g), (g, f)):
-                        r = tuple(tbl[(x, y)] for x, y in zip(h1, h2))
-                        if r not in known:
-                            known.add(r)
-                            new.append(r)
-        frontier = new
+        for tbl in unary:
+            new += fresh(tbl[frontier])
+        # left operands scaled once into rows of the flat tables
+        known_k = known.astype(np.intp) * k
+        step = max(1, _BLOCK_PAIRS // len(known))
+        for lo in range(0, len(frontier), step):
+            block = frontier[lo:lo + step].astype(np.intp)
+            for tbl in binary:
+                new += fresh(tbl[block[:, None, :] * k + known[None, :, :]].reshape(-1, width))
+                new += fresh(tbl[known_k[None, :, :] + block[:, None, :]].reshape(-1, width))
+        frontier = np.frombuffer(b"".join(new), dtype).reshape(-1, width)
+        known = np.concatenate([known, frontier])
     return vals, known
 
 
 def definable_model_sets(signature, matrix=CLASSICAL, bound=200_000):
     """Model sets of formula collections: closure of single-formula model
-    sets under intersection, plus the full set (empty collection)."""
+    sets under intersection, plus the full set (empty collection).  The
+    closure runs on bitmasks over the valuation order."""
     vals, extensions = formula_extensions(signature, matrix, bound)
-    single = set()
-    for ext in extensions:
-        single.add(frozenset(v for v, x in zip(vals, ext) if x in matrix.designated))
-    full = frozenset(vals)
-    closed = set(single)
-    closed.add(full)
+    designated = np.array([x in matrix.designated for x in matrix.values])
+    bits = np.packbits(designated[extensions], axis=1, bitorder="little")
+    single = {int.from_bytes(row.tobytes(), "little") for row in bits}
+    full = (1 << len(vals)) - 1
+    closed = single | {full}
     frontier = list(closed)
     while frontier:
         new = []
@@ -473,14 +523,7 @@ def definable_model_sets(signature, matrix=CLASSICAL, bound=200_000):
                     closed.add(r)
                     new.append(r)
         frontier = new
-    return closed
-
-
-def mod_th_closure(model_set, definable):
-    """Mod(Th(S)): intersection of all single-collection definable sets
-    containing S."""
-    out = None
-    for d in definable:
-        if model_set <= d:
-            out = d if out is None else out & d
-    return out if out is not None else model_set
+    return {
+        frozenset(vals[i] for i in range(len(vals)) if mask >> i & 1)
+        for mask in closed
+    }

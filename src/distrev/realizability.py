@@ -11,12 +11,12 @@ small scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .costs import OrderMode, PseudoDistance
 from .distops import apply
-from .errors import BoundExceededError, UnrealizableError
+from .errors import BoundExceededError, UnrealizableError, WitnessError
 
 
 def pair_var(v, w, symmetric):
@@ -291,8 +291,8 @@ def solve_table(table, symmetric=False, budget=200_000):
     except UnrealizableError as exc:
         return Verdict("unsat", conflict=[str(exc)])
     verdict = solve(system, budget)
-    if verdict.status == "sat":
-        assert verify_witness(verdict.witness, table, symmetric)
+    if verdict.status == "sat" and not verify_witness(verdict.witness, table, symmetric):
+        raise WitnessError("sat witness does not reproduce the table")
     return verdict
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .costs import OrderMode, PropertyReport, PseudoDistance
-from .distops import LoopVerdict, apply, check_loop
+from .distops import apply, check_loop
 from .errors import InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
@@ -23,7 +23,6 @@ from .logic import (
     hamming_diff,
     models,
     parse_formula,
-    sort_valuations,
 )
 
 
@@ -160,6 +159,11 @@ def _label(model_set):
     return sorted("".join(str(x) for x in v.values) for v in model_set)
 
 
+def _labels(*model_sets):
+    """A violation witness; built only when a violation is recorded."""
+    return tuple(_label(s) for s in model_sets)
+
+
 def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     """Check the five revision postulates at the model-set level.
 
@@ -249,11 +253,10 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
         r_a = op.revise_models(op.revise_models(gamma, alpha), delta)
         r_b = op.revise_models(op.revise_models(gamma, beta), delta)
         r_or = op.revise_models(op.revise_models(gamma, alpha | beta), delta)
-        witness = (_label(gamma), _label(alpha), _label(beta), _label(delta))
         if not r_or <= (r_a | r_b):
-            rep1.record(witness)
+            rep1.record(_labels(gamma, alpha, beta, delta))
         if not (r_a <= r_or or r_b <= r_or):
-            rep2.record(witness)
+            rep2.record(_labels(gamma, alpha, beta, delta))
     return {"disjunction_iteration_1": rep1, "disjunction_iteration_2": rep2}
 
 

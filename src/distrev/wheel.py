@@ -9,9 +9,8 @@ patched operator and patched distance that coincide exactly.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -185,25 +184,17 @@ def build_patched(op, dist, params, r):
 # ---------------------------------------------------------------------------
 # Vectorized subset sweeps
 #
-# Costs are scaled to exact integers; the result of the minimization for
-# every (V, W) subset pair is computed column-by-column as a bitmask over
-# the point order.
+# Costs enter as the distance's compiled integer ranks; the result of the
+# minimization for every (V, W) subset pair is computed column-by-column as
+# a bitmask over the point order.
 
 
 def distance_int_matrix(dist, order):
-    """Scaled integer cost matrix; the infinite marker maps to a sentinel
-    above every finite entry."""
-    finite = [c for c in dist.table.values() if c is not INF]
-    denom = math.lcm(*[c.denominator for c in finite]) if finite else 1
-    scaled = [int(c * denom) for c in finite]
-    big = (max(scaled) if scaled else 0) + 1
-    n = len(order)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            c = dist.d(a, b)
-            mat[i, j] = big if c is INF else int(c * denom)
-    return mat
+    """The distance's integer rank matrix, reindexed to ``order``; the
+    infinite marker ranks above every finite entry."""
+    index, ranks = dist.kernel()
+    rows = [index[p] for p in order]
+    return np.array(ranks, dtype=np.int64)[np.ix_(rows, rows)]
 
 
 _SENTINEL = np.int64(2**62)

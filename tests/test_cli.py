@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import distrev
 from distrev.cli import main
 from distrev.costs import PseudoDistance
 from distrev.fileio import save_distance, save_operator_table
@@ -160,3 +163,50 @@ def test_report_written_to_out_file(workdir, hamming_file):
     out_path = workdir / "report.txt"
     assert main(["check", hamming_file, "--out", str(out_path)]) == 0
     assert "result: pass" in out_path.read_text()
+
+
+def _report_under_hash_seed(seed, args, cwd):
+    src = os.path.dirname(os.path.dirname(distrev.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "distrev.cli", *args],
+        cwd=cwd, env=env, capture_output=True, check=False,
+    )
+    return done.returncode, done.stdout
+
+
+def test_reports_identical_across_hash_seeds(workdir, hamming_file):
+    # loop: a violated chain (explicit entries over the Hamming backing),
+    # a passing exhaustive run and a sampled run
+    _write(
+        workdir / "cyclic.txt",
+        "universe: 00 01 10 11\nbacking: hamming.txt\n"
+        "entry: 01 | 00 10 -> 00\nentry: 10 | 00 01 -> 01\n"
+        "entry: 00 | 01 10 -> 10\n",
+    )
+    _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
+    _write(workdir / "fam.txt", "00\n01\n10\n00 01\n00 10\n01 10\n00 01 10\n")
+    _write(
+        workdir / "three.txt",
+        "universe: a b c\nentry: a b c | a b c -> a\n"
+        "entry: a c | a b c -> b\nentry: b c | a b c -> a b c\n",
+    )
+    _write(
+        workdir / "sat.txt",
+        "universe: a b c\nentry: a | b c -> b\nentry: b c | a c -> c\n",
+    )
+    runs = [
+        ["loop", "cyclic.txt", "--k", "3", "--family", "fam.txt"],
+        ["loop", "op.txt", "--k", "3", "--family", "fam.txt"],
+        ["loop", "op.txt", "--k", "3", "--family", "fam.txt", "--budget", "50",
+         "--samples", "200", "--seed", "3"],
+        ["realize", "three.txt", "--budget", "2000"],
+        ["realize", "sat.txt", "--symmetric"],
+    ]
+    codes = []
+    for args in runs:
+        first = _report_under_hash_seed(0, args, workdir)
+        assert first == _report_under_hash_seed(1, args, workdir), args
+        codes.append(first[0])
+    assert codes == [1, 0, 0, 4, 0]

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import distrev.realizability as realizability
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.distops import OperatorTable, apply
-from distrev.errors import BoundExceededError
+from distrev.errors import BoundExceededError, DistrevError, WitnessError
 from distrev.realizability import (
+    Verdict,
     brute_force_realizable,
     compile_constraints,
     ordered_set_partitions,
@@ -174,3 +176,20 @@ def test_swapped_witness_ranks_detected():
         for k, r in verdict.witness.items()
     }
     assert not verify_witness(swapped, t)
+
+
+def test_bogus_sat_witness_raises(monkeypatch):
+    # the re-verification of a sat witness is an explicit check, so it also
+    # runs under python -O
+    universe = ("a", "b")
+    key = (frozenset({"a"}), frozenset({"a", "b"}))
+    t = OperatorTable(universe, {key: frozenset({"a"})})
+    assert solve_table(t).status == "sat"
+    bogus = {("a", "a"): 1, ("a", "b"): 0}  # puts b strictly closer than a
+
+    monkeypatch.setattr(
+        realizability, "solve", lambda system, budget: Verdict("sat", witness=bogus)
+    )
+    with pytest.raises(WitnessError) as exc:
+        solve_table(t)
+    assert isinstance(exc.value, DistrevError)

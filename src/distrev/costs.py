@@ -11,7 +11,7 @@ their order, so each distance compiles once, on first use, to integer ranks
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -127,6 +127,7 @@ class PseudoDistance:
     def d(self, v, w):
         return self.table[(v, w)]
 
+    @functools.cached_property
     def kernel(self):
         """The table compiled to integers on first use and cached on the
         instance: ``(index, ranks)`` where ``index`` maps each point to its
@@ -134,28 +135,14 @@ class PseudoDistance:
         among the distinct finite costs.  The infinite cost, admitted only
         under the liberal order, ranks above every finite one.  Ranks keep
         the order and the ties of the costs, which is all minimization
-        needs."""
-        compiled = self.__dict__.get("_kernel")
-        if compiled is not None:
-            return compiled
-        table, pts = self.table, self.universe
-        # exact integer keys: each finite cost times the common denominator
-        scale = math.lcm(*{c.denominator for c in table.values() if c is not INF})
-        keys = [
-            [None if (c := table[v, w]) is INF else c.numerator * (scale // c.denominator)
-             for w in pts]
-            for v in pts
-        ]
-        distinct = sorted({key for row in keys for key in row if key is not None})
+        needs.  The cache is not a field, so it stays out of equality, repr
+        and ``replaced()`` copies."""
+        distinct = sorted({c for c in self.table.values() if c is not INF})
         rank = dict(zip(distinct, range(len(distinct))))
-        rank[None] = len(distinct)
+        rank[INF] = len(distinct)
+        pts = self.universe
         index = {p: i for i, p in enumerate(pts)}
-        # the instance is frozen; the cache is not a field, so it stays out
-        # of equality, repr and replaced() copies
-        compiled = self.__dict__["_kernel"] = (
-            index, [[rank[key] for key in row] for row in keys]
-        )
-        return compiled
+        return index, [[rank[self.table[v, w]] for w in pts] for v in pts]
 
     @classmethod
     def from_function(cls, universe, mode, fn):

@@ -19,7 +19,7 @@ def apply(dist, vset, wset):
     wset = frozenset(wset)
     if not vset or not wset:
         return frozenset()
-    index, ranks = dist.kernel()
+    index, ranks = dist.kernel
     rows = [ranks[index[v]] for v in vset]
     cols = [(w, index[w]) for w in wset]
     col_min = [min([row[j] for row in rows]) for _, j in cols]

@@ -336,12 +336,11 @@ def satisfies(v, phi, matrix=CLASSICAL):
     return eval_formula(v, phi, matrix) in matrix.designated
 
 
-# Small universes are enumerated once and shared, so model sets built from
-# separate enumerations hash and compare their members by identity.
-_SHARED_VALUATIONS = 4096
-
-
-@functools.lru_cache(maxsize=32)
+# Every enumeration of one universe hands out the same Valuation objects, so
+# model sets, revision caches and distance universes built by separate calls
+# compare their members by identity instead of by the dataclass __eq__.  The
+# cache holds at most 8 universes, each within the caller's bound.
+@functools.lru_cache(maxsize=8)
 def _valuations(sig, values):
     return tuple(
         Valuation(sig, combo) for combo in itertools.product(values, repeat=len(sig))
@@ -357,8 +356,7 @@ def enumerate_valuations(signature, matrix=CLASSICAL, bound=1_000_000):
         raise BoundExceededError(
             f"{total} valuations exceed the bound of {bound}"
         )
-    make = _valuations if total <= _SHARED_VALUATIONS else _valuations.__wrapped__
-    return list(make(sig, matrix.values))
+    return list(_valuations(sig, matrix.values))
 
 
 def models(gamma, signature, matrix=CLASSICAL):
@@ -433,19 +431,11 @@ _BLOCK_PAIRS = 1 << 14  # (f, g) pairs per vectorized closure step
 
 
 def _unique_rows(rows):
-    """The distinct rows of a 2-D code array, as their bytes.  Rows are
-    compared as zero-padded 64-bit words, so no width can overflow a key."""
+    """The distinct rows of a 2-D code array, as their bytes.  Each row is
+    viewed as one opaque byte string, so no row width can overflow a key."""
     rows = np.ascontiguousarray(rows)
-    n = len(rows)
-    raw = rows.view(np.uint8).reshape(n, rows.shape[1] * rows.itemsize)
-    buf = np.zeros((n, -(-raw.shape[1] // 8) * 8), np.uint8)
-    buf[:, :raw.shape[1]] = raw
-    words = buf.view(np.uint64)
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    first = np.ones(n, bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return [rows[i].tobytes() for i in order[first]]
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return [key.tobytes() for key in np.unique(keys)]
 
 
 def formula_extensions(signature, matrix, bound=200_000):

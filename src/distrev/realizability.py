@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .costs import OrderMode, PseudoDistance
 from .distops import apply
@@ -263,15 +262,10 @@ def solve(system, budget=200_000):
 def witness_distance(witness, universe, symmetric=False, mode=OrderMode.REAL):
     """Convert rank assignments to an integer-cost pseudo-distance; pairs
     without a variable get a cost above every rank."""
-    default = Fraction(max(witness.values(), default=0) + 1)
-
-    def cost(v, w):
-        var = pair_var(v, w, symmetric)
-        if var in witness:
-            return Fraction(witness[var])
-        return default
-
-    return PseudoDistance.from_function(universe, mode, cost)
+    default = max(witness.values(), default=0) + 1
+    return PseudoDistance.from_function(
+        universe, mode, lambda v, w: witness.get(pair_var(v, w, symmetric), default)
+    )
 
 
 def verify_witness(witness, table, symmetric=False):

@@ -192,7 +192,7 @@ def build_patched(op, dist, params, r):
 def distance_int_matrix(dist, order):
     """The distance's integer rank matrix, reindexed to ``order``; the
     infinite marker ranks above every finite entry."""
-    index, ranks = dist.kernel()
+    index, ranks = dist.kernel
     rows = [index[p] for p in order]
     return np.array(ranks, dtype=np.int64)[np.ix_(rows, rows)]
 

@@ -90,6 +90,14 @@ def test_enumeration_is_lexicographic_and_bounded():
         enumerate_valuations(tuple(f"a{i}" for i in range(30)), bound=1000)
 
 
+def test_enumerations_share_valuations_but_not_lists():
+    first = enumerate_valuations(("p", "q"))
+    second = enumerate_valuations(["p", "q"])
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    assert len(second) == 4 and len(enumerate_valuations(("p", "q"))) == 4
+
+
 def test_models_and_consistency():
     gamma = [parse_formula("p & q")]
     ms = models(gamma, ("p", "q"))

@@ -1,9 +1,11 @@
 """Walkthrough: deciding whether a finite operator table comes from a
 distance.
 
-Membership and exclusion facts of each entry compile to ordering constraints
-between pair costs; a branching search with cycle detection settles them.
-A brute-force sweep over all weak orders double-checks small instances.
+Each entry gets a variable for its minimum cost over V x W; membership and
+exclusion facts compile to single ordering atoms between that minimum and the
+pair costs.  A search that propagates forced atoms and branches on the rest
+settles them, rejecting any choice that closes a strict cycle.  A
+brute-force sweep over all weak orders double-checks small instances.
 """
 
 from fractions import Fraction
@@ -28,15 +30,20 @@ dist = PseudoDistance.from_function(
 entries = {
     (frozenset({"a"}), frozenset({"b", "c"})): apply(dist, {"a"}, {"b", "c"}),
     (frozenset({"b"}), frozenset({"a", "c"})): apply(dist, {"b"}, {"a", "c"}),
+    (frozenset({"a", "b"}), frozenset({"c"})): apply(dist, {"a", "b"}, {"c"}),
 }
 table = OperatorTable(U, entries)
 
 system = compile_constraints(table)
 print("pair variables:", list(system.variables))
-print("clauses:", len(system.clauses))
+print("entry minima:", [tag for (tag,) in system.minima])
+print("unit atoms:", sum(len(c.disjuncts) == 1 for c in system.clauses))
+for c in system.clauses:
+    if len(c.disjuncts) > 1:
+        print("choice:", " or ".join(repr(atom) for (atom,) in c.disjuncts))
 
 verdict = solve_table(table)
-print("verdict:", verdict.status)
+print("verdict:", verdict.status, "in", verdict.nodes, "node(s)")
 print("witness ranks:", dict(sorted(verdict.witness.items())))
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,13 @@ class Valuation:
     atoms: tuple
     values: tuple
 
+    def __post_init__(self):
+        # model sets hash valuations constantly; hash the fields once
+        object.__setattr__(self, "_hash", hash((self.atoms, self.values)))
+
+    def __hash__(self):
+        return self._hash
+
     def __getitem__(self, atom):
         try:
             return self.values[self.atoms.index(atom)]

@@ -1,11 +1,13 @@
 """Decide whether a finite operator table is a distance operator.
 
-Membership and non-membership facts of each table entry compile to ordering
-constraints between pair variables; a branching search with cycle-based
-conflict detection (strongly connected components over mixed strict and
-non-strict edges) decides satisfiability.  A brute-force enumerator of all
-weak orders over the pair variables serves as an independent oracle at
-small scale.
+Each entry (V, W, X) gets a minimum variable mu: units mu <= d(v, w) over
+V x W and mu < d(v, w) for w outside X, and per w in X a clause that some
+d(v, w) <= mu.  ``solve`` propagates clauses left with one viable atom (one
+closing no strict cycle in the transitively closed order), branches on the
+clause with the fewest, and asserts a failed choice's negation (DPLL(T)).
+A node is one propagate-then-branch step; ``unknown`` means only that the
+node budget ran out.  A brute-force enumerator of all weak orders over the
+pair variables serves as an independent oracle at small scale.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class OrderAtom:
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of conjunctions of order atoms, tagged with the table
-    entry that produced it."""
+    entry that produced it.  ``compile_constraints`` emits one atom per
+    conjunction, which is all ``solve`` accepts."""
 
     disjuncts: tuple  # tuple of tuples of OrderAtom
     provenance: str
@@ -49,7 +52,8 @@ class Clause:
 
 @dataclass
 class ConstraintSystem:
-    variables: tuple
+    variables: tuple  # pair variables (v, w)
+    minima: tuple  # one minimum variable (tag,) per entry
     clauses: list
 
 
@@ -69,14 +73,10 @@ def _entry_tag(vset, wset):
 
 
 def compile_constraints(table, symmetric=False):
-    """Compile an operator table into ordering constraints.
-
-    For each entry (V, W, X): membership of w in X yields one clause with a
-    disjunct per v in V asserting d(v, w) minimal over V x W; exclusion of
-    w in W minus X yields, per v in V, a clause asserting some pair of V x W
-    strictly below d(v, w).
-    """
+    """Compile an operator table into ordering constraints over the pair
+    variables and one minimum variable per entry."""
     variables = set()
+    minima = []
     clauses = []
     for (vset, wset), xset in table.sorted_entries():
         tag = _entry_tag(vset, wset)
@@ -91,172 +91,166 @@ def compile_constraints(table, symmetric=False):
                 f"entry {tag}: empty result on non-empty arguments "
                 "(finite minimization is never empty)"
             )
-        pairs = [
-            pair_var(v, w, symmetric) for v in sorted(vset) for w in sorted(wset)
-        ]
-        variables.update(pairs)
-        for w in sorted(xset):
-            disjuncts = []
-            for v in sorted(vset):
-                pv = pair_var(v, w, symmetric)
-                conj = []
-                for other in pairs:
-                    if other != pv:
-                        conj.append(OrderAtom(pv, other, strict=False))
-                disjuncts.append(tuple(dict.fromkeys(conj)))
-            if any(len(c) == 0 for c in disjuncts):
-                continue  # trivially satisfied
-            clauses.append(Clause(tuple(disjuncts), tag))
-        for w in sorted(wset - xset):
-            for v in sorted(vset):
-                pv = pair_var(v, w, symmetric)
-                disjuncts = tuple(
-                    (OrderAtom(other, pv, strict=True),)
-                    for other in pairs
-                    if other != pv
-                )
-                clauses.append(Clause(disjuncts, tag))
-    return ConstraintSystem(tuple(sorted(variables)), clauses)
+        mu = (tag,)
+        minima.append(mu)
+        pairs = {w: list(dict.fromkeys(pair_var(v, w, symmetric) for v in sorted(vset)))
+                 for w in sorted(wset)}
+        strict = {}  # pair -> whether mu lies strictly below it
+        for w, ps in pairs.items():
+            for p in ps:
+                strict[p] = strict.get(p, False) or w not in xset
+        variables.update(strict)
+        clauses += [Clause(((OrderAtom(mu, p, s),),), tag) for p, s in strict.items()]
+        clauses += [Clause(tuple((OrderAtom(p, mu, False),) for p in pairs[w]), tag)
+                    for w in sorted(xset)]
+    return ConstraintSystem(tuple(sorted(variables)), tuple(minima), clauses)
 
 
-# ---------------------------------------------------------------------------
-# Conflict detection and rank extraction
+class _OutOfNodes(Exception):
+    pass
 
 
-def _tarjan_sccs(nodes, edges):
-    adj = {n: [] for n in nodes}
-    for a, b, _strict, _prov in edges:
-        adj[a].append(b)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = itertools.count()
-
-    def strongconnect(root):
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(comp)
-    for n in nodes:
-        if n not in index:
-            strongconnect(n)
-    return sccs
-
-
-def _find_conflict(variables, edges):
-    """Provenances of the edges of a strict-cycle component, or None."""
-    sccs = _tarjan_sccs(variables, edges)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for n in comp:
-            comp_of[n] = i
-    for a, b, strict, _prov in edges:
-        if strict and comp_of[a] == comp_of[b]:
-            bad = comp_of[a]
-            return frozenset(
-                prov
-                for (x, y, _s, prov) in edges
-                if comp_of[x] == bad and comp_of[y] == bad
-            )
-    return None
-
-
-def _ranks(variables, edges):
-    """Topological levels of the condensation: equal within a component,
-    strictly increasing along edges across components."""
-    sccs = _tarjan_sccs(variables, edges)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for n in comp:
-            comp_of[n] = i
-    # Tarjan emits components in reverse topological order of the condensation
-    order = list(range(len(sccs)))[::-1]
-    level = {i: 0 for i in order}
-    succ = {i: set() for i in order}
-    for a, b, _s, _p in edges:
-        if comp_of[a] != comp_of[b]:
-            succ[comp_of[a]].add(comp_of[b])
-    for i in order:
-        for j in succ[i]:
-            level[j] = max(level[j], level[i] + 1)
-    return {v: level[comp_of[v]] for v in variables}
+def _bits(mask):
+    """Indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def solve(system, budget=200_000):
-    """Complete branching search over the clause disjuncts.
+    """Propagate-then-branch search over the clauses (see the module doc).
 
-    A state is inconsistent iff some strongly connected component of the
-    asserted-order graph contains a strict edge.  Returns unknown when the
-    node budget is exhausted.
+    Each failure is explained by the entries behind the paths that blocked
+    the failing clause, followed back through propagations and failed
+    branches; a branch whose failure does not depend on its choice is not
+    retried (backjumping), and an unsat verdict's conflict is the root's
+    explanation.
     """
-    clauses = sorted(system.clauses, key=lambda c: len(c.disjuncts))
-    for c in clauses:
-        if not c.disjuncts:
-            return Verdict("unsat", conflict=[c.provenance])
-    edges = []
-    conflicts = set()
+    names = system.variables + system.minima
+    index = {var: i for i, var in enumerate(names)}
+    n = len(names)
+    clauses = [
+        (c.provenance, [(index[a.left], index[a.right], a.strict) for (a,) in c.disjuncts])
+        for c in system.clauses
+    ]
+    up = [0] * n  # up[x]: bits of the variables entailed >= x
+    sup = [0] * n  # sup[x]: bits of the variables entailed > x
+    down = [0] * n  # down[x]: bits of the variables entailed <= x
+    trail = []  # asserted atoms (a, b, why)
+    out = [[] for _ in range(n)]  # out[a]: trail indices of the atoms from a
     nodes = 0
 
-    class _Budget(Exception):
-        pass
+    def add(atom, why):
+        a, b, strict = atom
+        above = up[b] | 1 << b
+        below = down[a] | 1 << a
+        sabove = above if strict else sup[b]
+        for p in _bits(below):
+            up[p] |= above
+            sup[p] |= above if sup[p] >> a & 1 else sabove
+        for q in _bits(above):
+            down[q] |= below
+        out[a].append(len(trail))
+        trail.append((a, b, why))
 
-    def dfs(idx):
+    def explain(tag, atoms, k):
+        """Why a clause whose atoms trail[:k] blocks fails: entry tags and
+        the depths of the branch choices involved.  A propagated atom's
+        ``why`` is its clause's tag and blocked atoms, expanded here."""
+        reasons = {tag}
+        need = bytearray(k)
+
+        def mark(atoms, k):
+            for a, b, _strict in atoms:
+                # the atoms of trail[:k] on paths from b to a
+                inside = (up[b] | 1 << b) & (down[a] | 1 << a)
+                for x in _bits(inside):
+                    for j in out[x]:
+                        if j >= k:
+                            break
+                        if inside >> trail[j][1] & 1:
+                            need[j] = 1
+
+        mark(atoms, k)
+        for i in range(k - 1, -1, -1):
+            if need[i]:
+                why = trail[i][2]
+                if isinstance(why, frozenset):
+                    reasons |= why
+                else:
+                    reasons.add(why[0])
+                    mark(why[1], i)
+        return frozenset(reasons)
+
+    def propagate(pending):
+        """Assert every clause's last viable atom to a fixpoint.  Returns a
+        failure, or the open clauses and the viable atoms to branch on."""
+        while True:
+            progress = False
+            still = []
+            best = None
+            for tag, atoms in pending:
+                viable = []
+                for atom in atoms:
+                    a, b, strict = atom
+                    if (sup if strict else up)[a] >> b & 1:
+                        break  # entailed: the clause holds
+                    # a <= b closes a strict cycle iff b < a; a < b iff b <= a
+                    if not (up if strict else sup)[b] >> a & 1:
+                        viable.append(atom)
+                else:
+                    if not viable:
+                        return explain(tag, atoms, len(trail)), None, None
+                    if len(viable) == 1:
+                        others = [atom for atom in atoms if atom != viable[0]]
+                        add(viable[0], (tag, others))
+                        progress = True
+                        continue
+                    still.append((tag, atoms))
+                    if best is None or len(viable) < len(best):
+                        best = viable
+            pending = still
+            if not progress:
+                return None, pending, best
+
+    def search(pending, depth):
         nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        conflict = _find_conflict(system.variables, edges)
-        if conflict is not None:
-            conflicts.update(conflict)
-            return False
-        if idx == len(clauses):
-            return True
-        clause = clauses[idx]
-        for disj in clause.disjuncts:
-            added = [(a.left, a.right, a.strict, clause.provenance) for a in disj]
-            edges.extend(added)
-            if dfs(idx + 1):
-                return True
-            del edges[len(edges) - len(added):]
-        return False
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfNodes
+            failure, pending, best = propagate(pending)
+            if failure is not None or best is None:
+                return failure
+            atom = best[0]
+            saved = up[:], sup[:], down[:], len(trail)
+            add(atom, frozenset([depth]))
+            failure = search(pending, depth + 1)
+            if failure is None:
+                return None
+            up[:], sup[:], down[:], length = saved
+            for a, _b, _why in trail[length:]:
+                out[a].pop()
+            del trail[length:]
+            if depth not in failure:
+                return failure
+            a, b, strict = atom
+            add((b, a, not strict), failure - {depth})
 
     try:
-        if dfs(0):
-            witness = _ranks(system.variables, edges)
-            return Verdict("sat", witness=witness, nodes=nodes)
-        return Verdict("unsat", conflict=sorted(conflicts), nodes=nodes)
-    except _Budget:
+        failure = search(clauses, 0)
+    except _OutOfNodes:
         return Verdict("unknown", nodes=nodes)
+    if failure is not None:
+        return Verdict("unsat", conflict=sorted(failure), nodes=nodes)
+    # rank = number of distinct classes (reach | self) strictly below
+    classes = [up[y] | 1 << y for y in range(n)]
+    witness = {
+        var: len({classes[y] for y in range(n) if sup[y] >> x & 1})
+        for x, var in enumerate(system.variables)
+    }
+    return Verdict("sat", witness=witness, nodes=nodes)
 
 
 def witness_distance(witness, universe, symmetric=False, mode=OrderMode.REAL):
@@ -307,24 +301,25 @@ def ordered_set_partitions(items):
                 yield [block] + tail
 
 
+def _minimizers(rank, pairs):
+    low = min((rank[var] for _w, var in pairs), default=None)
+    return frozenset(w for w, var in pairs if rank[var] == low)
+
+
 def brute_force_realizable(table, symmetric=False, max_vars=6):
-    """Independent oracle: enumerate every weak order of the pair variables,
-    rebuild the minimization, and compare against all entries."""
-    variables = set()
-    for (vset, wset), _x in table.sorted_entries():
-        for v in vset:
-            for w in wset:
-                variables.add(pair_var(v, w, symmetric))
-    variables = sorted(variables)
+    """Independent oracle: enumerate every weak order of the pair variables
+    and minimize its ranks directly over each entry's V x W."""
+    entries = [
+        ([(w, pair_var(v, w, symmetric)) for v in vset for w in wset], xset)
+        for (vset, wset), xset in table.sorted_entries()
+    ]
+    variables = sorted({var for pairs, _x in entries for _w, var in pairs})
     if len(variables) > max_vars:
         raise BoundExceededError(
             f"{len(variables)} pair variables exceed the oracle bound of {max_vars}"
         )
     for partition in ordered_set_partitions(variables):
-        witness = {}
-        for rank, block in enumerate(partition):
-            for var in block:
-                witness[var] = rank
-        if verify_witness(witness, table, symmetric):
+        witness = {var: rank for rank, block in enumerate(partition) for var in block}
+        if all(_minimizers(witness, pairs) == xset for pairs, xset in entries):
             return Verdict("sat", witness=witness)
     return Verdict("unsat", conflict=[])

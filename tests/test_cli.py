@@ -209,4 +209,4 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         first = _report_under_hash_seed(0, args, workdir)
         assert first == _report_under_hash_seed(1, args, workdir), args
         codes.append(first[0])
-    assert codes == [1, 0, 0, 4, 0]
+    assert codes == [1, 0, 0, 1, 0]

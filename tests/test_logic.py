@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,6 +98,17 @@ def test_enumerations_share_valuations_but_not_lists():
     assert all(a is b for a, b in zip(first, second))
     first.pop()
     assert len(second) == 4 and len(enumerate_valuations(("p", "q"))) == 4
+
+
+def test_valuation_hash_follows_fields():
+    a = make_valuation(SIG, {"p": 1, "q": 0, "r": 0})
+    b = make_valuation(SIG, {"p": 1, "q": 0, "r": 0})
+    c = make_valuation(SIG, {"p": 0, "q": 0, "r": 0})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.atoms, a.values))
+    assert a != c and len({a, b, c}) == 2
+    assert repr(a) == "Valuation(100)"
+    assert [f.name for f in dataclasses.fields(a)] == ["atoms", "values"]
 
 
 def test_models_and_consistency():

@@ -122,6 +122,88 @@ def test_unsat_conflict_carries_provenance():
     assert len(verdict.conflict) == 3
 
 
+def test_three_entry_table_is_unsat_in_few_nodes():
+    # a b c | a b c -> a puts d(a, a) at the global minimum; a c | a b c -> b
+    # then needs d(a, b) or d(c, b) below it, which the first entry forbids
+    universe = ("a", "b", "c")
+    t = OperatorTable(
+        universe,
+        {
+            (frozenset("abc"), frozenset("abc")): frozenset("a"),
+            (frozenset("ac"), frozenset("abc")): frozenset("b"),
+            (frozenset("bc"), frozenset("abc")): frozenset("abc"),
+        },
+    )
+    verdict = solve_table(t)
+    assert verdict.status == "unsat"
+    assert verdict.nodes <= 5
+    assert verdict.conflict == [
+        "['a', 'b', 'c']|['a', 'b', 'c']",
+        "['a', 'c']|['a', 'b', 'c']",
+        "['b', 'c']|['a', 'b', 'c']",
+    ]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_tables_from_real_distances_are_sat(symmetric):
+    # oracle-free: minimized on a distance, so realizable by construction
+    rng = random.Random(7 if symmetric else 8)
+    for i in range(24):
+        universe = tuple(f"p{k}" for k in range(4 + i % 5))
+        costs = {}
+        for v in universe:
+            for w in universe:
+                if symmetric and (w, v) in costs:
+                    costs[v, w] = costs[w, v]
+                else:
+                    costs[v, w] = F(rng.randrange(0, 7), rng.randrange(1, 3))
+        dist = PseudoDistance(universe, OrderMode.REAL, costs)
+        sets = [
+            frozenset(c)
+            for r in range(1, len(universe) + 1)
+            for c in itertools.combinations(universe, r)
+        ]
+        entries = {}
+        while len(entries) < 5 * len(universe):
+            v, w = rng.choice(sets), rng.choice(sets)
+            entries[v, w] = apply(dist, v, w)
+        t = OperatorTable(universe, entries)
+        verdict = solve_table(t, symmetric=symmetric, budget=800)
+        assert verdict.status == "sat", (i, verdict.nodes)
+        assert verify_witness(verdict.witness, t, symmetric)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_unsat_conflict_names_an_unrealizable_subtable(symmetric):
+    # dense tables over few variables, so that many are unsat and need
+    # branching; the entries a conflict names must be unrealizable alone
+    universe = ("a", "b", "c") if symmetric else ("a", "b")
+    rng = random.Random(11 if symmetric else 12)
+    sets = [
+        frozenset(c)
+        for r in range(1, len(universe) + 1)
+        for c in itertools.combinations(universe, r)
+    ]
+    unsat = 0
+    for _ in range(60 if symmetric else 300):
+        entries = {}
+        for _ in range(rng.randrange(2, 11)):
+            v, w = rng.choice(sets), rng.choice(sets)
+            entries[v, w] = frozenset(rng.sample(sorted(w), rng.choice([1, 1, len(w)])))
+        t = OperatorTable(universe, entries)
+        verdict = solve_table(t, symmetric=symmetric)
+        assert verdict.status == brute_force_realizable(t, symmetric=symmetric).status
+        if verdict.status == "unsat":
+            unsat += 1
+            named = {
+                k: x for k, x in t.entries.items()
+                if realizability._entry_tag(*k) in verdict.conflict
+            }
+            core = OperatorTable(universe, named)
+            assert brute_force_realizable(core, symmetric=symmetric).status == "unsat"
+    assert unsat >= 10
+
+
 def test_budget_exhaustion_returns_unknown():
     rng = random.Random(5)
     t = _random_table(rng, ("a", "b", "c"), symmetric=False)

@@ -102,26 +102,18 @@ def build_wheel_distance(params):
     return PseudoDistance.from_function(params.universe, OrderMode.REAL, cost)
 
 
-def wrap_pair(params):
-    m = params.m
-    return (
-        frozenset({params.v(m), params.v(1)}),
-        frozenset({params.w(m), params.w(1)}),
-    )
-
-
-def rung_pair(params, r):
-    return (
-        frozenset({params.v(r), params.v(r + 1)}),
-        frozenset({params.w(r), params.w(r + 1)}),
-    )
+def _rung(i, m):
+    """Rung i's doubletons ({v_i, v_j}, {w_i, w_j}) with j = i + 1, or 1
+    for the wrap rung i = m."""
+    j = i % m + 1
+    return frozenset({f"v{i}", f"v{j}"}), frozenset({f"w{i}", f"w{j}"})
 
 
 def build_modified_operator(dist, params):
     """The wheel distance operator with the wrap rung redirected to a
     single point in each direction."""
-    vv, ww = wrap_pair(params)
     m = params.m
+    vv, ww = _rung(m, m)
     entries = {
         (vv, ww): frozenset({params.w(m)}),
         (ww, vv): frozenset({params.v(m)}),
@@ -129,24 +121,19 @@ def build_modified_operator(dist, params):
     return OperatorTable(params.universe, entries, backing=dist)
 
 
-def proof_fragment(op, params):
+def _rung_fragment(m, universe, lookup):
     """The finite sub-table that already blocks realizability: every rung
-    doubleton with its singleton probes, plus the modified wrap entry."""
-    m = params.m
+    doubleton with its singleton probes, the modified wrap rung included."""
     entries = {}
+    for i in range(1, m + 1):
+        vv, ww = _rung(i, m)
+        for vset in (vv, frozenset({f"v{i}"}), frozenset({f"v{i % m + 1}"})):
+            entries[(vset, ww)] = lookup(vset, ww)
+    return OperatorTable(universe, entries)
 
-    def put(vset, wset):
-        vset, wset = frozenset(vset), frozenset(wset)
-        entries[(vset, wset)] = op.lookup(vset, wset)
 
-    for i in range(1, m):
-        put({params.v(i), params.v(i + 1)}, {params.w(i), params.w(i + 1)})
-        put({params.v(i)}, {params.w(i), params.w(i + 1)})
-        put({params.v(i + 1)}, {params.w(i), params.w(i + 1)})
-    put({params.v(m)}, {params.w(m), params.w(1)})
-    put({params.v(1)}, {params.w(m), params.w(1)})
-    put({params.v(m), params.v(1)}, {params.w(m), params.w(1)})
-    return OperatorTable(params.universe, entries)
+def proof_fragment(op, params):
+    return _rung_fragment(params.m, params.universe, op.lookup)
 
 
 def find_fresh_rung(pairs, m):
@@ -156,9 +143,7 @@ def find_fresh_rung(pairs, m):
         raise BoundExceededError("too many pairs for a guaranteed fresh rung")
     taken = [frozenset({frozenset(v), frozenset(w)}) for v, w in pairs]
     for r in range(1, m):
-        vv = frozenset({f"v{r}", f"v{r + 1}"})
-        ww = frozenset({f"w{r}", f"w{r + 1}"})
-        if frozenset({vv, ww}) not in taken:
+        if frozenset(_rung(r, m)) not in taken:
             return r
     raise AssertionError("pigeonhole guarantees a fresh rung")
 
@@ -168,7 +153,7 @@ def build_patched(op, dist, params, r):
     (rung costs beyond r lowered so the redirection becomes minimal)."""
     if not 1 <= r <= params.m - 1:
         raise FamilyError("rung index out of range")
-    vv, ww = rung_pair(params, r)
+    vv, ww = _rung(r, params.m)
     entries = dict(op.entries)
     entries[(vv, ww)] = frozenset({params.w(r + 1)})
     entries[(ww, vv)] = frozenset({params.v(r + 1)})
@@ -182,11 +167,14 @@ def build_patched(op, dist, params, r):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized subset sweeps
+# Subset sweeps
 #
-# Costs enter as the distance's compiled integer ranks; the result of the
-# minimization for every (V, W) subset pair is computed column-by-column as
-# a bitmask over the point order.
+# Costs enter as the distance's compiled integer ranks.  Point k of the
+# sweep's order is bit k of a mask, and the minimization's result for every
+# (V, W) pair is a bitmask, produced one W column at a time by ``_columns``.
+
+EXHAUSTIVE_MAX_POINTS = 12  # the abstract sweep samples above this
+HAMMING_MAX_BYTES = 1 << 30  # the Hamming sweep refuses larger tables
 
 
 def distance_int_matrix(dist, order):
@@ -200,42 +188,43 @@ def distance_int_matrix(dist, order):
 _SENTINEL = np.int64(2**62)
 
 
-def _rowmin_table(cost):
-    """rv[mask, j] = min cost from any member of mask to point j."""
-    n = cost.shape[0]
-    size = 1 << n
-    rv = np.full((size, n), _SENTINEL, dtype=np.int64)
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rv[mask] = np.minimum(rv[mask ^ low], cost[i])
-    return rv
-
-
-def _apply_column(rv, wmask):
-    """Result bitmasks of the minimization for all V against one W."""
-    cols = [j for j in range(rv.shape[1]) if wmask >> j & 1]
-    if not cols:
-        return np.zeros(rv.shape[0], dtype=np.int64)
-    sub = rv[:, cols]
-    minc = sub.min(axis=1)
-    weights = np.array([1 << j for j in cols], dtype=np.int64)
-    bits = ((sub == minc[:, None]) * weights).sum(axis=1)
-    bits[0] = 0  # empty V
-    return bits
-
-
-def apply_mask_matrix(cost, max_points=12):
-    """Full (2^n, 2^n) minimization table as bitmasks; n capped."""
-    n = cost.shape[0]
-    if n > max_points:
-        raise BoundExceededError(f"{n} points exceed the full-sweep cap")
-    size = 1 << n
-    out = np.zeros((size, size), dtype=np.int64)
-    rv = _rowmin_table(cost)
-    for wmask in range(1, size):
-        out[:, wmask] = _apply_column(rv, wmask)
+def _subset_table(rows, ufunc, empty):
+    """out[..., mask] = ``ufunc`` folded over rows[i] for the members i of
+    mask (``empty`` for the empty mask); the masks in [2^i, 2^(i+1)) extend
+    those below 2^i by point i."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.full(rows.shape[1:] + (1 << len(rows),), empty, dtype=np.int64)
+    for i, row in enumerate(rows):
+        low = 1 << i
+        out[..., low:2 * low] = ufunc(out[..., :low], row[..., None])
     return out
+
+
+def _columns(cost, cost2):
+    """Yield ``(wmask, col, col2)`` for every W mask in ascending order:
+    col[vmask] is the bitmask of the members of W at minimal ``cost`` over
+    V x W (0 when V or W is empty), col2 the same under ``cost2``.
+
+    Column W extends the column of W minus its lowest member, which is the
+    last one yielded with one member fewer, so n + 1 columns per matrix stay
+    live.  The yielded arrays are that state: copy one before writing."""
+    n = len(cost)
+    tables = [_subset_table(c, np.minimum, _SENTINEL) for c in (cost, cost2)]
+    zero = np.zeros(1 << n, dtype=np.int64)
+    live = [None] * (n + 1)  # per member count: [(min cost, bits)] per matrix
+    live[0] = [(np.full(1 << n, _SENTINEL), zero)] * 2
+    yield 0, zero, zero
+    for wmask in range(1, 1 << n):
+        low = wmask & -wmask
+        k = wmask.bit_count()
+        live[k] = []
+        for (minc, bits), rv in zip(live[k - 1], tables):
+            c = rv[low.bit_length() - 1]
+            new = np.minimum(minc, c)
+            bits = np.where(minc == new, bits, 0) | np.where(c == new, low, 0)
+            bits[0] = 0  # empty V
+            live[k].append((new, bits))
+        yield wmask, live[k][0][1], live[k][1][1]
 
 
 def _mask_of(labels, index):
@@ -249,20 +238,6 @@ def _labels_of(mask, order):
     return frozenset(order[j] for j in range(len(order)) if mask >> j & 1)
 
 
-def apply_int_scalar(cost, vmask, wmask):
-    """Scalar minimization over masks; reference for sampled sweeps."""
-    if vmask == 0 or wmask == 0:
-        return 0
-    vs = [i for i in range(cost.shape[0]) if vmask >> i & 1]
-    ws = [j for j in range(cost.shape[0]) if wmask >> j & 1]
-    best = min(int(cost[v, w]) for v in vs for w in ws)
-    out = 0
-    for w in ws:
-        if any(int(cost[v, w]) == best for v in vs):
-            out |= 1 << w
-    return out
-
-
 @dataclass
 class EqualityReport:
     pairs_checked: int
@@ -273,57 +248,44 @@ class EqualityReport:
     def passed(self):
         return not self.mismatches
 
+    def note(self, vmasks, wmask, order, cap):
+        """Record mismatching V masks of one W column, up to ``cap`` in all."""
+        for vm in vmasks[:max(cap - len(self.mismatches), 0)]:
+            self.mismatches.append((_labels_of(int(vm), order), _labels_of(wmask, order)))
+
 
 def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
                          witness_cap=16):
     """Check that the patched operator equals the minimization of the
     patched distance on all subset pairs of the universe (exhaustive up to
-    12 points, sampled above)."""
+    ``EXHAUSTIVE_MAX_POINTS`` points, sampled above)."""
     order = list(params.universe)
-    index = {lab: i for i, lab in enumerate(order)}
     n = len(order)
-    dist = patched_op.backing
-    cost = distance_int_matrix(dist, order)
-    cost2 = distance_int_matrix(patched_dist, order)
-    patches = {
-        (_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
-        for (v, w), x in patched_op.entries.items()
-    }
-    mismatches = []
-    if n <= 12 and sample is None:
-        size = 1 << n
-        rv = _rowmin_table(cost)
-        rv2 = _rowmin_table(cost2)
-        by_col = {}
-        for (vm, wm), bits in patches.items():
-            by_col.setdefault(wm, []).append((vm, bits))
-        for wmask in range(size):
-            col = _apply_column(rv, wmask)
-            col2 = _apply_column(rv2, wmask)
-            for vm, bits in by_col.get(wmask, ()):
-                col[vm] = bits
-            bad = np.nonzero(col != col2)[0]
-            for vm in bad[:witness_cap]:
-                if len(mismatches) < witness_cap:
-                    mismatches.append(
-                        (_labels_of(int(vm), order), _labels_of(wmask, order))
-                    )
-        return EqualityReport(size * size, mismatches, sampled=False)
+    report = EqualityReport(0, [], sampled=sample is not None or n > EXHAUSTIVE_MAX_POINTS)
+    if not report.sampled:
+        index = {lab: i for i, lab in enumerate(order)}
+        patches = {}  # W mask -> [(V mask, result mask)] of the table entries
+        for (v, w), x in patched_op.entries.items():
+            patches.setdefault(_mask_of(w, index), []).append(
+                (_mask_of(v, index), _mask_of(x, index)))
+        cost = distance_int_matrix(patched_op.backing, order)
+        for wmask, col, col2 in _columns(cost, distance_int_matrix(patched_dist, order)):
+            if wmask in patches:
+                col = col.copy()
+                for vm, bits in patches[wmask]:
+                    col[vm] = bits
+            report.note(np.nonzero(col != col2)[0], wmask, order, witness_cap)
+        report.pairs_checked = 1 << 2 * n
+        return report
     rng = random.Random(seed)
-    count = sample if sample is not None else 10**5
-    for _ in range(count):
-        vmask = rng.randrange(1 << n)
-        wmask = rng.randrange(1 << n)
-        expected = patches.get((vmask, wmask))
-        if expected is None:
-            expected = apply_int_scalar(cost, vmask, wmask)
-        actual = apply_int_scalar(cost2, vmask, wmask)
-        if expected != actual:
-            if len(mismatches) < witness_cap:
-                mismatches.append(
-                    (_labels_of(vmask, order), _labels_of(wmask, order))
-                )
-    return EqualityReport(count, mismatches, sampled=True)
+    report.pairs_checked = sample if sample is not None else 10**5
+    for _ in range(report.pairs_checked):
+        vset = _labels_of(rng.randrange(1 << n), order)
+        wset = _labels_of(rng.randrange(1 << n), order)
+        if patched_op.lookup(vset, wset) != apply(patched_dist, vset, wset):
+            if len(report.mismatches) < witness_cap:
+                report.mismatches.append((vset, wset))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +314,9 @@ def build_wheel_gadget(n=1, m=None, taken_pairs=(), extras=("x1", "x2")):
 def loop_family_generators(params):
     """Singletons and adjacent doubletons of the wheel points: the natural
     candidate sets for the loop-violation search."""
-    m = params.m
     sets = [frozenset({p}) for p in params.wheel_labels]
-    for i in range(1, m):
-        sets.append(frozenset({params.v(i), params.v(i + 1)}))
-        sets.append(frozenset({params.w(i), params.w(i + 1)}))
-    sets.append(frozenset({params.v(m), params.v(1)}))
-    sets.append(frozenset({params.w(m), params.w(1)}))
+    for i in range(1, params.m + 1):
+        sets.extend(_rung(i, params.m))
     return sets
 
 
@@ -515,10 +473,8 @@ def hamming_operator(gadget, patched=False, guard=None):
     case2 = guard if guard is not None else _case2_holds
     xset = gadget.x_set()
     m, r = gadget.m, gadget.r
-    wrap_v = frozenset({f"v{m}", "v1"})
-    wrap_w = frozenset({f"w{m}", "w1"})
-    rung_v = frozenset({f"v{r}", f"v{r + 1}"})
-    rung_w = frozenset({f"w{r}", f"w{r + 1}"})
+    wrap_v, wrap_w = _rung(m, m)
+    rung_v, rung_w = _rung(r, m)
 
     def op(vset, wset):
         vset, wset = frozenset(vset), frozenset(wset)
@@ -540,22 +496,7 @@ def hamming_operator(gadget, patched=False, guard=None):
 def hamming_proof_fragment(gadget):
     """Wheel-only sub-table of the guarded operator; same unrealizable core
     as the abstract fragment."""
-    m = gadget.m
-    op = hamming_operator(gadget)
-    entries = {}
-
-    def put(vset, wset):
-        vset, wset = frozenset(vset), frozenset(wset)
-        entries[(vset, wset)] = op(vset, wset)
-
-    for i in range(1, m):
-        put({f"v{i}", f"v{i + 1}"}, {f"w{i}", f"w{i + 1}"})
-        put({f"v{i}"}, {f"w{i}", f"w{i + 1}"})
-        put({f"v{i + 1}"}, {f"w{i}", f"w{i + 1}"})
-    put({f"v{m}"}, {f"w{m}", "w1"})
-    put({"v1"}, {f"w{m}", "w1"})
-    put({f"v{m}", "v1"}, {f"w{m}", "w1"})
-    return OperatorTable(gadget.universe, entries)
+    return _rung_fragment(gadget.m, gadget.universe, hamming_operator(gadget))
 
 
 @dataclass
@@ -602,84 +543,64 @@ def verify_hamming_claims(gadget, witness_cap=16):
     """Machine-check the Hamming gadget claims: the patched operator equals
     the patched minimization on every subset pair of the pool, the in-wheel
     reduction lemma, Hamming-inequality respect, liberal triangle respect,
-    the sandwich bound, and unrealizability of the guarded operator's core."""
+    the sandwich bound, and unrealizability of the guarded operator's core.
+
+    The wheel labels come first in the universe, so they take the low bits
+    and their columns are swept first; the reduction lemma reads only the
+    wheel-only table of those columns.  Raises ``BoundExceededError`` when
+    that table, the subset tables and the live columns would exceed
+    ``HAMMING_MAX_BYTES``."""
     order = list(gadget.universe)
+    n, nx = len(order), len(gadget.wheel_labels)
+    size, xsize = 1 << n, 1 << nx
+    # int64 cells: the wheel-only table, then per V mask two subset tables
+    # of n columns, 4(n + 1) live columns, and a few column temporaries
+    need = 8 * (xsize * xsize + (6 * n + 8) * size)
+    if need > HAMMING_MAX_BYTES:
+        raise BoundExceededError(
+            f"the Hamming sweep over {n} points needs about {need >> 20} MiB, "
+            f"over the {HAMMING_MAX_BYTES >> 20} MiB cap"
+        )
     index = {lab: i for i, lab in enumerate(order)}
-    n = len(order)
-    xmask = _mask_of(gadget.wheel_labels, index)
+    # near[vmask]: the points that some member of V meets in an off-wheel
+    # pair below Hamming difference 3; the guard routes V x W to plain
+    # minimization exactly when near & W is non-zero
+    near = _subset_table([
+        sum(1 << j for j, b in enumerate(order)
+            if max(i, j) >= nx
+            and len(hamming_diff(gadget.points[a], gadget.points[b])) < 3)
+        for i, a in enumerate(order)
+    ], np.bitwise_or, 0)
+    # special[W wheel part] = (V wheel part, result bit) of the patched
+    # operator's four redirected entries
+    special = {}
+    for i, out in ((gadget.m, gadget.m), (gadget.r, gadget.r + 1)):
+        vv, ww = (_mask_of(s, index) for s in _rung(i, gadget.m))
+        special[ww] = (vv, 1 << index[f"w{out}"])
+        special[vv] = (ww, 1 << index[f"v{out}"])
+    vx = np.arange(size, dtype=np.int64) & (xsize - 1)
+    wheel_cols = np.empty((xsize, xsize), dtype=np.int64)  # [W, V], wheel-only
+
+    eq = EqualityReport(size * size, [], sampled=False)
+    red = EqualityReport(0, [], sampled=False)
     cost = distance_int_matrix(gadget.dist, order)
     cost2 = distance_int_matrix(gadget.patched_dist, order)
-    hmat = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            hmat[i, j] = len(hamming_diff(gadget.points[a], gadget.points[b]))
-    in_x = np.array([(1 << i) & xmask != 0 for i in range(n)])
-    bad = (~(in_x[:, None] & in_x[None, :])) & (hmat < 3)
-
-    size = 1 << n
-    rv = _rowmin_table(cost)
-    rv2 = _rowmin_table(cost2)
-    # badrow[mask, j]: some member of mask forms a below-threshold off-wheel
-    # pair with point j
-    badrow = np.zeros((size, n), dtype=bool)
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        badrow[mask] = badrow[mask ^ low] | bad[i]
-
-    m, r = gadget.m, gadget.r
-    wrap_v = _mask_of({f"v{m}", "v1"}, index)
-    wrap_w = _mask_of({f"w{m}", "w1"}, index)
-    rung_v = _mask_of({f"v{r}", f"v{r + 1}"}, index)
-    rung_w = _mask_of({f"w{r}", f"w{r + 1}"}, index)
-    bit = {lab: np.int64(1 << index[lab]) for lab in order}
-    vmasks = np.arange(size, dtype=np.int64)
-    vx = vmasks & xmask
-
-    eq = EqualityReport(0, [], sampled=False)
-    red = EqualityReport(0, [], sampled=False)
-    apply_d = np.zeros((size, size), dtype=np.int64)
-    for wmask in range(size):
-        apply_d[:, wmask] = _apply_column(rv, wmask)
-    for wmask in range(size):
-        col_d = apply_d[:, wmask]
-        col_d2 = _apply_column(rv2, wmask)
-        wcols = [j for j in range(n) if wmask >> j & 1]
-        case2 = badrow[:, wcols].any(axis=1) if wcols else np.zeros(size, dtype=bool)
-        case1 = ~case2
-        wx = wmask & xmask
-        # patched guarded operator column
-        col_op = col_d.copy()
-        if wx == wrap_w:
-            col_op[case1 & (vx == wrap_v)] = bit[f"w{m}"]
-        if wx == wrap_v:
-            col_op[case1 & (vx == wrap_w)] = bit[f"v{m}"]
-        if wx == rung_w:
-            col_op[case1 & (vx == rung_v)] = bit[f"w{r + 1}"]
-        if wx == rung_v:
-            col_op[case1 & (vx == rung_w)] = bit[f"v{r + 1}"]
-        mismatch = np.nonzero(col_op != col_d2)[0]
-        eq.pairs_checked += size
-        for vm in mismatch:
-            if len(eq.mismatches) < witness_cap:
-                eq.mismatches.append(
-                    (_labels_of(int(vm), order), _labels_of(wmask, order))
-                )
-            else:
-                break
-        # reduction lemma on guarded pairs with both wheel parts non-empty
-        scope = case1 & (vx != 0)
-        if wx != 0:
-            target = apply_d[vx[scope], wx]
-            bad_red = np.nonzero(col_d[scope] != target)[0]
-            red.pairs_checked += int(scope.sum())
-            src = np.nonzero(scope)[0]
-            for k in bad_red:
-                if len(red.mismatches) < witness_cap:
-                    vm = int(src[k])
-                    red.mismatches.append(
-                        (_labels_of(vm, order), _labels_of(wmask, order))
-                    )
+    for wmask, col, col2 in _columns(cost, cost2):
+        wx = wmask & (xsize - 1)
+        if wmask < xsize:
+            wheel_cols[wmask] = col[:xsize]
+        case1 = (near & wmask) == 0  # the guard lets the special entries stand
+        expected = col
+        if wx in special:
+            vs, bit = special[wx]
+            expected = col.copy()
+            expected[case1 & (vx == vs)] = bit
+        eq.note(np.nonzero(expected != col2)[0], wmask, order, witness_cap)
+        if wx:  # reduction lemma on case-1 pairs with both wheel parts non-empty
+            scope = case1 & (vx != 0)
+            red.pairs_checked += int(np.count_nonzero(scope))
+            red.note(np.nonzero(scope & (col != wheel_cols[wx][vx]))[0],
+                     wmask, order, witness_cap)
 
     hir = check_hir(gadget.patched_dist, gadget.points, witness_cap)
     ltir = check_property(gadget.patched_dist, "liberal_tir", witness_cap)

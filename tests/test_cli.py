@@ -125,6 +125,11 @@ def test_wheel_hamming(workdir, capsys):
     assert os.path.exists("art/hamming-fragment.txt")
 
 
+def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
+    assert main(["wheel", "--variant", "hamming", "--n", "4", "--dir", "art"]) == 4
+    assert "MiB" in capsys.readouterr().err
+
+
 def test_wheel_bad_n_exits_2(workdir):
     assert main(["wheel", "--variant", "abstract", "--n", "0"]) == 2
 

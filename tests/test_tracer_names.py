@@ -1,0 +1,32 @@
+"""The benchmark's span tracer rebinds distrev functions by name and reads
+report fields; a rename must fail here rather than in a traced run."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+from distrev.wheel import EqualityReport, HammingClaimsReport
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_traced_names_exist():
+    for name, home, attr, callers, _ in _traced():
+        assert callable(getattr(home, attr, None)), (name, home.__name__, attr)
+        for caller in callers:
+            # the tracer only rebinds a caller's name that is the home function
+            assert getattr(caller, attr, None) is getattr(home, attr), (
+                name, caller.__name__, attr)
+
+
+def test_traced_report_fields_exist():
+    assert "pairs_checked" in {f.name for f in dataclasses.fields(EqualityReport)}
+    fields = {f.name for f in dataclasses.fields(HammingClaimsReport)}
+    assert {"equality", "reduction"} <= fields

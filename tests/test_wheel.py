@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,8 @@ from distrev.errors import BoundExceededError, FamilyError
 from distrev.realizability import solve_table
 from distrev.wheel import (
     WheelParams,
-    apply_int_scalar,
-    apply_mask_matrix,
+    _columns,
+    _labels_of,
     build_hamming_wheel,
     build_modified_operator,
     build_patched,
@@ -111,26 +113,32 @@ def test_patched_distance_costs():
     assert gadget.patched_op.lookup({"w1", "w2"}, {"v1", "v2"}) == {"v2"}
 
 
-def test_vectorized_apply_matches_scalar_reference():
-    gadget = build_wheel_gadget(n=1)
-    order = list(gadget.params.universe)
-    cost = distance_int_matrix(gadget.patched_dist, order)
-    full = apply_mask_matrix(cost)
-    rng = random.Random(0)
+def _assert_columns_match_apply(order, dists, side, seed):
+    # every V of 300 seeded random W columns of dists[side], against the
+    # set-level apply (itself checked against a Fraction minimizer in
+    # test_kernels.py)
+    n = len(order)
+    sets = [_labels_of(mask, order) for mask in range(1 << n)]
     index = {lab: i for i, lab in enumerate(order)}
-    for _ in range(300):
-        vmask = rng.randrange(1 << len(order))
-        wmask = rng.randrange(1 << len(order))
-        expected = apply_int_scalar(cost, vmask, wmask)
-        assert int(full[vmask, wmask]) == expected
-        # and against the set-level operator
-        vset = frozenset(lab for lab in order if vmask >> index[lab] & 1)
-        wset = frozenset(lab for lab in order if wmask >> index[lab] & 1)
-        got = apply(gadget.patched_dist, vset, wset)
-        bits = 0
-        for lab in got:
-            bits |= 1 << index[lab]
-        assert bits == expected
+    wanted = set(random.Random(seed).sample(range(1 << n), 300))
+    seen = 0
+    for wmask, *cols in _columns(*(distance_int_matrix(d, order) for d in dists)):
+        if wmask not in wanted:
+            continue
+        seen += 1
+        for vmask, bits in enumerate(cols[side].tolist()):
+            got = apply(dists[side], sets[vmask], sets[wmask])
+            assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
+    assert seen == 300
+
+
+def test_sweep_columns_match_apply():
+    gadget = build_wheel_gadget(n=1)
+    _assert_columns_match_apply(
+        list(gadget.params.universe), (gadget.dist, gadget.patched_dist), 1, seed=0)
+    g = build_hamming_wheel(n=1)
+    assert g.dist.mode is OrderMode.LIBERAL
+    _assert_columns_match_apply(list(g.universe), (g.dist, g.patched_dist), 0, seed=1)
 
 
 def test_full_claims_m4():
@@ -222,7 +230,9 @@ def test_hamming_full_claims():
     g = build_hamming_wheel(n=1)
     report = verify_hamming_claims(g)
     assert report.equality.passed
+    assert report.equality.pairs_checked == 4_194_304
     assert report.reduction.passed
+    assert report.reduction.pairs_checked == 242_505
     assert report.hir.passed
     assert report.liberal_tir.passed
     assert report.sandwich.passed
@@ -253,3 +263,27 @@ def test_corrupted_hamming_rung_breaks_sandwich_not_hir():
     )
     assert check_hir(corrupted, g.points).passed
     assert not check_sandwich(g, patched=corrupted).passed
+
+
+def test_corrupted_hamming_rung_breaks_equality():
+    # mutation check: the same rung corruption makes the Hamming sweep's
+    # operator equality fail
+    g = build_hamming_wheel(n=1)
+    corrupted = g.patched_dist.replaced(
+        {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
+    )
+    report = verify_hamming_claims(dataclasses.replace(g, patched_dist=corrupted))
+    assert not report.equality.passed
+    assert not report.passed
+
+
+def test_hamming_sweep_refuses_oversized_tables_before_allocating():
+    g = build_hamming_wheel(m=7)  # a 2 GiB wheel-only table
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError):
+            verify_hamming_claims(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

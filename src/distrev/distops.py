@@ -4,11 +4,10 @@ and loop condition checkers."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .costs import PropertyReport
-from .errors import FamilyError, UndefinedPairError, UnknownAtomError
+from .errors import FamilyError, UndefinedPairError, UnknownAtomError, WitnessError
 
 
 def apply(dist, vset, wset):
@@ -139,7 +138,6 @@ class LoopVerdict:
     chain: tuple = ()
     checked: int = 0
     sampled: bool = False
-    note: str = ""
 
 
 def _premise(op, a, b, c):
@@ -212,64 +210,84 @@ def _bits(mask):
 def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     """Check the loop condition for chains from ``family`` with k <= k_max.
 
-    Exhaustive (with premise-pruned search) when the chain space fits the
-    budget, uniformly sampled with a fixed seed otherwise.  Returns the
-    first counterexample found, in deterministic order.  The search runs
-    over indices into the sorted family.
+    One walk covers every k whose chain space fits the budget; each larger
+    k is uniformly sampled with a fixed seed.  Returns the first
+    counterexample found, in deterministic order.  The search runs over
+    indices into the sorted family.
     """
     sets = validate_family(op.universe, family)
     sets = sorted(sets, key=sorted)
     n = len(sets)
     premise, after, between = _premise_index(op, sets)
-    checked = 0
-    any_sampled = False
-    for k in range(1, k_max + 1):
-        total = n ** (k + 1)
-        if total <= budget:
-            found = _loop_exhaustive(premise, after, between, n, k)
-            checked += total
-        else:
-            any_sampled = True
-            found = _loop_sampled(premise, n, k, samples, seed)
-            checked += samples
-        if found is not None:
-            chain = tuple(sets[i] for i in found)
-            return LoopVerdict(False, k, chain, checked, any_sampled)
-    return LoopVerdict(True, k_max, (), checked, any_sampled)
+    k_walk = 0
+    while k_walk < k_max and n ** (k_walk + 2) <= budget:
+        k_walk += 1
+    found = _walk(after, between, n, k_walk)
+    k = len(found) - 1 if found else k_walk
+    checked = sum(n ** (j + 1) for j in range(1, k + 1))
+    while found is None and k < k_max:
+        k += 1
+        found = _loop_sampled(premise, n, k, samples, seed)
+        checked += samples
+    if found is None:
+        return LoopVerdict(True, k_max, (), checked, k > k_walk)
+    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, k > k_walk)
 
 
-def _loop_exhaustive(premise, after, between, n, k):
-    """The lexicographically first index chain whose premises hold and
-    whose conclusion fails, or None."""
-    if k == 1:
-        # a single premise (V_1 | (V_0 u V_0)) n V_0
-        for a in range(n):
-            for b in range(n):
-                if premise(a, b, a) and not premise(b, a, b):
-                    return (a, b)
-        return None
-    chain = [0] * (k + 1)
+def _walk(after, between, n, k_max):
+    """The index chain of least k <= k_max whose premises hold and whose
+    conclusion fails, lexicographically first at that k, or None.
 
-    def extend(depth):
-        if depth == k:
-            # the V_k meeting premises k-1 and k and failing the conclusion
-            hits = (after(chain[k - 2], chain[k - 1])
-                    & between(chain[k - 1], chain[0])
-                    & ~after(chain[1], chain[0]))
-            if not hits:
-                return None
-            chain[k] = (hits & -hits).bit_length() - 1
-            return tuple(chain)
-        # premise i is checkable once V_{i+1} is chosen
-        mask = after(chain[depth - 2], chain[depth - 1]) if depth >= 2 else (1 << n) - 1
-        for s in _bits(mask):
-            chain[depth] = s
-            hit = extend(depth + 1)
-            if hit is not None:
-                return hit
-        return None
+    Starts (V_0, V_1) go in index order, and each start searches only for
+    a k below the best one found so far.
+    """
+    best = None
+    for i0 in range(n):
+        for i1 in range(n):
+            k_top = k_max if best is None else len(best) - 2
+            if k_top < 1:
+                return best
+            best = _walk_from(after, between, n, i0, i1, k_top) or best
+    return best
 
-    return extend(0)
+
+def _walk_from(after, between, n, i0, i1, k_top):
+    """Breadth-first walk from the start (V_0, V_1) over premise states
+    (V_{j-1}, V_j), where premise j moves (a, b) to (b, c) for each c in
+    ``after(a, b)``.  Expanding a state only the first time it is reached
+    keeps, per state, its lexicographically first shortest path; the last
+    position V_k is read off bitmasks rather than a layer of states."""
+    fails = ~after(i1, i0)  # the V_k for which the conclusion fails
+    if (between(i0, i0) & fails) >> i1 & 1:  # k = 1, where V_k is V_1
+        return (i0, i1)
+    layer = [(i0, i1)]
+    seen = [0] * n  # seen[b] holds every c with (b, c) reached
+    seen[i0] = 1 << i1
+    for k in range(2, k_top + 1):
+        grown = []
+        for path in layer:
+            a, b = path[-2:]
+            step = after(a, b)
+            # V_k meets premises k-1 and k and fails the conclusion
+            hits = step & between(b, i0) & fails
+            if hits:
+                return path + ((hits & -hits).bit_length() - 1,)
+            fresh = step & ~seen[b]
+            if fresh and k < k_top:
+                grown += [path + (c,) for c in _bits(fresh)]
+                seen[b] |= fresh
+        layer = grown
+    return None
+
+
+def _rechecked(op, sets, found):
+    """The chain of sets at the indices ``found``, re-verified explicitly."""
+    chain = tuple(sets[i] for i in found)
+    if not recheck_chain(op, chain):
+        raise WitnessError(
+            f"loop chain {[sorted(s) for s in chain]} fails its recheck"
+        )
+    return chain
 
 
 def _loop_sampled(premise, n, k, samples, seed):
@@ -286,49 +304,11 @@ def _loop_sampled(premise, n, k, samples, seed):
 
 def find_loop_violation(op, sets, k_max):
     """Directed search for a loop counterexample over the given candidate
-    sets (no closure requirement; any found chain is re-checked).
-
-    A chain V_0..V_k with all premises holding is a walk in the graph whose
-    states are consecutive pairs (V_{i-1}, V_i) and whose transitions encode
-    one premise each; the search does one BFS per start state.
-    """
+    sets: no closure requirement and no budget, the walk of ``check_loop``
+    up to ``k_max``."""
     sets = sorted({_canon(s) for s in sets if s}, key=sorted)
-    n = len(sets)
-    premise, after, _ = _premise_index(op, sets)
-
-    best = None
-    for i0 in range(n):
-        for i1 in range(n):
-            # BFS from (V_0, V_1) over premise transitions
-            dist = {(i0, i1): 0}
-            parent = {}
-            queue = deque([(i0, i1)])
-            while queue:
-                state = queue.popleft()
-                if dist[state] + 1 > k_max:
-                    continue
-                for c in _bits(after(*state)):
-                    nxt = (state[1], c)
-                    if nxt not in dist:
-                        dist[nxt] = dist[state] + 1
-                        parent[nxt] = state
-                        queue.append(nxt)
-            for ik in range(n):
-                goal = (ik, i0)
-                if goal not in dist or dist[goal] < 1:
-                    continue
-                k = dist[goal]
-                if premise(i1, i0, ik):  # the conclusion holds
-                    continue
-                # reconstruct V_0..V_k from the state path
-                states = [goal]
-                while states[-1] != (i0, i1):
-                    states.append(parent[states[-1]])
-                states.reverse()
-                chain = tuple(sets[s[0]] for s in states)
-                if recheck_chain(op, chain):
-                    if best is None or k < best.k:
-                        best = LoopVerdict(False, k, chain, note="directed search")
-    if best is not None:
-        return best
-    return LoopVerdict(True, k_max, (), note="directed search")
+    _, after, between = _premise_index(op, sets)
+    found = _walk(after, between, len(sets), k_max)
+    if found is None:
+        return LoopVerdict(True, k_max)
+    return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found))

@@ -41,8 +41,10 @@ class UnrealizableError(DistrevError):
 
 
 class WitnessError(DistrevError):
-    """A sat verdict whose witness does not reproduce the table it claims
-    to realize: a solver fault, never a property of the input."""
+    """A verdict whose witness fails its explicit recheck: a sat witness
+    that does not reproduce the table it claims to realize, or a loop chain
+    that is not a counterexample.  A checker fault, never a property of the
+    input."""
 
 
 class InconsistentTheoryError(DistrevError):

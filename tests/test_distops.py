@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distrev import distops
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.distops import (
     OperatorTable,
@@ -16,7 +17,12 @@ from distrev.distops import (
     recheck_chain,
     validate_family,
 )
-from distrev.errors import FamilyError, UndefinedPairError, UnknownAtomError
+from distrev.errors import (
+    FamilyError,
+    UndefinedPairError,
+    UnknownAtomError,
+    WitnessError,
+)
 
 F = Fraction
 U = ("a", "b", "c", "d")
@@ -181,6 +187,33 @@ def test_find_loop_violation_agrees_with_recheck():
     verdict = find_loop_violation(op, _all_nonempty_subsets(op.universe), k_max=6)
     assert not verdict.passed
     assert recheck_chain(op, verdict.chain)
+
+
+def _returning_chain_op():
+    # the only violation is a = V_0 = V_1 = V_3: the walk returns to its
+    # start state (a, a) after three premises
+    a, ab = frozenset({"a"}), frozenset({"a", "b"})
+    entries = {(a, a): frozenset(), (a, ab): a, (ab, a): a, (ab, ab): a}
+    return OperatorTable(("a", "b"), entries), [a, ab]
+
+
+def test_loop_chain_back_to_its_start_state():
+    op, family = _returning_chain_op()
+    chain = (frozenset({"a"}), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"a"}))
+    assert recheck_chain(op, chain)
+    for verdict in (check_loop(op, family, 4), find_loop_violation(op, family, 4)):
+        assert not verdict.passed
+        assert (verdict.k, verdict.chain) == (3, chain)
+
+
+@pytest.mark.parametrize("budget", [10**6, 1])  # walked, then sampled
+def test_failed_loop_recheck_raises(monkeypatch, budget):
+    op, family = _returning_chain_op()
+    monkeypatch.setattr(distops, "recheck_chain", lambda op, chain: False)
+    with pytest.raises(WitnessError):
+        check_loop(op, family, 4, budget=budget)
+    with pytest.raises(WitnessError):
+        find_loop_violation(op, family, 4)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from distrev.costs import INF, OrderMode, PseudoDistance
-from distrev.distops import OperatorTable, apply, check_loop, recheck_chain
+from distrev.distops import (
+    OperatorTable,
+    apply,
+    check_loop,
+    find_loop_violation,
+    recheck_chain,
+)
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
 from test_logic import _identity_matrix
 
@@ -105,7 +111,7 @@ def loop_operators(draw):
     for _ in range(draw(st.integers(0, 2))):
         vset, wset = draw(st.sampled_from(family)), draw(st.sampled_from(family))
         entries[vset, wset] = frozenset(
-            draw(st.sets(st.sampled_from(sorted(wset)), min_size=1))
+            draw(st.sets(st.sampled_from(sorted(wset)), min_size=0))
         )
     return OperatorTable(universe, entries, backing=dist), family
 
@@ -116,11 +122,12 @@ def test_check_loop_matches_lexicographic_enumeration(case):
     op, family = case
     k, chain, checked = _first_chain_brute_force(op, family, k_max=3)
     verdict = check_loop(op, family, k_max=3)
-    assert verdict.passed == (k is None)
-    assert verdict.chain == chain
     assert verdict.checked == checked
-    if k is not None:
-        assert verdict.k == k
+    for verdict in (verdict, find_loop_violation(op, family, 3)):
+        assert verdict.passed == (k is None)
+        assert verdict.chain == chain
+        if k is not None:
+            assert verdict.k == k
 
 
 def _naive_extensions(signature, matrix):

@@ -3,8 +3,10 @@ report fields; a rename must fail here rather than in a traced run."""
 
 import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
+from distrev.distops import LoopVerdict, check_loop
 from distrev.wheel import EqualityReport, HammingClaimsReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,3 +32,10 @@ def test_traced_report_fields_exist():
     assert "pairs_checked" in {f.name for f in dataclasses.fields(EqualityReport)}
     fields = {f.name for f in dataclasses.fields(HammingClaimsReport)}
     assert {"equality", "reduction"} <= fields
+
+
+def test_loop_contract_of_the_benchmark():
+    # the tracer and the checkers workload read these verdict fields, and
+    # the checkers jobs pass these keywords
+    assert {"checked", "sampled"} <= {f.name for f in dataclasses.fields(LoopVerdict)}
+    assert {"budget", "samples"} <= set(inspect.signature(check_loop).parameters)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .costs import PropertyReport
 from .errors import FamilyError, UndefinedPairError, UnknownAtomError, WitnessError
 
@@ -24,6 +26,51 @@ def apply(dist, vset, wset):
     col_min = [min([row[j] for row in rows]) for _, j in cols]
     best = min(col_min)
     return frozenset(w for (w, _), c in zip(cols, col_min) if c == best)
+
+
+APPLY_CHUNK_CELLS = 1 << 18  # (pair, v, w) cells per step of apply_rows
+
+
+def distance_int_matrix(dist, order=None):
+    """The distance's integer rank matrix as an array, its rows and columns
+    in ``order`` (default ``dist.universe``); the infinite marker ranks
+    above every finite entry."""
+    index, ranks = dist.kernel
+    matrix = np.array(ranks, dtype=np.int64).reshape(len(ranks), len(ranks))
+    if order is None:
+        return matrix
+    rows = [index[p] for p in order]
+    return matrix[np.ix_(rows, rows)]
+
+
+def apply_rows(dist, vrows, wrows, order=None):
+    """Batch form of ``apply`` over P pairs given as boolean membership
+    rows: row p of the result is the row of apply(dist, V_p, W_p), where
+    V_p and W_p are row p of ``vrows`` and ``wrows``.  Columns follow
+    ``order``, by default ``dist.universe``.
+
+    Per pair, the least rank over V in each column, masked to W, then the
+    columns that tie with the least of those.  The pairs go through in
+    chunks of about ``APPLY_CHUNK_CELLS`` cells, so the temporaries do not
+    grow with P.
+    """
+    vrows = np.asarray(vrows, dtype=bool)
+    wrows = np.asarray(wrows, dtype=bool)
+    ranks = distance_int_matrix(dist, order)
+    n = len(ranks)
+    top = int(ranks.max(initial=0)) + 1  # the minimum over nothing
+    dtype = np.min_scalar_type(top)
+    ranks, top = ranks.astype(dtype), dtype.type(top)
+    out = np.zeros(wrows.shape, dtype=bool)
+    step = max(1, APPLY_CHUNK_CELLS // max(n * n, 1))
+    for lo in range(0, len(out), step):
+        v, w = vrows[lo:lo + step], wrows[lo:lo + step]
+        col = np.broadcast_to(ranks, (len(v), n, n)).min(
+            axis=1, where=v[:, :, None], initial=top)
+        col[~w] = top
+        best = col.min(axis=1, keepdims=True, initial=top)
+        out[lo:lo + step] = (col == best) & (best < top)
+    return out
 
 
 def _canon(s):
@@ -160,43 +207,48 @@ def recheck_chain(op, chain):
     return not _conclusion(op, chain[0], chain[1], chain[k])
 
 
-def _premise_index(op, sets):
+class _Premises:
     """Premise tests over indices into ``sets``, filled lazily.
 
     ``premise(a, b, c)`` is memoized under the integer code of the index
     triple, and the operator is consulted once per (V_b, V_a u V_c).  The
-    bitmask ``after(a, b)`` holds every c with premise(a, b, c), and
-    ``between(a, c)`` every b with premise(a, b, c).
+    walk reads two tables of bitmasks row by row, and fills an entry, None
+    until then, on its first use: ``after[a][b]`` holds every c with
+    premise(a, b, c), and ``between[c][a]`` every b with premise(a, b, c).
     """
-    n = len(sets)
-    memo, looked, nxt, mid = {}, {}, {}, {}
 
-    def premise(a, b, c):
-        key = (a * n + b) * n + c
-        hit = memo.get(key)
+    def __init__(self, op, sets):
+        n = self.n = len(sets)
+        self.op, self.sets = op, sets
+        self.memo, self.looked = {}, {}
+        self.after = [[None] * n for _ in range(n)]
+        self.between = [[None] * n for _ in range(n)]
+
+    def premise(self, a, b, c):
+        key = (a * self.n + b) * self.n + c
+        hit = self.memo.get(key)
         if hit is None:
+            sets = self.sets
             union = sets[a] | sets[c]
-            result = looked.get((b, union))
+            result = self.looked.get((b, union))
             if result is None:
-                result = looked[b, union] = op.lookup(sets[b], union)
-            hit = memo[key] = bool(result & sets[a])
+                result = self.looked[b, union] = self.op.lookup(sets[b], union)
+            hit = self.memo[key] = bool(result & sets[a])
         return hit
 
-    def after(a, b):
-        key = a * n + b
-        mask = nxt.get(key)
+    def after_of(self, a, b):
+        mask = self.after[a][b]
         if mask is None:
-            mask = nxt[key] = sum(1 << c for c in range(n) if premise(a, b, c))
+            mask = sum(1 << c for c in range(self.n) if self.premise(a, b, c))
+            self.after[a][b] = mask
         return mask
 
-    def between(a, c):
-        key = a * n + c
-        mask = mid.get(key)
+    def between_of(self, a, c):
+        mask = self.between[c][a]
         if mask is None:
-            mask = mid[key] = sum(1 << b for b in range(n) if premise(a, b, c))
+            mask = sum(1 << b for b in range(self.n) if self.premise(a, b, c))
+            self.between[c][a] = mask
         return mask
-
-    return premise, after, between
 
 
 def _bits(mask):
@@ -218,23 +270,23 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     sets = validate_family(op.universe, family)
     sets = sorted(sets, key=sorted)
     n = len(sets)
-    premise, after, between = _premise_index(op, sets)
+    premises = _Premises(op, sets)
     k_walk = 0
     while k_walk < k_max and n ** (k_walk + 2) <= budget:
         k_walk += 1
-    found = _walk(after, between, n, k_walk)
+    found = _walk(premises, k_walk)
     k = len(found) - 1 if found else k_walk
     checked = sum(n ** (j + 1) for j in range(1, k + 1))
     while found is None and k < k_max:
         k += 1
-        found = _loop_sampled(premise, n, k, samples, seed)
+        found = _loop_sampled(premises.premise, n, k, samples, seed)
         checked += samples
     if found is None:
         return LoopVerdict(True, k_max, (), checked, k > k_walk)
     return LoopVerdict(False, k, _rechecked(op, sets, found), checked, k > k_walk)
 
 
-def _walk(after, between, n, k_max):
+def _walk(premises, k_max):
     """The index chain of least k <= k_max whose premises hold and whose
     conclusion fails, lexicographically first at that k, or None.
 
@@ -242,34 +294,42 @@ def _walk(after, between, n, k_max):
     a k below the best one found so far.
     """
     best = None
+    n = premises.n
     for i0 in range(n):
         for i1 in range(n):
             k_top = k_max if best is None else len(best) - 2
             if k_top < 1:
                 return best
-            best = _walk_from(after, between, n, i0, i1, k_top) or best
+            best = _walk_from(premises, i0, i1, k_top) or best
     return best
 
 
-def _walk_from(after, between, n, i0, i1, k_top):
+def _walk_from(premises, i0, i1, k_top):
     """Breadth-first walk from the start (V_0, V_1) over premise states
     (V_{j-1}, V_j), where premise j moves (a, b) to (b, c) for each c in
-    ``after(a, b)``.  Expanding a state only the first time it is reached
+    ``after[a][b]``.  Expanding a state only the first time it is reached
     keeps, per state, its lexicographically first shortest path; the last
     position V_k is read off bitmasks rather than a layer of states."""
-    fails = ~after(i1, i0)  # the V_k for which the conclusion fails
-    if (between(i0, i0) & fails) >> i1 & 1:  # k = 1, where V_k is V_1
+    after = premises.after
+    closing = premises.between[i0]  # closing[b]: every x with premise(b, x, i0)
+    fails = ~premises.after_of(i1, i0)  # the V_k for which the conclusion fails
+    if (premises.between_of(i0, i0) & fails) >> i1 & 1:  # k = 1, where V_k is V_1
         return (i0, i1)
     layer = [(i0, i1)]
-    seen = [0] * n  # seen[b] holds every c with (b, c) reached
+    seen = [0] * premises.n  # seen[b] holds every c with (b, c) reached
     seen[i0] = 1 << i1
     for k in range(2, k_top + 1):
         grown = []
         for path in layer:
             a, b = path[-2:]
-            step = after(a, b)
+            step = after[a][b]
+            if step is None:
+                step = premises.after_of(a, b)
+            close = closing[b]
+            if close is None:
+                close = premises.between_of(b, i0)
             # V_k meets premises k-1 and k and fails the conclusion
-            hits = step & between(b, i0) & fails
+            hits = step & close & fails
             if hits:
                 return path + ((hits & -hits).bit_length() - 1,)
             fresh = step & ~seen[b]
@@ -307,8 +367,7 @@ def find_loop_violation(op, sets, k_max):
     sets: no closure requirement and no budget, the walk of ``check_loop``
     up to ``k_max``."""
     sets = sorted({_canon(s) for s in sets if s}, key=sorted)
-    _, after, between = _premise_index(op, sets)
-    found = _walk(after, between, len(sets), k_max)
+    found = _walk(_Premises(op, sets), k_max)
     if found is None:
         return LoopVerdict(True, k_max)
     return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found))

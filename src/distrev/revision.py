@@ -12,8 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .costs import OrderMode, PropertyReport, PseudoDistance
-from .distops import apply, check_loop
+from .distops import apply, apply_rows, check_loop
 from .errors import InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
@@ -177,13 +179,13 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
         name: PropertyReport(name, True, witness_cap=witness_cap)
         for name in ("star0", "star1", "star2", "star3", "star4")
     }
+    # invariance: rebuilding the arguments from their canonical formulas
+    # must not change the outcome; each set makes the round trip once
+    trip = {s: frozenset(models([canonical_dnf(s, sig)], sig, matrix)) for s in sets}
     for vset in sets:
         for wset in sets:
             result = op.revise_models(vset, wset)
-            # invariance: rebuilding the arguments from their canonical
-            # formulas must not change the outcome
-            v2 = frozenset(models([canonical_dnf(vset, sig)], sig, matrix))
-            w2 = frozenset(models([canonical_dnf(wset, sig)], sig, matrix))
+            v2, w2 = trip[vset], trip[wset]
             if (v2, w2) != (vset, wset) or op.revise_models(v2, w2) != result:
                 reports["star0"].record((_label(vset), _label(wset)))
             if not result:
@@ -260,23 +262,58 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     return {"disjunction_iteration_1": rep1, "disjunction_iteration_2": rep2}
 
 
+def _membership_rows(model_sets, points):
+    """One boolean row per model set, over ``points``."""
+    index = {p: i for i, p in enumerate(points)}
+    rows = np.zeros((len(model_sets), len(points)), dtype=bool)
+    for r, s in enumerate(model_sets):
+        rows[r, [index[v] for v in s]] = True
+    return rows
+
+
+def _row_keys(rows):
+    """Each boolean row packed into bytes, a hashable key of its set."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
 def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     """Definability preservation (results stay definable model sets) and
-    consistency preservation (non-empty arguments give non-empty results)."""
+    consistency preservation (non-empty arguments give non-empty results).
+
+    All pairs are minimized in one ``apply_rows`` batch over membership
+    rows, by default every pair of definable sets; witnesses follow the
+    pair order."""
     sig = tuple(signature)
     universe = valuation_universe(sig, matrix)
     if set(dist.universe) != set(universe):
         raise UnknownAtomError("distance universe must be the valuation universe")
-    definable = set(definable_model_sets(sig, matrix))
+    definable = definable_model_sets(sig, matrix)
+    points = dist.universe
     if pairs is None:
         defs = sorted(definable, key=_label)
-        pairs = [(a, b) for a in defs for b in defs]
+        rows = _membership_rows(defs, points)
+        count = len(defs)
+        pick = np.arange(count)
+        vrows, wrows = rows[np.repeat(pick, count)], rows[np.tile(pick, count)]
+
+        def pair_at(p):
+            return defs[p // count], defs[p % count]
+    else:
+        pairs = list(pairs)
+        vrows = _membership_rows([v for v, _ in pairs], points)
+        wrows = _membership_rows([w for _, w in pairs], points)
+        pair_at = pairs.__getitem__
+    result = apply_rows(dist, vrows, wrows)
+    defined = set(_row_keys(_membership_rows(definable, points)))
     dp = PropertyReport("dp", True, witness_cap=witness_cap)
     cp = PropertyReport("cp", True, witness_cap=witness_cap)
-    for vset, wset in pairs:
-        result = apply(dist, vset, wset)
-        if result not in definable:
-            dp.record((_label(vset), _label(wset), _label(result)))
-        if vset and wset and not result:
-            cp.record((_label(vset), _label(wset)))
+    for p, key in enumerate(_row_keys(result)):
+        if key not in defined:
+            vset, wset = pair_at(p)
+            out = frozenset(points[j] for j in np.flatnonzero(result[p]))
+            dp.record((_label(vset), _label(wset), _label(out)))
+    empty = vrows.any(axis=1) & wrows.any(axis=1) & ~result.any(axis=1)
+    for p in np.flatnonzero(empty):
+        cp.record(tuple(_label(s) for s in pair_at(p)))
     return {"dp": dp, "cp": cp}

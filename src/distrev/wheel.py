@@ -22,7 +22,14 @@ from .costs import (
     check_hir,
     check_property,
 )
-from .distops import OperatorTable, apply, check_inclusion, find_loop_violation
+from .distops import (
+    OperatorTable,
+    apply,
+    apply_rows,
+    check_inclusion,
+    distance_int_matrix,
+    find_loop_violation,
+)
 from .errors import BoundExceededError, FamilyError, MatrixError
 from .logic import CLASSICAL, Valuation, hamming_diff
 from .realizability import solve_table
@@ -177,14 +184,6 @@ EXHAUSTIVE_MAX_POINTS = 12  # the abstract sweep samples above this
 HAMMING_MAX_BYTES = 1 << 30  # the Hamming sweep refuses larger tables
 
 
-def distance_int_matrix(dist, order):
-    """The distance's integer rank matrix, reindexed to ``order``; the
-    infinite marker ranks above every finite entry."""
-    index, ranks = dist.kernel
-    rows = [index[p] for p in order]
-    return np.array(ranks, dtype=np.int64)[np.ix_(rows, rows)]
-
-
 _SENTINEL = np.int64(2**62)
 
 
@@ -234,6 +233,14 @@ def _mask_of(labels, index):
     return mask
 
 
+def _mask_rows(masks, n):
+    """Boolean membership rows of the given point masks over n points."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+
 def _labels_of(mask, order):
     return frozenset(order[j] for j in range(len(order)) if mask >> j & 1)
 
@@ -261,13 +268,16 @@ def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
     ``EXHAUSTIVE_MAX_POINTS`` points, sampled above)."""
     order = list(params.universe)
     n = len(order)
+    index = {lab: i for i, lab in enumerate(order)}
+    # the table entries as (V mask, W mask) -> result mask; they override
+    # the backing distance's minimization
+    entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
+               for (v, w), x in patched_op.entries.items()}
     report = EqualityReport(0, [], sampled=sample is not None or n > EXHAUSTIVE_MAX_POINTS)
     if not report.sampled:
-        index = {lab: i for i, lab in enumerate(order)}
-        patches = {}  # W mask -> [(V mask, result mask)] of the table entries
-        for (v, w), x in patched_op.entries.items():
-            patches.setdefault(_mask_of(w, index), []).append(
-                (_mask_of(v, index), _mask_of(x, index)))
+        patches = {}  # W mask -> [(V mask, result mask)]
+        for (vm, wm), bits in entries.items():
+            patches.setdefault(wm, []).append((vm, bits))
         cost = distance_int_matrix(patched_op.backing, order)
         for wmask, col, col2 in _columns(cost, distance_int_matrix(patched_dist, order)):
             if wmask in patches:
@@ -279,12 +289,17 @@ def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
         return report
     rng = random.Random(seed)
     report.pairs_checked = sample if sample is not None else 10**5
-    for _ in range(report.pairs_checked):
-        vset = _labels_of(rng.randrange(1 << n), order)
-        wset = _labels_of(rng.randrange(1 << n), order)
-        if patched_op.lookup(vset, wset) != apply(patched_dist, vset, wset):
-            if len(report.mismatches) < witness_cap:
-                report.mismatches.append((vset, wset))
+    pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
+             for _ in range(report.pairs_checked)]
+    vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
+    lhs = apply_rows(patched_op.backing, vrows, wrows, order)
+    for p, pair in enumerate(pairs):
+        if pair in entries:
+            lhs[p] = _mask_rows([entries[pair]], n)[0]
+    rhs = apply_rows(patched_dist, vrows, wrows, order)
+    for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
+        vmask, wmask = pairs[p]
+        report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
     return report
 
 

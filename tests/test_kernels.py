@@ -1,16 +1,22 @@
 """Differential tests of the integer kernels against plain references: the
-rank-compiled minimization, the index-keyed loop search and the coded
-definability closure."""
+rank-compiled minimization and its batch form, the index-keyed loop search
+and the coded definability closure."""
 
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
+from distrev import distops
 from distrev.costs import INF, OrderMode, PseudoDistance
 from distrev.distops import (
     OperatorTable,
     apply,
+    apply_rows,
     check_loop,
     find_loop_violation,
     recheck_chain,
@@ -80,6 +86,49 @@ def test_replaced_distance_compiles_its_own_kernel(data):
         wset = data.draw(_subsets(dist.universe))
         assert apply(patched, vset, wset) == _reference_apply(patched, vset, wset)
     assert apply(dist, full, full) == before
+
+
+def _rows(sets, order):
+    return np.array([[p in s for p in order] for s in sets], dtype=bool).reshape(
+        len(sets), len(order))
+
+
+def _assert_rows_match_apply(dist, pairs, order=None):
+    cols = dist.universe if order is None else order
+    got = apply_rows(dist, _rows([v for v, _ in pairs], cols),
+                     _rows([w for _, w in pairs], cols), order)
+    assert got.shape == (len(pairs), len(cols))
+    for (vset, wset), row in zip(pairs, got):
+        assert frozenset(p for p, bit in zip(cols, row) if bit) == apply(dist, vset, wset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_rows_matches_scalar_apply(data):
+    # both order modes with INF, frequent ties (distances()), empty V and W
+    # rows, a caller's point order unlike the distance's, and a chunk size
+    # drawn small enough that the batch spans several chunks
+    dist = data.draw(distances())
+    order = data.draw(st.permutations(dist.universe))
+    subsets = _subsets(dist.universe)
+    pairs = data.draw(st.lists(st.tuples(subsets, subsets), max_size=12))
+    pairs += [(frozenset(), frozenset(order)), (frozenset(order), frozenset())]
+    cells = data.draw(st.integers(1, 3 * len(order) ** 2))
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+        _assert_rows_match_apply(dist, pairs, order)
+
+
+def test_apply_rows_default_order_and_full_chunks():
+    # more pairs than one chunk of the default size, rows over dist.universe
+    dist = PseudoDistance(POINTS, OrderMode.LIBERAL, {
+        (v, w): F(0) if v == w else COSTS[(3 * i + j) % len(COSTS)] if i != 4 else INF
+        for i, v in enumerate(POINTS) for j, w in enumerate(POINTS)
+    })
+    rng = random.Random(5)
+    count = 2 * distops.APPLY_CHUNK_CELLS // len(POINTS) ** 2 + 7
+    pairs = [tuple(frozenset(p for p in POINTS if rng.random() < 0.4) for _ in "vw")
+             for _ in range(count)]
+    _assert_rows_match_apply(dist, pairs)
 
 
 def _first_chain_brute_force(op, family, k_max):

@@ -5,7 +5,15 @@ import pytest
 
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.errors import InconsistentTheoryError
-from distrev.logic import CLASSICAL, Matrix, formula_to_text
+from distrev.distops import apply
+from distrev.logic import (
+    CLASSICAL,
+    Matrix,
+    canonical_dnf,
+    definable_model_sets,
+    formula_to_text,
+    models,
+)
 from distrev.revision import (
     RevisionOperator,
     Theory,
@@ -178,3 +186,121 @@ def test_presentation_invariance_on_random_pairs():
         g2 = Theory(SIG, vset, presentation=("anything",))
         d1 = Theory.from_models(wset, SIG)
         assert revise(op, g1, d1) == revise(op, g2, d1)
+
+
+# ---------------------------------------------------------------------------
+# Report equality with scalar reference loops: the checkers batch their
+# minimizations and make each round trip once, and must report exactly what
+# the per-pair loops report.
+
+
+def _scalar_dp_cp(dist, sig, matrix=CLASSICAL, pairs=None, cap=16):
+    definable = definable_model_sets(sig, matrix)
+    if pairs is None:
+        defs = sorted(definable, key=_labels)
+        pairs = [(a, b) for a in defs for b in defs]
+    dp, cp = [], []
+    for vset, wset in pairs:
+        result = apply(dist, vset, wset)
+        if result not in definable:
+            dp.append((_labels(vset), _labels(wset), _labels(result)))
+        if vset and wset and not result:
+            cp.append((_labels(vset), _labels(wset)))
+    return {"dp": dp, "cp": cp}
+
+
+def _scalar_agm(op, matrix=CLASSICAL, samples=0, seed=0):
+    sig = op.signature
+    sets = nonempty_model_sets(sig, matrix)
+    found = {name: [] for name in ("star0", "star1", "star2", "star3", "star4")}
+    for vset in sets:
+        for wset in sets:
+            result = op.revise_models(vset, wset)
+            v2 = frozenset(models([canonical_dnf(vset, sig)], sig, matrix))
+            w2 = frozenset(models([canonical_dnf(wset, sig)], sig, matrix))
+            if (v2, w2) != (vset, wset) or op.revise_models(v2, w2) != result:
+                found["star0"].append((_labels(vset), _labels(wset)))
+            if not result:
+                found["star1"].append((_labels(vset), _labels(wset)))
+            if not result <= wset:
+                found["star2"].append((_labels(vset), _labels(wset)))
+            if vset & wset and result != vset & wset:
+                found["star3"].append((_labels(vset), _labels(wset)))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        vset, wset, w2 = rng.choice(sets), rng.choice(sets), rng.choice(sets)
+        result = op.revise_models(vset, wset)
+        if result & w2 and op.revise_models(vset, wset & w2) != result & w2:
+            found["star4"].append((_labels(vset), _labels(wset), _labels(w2)))
+    return found
+
+
+def _assert_reports_equal(reports, found, cap=16):
+    assert set(reports) == set(found)
+    for name, rep in reports.items():
+        assert rep.passed == (not found[name]), name
+        assert rep.total_violations == len(found[name]), name
+        assert rep.witnesses == found[name][:cap], name
+
+
+def _identity_matrix_case():
+    sig = ("p",)
+    matrix = _identity_matrix()
+    universe = valuation_universe(sig, matrix)
+    dist = PseudoDistance.from_function(
+        universe, OrderMode.REAL,
+        lambda v, w: F(0) if w == universe[2] else F(1),
+    )
+    return dist, sig, matrix
+
+
+def test_dp_cp_report_matches_scalar_loop_on_identity_matrix():
+    dist, sig, matrix = _identity_matrix_case()
+    reports = check_dp_cp(dist, sig, matrix=matrix, witness_cap=2)
+    assert not reports["dp"].passed
+    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix), cap=2)
+
+
+def test_dp_cp_report_matches_scalar_loop_on_explicit_pairs():
+    # every subset pair, empty and non-definable sets included, in an order
+    # unlike the default one, on a distance whose universe order is reversed
+    dist, sig, matrix = _identity_matrix_case()
+    dist = PseudoDistance(dist.universe[::-1], dist.mode, dist.table)
+    subsets = [frozenset(), *nonempty_model_sets(sig, matrix)]
+    pairs = [(v, w) for w in subsets for v in reversed(subsets)]
+    reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs)
+    assert not reports["dp"].passed
+    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs))
+
+
+def test_dp_cp_report_matches_scalar_loop_at_three_atoms():
+    # 65,536 default pairs, many batch chunks
+    sig = ("p", "q", "r")
+    dist = hamming_pseudo_distance(sig)
+    _assert_reports_equal(check_dp_cp(dist, sig), _scalar_dp_cp(dist, sig))
+
+
+def test_agm_report_matches_scalar_loop_on_non_ir_distance():
+    sig = ("p", "q")
+    universe = valuation_universe(sig)
+    dist = PseudoDistance.from_function(
+        universe, OrderMode.REAL,
+        lambda v, w: F(1) if v == w else F(1, 2),
+    )
+    reports = check_agm(RevisionOperator.from_distance(dist, sig), samples=300, seed=4)
+    assert not reports["star3"].passed
+    reference = _scalar_agm(RevisionOperator.from_distance(dist, sig), samples=300, seed=4)
+    _assert_reports_equal(reports, reference)
+
+
+def test_agm_report_matches_scalar_loop_on_fn_operator():
+    # an input-ignoring operator breaks star2, and off the classical matrix
+    # the canonical formula's round trip changes model sets, breaking star0
+    sig = ("p",)
+    matrix = _identity_matrix()
+    op = RevisionOperator.from_function(lambda v, w: v, sig)
+    reports = check_agm(op, matrix=matrix, samples=200, seed=1, witness_cap=3)
+    assert not reports["star0"].passed
+    assert not reports["star2"].passed
+    reference = _scalar_agm(op, matrix=matrix, samples=200, seed=1)
+    _assert_reports_equal(reports, reference, cap=3)

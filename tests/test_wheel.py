@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from distrev.costs import INF, OrderMode, check_property
-from distrev.distops import apply, recheck_chain
+from distrev.distops import OperatorTable, apply, recheck_chain
 from distrev.errors import BoundExceededError, FamilyError
 from distrev.realizability import solve_table
 from distrev.wheel import (
@@ -85,8 +85,6 @@ def test_unmodified_operator_fragment_is_sat():
     vv = frozenset({"v4", "v1"})
     ww = frozenset({"w4", "w1"})
     entries[(vv, ww)] = apply(d, vv, ww)
-    from distrev.distops import OperatorTable
-
     verdict = solve_table(OperatorTable(params.universe, entries))
     assert verdict.status == "sat"
 
@@ -169,6 +167,59 @@ def test_corrupted_patched_rung_breaks_equality():
     )
     report = wheel_equality_sweep(gadget.params, gadget.patched_op, corrupted)
     assert not report.passed
+
+
+def _scalar_sampled_mismatches(params, patched_op, patched_dist, sample, seed, cap=16):
+    # the per-pair lookup-versus-apply loop over the sampled sweep's draws
+    order = list(params.universe)
+    rng = random.Random(seed)
+    found = []
+    for _ in range(sample):
+        vset = _labels_of(rng.randrange(1 << len(order)), order)
+        wset = _labels_of(rng.randrange(1 << len(order)), order)
+        if patched_op.lookup(vset, wset) != apply(patched_dist, vset, wset):
+            found.append((vset, wset))
+    return found[:cap]
+
+
+def test_sampled_sweep_passes_m6():
+    gadget = build_wheel_gadget(n=3)
+    assert len(gadget.params.universe) == 14
+    report = wheel_equality_sweep(gadget.params, gadget.patched_op,
+                                  gadget.patched_dist, sample=10_000, seed=0)
+    assert report.sampled
+    assert report.pairs_checked == 10_000
+    assert report.passed
+
+
+def test_sampled_sweep_catches_corrupted_rung_m6():
+    # rung 3 made cheaper than every other cost between distinct points
+    gadget = build_wheel_gadget(n=3)
+    corrupted = gadget.patched_dist.replaced(
+        {("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)}
+    )
+    report = wheel_equality_sweep(gadget.params, gadget.patched_op, corrupted,
+                                  sample=10_000, seed=0)
+    assert not report.passed
+    assert report.mismatches == _scalar_sampled_mismatches(
+        gadget.params, gadget.patched_op, corrupted, 10_000, seed=0)
+
+
+def test_sampled_sweep_catches_corrupted_entry_m6():
+    # a wrong table entry at the third pair the sweep draws
+    gadget = build_wheel_gadget(n=3)
+    order = list(gadget.params.universe)
+    rng = random.Random(0)
+    for _ in range(3):
+        vset, wset = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
+    entries = dict(gadget.patched_op.entries)
+    entries[vset, wset] = apply(gadget.patched_dist, vset, wset) ^ {"x1"}
+    corrupted = OperatorTable(order, entries, backing=gadget.patched_op.backing)
+    report = wheel_equality_sweep(gadget.params, corrupted, gadget.patched_dist,
+                                  sample=10_000, seed=0)
+    assert report.mismatches == [(vset, wset)]
+    assert report.mismatches == _scalar_sampled_mismatches(
+        gadget.params, corrupted, gadget.patched_dist, 10_000, seed=0)
 
 
 def test_taken_pairs_shift_the_fresh_rung():

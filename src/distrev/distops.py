@@ -36,7 +36,7 @@ def distance_int_matrix(dist, order=None):
     in ``order`` (default ``dist.universe``); the infinite marker ranks
     above every finite entry."""
     index, ranks = dist.kernel
-    matrix = np.array(ranks, dtype=np.int64).reshape(len(ranks), len(ranks))
+    matrix = np.array(ranks, dtype=np.int64)
     if order is None:
         return matrix
     rows = [index[p] for p in order]

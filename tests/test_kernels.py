@@ -89,8 +89,7 @@ def test_replaced_distance_compiles_its_own_kernel(data):
 
 
 def _rows(sets, order):
-    return np.array([[p in s for p in order] for s in sets], dtype=bool).reshape(
-        len(sets), len(order))
+    return np.array([[p in s for p in order] for s in sets], dtype=bool)
 
 
 def _assert_rows_match_apply(dist, pairs, order=None):

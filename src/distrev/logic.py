@@ -438,11 +438,20 @@ _BLOCK_PAIRS = 1 << 14  # (f, g) pairs per vectorized closure step
 
 
 def _unique_rows(rows):
-    """The distinct rows of a 2-D code array, as their bytes.  Each row is
-    viewed as one opaque byte string, so no row width can overflow a key."""
+    """The distinct rows of a 2-D code array, as their bytes, in byte order.
+    A row of at most 8 bytes, zero-padded on the right, sorts as one
+    big-endian unsigned integer, which orders rows as their bytes do; a
+    wider row sorts as one opaque byte string, so no width overflows a key."""
     rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    return [key.tobytes() for key in np.unique(keys)]
+    width = rows.shape[1] * rows.itemsize
+    if width > 8:
+        keys = rows.view(np.dtype((np.void, width))).ravel()
+        return [key.tobytes() for key in np.unique(keys)]
+    padded = np.zeros((len(rows), 8), np.uint8)
+    padded[:, :width] = rows.view(np.uint8).reshape(len(rows), width)
+    keys = np.unique(padded.view(">u8").ravel()).astype(">u8")
+    data = keys.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+    return [data[i:i + width] for i in range(0, len(data), width)]
 
 
 def formula_extensions(signature, matrix, bound=200_000):

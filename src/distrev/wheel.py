@@ -23,6 +23,7 @@ from .costs import (
     check_property,
 )
 from .distops import (
+    APPLY_CHUNK_CELLS,
     OperatorTable,
     apply,
     apply_rows,
@@ -184,46 +185,79 @@ EXHAUSTIVE_MAX_POINTS = 12  # the abstract sweep samples above this
 HAMMING_MAX_BYTES = 1 << 30  # the Hamming sweep refuses larger tables
 
 
-_SENTINEL = np.int64(2**62)
-
-
 def _subset_table(rows, ufunc, empty):
     """out[..., mask] = ``ufunc`` folded over rows[i] for the members i of
-    mask (``empty`` for the empty mask); the masks in [2^i, 2^(i+1)) extend
-    those below 2^i by point i."""
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.full(rows.shape[1:] + (1 << len(rows),), empty, dtype=np.int64)
+    mask (``empty`` for the empty mask), in the rows' dtype; the masks in
+    [2^i, 2^(i+1)) extend those below 2^i by point i."""
+    rows = np.asarray(rows)
+    out = np.full(rows.shape[1:] + (1 << len(rows),), empty, dtype=rows.dtype)
     for i, row in enumerate(rows):
         low = 1 << i
         out[..., low:2 * low] = ufunc(out[..., :low], row[..., None])
     return out
 
 
-def _columns(cost, cost2):
-    """Yield ``(wmask, col, col2)`` for every W mask in ascending order:
-    col[vmask] is the bitmask of the members of W at minimal ``cost`` over
-    V x W (0 when V or W is empty), col2 the same under ``cost2``.
+def _block_bits(n):
+    """t such that a block of 2^t W columns over n points holds about
+    ``APPLY_CHUNK_CELLS`` cells."""
+    return min(n, max(0, APPLY_CHUNK_CELLS.bit_length() - 1 - n))
 
-    Column W extends the column of W minus its lowest member, which is the
-    last one yielded with one member fewer, so n + 1 columns per matrix stay
-    live.  The yielded arrays are that state: copy one before writing."""
+
+def _mask_dtype(n):
+    """The narrowest unsigned dtype that holds a mask of n points."""
+    return np.min_scalar_type((1 << n) - 1)
+
+
+def _columns(cost, cost2):
+    """Yield ``(wlo, cols, cols2)`` for blocks of 2^t consecutive W masks in
+    ascending order: row L of ``cols`` is the column of W = wlo + L, so
+    cols[L, vmask] is the bitmask of the members of W at minimal ``cost``
+    over V x W (0 when V or W is empty); ``cols2`` is the same under
+    ``cost2``.  Ranks are kept in their narrowest dtype and bitmasks in
+    ``_mask_dtype(n)``.
+
+    W splits into its high part H = wlo and its low part L < 2^t.  The
+    columns of every L are tabulated once per matrix; the column of H
+    extends the column of H minus its lowest member, the last one built
+    with one member fewer, so n - t + 1 of them per matrix stay live.  A
+    block cell takes the tie bits of whichever part has the lesser minimum,
+    of both on a tie.  The yielded blocks are buffers that the next step rewrites; the caller may
+    overwrite them in between."""
     n = len(cost)
-    tables = [_subset_table(c, np.minimum, _SENTINEL) for c in (cost, cost2)]
-    zero = np.zeros(1 << n, dtype=np.int64)
-    live = [None] * (n + 1)  # per member count: [(min cost, bits)] per matrix
-    live[0] = [(np.full(1 << n, _SENTINEL), zero)] * 2
-    yield 0, zero, zero
-    for wmask in range(1, 1 << n):
-        low = wmask & -wmask
-        k = wmask.bit_count()
-        live[k] = []
-        for (minc, bits), rv in zip(live[k - 1], tables):
-            c = rv[low.bit_length() - 1]
-            new = np.minimum(minc, c)
-            bits = np.where(minc == new, bits, 0) | np.where(c == new, low, 0)
-            bits[0] = 0  # empty V
-            live[k].append((new, bits))
-        yield wmask, live[k][0][1], live[k][1][1]
+    size, t = 1 << n, _block_bits(n)
+    shape, mask_t = (1 << t, size), _mask_dtype(n)
+    lows = np.arange(1 << t, dtype=mask_t)[:, None]
+    tables, live = [], [None] * (n - t + 1)  # live: per member count of H
+    live[0] = []
+    for c in (cost, cost2):
+        top = int(c.max(initial=0)) + 1  # the minimum over no point
+        rank_t = np.min_scalar_type(top)
+        top = rank_t.type(top)
+        rowmin = _subset_table(c.astype(rank_t), np.minimum, top)  # [w, vmask]
+        lmin = np.ascontiguousarray(_subset_table(rowmin[:t], np.minimum, top).T)
+        lbits = np.zeros(shape, mask_t)  # the members of L at L's minimum
+        for j in range(t):
+            lbits |= mask_t.type(1 << j) * (lmin == rowmin[j])
+        lbits &= lows
+        lbits[:, 0] = 0  # empty V
+        tables.append((rowmin, lmin, lbits, np.empty(shape, mask_t)))
+        live[0].append((np.full(size, top), np.zeros(size, mask_t)))
+    tie, tmp = np.empty(shape, bool), np.empty(shape, mask_t)
+    for wlo in range(0, size, 1 << t):
+        k = wlo.bit_count()
+        if wlo:
+            low = wlo & -wlo
+            live[k] = []
+            for (hmin, hbits), (rowmin, *_) in zip(live[k - 1], tables):
+                c = rowmin[low.bit_length() - 1]
+                new = np.minimum(hmin, c)
+                bits = hbits * (hmin == new) | mask_t.type(low) * (c == new)
+                bits[0] = 0  # empty V
+                live[k].append((new, bits))
+        for (hmin, hbits), (_, lmin, lbits, block) in zip(live[k], tables):
+            np.multiply(lbits, np.less_equal(lmin, hmin, out=tie), out=block)
+            block |= np.multiply(hbits, np.less_equal(hmin, lmin, out=tie), out=tmp)
+        yield wlo, tables[0][3], tables[1][3]
 
 
 def _mask_of(labels, index):
@@ -255,10 +289,14 @@ class EqualityReport:
     def passed(self):
         return not self.mismatches
 
-    def note(self, vmasks, wmask, order, cap):
-        """Record mismatching V masks of one W column, up to ``cap`` in all."""
-        for vm in vmasks[:max(cap - len(self.mismatches), 0)]:
-            self.mismatches.append((_labels_of(int(vm), order), _labels_of(wmask, order)))
+    def note(self, mismatch, wlo, order, cap):
+        """Record the mismatching pairs of one block, whose row L holds the
+        V masks of W = wlo + L: W ascending, then V, up to ``cap`` in all."""
+        room = cap - len(self.mismatches)
+        if room > 0 and mismatch.any():
+            rows, vmasks = np.nonzero(mismatch)
+            for row, vm in zip(rows[:room].tolist(), vmasks[:room].tolist()):
+                self.mismatches.append((_labels_of(vm, order), _labels_of(wlo + row, order)))
 
 
 def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
@@ -275,16 +313,12 @@ def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
                for (v, w), x in patched_op.entries.items()}
     report = EqualityReport(0, [], sampled=sample is not None or n > EXHAUSTIVE_MAX_POINTS)
     if not report.sampled:
-        patches = {}  # W mask -> [(V mask, result mask)]
-        for (vm, wm), bits in entries.items():
-            patches.setdefault(wm, []).append((vm, bits))
         cost = distance_int_matrix(patched_op.backing, order)
-        for wmask, col, col2 in _columns(cost, distance_int_matrix(patched_dist, order)):
-            if wmask in patches:
-                col = col.copy()
-                for vm, bits in patches[wmask]:
-                    col[vm] = bits
-            report.note(np.nonzero(col != col2)[0], wmask, order, witness_cap)
+        for wlo, cols, cols2 in _columns(cost, distance_int_matrix(patched_dist, order)):
+            for (vm, wm), bits in entries.items():
+                if wlo <= wm < wlo + len(cols):
+                    cols[wm - wlo, vm] = bits
+            report.note(cols != cols2, wlo, order, witness_cap)
         report.pairs_checked = 1 << 2 * n
         return report
     rng = random.Random(seed)
@@ -554,38 +588,53 @@ def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
     return report
 
 
+def hamming_sweep_bytes(gadget):
+    """Bytes that the sweep of ``verify_hamming_claims`` holds at most: the
+    wheel-only and near tables, per matrix the row-minimum table and the
+    live H columns of ``_columns``, and per block cell the low-part tables
+    and block of each matrix, the shared block buffers of ``_columns`` and
+    of the guard and reduction checks, and the transients of building the
+    low-part tables."""
+    n, nx = len(gadget.universe), len(gadget.wheel_labels)
+    mask = _mask_dtype(n).itemsize
+    rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
+               for d in (gadget.dist, gadget.patched_dist))
+    t = _block_bits(n)
+    per_column = mask + 2 * (rank * n + (rank + mask) * (n - t + 1))
+    per_cell = 2 * (rank + 2 * mask) + (2 * mask + 4) + (rank + mask + 1)
+    return (mask << 2 * nx) + (per_column << n) + (per_cell << n + t)
+
+
 def verify_hamming_claims(gadget, witness_cap=16):
     """Machine-check the Hamming gadget claims: the patched operator equals
     the patched minimization on every subset pair of the pool, the in-wheel
     reduction lemma, Hamming-inequality respect, liberal triangle respect,
     the sandwich bound, and unrealizability of the guarded operator's core.
 
-    The wheel labels come first in the universe, so they take the low bits
-    and their columns are swept first; the reduction lemma reads only the
-    wheel-only table of those columns.  Raises ``BoundExceededError`` when
-    that table, the subset tables and the live columns would exceed
-    ``HAMMING_MAX_BYTES``."""
+    The wheel labels come first in the universe, so they take the low bits;
+    the reduction lemma reads only the wheel-only table of the first
+    columns.  Raises ``BoundExceededError`` when that table and the sweep's
+    own tables and blocks would exceed ``HAMMING_MAX_BYTES``."""
+    need = hamming_sweep_bytes(gadget)
+    if need > HAMMING_MAX_BYTES:
+        raise BoundExceededError(
+            f"the Hamming sweep over {len(gadget.universe)} points needs about "
+            f"{need >> 20} MiB, over the {HAMMING_MAX_BYTES >> 20} MiB cap"
+        )
     order = list(gadget.universe)
     n, nx = len(order), len(gadget.wheel_labels)
     size, xsize = 1 << n, 1 << nx
-    # int64 cells: the wheel-only table, then per V mask two subset tables
-    # of n columns, 4(n + 1) live columns, and a few column temporaries
-    need = 8 * (xsize * xsize + (6 * n + 8) * size)
-    if need > HAMMING_MAX_BYTES:
-        raise BoundExceededError(
-            f"the Hamming sweep over {n} points needs about {need >> 20} MiB, "
-            f"over the {HAMMING_MAX_BYTES >> 20} MiB cap"
-        )
+    mask_t = _mask_dtype(n)
     index = {lab: i for i, lab in enumerate(order)}
     # near[vmask]: the points that some member of V meets in an off-wheel
     # pair below Hamming difference 3; the guard routes V x W to plain
     # minimization exactly when near & W is non-zero
-    near = _subset_table([
+    near = _subset_table(np.array([
         sum(1 << j for j, b in enumerate(order)
             if max(i, j) >= nx
             and len(hamming_diff(gadget.points[a], gadget.points[b])) < 3)
         for i, a in enumerate(order)
-    ], np.bitwise_or, 0)
+    ], dtype=mask_t), np.bitwise_or, 0)
     # special[W wheel part] = (V wheel part, result bit) of the patched
     # operator's four redirected entries
     special = {}
@@ -593,29 +642,37 @@ def verify_hamming_claims(gadget, witness_cap=16):
         vv, ww = (_mask_of(s, index) for s in _rung(i, gadget.m))
         special[ww] = (vv, 1 << index[f"w{out}"])
         special[vv] = (ww, 1 << index[f"v{out}"])
-    vx = np.arange(size, dtype=np.int64) & (xsize - 1)
-    wheel_cols = np.empty((xsize, xsize), dtype=np.int64)  # [W, V], wheel-only
+    vx_any = np.arange(size) % xsize != 0  # V has wheel points
+    wheel_cols = np.empty((xsize, xsize), dtype=mask_t)  # [W, V], wheel-only
 
     eq = EqualityReport(size * size, [], sampled=False)
     red = EqualityReport(0, [], sampled=False)
     cost = distance_int_matrix(gadget.dist, order)
     cost2 = distance_int_matrix(gadget.patched_dist, order)
-    for wmask, col, col2 in _columns(cost, cost2):
-        wx = wmask & (xsize - 1)
-        if wmask < xsize:
-            wheel_cols[wmask] = col[:xsize]
-        case1 = (near & wmask) == 0  # the guard lets the special entries stand
-        expected = col
-        if wx in special:
-            vs, bit = special[wx]
-            expected = col.copy()
-            expected[case1 & (vx == vs)] = bit
-        eq.note(np.nonzero(expected != col2)[0], wmask, order, witness_cap)
-        if wx:  # reduction lemma on case-1 pairs with both wheel parts non-empty
-            scope = case1 & (vx != 0)
-            red.pairs_checked += int(np.count_nonzero(scope))
-            red.note(np.nonzero(scope & (col != wheel_cols[wx][vx]))[0],
-                     wmask, order, witness_cap)
+    for wlo, cols, cols2 in _columns(cost, cost2):
+        if not wlo:  # buffers of the block shape
+            guard, case1, scope, differ = (np.empty(cols.shape, dt)
+                                           for dt in (mask_t, bool, bool, bool))
+        wmasks = np.arange(wlo, wlo + len(cols), dtype=mask_t)
+        wx = wmasks % xsize
+        if wlo < xsize:
+            wheel_cols[wlo:wlo + len(cols)] = cols[:xsize - wlo, :xsize]
+        # the guard lets the special entries stand on case-1 pairs
+        np.equal(np.bitwise_and(near, wmasks[:, None], out=guard), 0, out=case1)
+        # reduction lemma on case-1 pairs with both wheel parts non-empty;
+        # row W's V masks, as (V off-wheel part, V wheel part), against the
+        # wheel-only row of W's wheel part
+        np.logical_and(case1, vx_any, out=scope)
+        scope[wx == 0] = False
+        red.pairs_checked += int(np.count_nonzero(scope))
+        np.not_equal(cols.reshape(len(cols), -1, xsize), wheel_cols[wx][:, None, :],
+                     out=differ.reshape(len(cols), -1, xsize))
+        red.note(np.logical_and(scope, differ, out=differ), wlo, order, witness_cap)
+        for wkey, (vs, bit) in special.items():
+            for row in np.flatnonzero(wx == wkey):
+                expected = cols[row, vs::xsize]  # the V masks whose wheel part is vs
+                expected[case1[row, vs::xsize]] = bit
+        eq.note(np.not_equal(cols, cols2, out=differ), wlo, order, witness_cap)
 
     hir = check_hir(gadget.patched_dist, gadget.points, witness_cap)
     ltir = check_property(gadget.patched_dist, "liberal_tir", witness_cap)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from distrev import wheel
 from distrev.costs import INF, OrderMode, check_property
 from distrev.distops import OperatorTable, apply, recheck_chain
 from distrev.errors import BoundExceededError, FamilyError
@@ -22,6 +23,7 @@ from distrev.wheel import (
     find_fresh_rung,
     hamming_operator,
     hamming_proof_fragment,
+    hamming_sweep_bytes,
     proof_fragment,
     verify_hamming_claims,
     verify_wheel_claims,
@@ -112,21 +114,23 @@ def test_patched_distance_costs():
 
 
 def _assert_columns_match_apply(order, dists, side, seed):
-    # every V of 300 seeded random W columns of dists[side], against the
-    # set-level apply (itself checked against a Fraction minimizer in
-    # test_kernels.py)
+    # every V of 300 seeded random W columns of dists[side], read off the
+    # rows of the sweep's blocks, against the set-level apply (itself
+    # checked against a Fraction minimizer in test_kernels.py)
     n = len(order)
     sets = [_labels_of(mask, order) for mask in range(1 << n)]
     index = {lab: i for i, lab in enumerate(order)}
     wanted = set(random.Random(seed).sample(range(1 << n), 300))
     seen = 0
-    for wmask, *cols in _columns(*(distance_int_matrix(d, order) for d in dists)):
-        if wmask not in wanted:
-            continue
-        seen += 1
-        for vmask, bits in enumerate(cols[side].tolist()):
-            got = apply(dists[side], sets[vmask], sets[wmask])
-            assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
+    for wlo, *blocks in _columns(*(distance_int_matrix(d, order) for d in dists)):
+        for row, col in enumerate(blocks[side].tolist()):
+            wmask = wlo + row
+            if wmask not in wanted:
+                continue
+            seen += 1
+            for vmask, bits in enumerate(col):
+                got = apply(dists[side], sets[vmask], sets[wmask])
+                assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
     assert seen == 300
 
 
@@ -167,6 +171,39 @@ def test_corrupted_patched_rung_breaks_equality():
     )
     report = wheel_equality_sweep(gadget.params, gadget.patched_op, corrupted)
     assert not report.passed
+
+
+def _corrupt_rung3(dist):
+    return dist.replaced({("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)})
+
+
+def _sweep_reports(monkeypatch, cells):
+    # the equality reports of both gadgets at m=4, each with a corrupted
+    # patched rung, when a block holds about ``cells`` cells
+    monkeypatch.setattr(wheel, "APPLY_CHUNK_CELLS", cells)
+    gadget = build_wheel_gadget(n=1)
+    g = build_hamming_wheel(n=1)
+    reports = []
+    for cap in (16, 1 << 30):
+        reports.append(wheel_equality_sweep(
+            gadget.params, gadget.patched_op, _corrupt_rung3(gadget.patched_dist),
+            witness_cap=cap))
+        claims = verify_hamming_claims(
+            dataclasses.replace(g, patched_dist=_corrupt_rung3(g.patched_dist)),
+            witness_cap=cap)
+        reports += [claims.equality, claims.reduction]
+    return [(r.pairs_checked, r.mismatches) for r in reports]
+
+
+def test_sweep_block_size_does_not_change_reports(monkeypatch):
+    # one W per block, then one block for the whole table (11 points at
+    # most), against the default block size: the same pair counts and the
+    # same mismatches in the same order, capped and uncapped
+    default = _sweep_reports(monkeypatch, wheel.APPLY_CHUNK_CELLS)
+    abstract, hamming = default[3][1], default[4][1]
+    assert abstract and len(hamming) > 16  # the cap of 16 cuts the Hamming list
+    assert _sweep_reports(monkeypatch, 1) == default
+    assert _sweep_reports(monkeypatch, 1 << 22) == default
 
 
 def _scalar_sampled_mismatches(params, patched_op, patched_dist, sample, seed, cap=16):
@@ -326,6 +363,18 @@ def test_corrupted_hamming_rung_breaks_equality():
     report = verify_hamming_claims(dataclasses.replace(g, patched_dist=corrupted))
     assert not report.equality.passed
     assert not report.passed
+
+
+def test_hamming_sweep_estimate_covers_its_peak():
+    for m in (4, 5):
+        g = build_hamming_wheel(m=m)
+        tracemalloc.start()
+        try:
+            assert verify_hamming_claims(g).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hamming_sweep_bytes(g), m
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():

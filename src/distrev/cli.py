@@ -281,6 +281,7 @@ def cmd_loop(args):
     )
     rep.add("k_max", args.k)
     rep.add("checked", verdict.checked)
+    rep.add("states", verdict.states)
     rep.add("sampled", verdict.sampled)
     rep.add("result", "pass" if verdict.passed else "fail")
     if not verdict.passed:

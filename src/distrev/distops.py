@@ -185,6 +185,7 @@ class LoopVerdict:
     chain: tuple = ()
     checked: int = 0
     sampled: bool = False
+    states: int = 0  # (start, state) pairs the walk reached, over its layers
 
 
 def _premise(op, a, b, c):
@@ -207,56 +208,133 @@ def recheck_chain(op, chain):
     return not _conclusion(op, chain[0], chain[1], chain[k])
 
 
-class _Premises:
-    """Premise tests over indices into ``sets``, filled lazily.
+def _point_premises(op, sets):
+    """premise(a, b, c) over indices into ``sets``, one triple at a time;
+    the operator is consulted once per (V_b, V_a u V_c).  Unions that are
+    members of ``sets`` are keyed by the member, not by a fresh copy."""
+    looked, members = {}, {s: s for s in sets}
 
-    ``premise(a, b, c)`` is memoized under the integer code of the index
-    triple, and the operator is consulted once per (V_b, V_a u V_c).  The
-    walk reads two tables of bitmasks row by row, and fills an entry, None
-    until then, on its first use: ``after[a][b]`` holds every c with
-    premise(a, b, c), and ``between[c][a]`` every b with premise(a, b, c).
+    def premise(a, b, c):
+        union = sets[a] | sets[c]
+        union = members.get(union, union)
+        result = looked.get((b, union))
+        if result is None:
+            result = looked[b, union] = op.lookup(sets[b], union)
+        return bool(result & sets[a])
+
+    return premise
+
+
+def _premise_tensor(op, sets):
+    """The premise tensor: ``P[a, b, c]`` is premise(a, b, c) over indices
+    into ``sets``.  The operator is consulted once per (V_b, union) for each
+    distinct union V_a u V_c, V_b in index order."""
+    n = len(sets)
+    unions = {}
+    union_at = np.array(
+        [[unions.setdefault(sa | sc, len(unions)) for sc in sets] for sa in sets],
+        dtype=np.intp,
+    ).reshape(n, n)
+    points = {p: i for i, p in enumerate(set().union(*sets))}
+
+    def rows(subsets):
+        width = len(points)
+        out = np.zeros((len(subsets), width), dtype=bool)
+        np.put(out, [r * width + points[p] for r, s in enumerate(subsets)
+                     for p in s if p in points], True)
+        return out
+
+    member = rows(sets)
+    P = np.empty((n, n, n), dtype=bool)
+    for b in range(n):
+        looked = rows([op.lookup(sets[b], union) for union in unions])
+        P[:, b, :] = (looked[union_at] & member[:, None, :]).any(axis=2)
+    return P
+
+
+def _first_start(hits):
+    """The first start (i0, i1) in index order marked in the square boolean
+    array ``hits``, or None."""
+    at = np.flatnonzero(hits)
+    return tuple(int(i) for i in divmod(at[0], len(hits))) if len(at) else None
+
+
+def _layer_one(q):
+    """The first start (i0, i1) whose chain of k = 1 is a counterexample,
+    where ``q[a, b]`` is premise(a, b, a): premise 1 is q[i0, i1] and the
+    conclusion q[i1, i0]."""
+    return _first_start(q & ~q.T)
+
+
+def _walk(P, k_max):
+    """The index chain of least k <= k_max whose premises hold and whose
+    conclusion fails, lexicographically first at that k, or None; with the
+    number of (start, state) pairs the walk reached, summed over its layers.
+
+    Layer j holds, for every start (V_0, V_1), the premise states
+    (V_{j-1}, V_j) reachable through premises 1..j-1.  Layer 1, the starts
+    themselves, is read off ``P`` for all starts at once.  From layer 2 on,
+    starts go in blocks of about ``APPLY_CHUNK_CELLS`` (start, state)
+    cells, each further layer one batched float32 matmul read as ``> 0``
+    (its sums of 0/1 values are exact), and each block searches only for a
+    k below the best one found.
     """
+    n = len(P)
+    if k_max < 1 or n == 0:
+        return None, 0
+    ar = np.arange(n)
+    found, states = _layer_one(P[ar, :, ar]), n * n
+    if found:
+        return found, states
+    fails = ~P.transpose(1, 0, 2)  # fails[i0, i1, c]: the conclusion fails at V_k = c
+    close = P.transpose(2, 0, 1)  # close[i0, b, c]: premise k, P[b, c, i0], holds
+    step = np.ascontiguousarray(P.transpose(1, 0, 2), dtype=np.float32)  # [b, a, c]
+    block = max(1, APPLY_CHUNK_CELLS // n ** 3)
+    best = None
+    for lo in range(0, n, block):
+        k_top = k_max if best is None else best[0] - 1
+        if k_top < 2:
+            break
+        s = min(block, n - lo)
+        x = np.arange(s * n)
+        # reached[b, x, c]: state (b, c) reached from start x = (i0, i1);
+        # layer 2 is (i1, c) for every c with premise 1
+        reached = np.zeros((n, s * n, n), dtype=bool)
+        reached[x % n, x] = P[lo:lo + s].reshape(s * n, n)
+        # shut[b, i0, i1, c]: state (b, c) at depth k closes a counterexample
+        shut = close[lo:lo + s].transpose(1, 0, 2)[:, :, None, :] & fails[None, lo:lo + s]
+        for k in range(2, k_top + 1):
+            if k > 2:
+                layer = np.ascontiguousarray(reached.transpose(2, 1, 0), dtype=np.float32)
+                reached = np.matmul(layer, step) > 0
+            count = int(np.count_nonzero(reached))
+            states += count
+            hit = (reached.reshape(n, s, n, n) & shut).any(axis=(0, 3))
+            if hit.any():
+                best = (k, *divmod(lo * n + int(np.argmax(hit)), n))
+                break
+            if not count:
+                break
+    if best is None:
+        return None, states
+    k, i0, i1 = best
+    return _chain(P, i0, i1, k), states
 
-    def __init__(self, op, sets):
-        n = self.n = len(sets)
-        self.op, self.sets = op, sets
-        self.memo, self.looked = {}, {}
-        self.after = [[None] * n for _ in range(n)]
-        self.between = [[None] * n for _ in range(n)]
 
-    def premise(self, a, b, c):
-        key = (a * self.n + b) * self.n + c
-        hit = self.memo.get(key)
-        if hit is None:
-            sets = self.sets
-            union = sets[a] | sets[c]
-            result = self.looked.get((b, union))
-            if result is None:
-                result = self.looked[b, union] = self.op.lookup(sets[b], union)
-            hit = self.memo[key] = bool(result & sets[a])
-        return hit
-
-    def after_of(self, a, b):
-        mask = self.after[a][b]
-        if mask is None:
-            mask = sum(1 << c for c in range(self.n) if self.premise(a, b, c))
-            self.after[a][b] = mask
-        return mask
-
-    def between_of(self, a, c):
-        mask = self.between[c][a]
-        if mask is None:
-            mask = sum(1 << b for b in range(self.n) if self.premise(a, b, c))
-            self.between[c][a] = mask
-        return mask
-
-
-def _bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _chain(P, i0, i1, k):
+    """The lexicographically first counterexample chain of length k from
+    the start (i0, i1): a greedy forward pass over backward sets, where
+    ``can[j][a, b]`` holds when from state (a, b) at depth j the premises
+    can still carry on to a V_k that closes the ring and fails the
+    conclusion."""
+    can = {k: P[:, :, i0] & ~P[i1, i0]}
+    for j in range(k - 1, 1, -1):
+        can[j] = (P & can[j + 1]).any(axis=2)
+    chain = [i0, i1]
+    for j in range(2, k + 1):
+        a, b = chain[-2:]
+        chain.append(int(np.argmax(P[a, b] & can[j][b])))
+    return tuple(chain)
 
 
 def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
@@ -265,79 +343,38 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     One walk covers every k whose chain space fits the budget; each larger
     k is uniformly sampled with a fixed seed.  Returns the first
     counterexample found, in deterministic order.  The search runs over
-    indices into the sorted family.
+    indices into the sorted family.  The premise tensor is built only when
+    the walk reaches k = 2; a walk of k = 1 reads just premise(a, b, a).
     """
     sets = validate_family(op.universe, family)
     sets = sorted(sets, key=sorted)
     n = len(sets)
-    premises = _Premises(op, sets)
     k_walk = 0
     while k_walk < k_max and n ** (k_walk + 2) <= budget:
         k_walk += 1
-    found = _walk(premises, k_walk)
+    if k_walk >= 2:
+        P = _premise_tensor(op, sets)
+        found, states = _walk(P, k_walk)
+
+        def premise(a, b, c):
+            return P[a, b, c]
+    else:
+        premise = _point_premises(op, sets)
+        found, states = None, 0
+        if k_walk == 1:
+            q = np.array([[premise(a, b, a) for b in range(n)] for a in range(n)],
+                         dtype=bool).reshape(n, n)
+            found, states = _layer_one(q), n * n
     k = len(found) - 1 if found else k_walk
     checked = sum(n ** (j + 1) for j in range(1, k + 1))
     while found is None and k < k_max:
         k += 1
-        found = _loop_sampled(premises.premise, n, k, samples, seed)
+        found = _loop_sampled(premise, n, k, samples, seed)
         checked += samples
+    sampled = k > k_walk
     if found is None:
-        return LoopVerdict(True, k_max, (), checked, k > k_walk)
-    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, k > k_walk)
-
-
-def _walk(premises, k_max):
-    """The index chain of least k <= k_max whose premises hold and whose
-    conclusion fails, lexicographically first at that k, or None.
-
-    Starts (V_0, V_1) go in index order, and each start searches only for
-    a k below the best one found so far.
-    """
-    best = None
-    n = premises.n
-    for i0 in range(n):
-        for i1 in range(n):
-            k_top = k_max if best is None else len(best) - 2
-            if k_top < 1:
-                return best
-            best = _walk_from(premises, i0, i1, k_top) or best
-    return best
-
-
-def _walk_from(premises, i0, i1, k_top):
-    """Breadth-first walk from the start (V_0, V_1) over premise states
-    (V_{j-1}, V_j), where premise j moves (a, b) to (b, c) for each c in
-    ``after[a][b]``.  Expanding a state only the first time it is reached
-    keeps, per state, its lexicographically first shortest path; the last
-    position V_k is read off bitmasks rather than a layer of states."""
-    after = premises.after
-    closing = premises.between[i0]  # closing[b]: every x with premise(b, x, i0)
-    fails = ~premises.after_of(i1, i0)  # the V_k for which the conclusion fails
-    if (premises.between_of(i0, i0) & fails) >> i1 & 1:  # k = 1, where V_k is V_1
-        return (i0, i1)
-    layer = [(i0, i1)]
-    seen = [0] * premises.n  # seen[b] holds every c with (b, c) reached
-    seen[i0] = 1 << i1
-    for k in range(2, k_top + 1):
-        grown = []
-        for path in layer:
-            a, b = path[-2:]
-            step = after[a][b]
-            if step is None:
-                step = premises.after_of(a, b)
-            close = closing[b]
-            if close is None:
-                close = premises.between_of(b, i0)
-            # V_k meets premises k-1 and k and fails the conclusion
-            hits = step & close & fails
-            if hits:
-                return path + ((hits & -hits).bit_length() - 1,)
-            fresh = step & ~seen[b]
-            if fresh and k < k_top:
-                grown += [path + (c,) for c in _bits(fresh)]
-                seen[b] |= fresh
-        layer = grown
-    return None
+        return LoopVerdict(True, k_max, (), checked, sampled, states)
+    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, sampled, states)
 
 
 def _rechecked(op, sets, found):
@@ -367,7 +404,8 @@ def find_loop_violation(op, sets, k_max):
     sets: no closure requirement and no budget, the walk of ``check_loop``
     up to ``k_max``."""
     sets = sorted({_canon(s) for s in sets if s}, key=sorted)
-    found = _walk(_Premises(op, sets), k_max)
+    found, states = _walk(_premise_tensor(op, sets), k_max)
     if found is None:
-        return LoopVerdict(True, k_max)
-    return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found))
+        return LoopVerdict(True, k_max, states=states)
+    return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found),
+                       states=states)

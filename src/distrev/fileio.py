@@ -1,5 +1,5 @@
-"""Structured-text file formats: distances, operator tables, set families,
-theories, and truth-value matrices.
+"""Structured-text file formats: distances, operator tables, set families
+and theories.
 
 All formats are line-oriented; ``#`` starts a comment and blank lines are
 ignored.  The empty set is written ``-``.
@@ -12,7 +12,7 @@ import os
 from .costs import OrderMode, PseudoDistance, format_cost, parse_cost
 from .distops import OperatorTable
 from .errors import FileFormatError
-from .logic import Matrix, parse_formula
+from .logic import parse_formula
 
 
 def _logical_lines(text):
@@ -193,44 +193,3 @@ def parse_theory_file(text):
 def load_theory_file(path):
     with open(path, encoding="utf-8") as fh:
         return parse_theory_file(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Matrices
-
-
-def parse_matrix(text):
-    """values and designated headers, then ``[table <name>]`` sections with
-    ``x y -> z`` rows (argument labels, ``->``, result label)."""
-    lines = list(_logical_lines(text))
-    if len(lines) < 2:
-        raise FileFormatError("matrix file needs values and designated headers")
-    values = _labels(_header(lines[0][1], "values", lines[0][0]))
-    designated = frozenset(_labels(_header(lines[1][1], "designated", lines[1][0])))
-    tables = {}
-    current = None
-    for lineno, line in lines[2:]:
-        if line.startswith("[table ") and line.endswith("]"):
-            current = line[len("[table "):-1].strip()
-            if current in tables:
-                raise FileFormatError(f"line {lineno}: duplicate table {current!r}")
-            tables[current] = {}
-            continue
-        if current is None:
-            raise FileFormatError(f"line {lineno}: row outside any [table] section")
-        try:
-            args, result = line.rsplit("->", 1)
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: expected 'args -> value'") from exc
-        key = tuple(args.split())
-        result = result.strip()
-        for lab in key + (result,):
-            if lab not in values:
-                raise FileFormatError(f"line {lineno}: unknown value {lab!r}")
-        tables[current][key] = result
-    return Matrix(values=values, designated=designated, tables=tables)
-
-
-def load_matrix(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())

@@ -376,20 +376,6 @@ def models(gamma, signature, matrix=CLASSICAL):
     return frozenset(result)
 
 
-def theory_entails(model_set, phi, matrix=CLASSICAL):
-    """True iff every valuation in ``model_set`` satisfies ``phi``."""
-    return all(satisfies(v, phi, matrix) for v in model_set)
-
-
-def is_consistent(gamma, signature, matrix=CLASSICAL):
-    return bool(models(gamma, signature, matrix))
-
-
-def disj_product(gamma, delta):
-    """All pairwise disjunctions; its models are models(gamma) | models(delta)."""
-    return frozenset(Or(a, b) for a in gamma for b in delta)
-
-
 def hamming_diff(v, w):
     """The set of atoms on which two valuations of one signature differ."""
     if v.atoms != w.atoms:

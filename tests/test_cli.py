@@ -144,6 +144,8 @@ def test_loop_with_family(workdir, hamming_file, capsys):
     assert main(["loop", str(op_path), "--k", "2", "--family", fam]) == 0
     out = capsys.readouterr().out
     assert "result: pass" in out
+    assert "checked: 36\n" in out  # 3^2 + 3^3 chains
+    assert "states: 32\n" in out  # 9 starts, then 23 states at depth 2
 
 
 def test_loop_malformed_family_exits_2(workdir, hamming_file):

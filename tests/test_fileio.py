@@ -13,7 +13,6 @@ from distrev.fileio import (
     load_operator_table,
     parse_distance,
     parse_family,
-    parse_matrix,
     parse_operator_table,
     parse_theory_file,
     save_distance,
@@ -131,29 +130,3 @@ def test_theory_file():
         parse_theory_file("atoms: p\nq\n")  # unknown atom
     with pytest.raises(FileFormatError):
         parse_theory_file("")
-
-
-def test_matrix_file():
-    text = """
-    values: 0 1
-    designated: 1
-    [table not]
-    0 -> 1
-    1 -> 0
-    [table and]
-    0 0 -> 0
-    0 1 -> 0
-    1 0 -> 0
-    1 1 -> 1
-    [table true]
-    -> 1
-    """
-    matrix = parse_matrix(text)
-    assert matrix.table("not")[("0",)] == "1"
-    assert matrix.table("true")[()] == "1"
-    with pytest.raises(FileFormatError):
-        parse_matrix("values: 0 1\ndesignated: 1\n0 -> 1\n")  # row w/o table
-    with pytest.raises(FileFormatError):
-        parse_matrix(
-            "values: 0 1\ndesignated: 1\n[table not]\n0 -> 9\n"
-        )  # unknown value

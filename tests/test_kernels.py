@@ -178,6 +178,77 @@ def test_check_loop_matches_lexicographic_enumeration(case):
             assert verdict.k == k
 
 
+class _CachedLookups:
+    """An operator whose lookups are memoized, so that brute-force chain
+    enumeration stays fast."""
+
+    def __init__(self, op):
+        self.op, self.universe, self.memo = op, op.universe, {}
+
+    def lookup(self, vset, wset):
+        key = (vset, wset)
+        if key not in self.memo:
+            self.memo[key] = self.op.lookup(vset, wset)
+        return self.memo[key]
+
+
+def _reached_states(op, sets, k):
+    """(start, state) pairs reachable at depths 1..k, summed over depths: a
+    state (V_{j-1}, V_j) at depth j has premises 1..j-1 holding."""
+    total = 0
+    for v0, v1 in itertools.product(sets, repeat=2):
+        layer = {(v0, v1)}
+        for _ in range(k):
+            total += len(layer)
+            layer = {(b, c) for a, b in layer for c in sets
+                     if op.lookup(b, a | c) & a}
+    return total
+
+
+@st.composite
+def candidate_operators(draw):
+    """Operators over 2-3 points, asymmetric or symmetric backings with a
+    few explicit entries, and candidate sets drawn without any closure."""
+    universe = POINTS[:draw(st.integers(2, 3))]
+    subsets = [frozenset(c) for r in range(1, len(universe) + 1)
+               for c in itertools.combinations(universe, r)]
+    symmetric = draw(st.booleans())
+    table = {}
+    for i, v in enumerate(universe):
+        for w in universe[i:]:
+            table[v, w] = F(0) if v == w else draw(st.sampled_from(COSTS[1:]))
+            table[w, v] = table[v, w] if symmetric else draw(st.sampled_from(COSTS[1:]))
+    dist = PseudoDistance(universe, OrderMode.REAL, table)
+    entries = {}
+    for _ in range(draw(st.integers(0, 4))):
+        vset, wset = draw(st.sampled_from(subsets)), draw(st.sampled_from(subsets))
+        entries[vset, wset] = frozenset(
+            draw(st.sets(st.sampled_from(sorted(wset)), min_size=0))
+        )
+    sets = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6, unique=True))
+    return OperatorTable(universe, entries, backing=dist), sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_operators(), st.sampled_from((5, 4, 3, 2, 1)), st.integers(1, 400))
+def test_find_loop_violation_matches_enumeration_on_unclosed_sets(case, k_max, cells):
+    op, sets = case
+    cached = _CachedLookups(op)
+    k, chain, _ = _first_chain_brute_force(cached, sets, k_max)
+    # at the default chunk size every family here fits one block of
+    # starts, so the walk reaches every state at every depth up to the k
+    # it stops at
+    verdict = find_loop_violation(op, sets, k_max)
+    assert verdict.states == _reached_states(cached, sorted(sets, key=sorted), verdict.k)
+    # a chunk size drawn small enough that the starts span several blocks
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+        blocked = find_loop_violation(op, sets, k_max)
+    for verdict in (verdict, blocked):
+        assert verdict.passed == (k is None)
+        assert verdict.chain == chain
+        assert verdict.k == (k_max if k is None else k)
+
+
 def _naive_extensions(signature, matrix):
     """Fixpoint of the connectives over value tuples, one pair at a time."""
     vals = enumerate_valuations(signature, matrix)

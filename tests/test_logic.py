@@ -18,17 +18,14 @@ from distrev.logic import (
     Or,
     canonical_dnf,
     definable_model_sets,
-    disj_product,
     enumerate_valuations,
     eval_formula,
     formula_to_text,
     hamming_diff,
-    is_consistent,
     make_valuation,
     models,
     parse_formula,
     satisfies,
-    theory_entails,
 )
 
 SIG = ("p", "q", "r")
@@ -115,18 +112,7 @@ def test_models_and_consistency():
     gamma = [parse_formula("p & q")]
     ms = models(gamma, ("p", "q"))
     assert [v.label() for v in ms] == ["11"]
-    assert is_consistent(gamma, ("p", "q"))
-    assert not is_consistent([parse_formula("p & !p")], ("p", "q"))
-    assert theory_entails(ms, parse_formula("p"))
-    assert not theory_entails(models([], ("p", "q")), parse_formula("p"))
-
-
-def test_disj_product_models_are_union():
-    sig = ("p", "q")
-    g1 = [parse_formula("p")]
-    g2 = [parse_formula("!q")]
-    union = set(models(g1, sig)) | set(models(g2, sig))
-    assert set(models(disj_product(g1, g2), sig)) == union
+    assert not models([parse_formula("p & !p")], ("p", "q"))
 
 
 def test_hamming_diff():

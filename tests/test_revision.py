@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,33 @@ def test_star_loop_violated_by_per_source_orders():
         if not verdict.passed:
             return
     pytest.fail("no chain violation found across 30 seeds")
+
+
+def test_star_loop_walks_k1_on_point_premises():
+    # 3 atoms: 255 model sets, so the budget admits only the k = 1 walk
+    # (n^2 <= 10^6 < n^3).  It needs premise(a, b, a) for every start, 2n^2
+    # premises; filling whole premise rows instead reads n^3 = 16.6M of them
+    # (about 180 s at a 1.35 GiB peak).
+    sig = ("p", "q", "r")
+    universe = valuation_universe(sig)
+    rng = random.Random(11)
+    table = {}
+    for i, v in enumerate(universe):
+        for w in universe[i:]:
+            table[v, w] = table[w, v] = F(0) if v == w else F(rng.randrange(1, 16), 4)
+    op = RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        verdict = check_star_loop(op, k_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - began
+    assert (verdict.passed, verdict.k, verdict.checked, verdict.sampled) == (True, 3, 85025, True)
+    assert verdict.states == 255 ** 2
+    assert peak < 64 << 20
+    assert elapsed < 60
 
 
 def test_disjunction_iteration_passes_for_hamming():

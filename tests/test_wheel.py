@@ -7,7 +7,7 @@ import pytest
 
 from distrev import wheel
 from distrev.costs import INF, OrderMode, check_property
-from distrev.distops import OperatorTable, apply, recheck_chain
+from distrev.distops import OperatorTable, apply, find_loop_violation, recheck_chain
 from distrev.errors import BoundExceededError, FamilyError
 from distrev.realizability import solve_table
 from distrev.wheel import (
@@ -24,6 +24,7 @@ from distrev.wheel import (
     hamming_operator,
     hamming_proof_fragment,
     hamming_sweep_bytes,
+    loop_family_generators,
     proof_fragment,
     verify_hamming_claims,
     verify_wheel_claims,
@@ -160,6 +161,24 @@ def test_loop_chain_is_independently_checkable():
     gadget = build_wheel_gadget(n=1)
     report = verify_wheel_claims(gadget)
     assert recheck_chain(gadget.op, report.loop.chain)
+
+
+def test_loop_walk_memory_stays_within_chunks():
+    # m = 10: 40 candidate sets, 2.56M (start, state) cells.  One float32
+    # layer of the unchunked walk alone is 10 MiB, so an 8 MiB bound fails
+    # it; the walk in blocks of starts peaks near 3 MiB.
+    gadget = build_wheel_gadget(m=10)
+    sets = loop_family_generators(gadget.params)
+    assert len(sets) == 40
+    tracemalloc.start()
+    try:
+        verdict = find_loop_violation(gadget.op, sets, 2 * gadget.params.m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.passed and verdict.k == 19
+    assert recheck_chain(gadget.op, verdict.chain)
+    assert peak < 8 << 20
 
 
 def test_corrupted_patched_rung_breaks_equality():
@@ -378,7 +397,7 @@ def test_hamming_sweep_estimate_covers_its_peak():
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
-    g = build_hamming_wheel(m=7)  # a 2 GiB wheel-only table
+    g = build_hamming_wheel(m=7)  # a 1 GiB wheel-only table
     tracemalloc.start()
     try:
         with pytest.raises(BoundExceededError):

@@ -3,6 +3,7 @@ and loop condition checkers."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -73,6 +74,29 @@ def apply_rows(dist, vrows, wrows, order=None):
     return out
 
 
+def _membership_rows(sets, order):
+    """One boolean row per set, its columns in ``order``; members outside
+    ``order`` are dropped."""
+    index = {p: i for i, p in enumerate(order)}
+    width = len(order)
+    out = np.zeros((len(sets), width), dtype=bool)
+    np.put(out, [r * width + index[p] for r, s in enumerate(sets)
+                 for p in s if p in index], True)
+    return out
+
+
+def _row_sets(rows, order):
+    """The set of each boolean row, over the points ``order``."""
+    return [frozenset(itertools.compress(order, row)) for row in np.asarray(rows).tolist()]
+
+
+def _row_keys(rows):
+    """Each boolean row packed into bytes: an array of keys, one per row,
+    that compare, sort and search as their sets' bits."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
 def _canon(s):
     return frozenset(s)
 
@@ -105,6 +129,39 @@ class OperatorTable:
         if self.backing is not None:
             return apply(self.backing, *key)
         raise UndefinedPairError(f"no entry for pair {sorted(key[0])}|{sorted(key[1])}")
+
+    def lookup_rows(self, vrows, wrows, order):
+        """Batch form of ``lookup`` over P pairs given as boolean membership
+        rows, their columns in ``order``: the backing's ``apply_rows``, with
+        each explicit entry over the rows of its pair, matched by packed row
+        keys.  Without a backing an unmatched pair raises
+        ``UndefinedPairError``, the first one in row order."""
+        vrows = np.asarray(vrows, dtype=bool)
+        wrows = np.asarray(wrows, dtype=bool)
+        if self.backing is not None:
+            out = apply_rows(self.backing, vrows, wrows, order)
+        else:
+            out = np.zeros(wrows.shape, dtype=bool)
+        inside = set(order)
+        keys = [key for key in self.entries if key[0] <= inside and key[1] <= inside]
+        hit = np.zeros(len(out), dtype=bool)
+        if keys and len(out):
+            entry_keys = _row_keys(np.hstack([
+                _membership_rows([v for v, _ in keys], order),
+                _membership_rows([w for _, w in keys], order),
+            ]))
+            by_key = np.argsort(entry_keys)
+            entry_keys = entry_keys[by_key]
+            pair_keys = _row_keys(np.hstack([vrows, wrows]))
+            at = np.minimum(np.searchsorted(entry_keys, pair_keys), len(keys) - 1)
+            hit = entry_keys[at] == pair_keys
+            results = _membership_rows([self.entries[keys[i]] for i in by_key], order)
+            out[hit] = results[at[hit]]
+        if self.backing is None and not hit.all():
+            p = int(np.argmin(hit))
+            (v,), (w,) = _row_sets(vrows[p:p + 1], order), _row_sets(wrows[p:p + 1], order)
+            raise UndefinedPairError(f"no entry for pair {sorted(v)}|{sorted(w)}")
+        return out
 
     def sorted_entries(self):
         return sorted(
@@ -225,31 +282,44 @@ def _point_premises(op, sets):
     return premise
 
 
+def _family_order(op, sets):
+    """The points of ``sets`` in ``op.universe`` order: the columns of the
+    loop search's membership rows."""
+    points = set().union(*sets)
+    return tuple(p for p in op.universe if p in points)
+
+
 def _premise_tensor(op, sets):
     """The premise tensor: ``P[a, b, c]`` is premise(a, b, c) over indices
-    into ``sets``.  The operator is consulted once per (V_b, union) for each
-    distinct union V_a u V_c, V_b in index order."""
+    into ``sets``.  One ``lookup_rows`` batch asks the operator about each
+    (V_b, union) for each distinct union V_a u V_c, V_b the outer order."""
     n = len(sets)
     unions = {}
     union_at = np.array(
         [[unions.setdefault(sa | sc, len(unions)) for sc in sets] for sa in sets],
         dtype=np.intp,
     ).reshape(n, n)
-    points = {p: i for i, p in enumerate(set().union(*sets))}
-
-    def rows(subsets):
-        width = len(points)
-        out = np.zeros((len(subsets), width), dtype=bool)
-        np.put(out, [r * width + points[p] for r, s in enumerate(subsets)
-                     for p in s if p in points], True)
-        return out
-
-    member = rows(sets)
+    order = _family_order(op, sets)
+    member = _membership_rows(sets, order)
+    looked = op.lookup_rows(
+        np.repeat(member, len(unions), axis=0),
+        np.tile(_membership_rows(list(unions), order), (n, 1)),
+        order,
+    ).reshape(n, len(unions), len(order))
     P = np.empty((n, n, n), dtype=bool)
     for b in range(n):
-        looked = rows([op.lookup(sets[b], union) for union in unions])
-        P[:, b, :] = (looked[union_at] & member[:, None, :]).any(axis=2)
+        P[:, b, :] = (looked[b][union_at] & member[:, None, :]).any(axis=2)
     return P
+
+
+def _layer_one_premises(op, sets):
+    """``q[a, b]``, premise(a, b, a) over indices into ``sets``, from one
+    ``lookup_rows`` batch of the (V_b, V_a) pairs, V_a the outer order."""
+    n = len(sets)
+    order = _family_order(op, sets)
+    member = _membership_rows(sets, order)
+    looked = op.lookup_rows(np.tile(member, (n, 1)), np.repeat(member, n, axis=0), order)
+    return (looked.reshape(n, n, len(order)) & member[:, None, :]).any(axis=2)
 
 
 def _first_start(hits):
@@ -345,6 +415,7 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     counterexample found, in deterministic order.  The search runs over
     indices into the sorted family.  The premise tensor is built only when
     the walk reaches k = 2; a walk of k = 1 reads just premise(a, b, a).
+    The sampler draws its chains in bulk and reads premises one at a time.
     """
     sets = validate_family(op.universe, family)
     sets = sorted(sets, key=sorted)
@@ -362,9 +433,7 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
         premise = _point_premises(op, sets)
         found, states = None, 0
         if k_walk == 1:
-            q = np.array([[premise(a, b, a) for b in range(n)] for a in range(n)],
-                         dtype=bool).reshape(n, n)
-            found, states = _layer_one(q), n * n
+            found, states = _layer_one(_layer_one_premises(op, sets)), n * n
     k = len(found) - 1 if found else k_walk
     checked = sum(n ** (j + 1) for j in range(1, k + 1))
     while found is None and k < k_max:
@@ -387,11 +456,32 @@ def _rechecked(op, sets, found):
     return chain
 
 
+def _draws(rng, n, count):
+    """The indices of ``count`` successive ``rng.choice`` calls on a
+    sequence of length ``n``, 1 <= n <= 2**32, drawn in bulk.
+
+    A choice keeps the top ``n.bit_length()`` bits of one 32-bit Mersenne
+    Twister word and draws again while they read n or more;
+    ``rng.getrandbits(32 * m)`` returns the next m words, the first in the
+    lowest bits.  Rejections are topped up from further words, so ``rng``
+    may end up past where the single calls would have left it."""
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"cannot draw indices below {n}")
+    k = n.bit_length()
+    kept, have = [np.zeros(0, dtype="<u4")], 0
+    while have < count:
+        m = -(-(count - have) * (1 << k) // n)  # words for the draws expected
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
+                              dtype="<u4") >> (32 - k)
+        kept.append(words[words < n])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:count].astype(np.intp)
+
+
 def _loop_sampled(premise, n, k, samples, seed):
-    rng = random.Random(f"{seed}:{k}")
-    indices = range(n)
-    for _ in range(samples):
-        chain = tuple(rng.choice(indices) for _ in range(k + 1))
+    draws = _draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1))
+    for chain in draws.reshape(samples, k + 1).tolist():
+        chain = tuple(chain)
         ring = chain + chain[:1]
         if all(premise(ring[i - 1], ring[i], ring[i + 1]) for i in range(1, k + 1)):
             if not premise(chain[1], chain[0], chain[k]):

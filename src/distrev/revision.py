@@ -15,7 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from .costs import OrderMode, PropertyReport, PseudoDistance
-from .distops import apply, apply_rows, check_loop
+from .distops import (
+    _draws,
+    _membership_rows,
+    _row_keys,
+    _row_sets,
+    apply,
+    apply_rows,
+    check_loop,
+)
 from .errors import InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
@@ -100,6 +108,15 @@ class RevisionOperator:
                 self._cache[key] = frozenset(self.fn(*key))
         return self._cache[key]
 
+    def revise_rows(self, vrows, wrows, order):
+        """Batch form of ``revise_models`` over P pairs given as boolean
+        membership rows, their columns in ``order``: one ``apply_rows`` for
+        a distance, else ``revise_models`` once per row, in row order."""
+        if self.dist is not None:
+            return apply_rows(self.dist, vrows, wrows, order)
+        pairs = zip(_row_sets(vrows, order), _row_sets(wrows, order))
+        return _membership_rows([self.revise_models(v, w) for v, w in pairs], order)
+
     @classmethod
     def from_distance(cls, dist, signature):
         return cls(tuple(signature), dist=dist)
@@ -124,9 +141,11 @@ def per_source_order_operator(signature, matrix=CLASSICAL, seed=0):
     """A sphere-style operator: each source model set gets its own arbitrary
     preference order over the valuations, and revision picks the preferred
     models of the input.  Satisfies inclusion by construction but, lacking a
-    single global distance, can break the iterated-disjunction properties."""
+    single global distance, can break the iterated-disjunction properties.
+    Each order is drawn from a generator seeded by ``seed`` and the source's
+    valuation indices, so answers do not depend on the order of queries."""
     universe = valuation_universe(signature, matrix)
-    rng = random.Random(seed)
+    index = {v: i for i, v in enumerate(universe)}
     orders = {}
 
     def fn(vset, wset):
@@ -134,6 +153,7 @@ def per_source_order_operator(signature, matrix=CLASSICAL, seed=0):
         if not vset or not wset:
             return frozenset()
         if vset not in orders:
+            rng = random.Random(f"{seed}:{sorted(index[v] for v in vset)}")
             # few rank levels on purpose: ties let the disjunctive branch
             # reach source sets with genuinely unrelated orders
             orders[vset] = {v: rng.randrange(2) for v in universe}
@@ -166,43 +186,56 @@ def _labels(*model_sets):
     return tuple(_label(s) for s in model_sets)
 
 
+def _pair_rows(rows):
+    """Every ordered pair of ``rows``, the first member the outer order."""
+    pick = np.arange(len(rows))
+    return rows[np.repeat(pick, len(rows))], rows[np.tile(pick, len(rows))]
+
+
 def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     """Check the five revision postulates at the model-set level.
 
     Invariance under re-presentation and deductive closure are exhaustive
-    over all consistent pairs; the composite postulate about conjoining
-    extra information is sampled over triples with a fixed seed.
+    over all consistent pairs, revised in one ``revise_rows`` batch; the
+    composite postulate about conjoining extra information is sampled over
+    triples with a fixed seed, and only the samples it constrains are
+    revised again, in a second batch.
     """
     sig = op.signature
     sets = nonempty_model_sets(sig, matrix)
+    order = valuation_universe(sig, matrix)
+    n = len(sets)
     reports = {
         name: PropertyReport(name, True, witness_cap=witness_cap)
         for name in ("star0", "star1", "star2", "star3", "star4")
     }
+    rows = _membership_rows(sets, order)
+    vrows, wrows = _pair_rows(rows)
+    result = op.revise_rows(vrows, wrows, order)
     # invariance: rebuilding the arguments from their canonical formulas
-    # must not change the outcome; each set makes the round trip once
-    trip = {s: frozenset(models([canonical_dnf(s, sig)], sig, matrix)) for s in sets}
-    for vset in sets:
-        for wset in sets:
-            result = op.revise_models(vset, wset)
-            v2, w2 = trip[vset], trip[wset]
-            if (v2, w2) != (vset, wset) or op.revise_models(v2, w2) != result:
-                reports["star0"].record((_label(vset), _label(wset)))
-            if not result:
-                reports["star1"].record((_label(vset), _label(wset)))
-            if not result <= wset:
-                reports["star2"].record((_label(vset), _label(wset)))
-            if vset & wset and result != vset & wset:
-                reports["star3"].record((_label(vset), _label(wset)))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        vset = rng.choice(sets)
-        wset = rng.choice(sets)
-        w2 = rng.choice(sets)
-        result = op.revise_models(vset, wset)
-        if result & w2:
-            if op.revise_models(vset, wset & w2) != result & w2:
-                reports["star4"].record((_label(vset), _label(wset), _label(w2)))
+    # must not change the outcome; each set makes the round trip once.  A
+    # pair that comes back unchanged is the same question again, so only a
+    # pair with a moved set can fail it.
+    trip = _membership_rows(
+        [models([canonical_dnf(s, sig)], sig, matrix) for s in sets], order)
+    moved = (trip != rows).any(axis=1)
+    both = vrows & wrows
+    failed = {
+        "star0": (moved[:, None] | moved[None, :]).ravel(),
+        "star1": ~result.any(axis=1),
+        "star2": (result & ~wrows).any(axis=1),
+        "star3": both.any(axis=1) & (result != both).any(axis=1),
+    }
+    for name, bad in failed.items():
+        for p in np.flatnonzero(bad):
+            reports[name].record(_labels(sets[p // n], sets[p % n]))
+    draws = _draws(random.Random(seed), n, 3 * samples).reshape(samples, 3)
+    first = result.reshape(n, n, -1)[draws[:, 0], draws[:, 1]] & rows[draws[:, 2]]
+    live = np.flatnonzero(first.any(axis=1))
+    again = op.revise_rows(rows[draws[live, 0]],
+                           rows[draws[live, 1]] & rows[draws[live, 2]], order)
+    for i in live[(again != first[live]).any(axis=1)]:
+        reports["star4"].record(_labels(*(sets[j] for j in draws[i])))
     return reports
 
 
@@ -216,6 +249,9 @@ class _ModelSetOperator:
 
     def lookup(self, vset, wset):
         return self.op.revise_models(vset, wset)
+
+    def lookup_rows(self, vrows, wrows, order):
+        return self.op.revise_rows(vrows, wrows, order)
 
 
 def check_star_loop(op, k_max=3, matrix=CLASSICAL, budget=10**6,
@@ -244,37 +280,26 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     """
     sig = op.signature
     sets = nonempty_model_sets(sig, matrix)
-    rng = random.Random(seed)
-    rep1 = PropertyReport("disjunction_iteration_1", True, witness_cap=witness_cap)
-    rep2 = PropertyReport("disjunction_iteration_2", True, witness_cap=witness_cap)
-    for _ in range(samples):
-        gamma = rng.choice(sets)
-        alpha = rng.choice(sets)
-        beta = rng.choice(sets)
-        delta = rng.choice(sets)
-        r_a = op.revise_models(op.revise_models(gamma, alpha), delta)
-        r_b = op.revise_models(op.revise_models(gamma, beta), delta)
-        r_or = op.revise_models(op.revise_models(gamma, alpha | beta), delta)
-        if not r_or <= (r_a | r_b):
-            rep1.record(_labels(gamma, alpha, beta, delta))
-        if not (r_a <= r_or or r_b <= r_or):
-            rep2.record(_labels(gamma, alpha, beta, delta))
-    return {"disjunction_iteration_1": rep1, "disjunction_iteration_2": rep2}
-
-
-def _membership_rows(model_sets, points):
-    """One boolean row per model set, over ``points``."""
-    index = {p: i for i, p in enumerate(points)}
-    rows = np.zeros((len(model_sets), len(points)), dtype=bool)
-    for r, s in enumerate(model_sets):
-        rows[r, [index[v] for v in s]] = True
-    return rows
-
-
-def _row_keys(rows):
-    """Each boolean row packed into bytes, a hashable key of its set."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    order = valuation_universe(sig, matrix)
+    rows = _membership_rows(sets, order)
+    draws = _draws(random.Random(seed), len(sets), 4 * samples).reshape(samples, 4)
+    gamma, alpha, beta, delta = (rows[draws[:, i]] for i in range(4))
+    # per sample the three branches alpha, beta and alpha v beta: revise
+    # gamma by each in one batch, then each outcome by delta in another
+    branches = np.stack([alpha, beta, alpha | beta], axis=1).reshape(3 * samples, -1)
+    first = op.revise_rows(np.repeat(gamma, 3, axis=0), branches, order)
+    second = op.revise_rows(first, np.repeat(delta, 3, axis=0), order)
+    r_a, r_b, r_or = second.reshape(samples, 3, -1).transpose(1, 0, 2)
+    reports = {}
+    for name, bad in (
+        ("disjunction_iteration_1", (r_or & ~(r_a | r_b)).any(axis=1)),
+        ("disjunction_iteration_2",
+         (r_a & ~r_or).any(axis=1) & (r_b & ~r_or).any(axis=1)),
+    ):
+        reports[name] = PropertyReport(name, True, witness_cap=witness_cap)
+        for i in np.flatnonzero(bad):
+            reports[name].record(_labels(*(sets[j] for j in draws[i])))
+    return reports
 
 
 def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
@@ -292,10 +317,8 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     points = dist.universe
     if pairs is None:
         defs = sorted(definable, key=_label)
-        rows = _membership_rows(defs, points)
         count = len(defs)
-        pick = np.arange(count)
-        vrows, wrows = rows[np.repeat(pick, count)], rows[np.tile(pick, count)]
+        vrows, wrows = _pair_rows(_membership_rows(defs, points))
 
         def pair_at(p):
             return defs[p // count], defs[p % count]
@@ -305,10 +328,10 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
         wrows = _membership_rows([w for _, w in pairs], points)
         pair_at = pairs.__getitem__
     result = apply_rows(dist, vrows, wrows)
-    defined = set(_row_keys(_membership_rows(definable, points)))
+    defined = set(_row_keys(_membership_rows(definable, points)).tolist())
     dp = PropertyReport("dp", True, witness_cap=witness_cap)
     cp = PropertyReport("cp", True, witness_cap=witness_cap)
-    for p, key in enumerate(_row_keys(result)):
+    for p, key in enumerate(_row_keys(result).tolist()):
         if key not in defined:
             vset, wset = pair_at(p)
             out = frozenset(points[j] for j in np.flatnonzero(result[p]))

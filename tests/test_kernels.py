@@ -8,6 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from distrev.distops import (
     find_loop_violation,
     recheck_chain,
 )
+from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
 from test_logic import _identity_matrix
 
@@ -89,7 +91,8 @@ def test_replaced_distance_compiles_its_own_kernel(data):
 
 
 def _rows(sets, order):
-    return np.array([[p in s for p in order] for s in sets], dtype=bool)
+    return np.array([[p in s for p in order] for s in sets],
+                    dtype=bool).reshape(len(sets), len(order))
 
 
 def _assert_rows_match_apply(dist, pairs, order=None):
@@ -128,6 +131,66 @@ def test_apply_rows_default_order_and_full_chunks():
     pairs = [tuple(frozenset(p for p in POINTS if rng.random() < 0.4) for _ in "vw")
              for _ in range(count)]
     _assert_rows_match_apply(dist, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lookup_rows_matches_row_by_row_lookup(data):
+    # entries that override the backing or, without one, are all there is;
+    # entries reaching outside the query's point order; a permuted order of
+    # some of the points, whose entry results are cut to it
+    dist = data.draw(distances())
+    subsets = _subsets(dist.universe)
+    entries = data.draw(st.dictionaries(st.tuples(subsets, subsets), subsets, max_size=6))
+    op = OperatorTable(dist.universe, entries,
+                       backing=dist if data.draw(st.booleans()) else None)
+    order = data.draw(st.permutations(dist.universe))
+    order = tuple(order[:data.draw(st.integers(1, len(order)))])
+    queries = st.tuples(_subsets(order), _subsets(order))
+    inside = sorted((key for key in op.entries if key[0] | key[1] <= set(order)),
+                    key=lambda key: (sorted(key[0]), sorted(key[1])))
+    if inside:
+        queries = st.one_of(queries, st.sampled_from(inside))
+    pairs = data.draw(st.lists(queries, max_size=12))
+    expected, error = [], None
+    for vset, wset in pairs:
+        try:
+            expected.append(op.lookup(vset, wset) & frozenset(order))
+        except UndefinedPairError as exc:
+            error = str(exc)
+            break
+    vrows, wrows = _rows([v for v, _ in pairs], order), _rows([w for _, w in pairs], order)
+    if error is not None:
+        with pytest.raises(UndefinedPairError) as raised:
+            op.lookup_rows(vrows, wrows, order)
+        assert str(raised.value) == error
+    else:
+        got = op.lookup_rows(vrows, wrows, order)
+        assert got.shape == (len(pairs), len(order))
+        assert [frozenset(itertools.compress(order, row)) for row in got] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 255, 256])
+def test_draws_replay_the_choice_stream(n):
+    # each seed's first bulk draw yields about as many kept words as were
+    # asked for, so some seeds fall short and top up
+    topped_up = 0
+    for seed in range(20):
+        rng, words = random.Random(seed), []
+        draw = rng.getrandbits
+        rng.getrandbits = lambda bits: words.append(bits) or draw(bits)
+        count = 40 * n + 7 + seed
+        got = distops._draws(rng, n, count)
+        choice = random.Random(seed).choice
+        assert got.tolist() == [choice(range(n)) for _ in range(count)]
+        topped_up += len(words) > 1
+    assert topped_up
+    assert distops._draws(random.Random(0), n, 0).tolist() == []
+
+
+def test_draws_refuse_an_empty_range():
+    with pytest.raises(ValueError):
+        distops._draws(random.Random(0), 0, 1)
 
 
 def _first_chain_brute_force(op, family, k_max):
@@ -176,6 +239,9 @@ def test_check_loop_matches_lexicographic_enumeration(case):
         assert verdict.chain == chain
         if k is not None:
             assert verdict.k == k
+    # at k_max = 1 the walk reads premise(a, b, a) alone
+    walked = check_loop(op, family, k_max=1)
+    assert walked.chain == (chain if k == 1 else ())
 
 
 class _CachedLookups:

@@ -154,6 +154,21 @@ def test_star_loop_walks_k1_on_point_premises():
     assert elapsed < 60
 
 
+def test_per_source_answers_do_not_depend_on_query_order():
+    sets = nonempty_model_sets(SIG)
+    pairs = [(v, w) for v in sets for w in sets]
+    forward = per_source_order_operator(SIG, seed=0)
+    backward = per_source_order_operator(SIG, seed=0)
+    answers = [forward.revise_models(v, w) for v, w in pairs]
+    assert [backward.revise_models(v, w) for v, w in reversed(pairs)] == answers[::-1]
+    # a loop check first leaves the later disjunction check as it was
+    fresh = per_source_order_operator(SIG, seed=0)
+    used = per_source_order_operator(SIG, seed=0)
+    check_star_loop(used, k_max=3)
+    assert check_disjunction_iteration(used, samples=500, seed=0) == \
+        check_disjunction_iteration(fresh, samples=500, seed=0)
+
+
 def test_disjunction_iteration_passes_for_hamming():
     reports = check_disjunction_iteration(_hamming_op(), samples=3000, seed=1)
     assert all(r.passed for r in reports.values())
@@ -264,6 +279,23 @@ def _scalar_agm(op, matrix=CLASSICAL, samples=0, seed=0):
     return found
 
 
+def _scalar_disjunction(op, matrix=CLASSICAL, samples=0, seed=0):
+    sets = nonempty_model_sets(op.signature, matrix)
+    found = {"disjunction_iteration_1": [], "disjunction_iteration_2": []}
+    rng = random.Random(seed)
+    for _ in range(samples):
+        gamma, alpha, beta, delta = (rng.choice(sets) for _ in range(4))
+        r_a = op.revise_models(op.revise_models(gamma, alpha), delta)
+        r_b = op.revise_models(op.revise_models(gamma, beta), delta)
+        r_or = op.revise_models(op.revise_models(gamma, alpha | beta), delta)
+        witness = tuple(_labels(s) for s in (gamma, alpha, beta, delta))
+        if not r_or <= (r_a | r_b):
+            found["disjunction_iteration_1"].append(witness)
+        if not (r_a <= r_or or r_b <= r_or):
+            found["disjunction_iteration_2"].append(witness)
+    return found
+
+
 def _assert_reports_equal(reports, found, cap=16):
     assert set(reports) == set(found)
     for name, rep in reports.items():
@@ -332,4 +364,26 @@ def test_agm_report_matches_scalar_loop_on_fn_operator():
     assert not reports["star0"].passed
     assert not reports["star2"].passed
     reference = _scalar_agm(op, matrix=matrix, samples=200, seed=1)
+    _assert_reports_equal(reports, reference, cap=3)
+
+
+def _asymmetric_op(sig, seed):
+    universe = valuation_universe(sig)
+    rng = random.Random(seed)
+    table = {(v, w): F(rng.randrange(0, 6), 2) for v in universe for w in universe}
+    return RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (_asymmetric_op(SIG, 3), CLASSICAL),
+    lambda: (per_source_order_operator(SIG, seed=0), CLASSICAL),
+    lambda: (per_source_order_operator(("p",), matrix=_identity_matrix(), seed=2),
+             _identity_matrix()),
+], ids=["distance", "per_source", "identity_matrix"])
+def test_disjunction_report_matches_scalar_loop(make):
+    op, matrix = make()
+    reports = check_disjunction_iteration(op, matrix=matrix, samples=400, seed=5,
+                                          witness_cap=3)
+    reference_op, _ = make()
+    reference = _scalar_disjunction(reference_op, matrix=matrix, samples=400, seed=5)
     _assert_reports_equal(reports, reference, cap=3)

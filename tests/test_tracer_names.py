@@ -7,6 +7,7 @@ import inspect
 from pathlib import Path
 
 from distrev.distops import LoopVerdict, check_loop
+from distrev.revision import RevisionOperator
 from distrev.wheel import EqualityReport, HammingClaimsReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -26,6 +27,12 @@ def test_traced_names_exist():
             # the tracer only rebinds a caller's name that is the home function
             assert getattr(caller, attr, None) is getattr(home, attr), (
                 name, caller.__name__, attr)
+
+
+def test_revise_models_exists():
+    # the tracer patches this method outside TRACED and skips it silently
+    # when it is gone
+    assert callable(getattr(RevisionOperator, "revise_models", None))
 
 
 def test_traced_report_fields_exist():

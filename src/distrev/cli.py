@@ -67,7 +67,8 @@ class Report:
             self.lines.append(f"  - {item}")
 
     def add_input(self, name, path):
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         self.add(f"input.{name}", path)
         self.add(f"input.{name}.sha256", digest)
 

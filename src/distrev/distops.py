@@ -97,10 +97,6 @@ def _row_keys(rows):
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _canon(s):
-    return frozenset(s)
-
-
 @dataclass
 class OperatorTable:
     """A finite (explicit or distance-backed) map (V, W) -> X over subsets
@@ -114,7 +110,7 @@ class OperatorTable:
         pts = set(self.universe)
         canon = {}
         for (v, w), x in self.entries.items():
-            v, w, x = _canon(v), _canon(w), _canon(x)
+            v, w, x = frozenset(v), frozenset(w), frozenset(x)
             if not (v | w | x) <= pts:
                 raise UnknownAtomError("entry mentions points outside the universe")
             if (v, w) in canon:
@@ -123,7 +119,7 @@ class OperatorTable:
         self.entries = canon
 
     def lookup(self, vset, wset):
-        key = (_canon(vset), _canon(wset))
+        key = (frozenset(vset), frozenset(wset))
         if key in self.entries:
             return self.entries[key]
         if self.backing is not None:
@@ -177,7 +173,7 @@ def validate_family(universe, family):
     sets = []
     seen = set()
     for s in family:
-        s = _canon(s)
+        s = frozenset(s)
         if not s:
             raise FamilyError("family contains the empty set")
         if not s <= pts:
@@ -202,7 +198,7 @@ def validate_family(universe, family):
 def family_closure(generators):
     """Close a collection of non-empty sets under union and non-disjoint
     intersection."""
-    closed = {_canon(s) for s in generators if s}
+    closed = {frozenset(s) for s in generators if s}
     frontier = list(closed)
     while frontier:
         new = []
@@ -223,7 +219,7 @@ def check_inclusion(op, family=None, witness_cap=16):
     if family is None:
         pairs = [key for key, _ in op.sorted_entries()]
     else:
-        sets = sorted({_canon(s) for s in family}, key=sorted)
+        sets = sorted({frozenset(s) for s in family}, key=sorted)
         pairs = [(a, b) for a in sets for b in sets]
     for v, w in pairs:
         x = op.lookup(v, w)
@@ -265,97 +261,66 @@ def recheck_chain(op, chain):
     return not _conclusion(op, chain[0], chain[1], chain[k])
 
 
-def _point_premises(op, sets):
-    """premise(a, b, c) over indices into ``sets``, one triple at a time;
-    the operator is consulted once per (V_b, V_a u V_c).  Unions that are
-    members of ``sets`` are keyed by the member, not by a fresh copy."""
-    looked, members = {}, {s: s for s in sets}
-
-    def premise(a, b, c):
-        union = sets[a] | sets[c]
-        union = members.get(union, union)
-        result = looked.get((b, union))
-        if result is None:
-            result = looked[b, union] = op.lookup(sets[b], union)
-        return bool(result & sets[a])
-
-    return premise
-
-
-def _family_order(op, sets):
-    """The points of ``sets`` in ``op.universe`` order: the columns of the
-    loop search's membership rows."""
+def _premise_reader(op, sets):
+    """``premises(a, b, c)``: premise(a, b, c) over index arrays into
+    ``sets``, all of one shape, as a boolean array of that shape.  One
+    ``lookup_rows`` batch asks the operator about each distinct
+    (V_b, V_a u V_c) pair the arrays name, V_b the outer order and each
+    union numbered where it first appears in (a, c) row-major order.  The
+    rows are read back in chunks of about ``APPLY_CHUNK_CELLS`` cells.  The
+    columns are the points of ``sets`` in ``op.universe`` order."""
+    n = len(sets)
     points = set().union(*sets)
-    return tuple(p for p in op.universe if p in points)
-
-
-def _premise_tensor(op, sets):
-    """The premise tensor: ``P[a, b, c]`` is premise(a, b, c) over indices
-    into ``sets``.  One ``lookup_rows`` batch asks the operator about each
-    (V_b, union) for each distinct union V_a u V_c, V_b the outer order."""
-    n = len(sets)
-    unions = {}
-    union_at = np.array(
-        [[unions.setdefault(sa | sc, len(unions)) for sc in sets] for sa in sets],
-        dtype=np.intp,
-    ).reshape(n, n)
-    order = _family_order(op, sets)
+    order = tuple(p for p in op.universe if p in points)
     member = _membership_rows(sets, order)
-    looked = op.lookup_rows(
-        np.repeat(member, len(unions), axis=0),
-        np.tile(_membership_rows(list(unions), order), (n, 1)),
-        order,
-    ).reshape(n, len(unions), len(order))
-    P = np.empty((n, n, n), dtype=bool)
-    for b in range(n):
-        P[:, b, :] = (looked[b][union_at] & member[:, None, :]).any(axis=2)
-    return P
+
+    def premises(a, b, c):
+        shape = np.shape(a)
+        a, b, c = (np.ravel(x) for x in (a, b, c))
+        ac, ac_at = np.unique(a * n + c, return_inverse=True)
+        unions = {}
+        union_of = np.array([unions.setdefault(sets[x // n] | sets[x % n], len(unions))
+                             for x in ac.tolist()], dtype=np.intp)
+        m = len(unions)
+        pairs, at = np.unique(b * m + union_of[ac_at], return_inverse=True)
+        looked = op.lookup_rows(member[pairs // m],
+                                _membership_rows(list(unions), order)[pairs % m], order)
+        out = np.empty(len(at), dtype=bool)
+        step = max(1, APPLY_CHUNK_CELLS // max(len(order), 1))
+        for lo in range(0, len(out), step):
+            rows = slice(lo, lo + step)
+            out[rows] = (looked[at[rows]] & member[a[rows]]).any(axis=1)
+        return out.reshape(shape)
+
+    return premises
 
 
-def _layer_one_premises(op, sets):
-    """``q[a, b]``, premise(a, b, a) over indices into ``sets``, from one
-    ``lookup_rows`` batch of the (V_b, V_a) pairs, V_a the outer order."""
-    n = len(sets)
-    order = _family_order(op, sets)
-    member = _membership_rows(sets, order)
-    looked = op.lookup_rows(np.tile(member, (n, 1)), np.repeat(member, n, axis=0), order)
-    return (looked.reshape(n, n, len(order)) & member[:, None, :]).any(axis=2)
-
-
-def _first_start(hits):
-    """The first start (i0, i1) in index order marked in the square boolean
-    array ``hits``, or None."""
-    at = np.flatnonzero(hits)
-    return tuple(int(i) for i in divmod(at[0], len(hits))) if len(at) else None
-
-
-def _layer_one(q):
-    """The first start (i0, i1) whose chain of k = 1 is a counterexample,
-    where ``q[a, b]`` is premise(a, b, a): premise 1 is q[i0, i1] and the
-    conclusion q[i1, i0]."""
-    return _first_start(q & ~q.T)
-
-
-def _walk(P, k_max):
+def _walk(premises, n, k_max):
     """The index chain of least k <= k_max whose premises hold and whose
     conclusion fails, lexicographically first at that k, or None; with the
     number of (start, state) pairs the walk reached, summed over its layers.
+    ``premises`` is a ``_premise_reader`` over the n sets.
 
     Layer j holds, for every start (V_0, V_1), the premise states
     (V_{j-1}, V_j) reachable through premises 1..j-1.  Layer 1, the starts
-    themselves, is read off ``P`` for all starts at once.  From layer 2 on,
-    starts go in blocks of about ``APPLY_CHUNK_CELLS`` (start, state)
-    cells, each further layer one batched float32 matmul read as ``> 0``
-    (its sums of 0/1 values are exact), and each block searches only for a
-    k below the best one found.
+    themselves, is read for all starts at once off ``q[a, b]``, which is
+    premise(a, b, a): premise 1 is q[i0, i1] and the conclusion q[i1, i0].
+    Only a walk to k >= 2 reads the premise tensor ``P[a, b, c]``, and
+    takes ``q`` from it.  From layer 2 on, starts go in blocks of about
+    ``APPLY_CHUNK_CELLS`` (start, state) cells, each further layer one
+    batched float32 matmul read as ``> 0`` (its sums of 0/1 values are
+    exact), and each block searches only for a k below the best one found.
     """
-    n = len(P)
     if k_max < 1 or n == 0:
         return None, 0
-    ar = np.arange(n)
-    found, states = _layer_one(P[ar, :, ar]), n * n
-    if found:
-        return found, states
+    a, b = np.indices((n, n))
+    P = premises(*np.indices((n, n, n))) if k_max >= 2 else None
+    q = premises(a, b, a) if P is None else P[a, b, a]
+    hits, states = np.flatnonzero(q & ~q.T), n * n
+    if len(hits):
+        return tuple(int(i) for i in divmod(hits[0], n)), states
+    if P is None:
+        return None, states
     fails = ~P.transpose(1, 0, 2)  # fails[i0, i1, c]: the conclusion fails at V_k = c
     close = P.transpose(2, 0, 1)  # close[i0, b, c]: premise k, P[b, c, i0], holds
     step = np.ascontiguousarray(P.transpose(1, 0, 2), dtype=np.float32)  # [b, a, c]
@@ -413,32 +378,24 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     One walk covers every k whose chain space fits the budget; each larger
     k is uniformly sampled with a fixed seed.  Returns the first
     counterexample found, in deterministic order.  The search runs over
-    indices into the sorted family.  The premise tensor is built only when
-    the walk reaches k = 2; a walk of k = 1 reads just premise(a, b, a).
-    The sampler draws its chains in bulk and reads premises one at a time.
+    indices into the sorted family, and the walk and the sampler read every
+    premise through one ``_premise_reader``.  The premise tensor is built
+    only when the walk reaches k = 2; a walk of k = 1 reads just
+    premise(a, b, a).  The sampler draws its chains in bulk and reads each
+    premise for all the drawn chains still in play in one batch.
     """
-    sets = validate_family(op.universe, family)
-    sets = sorted(sets, key=sorted)
+    sets = sorted(validate_family(op.universe, family), key=sorted)
     n = len(sets)
     k_walk = 0
     while k_walk < k_max and n ** (k_walk + 2) <= budget:
         k_walk += 1
-    if k_walk >= 2:
-        P = _premise_tensor(op, sets)
-        found, states = _walk(P, k_walk)
-
-        def premise(a, b, c):
-            return P[a, b, c]
-    else:
-        premise = _point_premises(op, sets)
-        found, states = None, 0
-        if k_walk == 1:
-            found, states = _layer_one(_layer_one_premises(op, sets)), n * n
+    premises = _premise_reader(op, sets)
+    found, states = _walk(premises, n, k_walk)
     k = len(found) - 1 if found else k_walk
     checked = sum(n ** (j + 1) for j in range(1, k + 1))
     while found is None and k < k_max:
         k += 1
-        found = _loop_sampled(premise, n, k, samples, seed)
+        found = _loop_sampled(premises, n, k, samples, seed)
         checked += samples
     sampled = k > k_walk
     if found is None:
@@ -478,23 +435,25 @@ def _draws(rng, n, count):
     return np.concatenate(kept)[:count].astype(np.intp)
 
 
-def _loop_sampled(premise, n, k, samples, seed):
-    draws = _draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1))
-    for chain in draws.reshape(samples, k + 1).tolist():
-        chain = tuple(chain)
-        ring = chain + chain[:1]
-        if all(premise(ring[i - 1], ring[i], ring[i + 1]) for i in range(1, k + 1)):
-            if not premise(chain[1], chain[0], chain[k]):
-                return chain
-    return None
+def _loop_sampled(premises, n, k, samples, seed):
+    """The first of ``samples`` index chains of length k, drawn with a
+    fixed seed, whose premises hold and whose conclusion fails, in sample
+    order; or None.  Premise i is read only for the chains whose earlier
+    premises held, then the conclusion for the chains that remain."""
+    ring = _draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1)).reshape(samples, k + 1)
+    ring = np.hstack([ring, ring[:, :1]])  # V_{k+1} is V_0
+    for i in range(1, k + 1):
+        ring = ring[premises(ring[:, i - 1], ring[:, i], ring[:, i + 1])]
+    ring = ring[~premises(ring[:, 1], ring[:, 0], ring[:, k])]
+    return tuple(ring[0, :k + 1].tolist()) if len(ring) else None
 
 
 def find_loop_violation(op, sets, k_max):
     """Directed search for a loop counterexample over the given candidate
     sets: no closure requirement and no budget, the walk of ``check_loop``
     up to ``k_max``."""
-    sets = sorted({_canon(s) for s in sets if s}, key=sorted)
-    found, states = _walk(_premise_tensor(op, sets), k_max)
+    sets = sorted({frozenset(s) for s in sets if s}, key=sorted)
+    found, states = _walk(_premise_reader(op, sets), len(sets), k_max)
     if found is None:
         return LoopVerdict(True, k_max, states=states)
     return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found),

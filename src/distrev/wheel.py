@@ -18,6 +18,7 @@ import numpy as np
 from .costs import (
     INF,
     OrderMode,
+    PropertyReport,
     PseudoDistance,
     check_hir,
     check_property,
@@ -306,13 +307,13 @@ def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
     ``EXHAUSTIVE_MAX_POINTS`` points, sampled above)."""
     order = list(params.universe)
     n = len(order)
-    index = {lab: i for i, lab in enumerate(order)}
-    # the table entries as (V mask, W mask) -> result mask; they override
-    # the backing distance's minimization
-    entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
-               for (v, w), x in patched_op.entries.items()}
     report = EqualityReport(0, [], sampled=sample is not None or n > EXHAUSTIVE_MAX_POINTS)
     if not report.sampled:
+        index = {lab: i for i, lab in enumerate(order)}
+        # the table entries as (V mask, W mask) -> result mask; they
+        # override the backing distance's minimization
+        entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
+                   for (v, w), x in patched_op.entries.items()}
         cost = distance_int_matrix(patched_op.backing, order)
         for wlo, cols, cols2 in _columns(cost, distance_int_matrix(patched_dist, order)):
             for (vm, wm), bits in entries.items():
@@ -326,10 +327,7 @@ def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
     pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
              for _ in range(report.pairs_checked)]
     vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
-    lhs = apply_rows(patched_op.backing, vrows, wrows, order)
-    for p, pair in enumerate(pairs):
-        if pair in entries:
-            lhs[p] = _mask_rows([entries[pair]], n)[0]
+    lhs = patched_op.lookup_rows(vrows, wrows, order)
     rhs = apply_rows(patched_dist, vrows, wrows, order)
     for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
         vmask, wmask = pairs[p]
@@ -571,8 +569,6 @@ class HammingClaimsReport:
 
 def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
     """|h| <= d' <= d <= |h| + 1/2 on every finite-difference pair."""
-    from .costs import PropertyReport
-
     dist = dist if dist is not None else gadget.dist
     patched = patched if patched is not None else gadget.patched_dist
     report = PropertyReport("sandwich", True, witness_cap=witness_cap)

@@ -70,7 +70,8 @@ def test_revise_inconsistent_exits_3(workdir, hamming_file):
 def test_check_pass_and_fail(workdir, hamming_file, capsys):
     assert main(["check", hamming_file, "--props", "sym,ir,pos,tir"]) == 0
     # break symmetry in the file by hand
-    text = open(hamming_file).read().splitlines()
+    with open(hamming_file) as fh:
+        text = fh.read().splitlines()
     row = text[2].split()
     row[1] = "9"
     text[2] = " ".join(row)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from distrev import distops
 from distrev.costs import INF, OrderMode, PseudoDistance
 from distrev.distops import (
+    LoopVerdict,
     OperatorTable,
     apply,
     apply_rows,
@@ -24,6 +25,7 @@ from distrev.distops import (
 )
 from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
+from test_distops import _cyclic_override_op
 from test_logic import _identity_matrix
 
 F = Fraction
@@ -242,6 +244,49 @@ def test_check_loop_matches_lexicographic_enumeration(case):
     # at k_max = 1 the walk reads premise(a, b, a) alone
     walked = check_loop(op, family, k_max=1)
     assert walked.chain == (chain if k == 1 else ())
+
+
+def _sampled_loop_reference(op, family, k_max, k_walk, samples, seed):
+    """check_loop's verdict from a chain-at-a-time search: lexicographic
+    enumeration up to ``k_walk``, then each longer k over the same draws,
+    one chain and one scalar lookup at a time, the first counterexample in
+    sample order."""
+    sets = sorted(family, key=sorted)
+    n = len(sets)
+    k, chain, checked = _first_chain_brute_force(op, sets, k_walk)
+    k = k_walk if k is None else k
+    while not chain and k < k_max:
+        k += 1
+        checked += samples
+        draws = distops._draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1))
+        for indices in draws.reshape(samples, k + 1).tolist():
+            candidate = tuple(sets[i] for i in indices)
+            if recheck_chain(op, candidate):
+                chain = candidate
+                break
+    states = n * n if k_walk else 0
+    return LoopVerdict(not chain, k if chain else k_max, chain, checked, k > k_walk, states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop_operators(), st.sampled_from((1, 48, 49, 342)), st.integers(0, 50))
+def test_sampled_loop_matches_chain_at_a_time_reference(case, budget, seed):
+    # 7 sets: budgets below 7^2 sample every k, and those below 7^3 walk
+    # k = 1 and sample k = 2 and 3
+    op, family = case
+    k_walk = 1 if budget >= 49 else 0
+    expected = _sampled_loop_reference(op, family, 3, k_walk, 300, seed)
+    assert check_loop(op, family, 3, budget=budget, samples=300, seed=seed) == expected
+
+
+@pytest.mark.parametrize("budget, k_walk", [(1, 0), (49, 1)])
+def test_sampled_loop_finds_the_reference_violation(budget, k_walk):
+    op = _cyclic_override_op()
+    family = [frozenset(c) for r in range(1, 4)
+              for c in itertools.combinations(op.universe, r)]
+    verdict = check_loop(op, family, 3, budget=budget)
+    assert not verdict.passed and verdict.sampled
+    assert verdict == _sampled_loop_reference(op, family, 3, k_walk, 10**4, 0)
 
 
 class _CachedLookups:

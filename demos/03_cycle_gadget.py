@@ -19,9 +19,8 @@ from distrev.wheel import (
 # plus two off-cycle extras).
 
 gadget = build_wheel_gadget(n=1)
-params = gadget.params
-print("cycle size m =", params.m)
-print("universe:", params.universe)
+print("cycle size m =", gadget.m)
+print("universe:", gadget.universe)
 
 d = gadget.dist
 print("\nsample costs:")
@@ -30,27 +29,30 @@ print("  adjacent  d(v1, w2) =", d.d("v1", "w2"))
 print("  chord     d(v1, w3) =", d.d("v1", "w3"))
 
 # The modification: on the wrap pair the operator drops one of the two
-# minimal points.
+# minimal points.  The operator is a table over the distance whose only
+# entries are that pair and its mirror.
 print("\nmodified entry {v4,v1} | {w4,w1} ->",
       sorted(gadget.op.lookup({"v4", "v1"}, {"w4", "w1"})))
+print("explicit entries:", len(gadget.op.entries))
 
 # ---------------------------------------------------------------------------
 # The finite fragment that blocks realizability.
 
-fragment = proof_fragment(gadget.op, params)
+fragment = proof_fragment(gadget)
 verdict = solve_table(fragment)
 print("\nfragment of", len(fragment.entries), "entries:", verdict.status)
 
 # ---------------------------------------------------------------------------
-# The full claim verification: fragment unsat, the patched operator equals
-# the patched minimization on every subset pair, the patched distance keeps
-# all four real-order properties, and a chain violation exists.
+# The full claim verification: fragment unsat, the modified operator's
+# entries are inclusive, the patched operator equals the patched
+# minimization on every subset pair, the patched distance keeps all four
+# real-order properties, and a chain violation exists.
 
 report = verify_wheel_claims(gadget)
 print("\nequality sweep:", report.equality.pairs_checked, "pairs,",
       "zero mismatches" if report.equality.passed else "MISMATCH")
 for name, prop in report.properties.items():
-    print(f"patched distance {name}: {'pass' if prop.passed else 'fail'}")
+    print(f"{name}: {'pass' if prop.passed else 'fail'}")
 
 print("\nchain violation at k =", report.loop.k)
 for i, vset in enumerate(report.loop.chain):

@@ -63,9 +63,7 @@ from .revision import (
     revise,
 )
 from .wheel import (
-    HammingWheelGadget,
-    WheelGadget,
-    WheelParams,
+    Gadget,
     build_hamming_wheel,
     build_wheel_gadget,
     verify_hamming_claims,

@@ -39,7 +39,6 @@ from .revision import (
 from .wheel import (
     build_hamming_wheel,
     build_wheel_gadget,
-    hamming_proof_fragment,
     proof_fragment,
     verify_hamming_claims,
     verify_wheel_claims,
@@ -193,6 +192,11 @@ def _add_property_section(rep, prefix, result):
         rep.add_list(f"{prefix}.witnesses", _format_witnesses(result))
 
 
+def _sweep_line(sweep, *notes):
+    return (f"{'pass' if sweep.passed else 'fail'} "
+            f"({', '.join((f'{sweep.pairs_checked} pairs',) + notes)})")
+
+
 def cmd_wheel(args):
     rep = Report()
     rep.add("command", "wheel")
@@ -202,63 +206,32 @@ def cmd_wheel(args):
     os.makedirs(args.dir, exist_ok=True)
     if args.variant == "abstract":
         gadget = build_wheel_gadget(n=args.n)
-        sample = None if gadget.params.m <= 5 else args.samples
-        result = verify_wheel_claims(gadget, sample=sample, seed=args.seed)
-        fileio.save_distance(gadget.dist, os.path.join(args.dir, "wheel-distance.txt"))
-        fileio.save_distance(
-            gadget.patched_dist, os.path.join(args.dir, "wheel-distance-patched.txt")
-        )
-        fileio.save_operator_table(
-            proof_fragment(gadget.op, gadget.params),
-            os.path.join(args.dir, "wheel-fragment.txt"),
-        )
-        rep.add("m", gadget.params.m)
-        rep.add("patched_rung", gadget.r)
-        rep.add("fragment", result.fragment_verdict.status)
-        rep.add("inclusion", "pass" if result.inclusion.passed else "fail")
-        rep.add(
-            "equality",
-            f"{'pass' if result.equality.passed else 'fail'} "
-            f"({result.equality.pairs_checked} pairs, "
-            f"{'sampled' if result.equality.sampled else 'exhaustive'})",
-        )
-        for name, prop in result.properties.items():
-            _add_property_section(rep, f"patched.{name}", prop)
-        rep.add("loop_violation", "found" if not result.loop.passed else "absent")
-        if not result.loop.passed:
-            rep.add("loop_violation.k", result.loop.k)
-            rep.add_list(
-                "loop_violation.chain", [" ".join(sorted(s)) for s in result.loop.chain]
-            )
+        result = verify_wheel_claims(gadget, sample=args.samples, seed=args.seed)
     else:
         gadget = build_hamming_wheel(n=args.n)
         result = verify_hamming_claims(gadget)
-        fileio.save_distance(
-            gadget.dist, os.path.join(args.dir, "hamming-distance.txt")
+    prefix = os.path.join(args.dir, "wheel" if args.variant == "abstract" else "hamming")
+    fileio.save_distance(gadget.dist, f"{prefix}-distance.txt")
+    fileio.save_distance(gadget.patched_dist, f"{prefix}-distance-patched.txt")
+    fileio.save_operator_table(proof_fragment(gadget), f"{prefix}-fragment.txt")
+    rep.add("m", gadget.m)
+    rep.add("patched_rung", gadget.r)
+    rep.add("fragment", result.fragment_verdict.status)
+    rep.add("inclusion", "pass" if result.inclusion.passed else "fail")
+    if result.reduction is None:
+        mode = "sampled" if result.equality.sampled else "exhaustive"
+        rep.add("equality", _sweep_line(result.equality, mode))
+    else:  # the Hamming sweep is always exhaustive
+        rep.add("equality", _sweep_line(result.equality))
+        rep.add("reduction", _sweep_line(result.reduction))
+    for name, prop in result.properties.items():
+        _add_property_section(rep, name, prop)
+    rep.add("loop_violation", "found" if not result.loop.passed else "absent")
+    if not result.loop.passed:
+        rep.add("loop_violation.k", result.loop.k)
+        rep.add_list(
+            "loop_violation.chain", [" ".join(sorted(s)) for s in result.loop.chain]
         )
-        fileio.save_distance(
-            gadget.patched_dist, os.path.join(args.dir, "hamming-distance-patched.txt")
-        )
-        fileio.save_operator_table(
-            hamming_proof_fragment(gadget),
-            os.path.join(args.dir, "hamming-fragment.txt"),
-        )
-        rep.add("m", gadget.m)
-        rep.add("patched_rung", gadget.r)
-        rep.add(
-            "equality",
-            f"{'pass' if result.equality.passed else 'fail'} "
-            f"({result.equality.pairs_checked} pairs)",
-        )
-        rep.add(
-            "reduction",
-            f"{'pass' if result.reduction.passed else 'fail'} "
-            f"({result.reduction.pairs_checked} pairs)",
-        )
-        _add_property_section(rep, "hamming_respect", result.hir)
-        _add_property_section(rep, "liberal_triangle", result.liberal_tir)
-        _add_property_section(rep, "sandwich", result.sandwich)
-        rep.add("fragment", result.fragment_verdict.status)
     rep.add("result", "pass" if result.passed else "fail")
     rep.write(args.out)
     return EXIT_PASS if result.passed else EXIT_FAIL

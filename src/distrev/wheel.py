@@ -1,10 +1,15 @@
-"""The two cyclic counterexample gadgets and their claim verification.
+"""The cyclic counterexample gadget and its claim verification.
 
-The abstract wheel lives on 2m labeled points (plus off-wheel extras); the
-Hamming wheel realizes the same cycle with matrix valuations over 2m atoms,
-guarded by a Hamming-difference threshold.  Both carry a deliberately
-modified operator that no pseudo-distance reproduces, together with a
-patched operator and patched distance that coincide exactly.
+A gadget lives on 2m wheel points v1..vm, w1..wm (plus off-wheel extras)
+with graded costs: the abstract gadget on labeled points under the real
+order, the Hamming gadget on matrix valuations over 2m atoms under the
+liberal order.  Each carries a modified operator, the wrap rung redirected
+to a single point, that no pseudo-distance reproduces, together with a
+patched operator and patched distance that coincide exactly.  Both
+operators are tables over the distance whose entries are the redirected
+rung pairs, each extended by the extras that put no near pair across
+V x W: every off-wheel pair is near in the abstract gadget, one below
+Hamming difference 3 in the Hamming gadget.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -26,13 +32,12 @@ from .costs import (
 from .distops import (
     APPLY_CHUNK_CELLS,
     OperatorTable,
-    apply,
     apply_rows,
     check_inclusion,
     distance_int_matrix,
     find_loop_violation,
 )
-from .errors import BoundExceededError, FamilyError, MatrixError
+from .errors import BoundExceededError, FamilyError
 from .logic import CLASSICAL, Valuation, hamming_diff
 from .realizability import solve_table
 
@@ -40,75 +45,24 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# Abstract wheel
+# Gadgets
 
 
 @dataclass(frozen=True)
-class WheelParams:
-    """Cycle size and off-wheel extras; m = n + 3 defeats arity-n tests."""
+class Gadget:
+    """A cycle gadget over ``universe``, the 2m wheel labels first: the
+    distance, the modified operator, the patched rung ``r`` with the
+    patched operator and distance, and for the Hamming gadget the
+    valuation of every label."""
 
     m: int
-    extras: tuple = ("x1", "x2")
-
-    def __post_init__(self):
-        if self.m < 4:
-            raise FamilyError("wheel needs m >= 4")
-
-    @classmethod
-    def for_arity(cls, n, extras=("x1", "x2")):
-        if n < 1:
-            raise FamilyError("characterization arity must be at least 1")
-        return cls(m=n + 3, extras=tuple(extras))
-
-    def v(self, i):
-        return f"v{i}"
-
-    def w(self, i):
-        return f"w{i}"
-
-    @property
-    def v_labels(self):
-        return tuple(self.v(i) for i in range(1, self.m + 1))
-
-    @property
-    def w_labels(self):
-        return tuple(self.w(i) for i in range(1, self.m + 1))
-
-    @property
-    def wheel_labels(self):
-        return self.v_labels + self.w_labels
-
-    @property
-    def universe(self):
-        return self.wheel_labels + self.extras
-
-
-def _rung_index(label):
-    return int(label[1:])
-
-
-def build_wheel_distance(params):
-    """The seven-case cost table of the cycle gadget (real order)."""
-    m = params.m
-    vs = set(params.v_labels)
-    ws = set(params.w_labels)
-    wheel = vs | ws
-
-    def cost(a, b):
-        if a == b:
-            return F(0)
-        if a not in wheel or b not in wheel:
-            return F(1)
-        if (a in vs and b in vs) or (a in ws and b in ws):
-            return F(11, 10)
-        i, j = _rung_index(a), _rung_index(b)
-        if i == j:
-            return F(14, 10)
-        if abs(i - j) in (1, m - 1):
-            return F(2)
-        return F(12, 10)
-
-    return PseudoDistance.from_function(params.universe, OrderMode.REAL, cost)
+    universe: tuple
+    dist: PseudoDistance
+    op: OperatorTable
+    r: int
+    patched_op: OperatorTable
+    patched_dist: PseudoDistance
+    points: dict = None  # label -> Valuation, Hamming only
 
 
 def _rung(i, m):
@@ -116,33 +70,6 @@ def _rung(i, m):
     for the wrap rung i = m."""
     j = i % m + 1
     return frozenset({f"v{i}", f"v{j}"}), frozenset({f"w{i}", f"w{j}"})
-
-
-def build_modified_operator(dist, params):
-    """The wheel distance operator with the wrap rung redirected to a
-    single point in each direction."""
-    m = params.m
-    vv, ww = _rung(m, m)
-    entries = {
-        (vv, ww): frozenset({params.w(m)}),
-        (ww, vv): frozenset({params.v(m)}),
-    }
-    return OperatorTable(params.universe, entries, backing=dist)
-
-
-def _rung_fragment(m, universe, lookup):
-    """The finite sub-table that already blocks realizability: every rung
-    doubleton with its singleton probes, the modified wrap rung included."""
-    entries = {}
-    for i in range(1, m + 1):
-        vv, ww = _rung(i, m)
-        for vset in (vv, frozenset({f"v{i}"}), frozenset({f"v{i % m + 1}"})):
-            entries[(vset, ww)] = lookup(vset, ww)
-    return OperatorTable(universe, entries)
-
-
-def proof_fragment(op, params):
-    return _rung_fragment(params.m, params.universe, op.lookup)
 
 
 def find_fresh_rung(pairs, m):
@@ -157,22 +84,122 @@ def find_fresh_rung(pairs, m):
     raise AssertionError("pigeonhole guarantees a fresh rung")
 
 
-def build_patched(op, dist, params, r):
-    """The patched operator (rung r redirected) and the patched distance
-    (rung costs beyond r lowered so the redirection becomes minimal)."""
-    if not 1 <= r <= params.m - 1:
-        raise FamilyError("rung index out of range")
-    vv, ww = _rung(r, params.m)
-    entries = dict(op.entries)
-    entries[(vv, ww)] = frozenset({params.w(r + 1)})
-    entries[(ww, vv)] = frozenset({params.v(r + 1)})
-    patched_op = OperatorTable(params.universe, entries, backing=dist)
-    overrides = {}
-    for i in range(r + 1, params.m + 1):
-        overrides[(params.v(i), params.w(i))] = F(13, 10)
-        overrides[(params.w(i), params.v(i))] = F(13, 10)
-    patched_dist = dist.replaced(overrides)
-    return patched_op, patched_dist
+def _redirected(m, extras, rungs, near):
+    """Table entries that send rung i's doubleton pair to the single point
+    of rung j, for each (i, j) of ``rungs``: ({v_i, v_i+1} + E, {w_i, w_i+1}
+    + E') -> {w_j} and its mirror -> {v_j}, for every pair of extras subsets
+    E, E' that puts no pair ``near`` across V x W."""
+    subsets = [frozenset(c) for k in range(len(extras) + 1)
+               for c in combinations(extras, k)]
+    entries = {}
+    for i, j in rungs:
+        vv, ww = _rung(i, m)
+        for side, other, out in ((vv, ww, f"w{j}"), (ww, vv, f"v{j}")):
+            for ev in subsets:
+                for ew in subsets:
+                    v, w = side | ev, other | ew
+                    if not any(near(a, b) for a in v for b in w
+                               if a in ev or b in ew):
+                        entries[v, w] = frozenset({out})
+    return entries
+
+
+def _build(m, extras, mode, ladder, off_cost, near, taken_pairs, points=None):
+    """The gadget whose wheel costs are ``ladder`` = (same side, rung,
+    adjacent rungs, chord, patched rung), with ``off_cost`` on pairs that
+    leave the wheel; the patch lowers the rungs beyond the fresh one to the
+    patched rung cost so that its redirection becomes minimal."""
+    if m < 4:
+        raise FamilyError("wheel needs m >= 4")
+    side, rung, adjacent, chord, patched = ladder
+    universe = tuple(f"{s}{i}" for s in "vw" for i in range(1, m + 1)) + tuple(extras)
+
+    def cost(a, b):
+        if a == b:
+            return F(0)
+        if a in extras or b in extras:
+            return off_cost(a, b)
+        if a[0] == b[0]:
+            return side
+        i, j = int(a[1:]), int(b[1:])
+        if i == j:
+            return rung
+        return adjacent if abs(i - j) in (1, m - 1) else chord
+
+    dist = PseudoDistance.from_function(universe, mode, cost)
+    r = find_fresh_rung(list(taken_pairs), m)
+    op = OperatorTable(universe, _redirected(m, extras, ((m, m),), near), backing=dist)
+    patched_op = OperatorTable(
+        universe, _redirected(m, extras, ((m, m), (r, r + 1)), near), backing=dist)
+    patched_dist = dist.replaced({(f"{a}{i}", f"{b}{i}"): patched
+                                  for i in range(r + 1, m + 1) for a, b in ("vw", "wv")})
+    return Gadget(m, universe, dist, op, r, patched_op, patched_dist, points)
+
+
+def build_wheel_gadget(n=1, m=None, taken_pairs=(), extras=("x1", "x2")):
+    """The abstract gadget, m = n + 3 to defeat arity-n tests, under the
+    real order; every pair with an extra costs 1 and is near."""
+    return _build(n + 3 if m is None else m, tuple(extras), OrderMode.REAL,
+                  (F(11, 10), F(14, 10), F(2), F(12, 10), F(13, 10)),
+                  lambda a, b: F(1), lambda a, b: True, taken_pairs)
+
+
+def _near(points, a, b):
+    return len(hamming_diff(points[a], points[b])) < 3
+
+
+def build_hamming_wheel(n=1, m=None, matrix=CLASSICAL, taken_pairs=()):
+    """The Hamming gadget: unit valuations on 2m atoms plus three off-wheel
+    valuations at Hamming difference 1, 2, and >= 3 from the wheel, under
+    the liberal order; an off-wheel pair costs its difference h (7/5 for
+    h = 1) and is near below h = 3."""
+    if m is None:
+        m = n + 3
+    one = min(matrix.designated)
+    zero = next(t for t in matrix.values if t not in matrix.designated)
+    sig = tuple(f"p{i}" for i in range(1, m + 1)) + tuple(f"q{i}" for i in range(1, m + 1))
+
+    def unit(*ones):
+        return Valuation(sig, tuple(one if a in ones else zero for a in sig))
+
+    points = {}
+    for i in range(1, m + 1):
+        points[f"v{i}"] = unit(f"p{i}")
+        points[f"w{i}"] = unit(f"q{i}")
+    # e1 at difference 1 from every wheel point, e2 at difference 2 from v1,
+    # e3 at difference >= 3 from every wheel point and from e1/e2
+    points["e1"] = unit()
+    points["e2"] = unit("p1", "p2", "p3")
+    points["e3"] = unit("p1", "q1", "p2", "q2")
+
+    def off_cost(a, b):
+        h = len(hamming_diff(points[a], points[b]))
+        return F(14, 10) if h == 1 else F(h)
+
+    return _build(m, ("e1", "e2", "e3"), OrderMode.LIBERAL,
+                  (F(21, 10), F(24, 10), F(25, 10), F(22, 10), F(23, 10)),
+                  off_cost, lambda a, b: _near(points, a, b), taken_pairs, points)
+
+
+def proof_fragment(gadget):
+    """The finite sub-table of the modified operator that already blocks
+    realizability: every rung doubleton with its singleton probes, the
+    modified wrap rung included."""
+    m, entries = gadget.m, {}
+    for i in range(1, m + 1):
+        vv, ww = _rung(i, m)
+        for vset in (vv, frozenset({f"v{i}"}), frozenset({f"v{i % m + 1}"})):
+            entries[(vset, ww)] = gadget.op.lookup(vset, ww)
+    return OperatorTable(gadget.universe, entries)
+
+
+def loop_family_generators(m):
+    """Singletons and adjacent doubletons of the wheel points: the natural
+    candidate sets for the loop-violation search."""
+    sets = [frozenset({f"{s}{i}"}) for s in "vw" for i in range(1, m + 1)]
+    for i in range(1, m + 1):
+        sets.extend(_rung(i, m))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +209,8 @@ def build_patched(op, dist, params, r):
 # sweep's order is bit k of a mask, and the minimization's result for every
 # (V, W) pair is a bitmask, produced one W column at a time by ``_columns``.
 
-EXHAUSTIVE_MAX_POINTS = 12  # the abstract sweep samples above this
-HAMMING_MAX_BYTES = 1 << 30  # the Hamming sweep refuses larger tables
+EXHAUSTIVE_MAX_POINTS = 12  # verify_wheel_claims samples above this
+HAMMING_MAX_BYTES = 1 << 30  # verify_hamming_claims refuses larger sweeps
 
 
 def _subset_table(rows, ufunc, empty):
@@ -285,6 +312,7 @@ class EqualityReport:
     pairs_checked: int
     mismatches: list
     sampled: bool
+    reduction: EqualityReport = None  # the exhaustive sweep of a Hamming gadget
 
     @property
     def passed(self):
@@ -300,79 +328,99 @@ class EqualityReport:
                 self.mismatches.append((_labels_of(vm, order), _labels_of(wlo + row, order)))
 
 
-def wheel_equality_sweep(params, patched_op, patched_dist, sample=None, seed=0,
-                         witness_cap=16):
+def _reduction_lemma(gadget, order, witness_cap):
+    """The Hamming gadget's in-wheel reduction lemma, read off the blocks of
+    the unpatched minimization: wherever V x W holds no near pair and both
+    wheel parts are non-empty, the result is that of the wheel parts alone.
+    Returns the report and the step that checks one block.  The wheel labels
+    take the low bits, so the wheel-only table fills from the first blocks."""
+    n, nx = len(order), 2 * gadget.m
+    size, xsize = 1 << n, 1 << nx
+    mask_t = _mask_dtype(n)
+    # near[vmask]: the points that some member of V meets in an off-wheel
+    # near pair; V x W holds none exactly when near & W is zero
+    near = _subset_table(np.array([
+        sum(1 << j for j, b in enumerate(order)
+            if max(i, j) >= nx and _near(gadget.points, a, b))
+        for i, a in enumerate(order)
+    ], dtype=mask_t), np.bitwise_or, 0)
+    vx_any = np.arange(size) % xsize != 0  # V has wheel points
+    wheel_cols = np.empty((xsize, xsize), dtype=mask_t)  # [W, V], wheel-only
+    shape = (1 << _block_bits(n), size)  # the sweep's blocks
+    guard = np.empty(shape, mask_t)
+    scope, differ = np.empty(shape, bool), np.empty(shape, bool)
+    report = EqualityReport(0, [], sampled=False)
+
+    def step(wlo, cols):
+        wmasks = np.arange(wlo, wlo + len(cols), dtype=mask_t)
+        wx = wmasks % xsize
+        if wlo < xsize:
+            wheel_cols[wlo:wlo + len(cols)] = cols[:xsize - wlo, :xsize]
+        # row W's V masks, as (V off-wheel part, V wheel part), against the
+        # wheel-only row of W's wheel part
+        np.equal(np.bitwise_and(near, wmasks[:, None], out=guard), 0, out=scope)
+        np.logical_and(scope, vx_any, out=scope)
+        scope[wx == 0] = False
+        report.pairs_checked += int(np.count_nonzero(scope))
+        np.not_equal(cols.reshape(len(cols), -1, xsize), wheel_cols[wx][:, None, :],
+                     out=differ.reshape(len(cols), -1, xsize))
+        report.note(np.logical_and(scope, differ, out=differ), wlo, order, witness_cap)
+
+    return report, step
+
+
+def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
     """Check that the patched operator equals the minimization of the
-    patched distance on all subset pairs of the universe (exhaustive up to
-    ``EXHAUSTIVE_MAX_POINTS`` points, sampled above)."""
-    order = list(params.universe)
+    patched distance on every subset pair of the universe, or on ``sample``
+    seeded random pairs when given.  The exhaustive sweep of a Hamming
+    gadget also checks the reduction lemma, in the same pass, into the
+    report's ``reduction``."""
+    order = list(gadget.universe)
     n = len(order)
-    report = EqualityReport(0, [], sampled=sample is not None or n > EXHAUSTIVE_MAX_POINTS)
-    if not report.sampled:
-        index = {lab: i for i, lab in enumerate(order)}
-        # the table entries as (V mask, W mask) -> result mask; they
-        # override the backing distance's minimization
-        entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
-                   for (v, w), x in patched_op.entries.items()}
-        cost = distance_int_matrix(patched_op.backing, order)
-        for wlo, cols, cols2 in _columns(cost, distance_int_matrix(patched_dist, order)):
-            for (vm, wm), bits in entries.items():
-                if wlo <= wm < wlo + len(cols):
-                    cols[wm - wlo, vm] = bits
-            report.note(cols != cols2, wlo, order, witness_cap)
-        report.pairs_checked = 1 << 2 * n
+    report = EqualityReport(0, [], sampled=sample is not None)
+    if sample is not None:
+        rng = random.Random(seed)
+        report.pairs_checked = sample
+        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(sample)]
+        vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
+        lhs = gadget.patched_op.lookup_rows(vrows, wrows, order)
+        rhs = apply_rows(gadget.patched_dist, vrows, wrows, order)
+        for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
+            vmask, wmask = pairs[p]
+            report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
         return report
-    rng = random.Random(seed)
-    report.pairs_checked = sample if sample is not None else 10**5
-    pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
-             for _ in range(report.pairs_checked)]
-    vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
-    lhs = patched_op.lookup_rows(vrows, wrows, order)
-    rhs = apply_rows(patched_dist, vrows, wrows, order)
-    for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
-        vmask, wmask = pairs[p]
-        report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
+    index = {lab: i for i, lab in enumerate(order)}
+    # the table entries as (V mask, W mask) -> result mask; they override
+    # the backing distance's minimization
+    entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
+               for (v, w), x in gadget.patched_op.entries.items()}
+    read_reduction = None
+    if gadget.points is not None:
+        report.reduction, read_reduction = _reduction_lemma(gadget, order, witness_cap)
+    differ = np.empty((1 << _block_bits(n), 1 << n), bool)
+    cost = distance_int_matrix(gadget.patched_op.backing, order)
+    for wlo, cols, cols2 in _columns(cost, distance_int_matrix(gadget.patched_dist, order)):
+        if read_reduction is not None:
+            read_reduction(wlo, cols)
+        for (vm, wm), bits in entries.items():
+            if wlo <= wm < wlo + len(cols):
+                cols[wm - wlo, vm] = bits
+        report.note(np.not_equal(cols, cols2, out=differ), wlo, order, witness_cap)
+    report.pairs_checked = 1 << 2 * n
     return report
 
 
 # ---------------------------------------------------------------------------
-# Abstract-wheel claim verification
-
-
-@dataclass(frozen=True)
-class WheelGadget:
-    params: WheelParams
-    dist: PseudoDistance
-    op: OperatorTable
-    r: int
-    patched_op: OperatorTable
-    patched_dist: PseudoDistance
-
-
-def build_wheel_gadget(n=1, m=None, taken_pairs=(), extras=("x1", "x2")):
-    params = WheelParams.for_arity(n, extras) if m is None else WheelParams(m, tuple(extras))
-    dist = build_wheel_distance(params)
-    op = build_modified_operator(dist, params)
-    r = find_fresh_rung(list(taken_pairs), params.m)
-    patched_op, patched_dist = build_patched(op, dist, params, r)
-    return WheelGadget(params, dist, op, r, patched_op, patched_dist)
-
-
-def loop_family_generators(params):
-    """Singletons and adjacent doubletons of the wheel points: the natural
-    candidate sets for the loop-violation search."""
-    sets = [frozenset({p}) for p in params.wheel_labels]
-    for i in range(1, params.m + 1):
-        sets.extend(_rung(i, params.m))
-    return sets
+# Claim verification
 
 
 @dataclass
-class WheelClaimsReport:
+class ClaimsReport:
     fragment_verdict: object
     inclusion: object
     equality: EqualityReport
-    properties: dict
+    reduction: EqualityReport  # None for the abstract gadget
+    properties: dict  # report key -> PropertyReport
     loop: object
 
     @property
@@ -381,190 +429,37 @@ class WheelClaimsReport:
             self.fragment_verdict.status == "unsat"
             and self.inclusion.passed
             and self.equality.passed
+            and (self.reduction is None or self.reduction.passed)
             and all(rep.passed for rep in self.properties.values())
             and not self.loop.passed  # a violation must exist
         )
 
 
-def verify_wheel_claims(gadget, sample=None, seed=0, loop_k_max=None):
-    """Machine-check the abstract gadget: the modified operator is
-    unrealizable, the patch equals the patched minimization everywhere,
-    the patched distance has the four real-order properties, and the
-    modified operator violates the loop condition."""
-    params = gadget.params
-    fragment = proof_fragment(gadget.op, params)
-    verdict = solve_table(fragment)
+def _verify(gadget, properties, sample=None, seed=0, witness_cap=16, loop_k_max=None):
+    """The claims common to both gadgets: the modified operator's fragment
+    is unrealizable, its entries are inclusive, the patch equals the
+    patched minimization, and the modified operator violates the loop
+    condition."""
+    verdict = solve_table(proof_fragment(gadget))
     inclusion = check_inclusion(gadget.op)
-    equality = wheel_equality_sweep(
-        params, gadget.patched_op, gadget.patched_dist, sample=sample, seed=seed
-    )
-    properties = {
-        prop: check_property(gadget.patched_dist, prop)
-        for prop in ("symmetric", "ir", "positive", "tir")
-    }
-    k_max = loop_k_max if loop_k_max is not None else 2 * params.m
-    loop = find_loop_violation(gadget.op, loop_family_generators(params), k_max)
-    return WheelClaimsReport(verdict, inclusion, equality, properties, loop)
+    equality = wheel_equality_sweep(gadget, sample, seed, witness_cap)
+    k_max = loop_k_max if loop_k_max is not None else 2 * gadget.m
+    loop = find_loop_violation(gadget.op, loop_family_generators(gadget.m), k_max)
+    return ClaimsReport(verdict, inclusion, equality, equality.reduction, properties, loop)
 
 
-# ---------------------------------------------------------------------------
-# Hamming wheel over matrix valuations
-
-
-@dataclass(frozen=True)
-class HammingWheelGadget:
-    m: int
-    matrix: object
-    signature: tuple
-    points: dict  # label -> Valuation
-    wheel_labels: tuple
-    extra_labels: tuple
-    dist: PseudoDistance
-    r: int
-    patched_dist: PseudoDistance
-
-    @property
-    def universe(self):
-        return self.wheel_labels + self.extra_labels
-
-    def x_set(self):
-        return frozenset(self.wheel_labels)
-
-
-def _two_values(matrix):
-    one = min(matrix.designated)
-    rest = [t for t in matrix.values if t not in matrix.designated]
-    if not rest:
-        raise MatrixError("matrix needs a non-designated value")
-    return rest[0], one
-
-
-def build_hamming_wheel(n=1, m=None, matrix=CLASSICAL, taken_pairs=()):
-    """The Hamming cycle gadget: unit valuations on 2m atoms plus three
-    off-wheel valuations at Hamming difference 1, 2, and >= 3 from the
-    wheel."""
-    if m is None:
-        m = n + 3
-    if m < 4:
-        raise FamilyError("wheel needs m >= 4")
-    zero, one = _two_values(matrix)
-    sig = tuple(f"p{i}" for i in range(1, m + 1)) + tuple(
-        f"q{i}" for i in range(1, m + 1)
-    )
-
-    def unit(*ones):
-        return Valuation(sig, tuple(one if a in ones else zero for a in sig))
-
-    points = {}
-    for i in range(1, m + 1):
-        points[f"v{i}"] = unit(f"p{i}")
-        points[f"w{i}"] = unit(f"q{i}")
-    # e1 at difference 1 from every wheel point, e2 at difference 2 from v1,
-    # e3 at difference >= 3 from every wheel point and from e1/e2
-    points["e1"] = unit()
-    points["e2"] = unit("p1", "p2", "p3")
-    points["e3"] = unit("p1", "q1", "p2", "q2")
-    wheel_labels = tuple(f"v{i}" for i in range(1, m + 1)) + tuple(
-        f"w{i}" for i in range(1, m + 1)
-    )
-    extra_labels = ("e1", "e2", "e3")
-    xset = set(wheel_labels)
-
-    def cost(a, b):
-        if a == b:
-            return F(0)
-        if a not in xset or b not in xset:
-            h = len(hamming_diff(points[a], points[b]))
-            if h == 1:
-                return F(14, 10)
-            return F(h)
-        av, bv = a[0] == "v", b[0] == "v"
-        if av == bv:
-            return F(21, 10)
-        i, j = _rung_index(a), _rung_index(b)
-        if i == j:
-            return F(24, 10)
-        if abs(i - j) in (1, m - 1):
-            return F(25, 10)
-        return F(22, 10)
-
-    universe = wheel_labels + extra_labels
-    dist = PseudoDistance.from_function(universe, OrderMode.LIBERAL, cost)
-    r = find_fresh_rung(list(taken_pairs), m)
-    overrides = {}
-    for i in range(r + 1, m + 1):
-        overrides[(f"v{i}", f"w{i}")] = F(23, 10)
-        overrides[(f"w{i}", f"v{i}")] = F(23, 10)
-    patched = dist.replaced(overrides)
-    return HammingWheelGadget(
-        m, matrix, sig, points, wheel_labels, extra_labels, dist, r, patched
-    )
-
-
-def _case2_holds(gadget, vset, wset):
-    """Some cross pair leaves the wheel at Hamming difference below 3."""
-    xset = gadget.x_set()
-    for v in vset:
-        for w in wset:
-            if (v in xset and w in xset):
-                continue
-            if len(hamming_diff(gadget.points[v], gadget.points[w])) < 3:
-                return True
-    return False
-
-
-def hamming_operator(gadget, patched=False, guard=None):
-    """The guarded modified operator (and its patched variant) as a
-    function on label sets.  ``guard`` overrides the closeness test (used
-    by mutation checks)."""
-    case2 = guard if guard is not None else _case2_holds
-    xset = gadget.x_set()
-    m, r = gadget.m, gadget.r
-    wrap_v, wrap_w = _rung(m, m)
-    rung_v, rung_w = _rung(r, m)
-
-    def op(vset, wset):
-        vset, wset = frozenset(vset), frozenset(wset)
-        if not case2(gadget, vset, wset):
-            vx, wx = vset & xset, wset & xset
-            if patched and vx == rung_v and wx == rung_w:
-                return frozenset({f"w{r + 1}"})
-            if patched and vx == rung_w and wx == rung_v:
-                return frozenset({f"v{r + 1}"})
-            if vx == wrap_v and wx == wrap_w:
-                return frozenset({f"w{m}"})
-            if vx == wrap_w and wx == wrap_v:
-                return frozenset({f"v{m}"})
-        return apply(gadget.dist, vset, wset)
-
-    return op
-
-
-def hamming_proof_fragment(gadget):
-    """Wheel-only sub-table of the guarded operator; same unrealizable core
-    as the abstract fragment."""
-    return _rung_fragment(gadget.m, gadget.universe, hamming_operator(gadget))
-
-
-@dataclass
-class HammingClaimsReport:
-    equality: EqualityReport
-    reduction: EqualityReport
-    hir: object
-    liberal_tir: object
-    sandwich: object
-    fragment_verdict: object
-
-    @property
-    def passed(self):
-        return (
-            self.equality.passed
-            and self.reduction.passed
-            and self.hir.passed
-            and self.liberal_tir.passed
-            and self.sandwich.passed
-            and self.fragment_verdict.status == "unsat"
-        )
+def verify_wheel_claims(gadget, sample=None, seed=0, loop_k_max=None):
+    """Machine-check the abstract gadget, with the four real-order
+    properties of the patched distance.  The sweep is exhaustive up to
+    ``EXHAUSTIVE_MAX_POINTS`` points and above draws ``sample`` pairs
+    (10^5 by default)."""
+    if len(gadget.universe) <= EXHAUSTIVE_MAX_POINTS:
+        sample = None
+    elif sample is None:
+        sample = 10**5
+    properties = {f"patched.{prop}": check_property(gadget.patched_dist, prop)
+                  for prop in ("symmetric", "ir", "positive", "tir")}
+    return _verify(gadget, properties, sample, seed, loop_k_max=loop_k_max)
 
 
 def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
@@ -588,10 +483,10 @@ def hamming_sweep_bytes(gadget):
     """Bytes that the sweep of ``verify_hamming_claims`` holds at most: the
     wheel-only and near tables, per matrix the row-minimum table and the
     live H columns of ``_columns``, and per block cell the low-part tables
-    and block of each matrix, the shared block buffers of ``_columns`` and
-    of the guard and reduction checks, and the transients of building the
-    low-part tables."""
-    n, nx = len(gadget.universe), len(gadget.wheel_labels)
+    and block of each matrix, the shared block buffers of ``_columns``, of
+    the equality and of the reduction check, and the transients of building
+    the low-part tables."""
+    n, nx = len(gadget.universe), 2 * gadget.m
     mask = _mask_dtype(n).itemsize
     rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
                for d in (gadget.dist, gadget.patched_dist))
@@ -602,77 +497,19 @@ def hamming_sweep_bytes(gadget):
 
 
 def verify_hamming_claims(gadget, witness_cap=16):
-    """Machine-check the Hamming gadget claims: the patched operator equals
-    the patched minimization on every subset pair of the pool, the in-wheel
-    reduction lemma, Hamming-inequality respect, liberal triangle respect,
-    the sandwich bound, and unrealizability of the guarded operator's core.
-
-    The wheel labels come first in the universe, so they take the low bits;
-    the reduction lemma reads only the wheel-only table of the first
-    columns.  Raises ``BoundExceededError`` when that table and the sweep's
-    own tables and blocks would exceed ``HAMMING_MAX_BYTES``."""
+    """Machine-check the Hamming gadget, with the in-wheel reduction lemma,
+    Hamming-inequality respect, liberal triangle respect and the sandwich
+    bound.  The sweep is exhaustive; raises ``BoundExceededError`` before
+    it allocates when it would exceed ``HAMMING_MAX_BYTES``."""
     need = hamming_sweep_bytes(gadget)
     if need > HAMMING_MAX_BYTES:
         raise BoundExceededError(
             f"the Hamming sweep over {len(gadget.universe)} points needs about "
             f"{need >> 20} MiB, over the {HAMMING_MAX_BYTES >> 20} MiB cap"
         )
-    order = list(gadget.universe)
-    n, nx = len(order), len(gadget.wheel_labels)
-    size, xsize = 1 << n, 1 << nx
-    mask_t = _mask_dtype(n)
-    index = {lab: i for i, lab in enumerate(order)}
-    # near[vmask]: the points that some member of V meets in an off-wheel
-    # pair below Hamming difference 3; the guard routes V x W to plain
-    # minimization exactly when near & W is non-zero
-    near = _subset_table(np.array([
-        sum(1 << j for j, b in enumerate(order)
-            if max(i, j) >= nx
-            and len(hamming_diff(gadget.points[a], gadget.points[b])) < 3)
-        for i, a in enumerate(order)
-    ], dtype=mask_t), np.bitwise_or, 0)
-    # special[W wheel part] = (V wheel part, result bit) of the patched
-    # operator's four redirected entries
-    special = {}
-    for i, out in ((gadget.m, gadget.m), (gadget.r, gadget.r + 1)):
-        vv, ww = (_mask_of(s, index) for s in _rung(i, gadget.m))
-        special[ww] = (vv, 1 << index[f"w{out}"])
-        special[vv] = (ww, 1 << index[f"v{out}"])
-    vx_any = np.arange(size) % xsize != 0  # V has wheel points
-    wheel_cols = np.empty((xsize, xsize), dtype=mask_t)  # [W, V], wheel-only
-
-    eq = EqualityReport(size * size, [], sampled=False)
-    red = EqualityReport(0, [], sampled=False)
-    cost = distance_int_matrix(gadget.dist, order)
-    cost2 = distance_int_matrix(gadget.patched_dist, order)
-    for wlo, cols, cols2 in _columns(cost, cost2):
-        if not wlo:  # buffers of the block shape
-            guard, case1, scope, differ = (np.empty(cols.shape, dt)
-                                           for dt in (mask_t, bool, bool, bool))
-        wmasks = np.arange(wlo, wlo + len(cols), dtype=mask_t)
-        wx = wmasks % xsize
-        if wlo < xsize:
-            wheel_cols[wlo:wlo + len(cols)] = cols[:xsize - wlo, :xsize]
-        # the guard lets the special entries stand on case-1 pairs
-        np.equal(np.bitwise_and(near, wmasks[:, None], out=guard), 0, out=case1)
-        # reduction lemma on case-1 pairs with both wheel parts non-empty;
-        # row W's V masks, as (V off-wheel part, V wheel part), against the
-        # wheel-only row of W's wheel part
-        np.logical_and(case1, vx_any, out=scope)
-        scope[wx == 0] = False
-        red.pairs_checked += int(np.count_nonzero(scope))
-        np.not_equal(cols.reshape(len(cols), -1, xsize), wheel_cols[wx][:, None, :],
-                     out=differ.reshape(len(cols), -1, xsize))
-        red.note(np.logical_and(scope, differ, out=differ), wlo, order, witness_cap)
-        for wkey, (vs, bit) in special.items():
-            for row in np.flatnonzero(wx == wkey):
-                expected = cols[row, vs::xsize]  # the V masks whose wheel part is vs
-                expected[case1[row, vs::xsize]] = bit
-        eq.note(np.not_equal(cols, cols2, out=differ), wlo, order, witness_cap)
-
-    hir = check_hir(gadget.patched_dist, gadget.points, witness_cap)
-    ltir = check_property(gadget.patched_dist, "liberal_tir", witness_cap)
-    sandwich = check_sandwich(gadget, witness_cap=witness_cap)
-    fragment = hamming_proof_fragment(gadget)
-    verdict = solve_table(fragment)
-    return HammingClaimsReport(eq, red, hir, ltir, sandwich, verdict)
+    properties = {
+        "hamming_respect": check_hir(gadget.patched_dist, gadget.points, witness_cap),
+        "liberal_triangle": check_property(gadget.patched_dist, "liberal_tir", witness_cap),
+        "sandwich": check_sandwich(gadget, witness_cap=witness_cap),
+    }
+    return _verify(gadget, properties, witness_cap=witness_cap)

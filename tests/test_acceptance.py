@@ -1,6 +1,7 @@
 """Acceptance criteria: one test per criterion, each announcing a single
 pass/fail line with its tolerance."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -26,12 +27,13 @@ from distrev.revision import (
     valuation_universe,
 )
 from distrev.wheel import (
+    _redirected,
     build_hamming_wheel,
     build_wheel_gadget,
     check_sandwich,
-    hamming_operator,
     verify_hamming_claims,
     verify_wheel_claims,
+    wheel_equality_sweep,
 )
 
 F = Fraction
@@ -85,7 +87,7 @@ def test_criterion_2_abstract_wheel_m5_m6(announce):
     for n, sample in ((2, None), (3, 100_000)):
         gadget = build_wheel_gadget(n=n)
         report = verify_wheel_claims(gadget, sample=sample, seed=0)
-        m = gadget.params.m
+        m = gadget.m
         this_ok = (
             report.fragment_verdict.status == "unsat"
             and report.equality.passed
@@ -281,15 +283,20 @@ def test_criterion_8_mutation_sensitivity(announce):
 
     # (b) dropped closeness guard: the special wrap entry fires on a pair
     # polluted with a nearby off-wheel valuation and disagrees with the
-    # patched minimization
-    unguarded = hamming_operator(g, patched=True, guard=lambda *args: False)
-    guarded = hamming_operator(g, patched=True)
+    # patched minimization, and the equality sweep reports that pair
+    unguarded = OperatorTable(g.universe, _redirected(
+        g.m, g.universe[2 * g.m:], ((g.m, g.m), (g.r, g.r + 1)), lambda a, b: False),
+        backing=g.dist)
     polluted = frozenset({"v4", "v1", "e1"})
     wrap_w = frozenset({"w4", "w1"})
     expected = apply(g.patched_dist, polluted, wrap_w)
-    b_ok = guarded(polluted, wrap_w) == expected and unguarded(
-        polluted, wrap_w
-    ) != expected
+    sweep = wheel_equality_sweep(dataclasses.replace(g, patched_op=unguarded),
+                                 witness_cap=1 << 30)
+    b_ok = (
+        g.patched_op.lookup(polluted, wrap_w) == expected
+        and unguarded.lookup(polluted, wrap_w) != expected
+        and (polluted, wrap_w) in sweep.mismatches
+    )
 
     # (c) swapped witness ranks
     universe = ("a", "b", "c")

@@ -90,7 +90,7 @@ def test_realize_sat_unsat(workdir, hamming_file, capsys):
 
     gadget = build_wheel_gadget(n=1)
     frag = workdir / "frag.txt"
-    save_operator_table(proof_fragment(gadget.op, gadget.params), frag)
+    save_operator_table(proof_fragment(gadget), frag)
     assert main(["realize", str(frag)]) == 1
     assert "status: unsat" in capsys.readouterr().out
 
@@ -98,9 +98,7 @@ def test_realize_sat_unsat(workdir, hamming_file, capsys):
 
     dist = gadget.dist
     key = (frozenset({"v1"}), frozenset({"w1", "w2"}))
-    sat_table = OperatorTable(
-        gadget.params.universe, {key: apply(dist, *key)}
-    )
+    sat_table = OperatorTable(gadget.universe, {key: apply(dist, *key)})
     sat = workdir / "sat.txt"
     save_operator_table(sat_table, sat)
     assert main(["realize", str(sat)]) == 0

@@ -4,11 +4,12 @@ report fields; a rename must fail here rather than in a traced run."""
 import dataclasses
 import importlib.util
 import inspect
+import tokenize
 from pathlib import Path
 
 from distrev.distops import LoopVerdict, check_loop
 from distrev.revision import RevisionOperator
-from distrev.wheel import EqualityReport, HammingClaimsReport
+from distrev.wheel import ClaimsReport, EqualityReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -20,11 +21,22 @@ def _traced():
     return module.TRACED
 
 
+def _code_names(module):
+    with open(module.__file__) as fh:
+        return {tok.string for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME}
+
+
 def test_traced_names_exist():
     for name, home, attr, callers, _ in _traced():
         assert callable(getattr(home, attr, None)), (name, home.__name__, attr)
         for caller in callers:
-            # the tracer only rebinds a caller's name that is the home function
+            # the tracer only rebinds a caller's name that is the home
+            # function and skips a caller without that name; a caller that
+            # no longer calls the function leaves a stale row, not a gap,
+            # but one that still names it must bind the home function
+            if attr not in _code_names(caller):
+                continue
             assert getattr(caller, attr, None) is getattr(home, attr), (
                 name, caller.__name__, attr)
 
@@ -37,7 +49,7 @@ def test_revise_models_exists():
 
 def test_traced_report_fields_exist():
     assert "pairs_checked" in {f.name for f in dataclasses.fields(EqualityReport)}
-    fields = {f.name for f in dataclasses.fields(HammingClaimsReport)}
+    fields = {f.name for f in dataclasses.fields(ClaimsReport)}
     assert {"equality", "reduction"} <= fields
 
 

@@ -6,23 +6,25 @@ from fractions import Fraction
 import pytest
 
 from distrev import wheel
-from distrev.costs import INF, OrderMode, check_property
-from distrev.distops import OperatorTable, apply, find_loop_violation, recheck_chain
+from distrev.costs import OrderMode, check_property
+from distrev.distops import (
+    OperatorTable,
+    apply,
+    check_inclusion,
+    find_loop_violation,
+    recheck_chain,
+)
 from distrev.errors import BoundExceededError, FamilyError
+from distrev.logic import hamming_diff
 from distrev.realizability import solve_table
 from distrev.wheel import (
-    WheelParams,
     _columns,
     _labels_of,
+    _redirected,
     build_hamming_wheel,
-    build_modified_operator,
-    build_patched,
-    build_wheel_distance,
     build_wheel_gadget,
     distance_int_matrix,
     find_fresh_rung,
-    hamming_operator,
-    hamming_proof_fragment,
     hamming_sweep_bytes,
     loop_family_generators,
     proof_fragment,
@@ -35,16 +37,19 @@ F = Fraction
 
 
 def test_params_validation():
-    with pytest.raises(FamilyError):
-        WheelParams(3)
-    with pytest.raises(FamilyError):
-        WheelParams.for_arity(0)
-    assert WheelParams.for_arity(1).m == 4
+    for build in (build_wheel_gadget, build_hamming_wheel):
+        with pytest.raises(FamilyError):
+            build(m=3)
+        with pytest.raises(FamilyError):
+            build(n=0)
+        g = build(n=1)
+        assert g.m == 4
+        assert g.universe[:8] == ("v1", "v2", "v3", "v4", "w1", "w2", "w3", "w4")
+    assert build_wheel_gadget(n=1).universe[8:] == ("x1", "x2")
 
 
 def test_wheel_distance_cases():
-    params = WheelParams(4)
-    d = build_wheel_distance(params)
+    d = build_wheel_gadget(m=4).dist
     assert d.d("v1", "v1") == F(0)
     assert d.d("v1", "x1") == F(1)  # off the wheel
     assert d.d("v1", "v3") == F(11, 10)  # same side
@@ -59,9 +64,9 @@ def test_wheel_distance_cases():
 
 
 def test_modified_operator_entries():
-    params = WheelParams(4)
-    d = build_wheel_distance(params)
-    op = build_modified_operator(d, params)
+    op = build_wheel_gadget(m=4).op
+    # every off-wheel pair is near, so only the wrap rung's two pairs remain
+    assert len(op.entries) == 2
     assert op.lookup({"v4", "v1"}, {"w4", "w1"}) == {"w4"}
     assert op.lookup({"w4", "w1"}, {"v4", "v1"}) == {"v4"}
     # away from the wrap rung the operator is plain minimization
@@ -71,24 +76,22 @@ def test_modified_operator_entries():
 
 def test_fragment_is_unrealizable_for_all_small_m():
     for m in (4, 5, 6):
-        params = WheelParams(m)
-        op = build_modified_operator(build_wheel_distance(params), params)
-        verdict = solve_table(proof_fragment(op, params))
-        assert verdict.status == "unsat", m
-        assert verdict.conflict
+        for gadget in (build_wheel_gadget(m=m), build_hamming_wheel(m=m)):
+            verdict = solve_table(proof_fragment(gadget))
+            assert verdict.status == "unsat", m
+            assert verdict.conflict
 
 
 def test_unmodified_operator_fragment_is_sat():
-    params = WheelParams(4)
-    d = build_wheel_distance(params)
-    plain = build_modified_operator(d, params)
-    fragment = proof_fragment(plain, params)
+    gadget = build_wheel_gadget(m=4)
+    d = gadget.dist
+    fragment = proof_fragment(gadget)
     # undo the modification: replace the wrap entry by the true minimization
     entries = dict(fragment.entries)
     vv = frozenset({"v4", "v1"})
     ww = frozenset({"w4", "w1"})
     entries[(vv, ww)] = apply(d, vv, ww)
-    verdict = solve_table(OperatorTable(params.universe, entries))
+    verdict = solve_table(OperatorTable(gadget.universe, entries))
     assert verdict.status == "sat"
 
 
@@ -138,7 +141,7 @@ def _assert_columns_match_apply(order, dists, side, seed):
 def test_sweep_columns_match_apply():
     gadget = build_wheel_gadget(n=1)
     _assert_columns_match_apply(
-        list(gadget.params.universe), (gadget.dist, gadget.patched_dist), 1, seed=0)
+        list(gadget.universe), (gadget.dist, gadget.patched_dist), 1, seed=0)
     g = build_hamming_wheel(n=1)
     assert g.dist.mode is OrderMode.LIBERAL
     _assert_columns_match_apply(list(g.universe), (g.dist, g.patched_dist), 0, seed=1)
@@ -168,11 +171,11 @@ def test_loop_walk_memory_stays_within_chunks():
     # layer of the unchunked walk alone is 10 MiB, so an 8 MiB bound fails
     # it; the walk in blocks of starts peaks near 3 MiB.
     gadget = build_wheel_gadget(m=10)
-    sets = loop_family_generators(gadget.params)
+    sets = loop_family_generators(gadget.m)
     assert len(sets) == 40
     tracemalloc.start()
     try:
-        verdict = find_loop_violation(gadget.op, sets, 2 * gadget.params.m)
+        verdict = find_loop_violation(gadget.op, sets, 2 * gadget.m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,7 +191,7 @@ def test_corrupted_patched_rung_breaks_equality():
     corrupted = gadget.patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
-    report = wheel_equality_sweep(gadget.params, gadget.patched_op, corrupted)
+    report = wheel_equality_sweep(dataclasses.replace(gadget, patched_dist=corrupted))
     assert not report.passed
 
 
@@ -205,7 +208,7 @@ def _sweep_reports(monkeypatch, cells):
     reports = []
     for cap in (16, 1 << 30):
         reports.append(wheel_equality_sweep(
-            gadget.params, gadget.patched_op, _corrupt_rung3(gadget.patched_dist),
+            dataclasses.replace(gadget, patched_dist=_corrupt_rung3(gadget.patched_dist)),
             witness_cap=cap))
         claims = verify_hamming_claims(
             dataclasses.replace(g, patched_dist=_corrupt_rung3(g.patched_dist)),
@@ -225,9 +228,10 @@ def test_sweep_block_size_does_not_change_reports(monkeypatch):
     assert _sweep_reports(monkeypatch, 1 << 22) == default
 
 
-def _scalar_sampled_mismatches(params, patched_op, patched_dist, sample, seed, cap=16):
+def _scalar_sampled_mismatches(gadget, sample, seed, cap=16):
     # the per-pair lookup-versus-apply loop over the sampled sweep's draws
-    order = list(params.universe)
+    order = list(gadget.universe)
+    patched_op, patched_dist = gadget.patched_op, gadget.patched_dist
     rng = random.Random(seed)
     found = []
     for _ in range(sample):
@@ -240,9 +244,8 @@ def _scalar_sampled_mismatches(params, patched_op, patched_dist, sample, seed, c
 
 def test_sampled_sweep_passes_m6():
     gadget = build_wheel_gadget(n=3)
-    assert len(gadget.params.universe) == 14
-    report = wheel_equality_sweep(gadget.params, gadget.patched_op,
-                                  gadget.patched_dist, sample=10_000, seed=0)
+    assert len(gadget.universe) == 14
+    report = wheel_equality_sweep(gadget, sample=10_000, seed=0)
     assert report.sampled
     assert report.pairs_checked == 10_000
     assert report.passed
@@ -251,31 +254,28 @@ def test_sampled_sweep_passes_m6():
 def test_sampled_sweep_catches_corrupted_rung_m6():
     # rung 3 made cheaper than every other cost between distinct points
     gadget = build_wheel_gadget(n=3)
-    corrupted = gadget.patched_dist.replaced(
+    corrupted = dataclasses.replace(gadget, patched_dist=gadget.patched_dist.replaced(
         {("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)}
-    )
-    report = wheel_equality_sweep(gadget.params, gadget.patched_op, corrupted,
-                                  sample=10_000, seed=0)
+    ))
+    report = wheel_equality_sweep(corrupted, sample=10_000, seed=0)
     assert not report.passed
-    assert report.mismatches == _scalar_sampled_mismatches(
-        gadget.params, gadget.patched_op, corrupted, 10_000, seed=0)
+    assert report.mismatches == _scalar_sampled_mismatches(corrupted, 10_000, seed=0)
 
 
 def test_sampled_sweep_catches_corrupted_entry_m6():
     # a wrong table entry at the third pair the sweep draws
     gadget = build_wheel_gadget(n=3)
-    order = list(gadget.params.universe)
+    order = list(gadget.universe)
     rng = random.Random(0)
     for _ in range(3):
         vset, wset = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
     entries = dict(gadget.patched_op.entries)
     entries[vset, wset] = apply(gadget.patched_dist, vset, wset) ^ {"x1"}
-    corrupted = OperatorTable(order, entries, backing=gadget.patched_op.backing)
-    report = wheel_equality_sweep(gadget.params, corrupted, gadget.patched_dist,
-                                  sample=10_000, seed=0)
+    corrupted = dataclasses.replace(gadget, patched_op=OperatorTable(
+        order, entries, backing=gadget.patched_op.backing))
+    report = wheel_equality_sweep(corrupted, sample=10_000, seed=0)
     assert report.mismatches == [(vset, wset)]
-    assert report.mismatches == _scalar_sampled_mismatches(
-        gadget.params, corrupted, gadget.patched_dist, 10_000, seed=0)
+    assert report.mismatches == _scalar_sampled_mismatches(corrupted, 10_000, seed=0)
 
 
 def test_taken_pairs_shift_the_fresh_rung():
@@ -291,15 +291,14 @@ def test_taken_pairs_shift_the_fresh_rung():
 
 def test_hamming_points():
     g = build_hamming_wheel(n=1)
-    assert len(g.signature) == 8
+    assert len(g.points["v1"].atoms) == 8
     assert len(g.universe) == 11
-    from distrev.logic import hamming_diff
 
     # wheel points pairwise at difference 2; extras at 1 / 2 / >= 3
     assert len(hamming_diff(g.points["v1"], g.points["w3"])) == 2
     assert len(hamming_diff(g.points["e1"], g.points["v1"])) == 1
     assert len(hamming_diff(g.points["e2"], g.points["v1"])) == 2
-    for lab in g.wheel_labels:
+    for lab in g.universe[:2 * g.m]:
         assert len(hamming_diff(g.points["e3"], g.points[lab])) >= 3
     assert len(hamming_diff(g.points["e3"], g.points["e1"])) >= 3
     assert len(hamming_diff(g.points["e3"], g.points["e2"])) >= 3
@@ -322,7 +321,7 @@ def test_hamming_distance_cases():
 
 def test_hamming_guard_routes_to_minimization():
     g = build_hamming_wheel(n=1)
-    op = hamming_operator(g)
+    op = g.op.lookup
     wrap_v = {"v4", "v1"}
     wrap_w = {"w4", "w1"}
     assert op(wrap_v, wrap_w) == {"w4"}
@@ -333,6 +332,62 @@ def test_hamming_guard_routes_to_minimization():
     assert op(wrap_v | {"e3"}, wrap_w) == {"w4"}
 
 
+def test_hamming_table_sizes():
+    # the redirected rung pairs with the extras that stay clear of the guard
+    for m in (4, 5, 6, 7):
+        g = build_hamming_wheel(m=m)
+        assert (len(g.op.entries), len(g.patched_op.entries)) == (12, 24), m
+
+
+def _scalar_hamming_operator(g, patched):
+    # the guarded operator pair by pair: the wheel parts of a redirected
+    # rung pair keep a single point unless some cross pair leaves the wheel
+    # below Hamming difference 3; every other pair is minimized
+    m, wheel = g.m, set(g.universe[:2 * g.m])
+    close = {(a, b): len(hamming_diff(g.points[a], g.points[b])) < 3
+             for a in g.universe for b in g.universe}
+    special = {}
+    for i, j in [(m, m)] + ([(g.r, g.r + 1)] if patched else []):
+        nxt = i % m + 1
+        vv, ww = frozenset({f"v{i}", f"v{nxt}"}), frozenset({f"w{i}", f"w{nxt}"})
+        special[vv, ww] = frozenset({f"w{j}"})
+        special[ww, vv] = frozenset({f"v{j}"})
+
+    def op(vset, wset):
+        vset, wset = frozenset(vset), frozenset(wset)
+        key = (vset & wheel, wset & wheel)
+        if key in special and not any(
+                close[v, w] for v in vset for w in wset if not {v, w} <= wheel):
+            return special[key]
+        return apply(g.dist, vset, wset)
+
+    return op
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hamming_tables_match_scalar_guard(m):
+    g = build_hamming_wheel(m=m)
+    extras = g.universe[2 * m:]
+    subsets = [frozenset(e for k, e in enumerate(extras) if bits >> k & 1)
+               for bits in range(1 << len(extras))]
+    rungs = [(m, m), (g.r, g.r + 1)]
+    pairs = []
+    for i, _ in rungs:
+        vv = frozenset({f"v{i}", f"v{i % m + 1}"})
+        ww = frozenset({f"w{i}", f"w{i % m + 1}"})
+        for side, other in ((vv, ww), (ww, vv)):
+            pairs += [(side | ev, other | ew) for ev in subsets for ew in subsets]
+    assert len(pairs) == 4 * 64
+    rng = random.Random(m)
+    order = list(g.universe)
+    for _ in range(20_000):
+        pairs.append(tuple(_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw"))
+    for table, patched in ((g.op, False), (g.patched_op, True)):
+        reference = _scalar_hamming_operator(g, patched)
+        bad = [(v, w) for v, w in pairs if table.lookup(v, w) != reference(v, w)]
+        assert not bad, (patched, bad[:3])
+
+
 def test_hamming_full_claims():
     g = build_hamming_wheel(n=1)
     report = verify_hamming_claims(g)
@@ -340,10 +395,28 @@ def test_hamming_full_claims():
     assert report.equality.pairs_checked == 4_194_304
     assert report.reduction.passed
     assert report.reduction.pairs_checked == 242_505
-    assert report.hir.passed
-    assert report.liberal_tir.passed
-    assert report.sandwich.passed
+    assert set(report.properties) == {"hamming_respect", "liberal_triangle", "sandwich"}
+    assert all(r.passed for r in report.properties.values())
     assert report.fragment_verdict.status == "unsat"
+    assert report.inclusion.passed
+    assert not report.loop.passed and report.loop.k == 7
+    assert recheck_chain(g.op, report.loop.chain)
+    assert report.passed
+
+
+def test_hamming_claims_m5_stay_exhaustive():
+    # 13 points, over EXHAUSTIVE_MAX_POINTS: the Hamming sweep still covers
+    # every pair and the reduction lemma with it
+    g = build_hamming_wheel(n=2)
+    assert len(g.universe) > wheel.EXHAUSTIVE_MAX_POINTS
+    report = verify_hamming_claims(g)
+    assert not report.equality.sampled
+    assert report.equality.pairs_checked == 67_108_864
+    assert report.reduction.pairs_checked == 3_919_113
+    assert report.inclusion.passed
+    assert check_inclusion(g.patched_op).passed
+    assert not report.loop.passed and report.loop.k == 9
+    assert recheck_chain(g.op, report.loop.chain)
     assert report.passed
 
 
@@ -351,13 +424,20 @@ def test_dropped_guard_breaks_equality():
     # mutation check: ignoring the closeness guard when keying the special
     # entries must surface as operator-equality mismatches
     g = build_hamming_wheel(n=1)
-    op = hamming_operator(g, patched=True, guard=lambda *a: False)
+    rungs = ((g.m, g.m), (g.r, g.r + 1))
+    unguarded = OperatorTable(g.universe, _redirected(
+        g.m, g.universe[2 * g.m:], rungs, lambda a, b: False), backing=g.dist)
     # a polluted wrap pair now fires the special entry, disagreeing with the
-    # patched minimization
+    # patched minimization, which the guarded table still equals
     polluted_v = frozenset({"v4", "v1", "e1"})
     wrap_w = frozenset({"w4", "w1"})
-    assert op(polluted_v, wrap_w) == {"w4"}
-    assert op(polluted_v, wrap_w) != apply(g.patched_dist, polluted_v, wrap_w)
+    expected = apply(g.patched_dist, polluted_v, wrap_w)
+    assert g.patched_op.lookup(polluted_v, wrap_w) == expected
+    assert unguarded.lookup(polluted_v, wrap_w) == {"w4"}
+    assert unguarded.lookup(polluted_v, wrap_w) != expected
+    report = wheel_equality_sweep(dataclasses.replace(g, patched_op=unguarded),
+                                  witness_cap=1 << 30)
+    assert (polluted_v, wrap_w) in report.mismatches
 
 
 def test_corrupted_hamming_rung_breaks_sandwich_not_hir():

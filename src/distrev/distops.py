@@ -29,7 +29,24 @@ def apply(dist, vset, wset):
     return frozenset(w for (w, _), c in zip(cols, col_min) if c == best)
 
 
-APPLY_CHUNK_CELLS = 1 << 18  # (pair, v, w) cells per step of apply_rows
+APPLY_CHUNK_CELLS = 1 << 18  # cells per table, chunk or block of the kernels
+
+
+def _subset_table(rows, ufunc, empty):
+    """out[..., mask] = ``ufunc`` folded over rows[i] for the members i of
+    mask (``empty`` for the empty mask), in the rows' dtype; the masks in
+    [2^i, 2^(i+1)) extend those below 2^i by point i."""
+    rows = np.asarray(rows)
+    out = np.full(rows.shape[1:] + (1 << len(rows),), empty, dtype=rows.dtype)
+    for i, row in enumerate(rows):
+        low = 1 << i
+        out[..., low:2 * low] = ufunc(out[..., :low], row[..., None])
+    return out
+
+
+def _mask_dtype(n):
+    """The narrowest unsigned dtype that holds a mask of n points."""
+    return np.min_scalar_type((1 << n) - 1)
 
 
 def distance_int_matrix(dist, order=None):
@@ -50,27 +67,38 @@ def apply_rows(dist, vrows, wrows, order=None):
     V_p and W_p are row p of ``vrows`` and ``wrows``.  Columns follow
     ``order``, by default ``dist.universe``.
 
-    Per pair, the least rank over V in each column, masked to W, then the
-    columns that tie with the least of those.  The pairs go through in
-    chunks of about ``APPLY_CHUNK_CELLS`` cells, so the temporaries do not
-    grow with P.
+    The n points split into parts of t points, t the largest with
+    2^t * n <= ``APPLY_CHUNK_CELLS``.  Each part's ``_subset_table`` holds
+    the least rank in every column for every subset of the part.  A pair
+    reads one row per part, indexed by its V bits there in the narrowest
+    dtype; their minimum is V's least rank per column.  Masked to W, the
+    columns tying with the least are the result.  Pairs go in chunks of
+    about ``APPLY_CHUNK_CELLS`` (pair, column) cells, so the temporaries
+    do not grow with P.
     """
     vrows = np.asarray(vrows, dtype=bool)
     wrows = np.asarray(wrows, dtype=bool)
     ranks = distance_int_matrix(dist, order)
-    n = len(ranks)
+    n = max(len(ranks), 1)
     top = int(ranks.max(initial=0)) + 1  # the minimum over nothing
     dtype = np.min_scalar_type(top)
     ranks, top = ranks.astype(dtype), dtype.type(top)
+    t = max(1, (APPLY_CHUNK_CELLS // n).bit_length() - 1)
+    parts = []  # (the part's points, their bits in a subset index, its table)
+    for lo in range(0, len(ranks), t):
+        k = min(t, len(ranks) - lo)
+        parts.append((slice(lo, lo + k), (1 << np.arange(k)).astype(_mask_dtype(k)),
+                      _subset_table(ranks[lo:lo + k], np.minimum, top)))  # [column, subset]
     out = np.zeros(wrows.shape, dtype=bool)
-    step = max(1, APPLY_CHUNK_CELLS // max(n * n, 1))
+    step = max(1, APPLY_CHUNK_CELLS // n)
     for lo in range(0, len(out), step):
         v, w = vrows[lo:lo + step], wrows[lo:lo + step]
-        col = np.broadcast_to(ranks, (len(v), n, n)).min(
-            axis=1, where=v[:, :, None], initial=top)
-        col[~w] = top
-        best = col.min(axis=1, keepdims=True, initial=top)
-        out[lo:lo + step] = (col == best) & (best < top)
+        col = np.full(w.shape[::-1], top)  # [column, pair]
+        for cut, weights, table in parts:
+            np.minimum(col, table.take(v[:, cut] @ weights, axis=1), out=col)
+        np.putmask(col, ~w.T, top)
+        best = col.min(axis=0, initial=top)
+        out[lo:lo + step] = ((col == best) & (best < top)).T
     return out
 
 

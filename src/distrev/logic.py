@@ -479,6 +479,8 @@ def formula_extensions(signature, matrix, bound=200_000):
     while len(frontier):
         if len(known) > bound:
             raise BoundExceededError("formula-extension closure exceeds bound")
+        if len(known) == k ** width:  # every function is known
+            break
         new = []
         for tbl in unary:
             new += fresh(tbl[frontier])
@@ -506,7 +508,7 @@ def definable_model_sets(signature, matrix=CLASSICAL, bound=200_000):
     full = (1 << len(vals)) - 1
     closed = single | {full}
     frontier = list(closed)
-    while frontier:
+    while frontier and len(closed) < 1 << len(vals):  # not yet every set
         new = []
         for s in frontier:
             for t in single:

@@ -32,6 +32,8 @@ from .costs import (
 from .distops import (
     APPLY_CHUNK_CELLS,
     OperatorTable,
+    _mask_dtype,
+    _subset_table,
     apply_rows,
     check_inclusion,
     distance_int_matrix,
@@ -213,27 +215,10 @@ EXHAUSTIVE_MAX_POINTS = 12  # verify_wheel_claims samples above this
 HAMMING_MAX_BYTES = 1 << 30  # verify_hamming_claims refuses larger sweeps
 
 
-def _subset_table(rows, ufunc, empty):
-    """out[..., mask] = ``ufunc`` folded over rows[i] for the members i of
-    mask (``empty`` for the empty mask), in the rows' dtype; the masks in
-    [2^i, 2^(i+1)) extend those below 2^i by point i."""
-    rows = np.asarray(rows)
-    out = np.full(rows.shape[1:] + (1 << len(rows),), empty, dtype=rows.dtype)
-    for i, row in enumerate(rows):
-        low = 1 << i
-        out[..., low:2 * low] = ufunc(out[..., :low], row[..., None])
-    return out
-
-
 def _block_bits(n):
     """t such that a block of 2^t W columns over n points holds about
     ``APPLY_CHUNK_CELLS`` cells."""
     return min(n, max(0, APPLY_CHUNK_CELLS.bit_length() - 1 - n))
-
-
-def _mask_dtype(n):
-    """The narrowest unsigned dtype that holds a mask of n points."""
-    return np.min_scalar_type((1 << n) - 1)
 
 
 def _columns(cost, cost2):

@@ -102,8 +102,11 @@ def _assert_rows_match_apply(dist, pairs, order=None):
     got = apply_rows(dist, _rows([v for v, _ in pairs], cols),
                      _rows([w for _, w in pairs], cols), order)
     assert got.shape == (len(pairs), len(cols))
+    expected = {}  # repeated pairs ask the scalar apply once
     for (vset, wset), row in zip(pairs, got):
-        assert frozenset(p for p, bit in zip(cols, row) if bit) == apply(dist, vset, wset)
+        if (vset, wset) not in expected:
+            expected[vset, wset] = apply(dist, vset, wset)
+        assert frozenset(p for p, bit in zip(cols, row) if bit) == expected[vset, wset]
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,16 +126,35 @@ def test_apply_rows_matches_scalar_apply(data):
 
 
 def test_apply_rows_default_order_and_full_chunks():
-    # more pairs than one chunk of the default size, rows over dist.universe
+    # more pairs than one chunk of the default size, a chunk holding
+    # APPLY_CHUNK_CELLS // n pairs of n cells; rows over dist.universe
     dist = PseudoDistance(POINTS, OrderMode.LIBERAL, {
         (v, w): F(0) if v == w else COSTS[(3 * i + j) % len(COSTS)] if i != 4 else INF
         for i, v in enumerate(POINTS) for j, w in enumerate(POINTS)
     })
     rng = random.Random(5)
-    count = 2 * distops.APPLY_CHUNK_CELLS // len(POINTS) ** 2 + 7
+    count = 2 * distops.APPLY_CHUNK_CELLS // len(POINTS) + 7
     pairs = [tuple(frozenset(p for p in POINTS if rng.random() < 0.4) for _ in "vw")
              for _ in range(count)]
     _assert_rows_match_apply(dist, pairs)
+
+
+def test_apply_rows_splits_twenty_points_into_parts():
+    # at the default chunk size 20 points split into tabulated parts of 13
+    # and 7 points; liberal order with INF, frequent ties, empty V and W rows
+    rng = random.Random(11)
+    points = tuple(f"x{i}" for i in range(20))
+    values = COSTS + (INF,)
+    dist = PseudoDistance(points, OrderMode.LIBERAL, {
+        (v, w): rng.choice(values) for v in points for w in points})
+    order = rng.sample(points, len(points))
+    pairs = [tuple(frozenset(p for p in points if rng.random() < density)
+                   for density in (rng.random(), rng.random()))
+             for _ in range(400)]
+    pairs += [(frozenset(), frozenset(points)), (frozenset(points), frozenset()),
+              (frozenset(order[13:]), frozenset(points)),
+              (frozenset(order[:13]), frozenset(order[12:]))]
+    _assert_rows_match_apply(dist, pairs, order)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,6 +20,7 @@ from distrev.logic import (
     definable_model_sets,
     enumerate_valuations,
     eval_formula,
+    formula_extensions,
     formula_to_text,
     hamming_diff,
     make_valuation,
@@ -87,6 +88,15 @@ def test_enumeration_is_lexicographic_and_bounded():
     assert [v.label() for v in vals] == ["00", "01", "10", "11"]
     with pytest.raises(BoundExceededError):
         enumerate_valuations(tuple(f"a{i}" for i in range(30)), bound=1000)
+
+
+def test_formula_extensions_bound_counts_every_function():
+    # three classical atoms define all 256 functions of their 8 valuations;
+    # the closure refuses as soon as it holds more than ``bound`` of them
+    with pytest.raises(BoundExceededError):
+        formula_extensions(SIG, CLASSICAL, bound=255)
+    _, codes = formula_extensions(SIG, CLASSICAL, bound=256)
+    assert len(codes) == 256
 
 
 def test_enumerations_share_valuations_but_not_lists():

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from distrev import wheel
@@ -117,34 +118,56 @@ def test_patched_distance_costs():
     assert gadget.patched_op.lookup({"w1", "w2"}, {"v1", "v2"}) == {"v2"}
 
 
-def _assert_columns_match_apply(order, dists, side, seed):
+def _dense_columns(ranks, wmasks):
+    # {W mask: [V mask] -> the tie bits of V against W} for each W of
+    # ``wmasks``, by brute force over the rank matrix: V's least rank in
+    # each column through one (V, v, w) broadcast that folds nothing over
+    # subsets, then per W the columns of W that tie with the least
+    n = len(ranks)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # [mask, point]
+    top = int(ranks.max()) + 1
+    vmin = np.broadcast_to(ranks, (1 << n, n, n)).min(axis=1, where=bits[:, :, None],
+                                                      initial=top)
+    out = {}
+    for wmask in wmasks:
+        col = np.where(bits[wmask], vmin, top)
+        best = col.min(axis=1, keepdims=True)
+        out[wmask] = ((col == best) & (best < top)) @ (1 << np.arange(n))
+    return out
+
+
+def _assert_columns_match_dense(order, dists, side, seed):
     # every V of 300 seeded random W columns of dists[side], read off the
-    # rows of the sweep's blocks, against the set-level apply (itself
-    # checked against a Fraction minimizer in test_kernels.py)
+    # rows of the sweep's blocks, against the dense minimization; that in
+    # turn against the set-level apply (itself checked against a Fraction
+    # minimizer in test_kernels.py) on 20 of the columns
     n = len(order)
     sets = [_labels_of(mask, order) for mask in range(1 << n)]
     index = {lab: i for i, lab in enumerate(order)}
-    wanted = set(random.Random(seed).sample(range(1 << n), 300))
+    wanted = random.Random(seed).sample(range(1 << n), 300)
+    dense = _dense_columns(distance_int_matrix(dists[side], order), wanted)
+    for wmask in wanted[:20]:
+        for vmask, bits in enumerate(dense[wmask].tolist()):
+            got = apply(dists[side], sets[vmask], sets[wmask])
+            assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
     seen = 0
     for wlo, *blocks in _columns(*(distance_int_matrix(d, order) for d in dists)):
-        for row, col in enumerate(blocks[side].tolist()):
+        for row, col in enumerate(blocks[side]):
             wmask = wlo + row
-            if wmask not in wanted:
-                continue
-            seen += 1
-            for vmask, bits in enumerate(col):
-                got = apply(dists[side], sets[vmask], sets[wmask])
-                assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
+            if wmask in dense:
+                seen += 1
+                differ = np.flatnonzero(col != dense[wmask])
+                assert not len(differ), (sets[differ[0]], sets[wmask])
     assert seen == 300
 
 
 def test_sweep_columns_match_apply():
     gadget = build_wheel_gadget(n=1)
-    _assert_columns_match_apply(
+    _assert_columns_match_dense(
         list(gadget.universe), (gadget.dist, gadget.patched_dist), 1, seed=0)
     g = build_hamming_wheel(n=1)
     assert g.dist.mode is OrderMode.LIBERAL
-    _assert_columns_match_apply(list(g.universe), (g.dist, g.patched_dist), 0, seed=1)
+    _assert_columns_match_dense(list(g.universe), (g.dist, g.patched_dist), 0, seed=1)
 
 
 def test_full_claims_m4():

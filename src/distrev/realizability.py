@@ -43,8 +43,7 @@ class OrderAtom:
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of conjunctions of order atoms, tagged with the table
-    entry that produced it.  ``compile_constraints`` emits one atom per
-    conjunction, which is all ``solve`` accepts."""
+    entry that produced it; one atom per conjunction."""
 
     disjuncts: tuple  # tuple of tuples of OrderAtom
     provenance: str
@@ -52,9 +51,24 @@ class Clause:
 
 @dataclass
 class ConstraintSystem:
+    """The compiled constraints in the solver's encoding: per clause, its
+    entry tag and a tuple of ``(left, right, strict)`` atoms whose ends
+    index ``variables + minima``."""
+
     variables: tuple  # pair variables (v, w)
     minima: tuple  # one minimum variable (tag,) per entry
-    clauses: list
+    encoded: list  # (tag, atoms) per clause
+
+    @property
+    def clauses(self):
+        """The clauses as ``Clause`` and ``OrderAtom`` objects, built on
+        each read."""
+        names = self.variables + self.minima
+        return tuple(
+            Clause(tuple((OrderAtom(names[a], names[b], strict),) for a, b, strict in atoms),
+                   tag)
+            for tag, atoms in self.encoded
+        )
 
 
 @dataclass
@@ -76,8 +90,7 @@ def compile_constraints(table, symmetric=False):
     """Compile an operator table into ordering constraints over the pair
     variables and one minimum variable per entry."""
     variables = set()
-    minima = []
-    clauses = []
+    entries = []  # (tag, {pair: strict}, the pairs of each w in X)
     for (vset, wset), xset in table.sorted_entries():
         tag = _entry_tag(vset, wset)
         if not xset <= wset:
@@ -91,8 +104,6 @@ def compile_constraints(table, symmetric=False):
                 f"entry {tag}: empty result on non-empty arguments "
                 "(finite minimization is never empty)"
             )
-        mu = (tag,)
-        minima.append(mu)
         pairs = {w: list(dict.fromkeys(pair_var(v, w, symmetric) for v in sorted(vset)))
                  for w in sorted(wset)}
         strict = {}  # pair -> whether mu lies strictly below it
@@ -100,22 +111,18 @@ def compile_constraints(table, symmetric=False):
             for p in ps:
                 strict[p] = strict.get(p, False) or w not in xset
         variables.update(strict)
-        clauses += [Clause(((OrderAtom(mu, p, s),),), tag) for p, s in strict.items()]
-        clauses += [Clause(tuple((OrderAtom(p, mu, False),) for p in pairs[w]), tag)
-                    for w in sorted(xset)]
-    return ConstraintSystem(tuple(sorted(variables)), tuple(minima), clauses)
+        entries.append((tag, strict, [pairs[w] for w in sorted(xset)]))
+    variables = tuple(sorted(variables))
+    index = {var: i for i, var in enumerate(variables)}
+    encoded = []
+    for mu, (tag, strict, kept) in enumerate(entries, len(variables)):
+        encoded += [(tag, ((mu, index[p], s),)) for p, s in strict.items()]
+        encoded += [(tag, tuple((index[p], mu, False) for p in ps)) for ps in kept]
+    return ConstraintSystem(variables, tuple((tag,) for tag, _s, _k in entries), encoded)
 
 
 class _OutOfNodes(Exception):
     pass
-
-
-def _bits(mask):
-    """Indices of the set bits of a non-negative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def solve(system, budget=200_000):
@@ -127,13 +134,7 @@ def solve(system, budget=200_000):
     retried (backjumping), and an unsat verdict's conflict is the root's
     explanation.
     """
-    names = system.variables + system.minima
-    index = {var: i for i, var in enumerate(names)}
-    n = len(names)
-    clauses = [
-        (c.provenance, [(index[a.left], index[a.right], a.strict) for (a,) in c.disjuncts])
-        for c in system.clauses
-    ]
+    n = len(system.variables) + len(system.minima)
     up = [0] * n  # up[x]: bits of the variables entailed >= x
     sup = [0] * n  # sup[x]: bits of the variables entailed > x
     down = [0] * n  # down[x]: bits of the variables entailed <= x
@@ -146,11 +147,18 @@ def solve(system, budget=200_000):
         above = up[b] | 1 << b
         below = down[a] | 1 << a
         sabove = above if strict else sup[b]
-        for p in _bits(below):
+        m = below
+        while m:
+            low = m & -m
+            m ^= low
+            p = low.bit_length() - 1
             up[p] |= above
             sup[p] |= above if sup[p] >> a & 1 else sabove
-        for q in _bits(above):
-            down[q] |= below
+        m = above
+        while m:
+            low = m & -m
+            m ^= low
+            down[low.bit_length() - 1] |= below
         out[a].append(len(trail))
         trail.append((a, b, why))
 
@@ -164,9 +172,11 @@ def solve(system, budget=200_000):
         def mark(atoms, k):
             for a, b, _strict in atoms:
                 # the atoms of trail[:k] on paths from b to a
-                inside = (up[b] | 1 << b) & (down[a] | 1 << a)
-                for x in _bits(inside):
-                    for j in out[x]:
+                inside = m = (up[b] | 1 << b) & (down[a] | 1 << a)
+                while m:
+                    low = m & -m
+                    m ^= low
+                    for j in out[low.bit_length() - 1]:
                         if j >= k:
                             break
                         if inside >> trail[j][1] & 1:
@@ -239,7 +249,7 @@ def solve(system, budget=200_000):
             add((b, a, not strict), failure - {depth})
 
     try:
-        failure = search(clauses, 0)
+        failure = search(system.encoded, 0)
     except _OutOfNodes:
         return Verdict("unknown", nodes=nodes)
     if failure is not None:

@@ -204,12 +204,32 @@ def test_unsat_conflict_names_an_unrealizable_subtable(symmetric):
     assert unsat >= 10
 
 
+def _letters_table(entries):
+    """A table over a, b, c from entries written as strings of points."""
+    return OperatorTable(("a", "b", "c"), {
+        (frozenset(v), frozenset(w)): frozenset(x) for (v, w), x in entries.items()})
+
+
 def test_budget_exhaustion_returns_unknown():
+    # budget 0 stops at the first node, before any propagation
     rng = random.Random(5)
-    t = _random_table(rng, ("a", "b", "c"), symmetric=False)
-    system = compile_constraints(t)
-    verdict = solve(system, budget=0)
-    assert verdict.status in ("unknown", "unsat")
+    for _ in range(20):
+        t = _random_table(rng, ("a", "b", "c"), symmetric=False)
+        verdict = solve(compile_constraints(t), budget=0)
+        assert (verdict.status, verdict.nodes) == ("unknown", 1)
+    # running out mid-search: a table decided in k > 2 nodes is unknown at
+    # budget k - 1 and gets its verdict at budget k
+    for entries, symmetric, status, k in [
+        ({("ab", "c"): "c", ("bc", "ac"): "ac", ("ac", "abc"): "abc"}, True, "sat", 7),
+        ({("ab", "ab"): "ab", ("ab", "abc"): "ac"}, False, "unsat", 5),
+    ]:
+        t = _letters_table(entries)
+        system = compile_constraints(t, symmetric)
+        short = solve(system, budget=k - 1)
+        assert (short.status, short.nodes) == ("unknown", k)
+        enough = solve(system, budget=k)
+        assert (enough.status, enough.nodes) == (status, k)
+        assert enough == solve(system)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

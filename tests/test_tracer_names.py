@@ -7,18 +7,23 @@ import inspect
 import tokenize
 from pathlib import Path
 
-from distrev.distops import LoopVerdict, check_loop
+from distrev.distops import LoopVerdict, OperatorTable, check_loop
+from distrev.realizability import compile_constraints
 from distrev.revision import RevisionOperator
 from distrev.wheel import ClaimsReport, EqualityReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _traced():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced():
+    return _tracer().TRACED
 
 
 def _code_names(module):
@@ -58,3 +63,21 @@ def test_loop_contract_of_the_benchmark():
     # the checkers jobs pass these keywords
     assert {"checked", "sampled"} <= {f.name for f in dataclasses.fields(LoopVerdict)}
     assert {"budget", "samples"} <= set(inspect.signature(check_loop).parameters)
+
+
+def test_atom_count_of_the_benchmark():
+    # the tracer counts realizability.atoms through the Clause view of
+    # compile_constraints; it must see one-atom conjunctions and count the
+    # atoms solve reads from the encoding
+    table = OperatorTable(("a", "b", "c"), {
+        (frozenset("abc"), frozenset("abc")): frozenset("a"),
+        (frozenset("ac"), frozenset("abc")): frozenset("b"),
+        (frozenset("bc"), frozenset("abc")): frozenset("abc"),
+    })
+    system = compile_constraints(table)
+    clauses = system.clauses
+    assert [c.provenance for c in clauses] == [tag for tag, _atoms in system.encoded]
+    assert all(len(d) == 1 for c in clauses for d in c.disjuncts)
+    assert any(len(c.disjuncts) > 1 for c in clauses)
+    solved = sum(len(atoms) for _tag, atoms in system.encoded)
+    assert _tracer()._atoms((table,), {}, system) == {"realizability.atoms": solved}

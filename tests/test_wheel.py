@@ -17,7 +17,7 @@ from distrev.distops import (
 )
 from distrev.errors import BoundExceededError, FamilyError
 from distrev.logic import hamming_diff
-from distrev.realizability import solve_table
+from distrev.realizability import _entry_tag, solve_table
 from distrev.wheel import (
     _columns,
     _labels_of,
@@ -76,11 +76,15 @@ def test_modified_operator_entries():
 
 
 def test_fragment_is_unrealizable_for_all_small_m():
-    for m in (4, 5, 6):
-        for gadget in (build_wheel_gadget(m=m), build_hamming_wheel(m=m)):
-            verdict = solve_table(proof_fragment(gadget))
-            assert verdict.status == "unsat", m
-            assert verdict.conflict
+    # propagation at the root refutes every fragment, through all 3m entries
+    gadgets = [build_wheel_gadget(m=m) for m in range(4, 13)]
+    gadgets += [build_hamming_wheel(m=m) for m in (4, 5, 6)]
+    for gadget in gadgets:
+        fragment = proof_fragment(gadget)
+        verdict = solve_table(fragment)
+        assert (verdict.status, verdict.nodes) == ("unsat", 1), gadget.m
+        assert len(fragment.entries) == 3 * gadget.m
+        assert verdict.conflict == sorted(_entry_tag(v, w) for v, w in fragment.entries)
 
 
 def test_unmodified_operator_fragment_is_sat():

@@ -207,77 +207,79 @@ def loop_family_generators(m):
 # ---------------------------------------------------------------------------
 # Subset sweeps
 #
-# Costs enter as the distance's compiled integer ranks.  Point k of the
-# sweep's order is bit k of a mask, and the minimization's result for every
-# (V, W) pair is a bitmask, produced one W column at a time by ``_columns``.
+# Point k of the sweep's order is bit k of a mask, and row V of a rank table
+# holds f_V(w), V's least rank toward w; the minimization of (V, W) keeps
+# the members of W at the least f_V.  By Arrow's choice-function lemma
+# (Economica 1959), two rows keep the same members of every W exactly when
+# they order every pair of points alike.  So a sweep compares each V's two
+# rows as weak orders, and folds the full W row only for the V's that fail
+# or key a table entry, to list the mismatching pairs.  The same reading
+# gives the Hamming reduction lemma: with A the points that no member of V
+# is near and h the row of V's wheel part, the minimization over every W
+# within A that meets the wheel is that of the wheel parts exactly when f_V
+# and h order the wheel points of A alike and f_V puts the off-wheel points
+# of A strictly above them.
 
 EXHAUSTIVE_MAX_POINTS = 12  # verify_wheel_claims samples above this
 HAMMING_MAX_BYTES = 1 << 30  # verify_hamming_claims refuses larger sweeps
 
 
-def _block_bits(n):
-    """t such that a block of 2^t W columns over n points holds about
-    ``APPLY_CHUNK_CELLS`` cells."""
-    return min(n, max(0, APPLY_CHUNK_CELLS.bit_length() - 1 - n))
+def _rank_rows(dist, order):
+    """[V, w]: V's least rank toward w, for every V mask over ``order``, in
+    the narrowest dtype; the empty V's row holds the top rank, one above
+    every entry."""
+    cost = distance_int_matrix(dist, order)
+    top = int(cost.max(initial=0)) + 1
+    top = np.min_scalar_type(top).type(top)
+    return np.ascontiguousarray(_subset_table(cost.astype(top.dtype), np.minimum, top).T)
 
 
-def _columns(cost, cost2):
-    """Yield ``(wlo, cols, cols2)`` for blocks of 2^t consecutive W masks in
-    ascending order: row L of ``cols`` is the column of W = wlo + L, so
-    cols[L, vmask] is the bitmask of the members of W at minimal ``cost``
-    over V x W (0 when V or W is empty); ``cols2`` is the same under
-    ``cost2``.  Ranks are kept in their narrowest dtype and bitmasks in
-    ``_mask_dtype(n)``.
-
-    W splits into its high part H = wlo and its low part L < 2^t.  The
-    columns of every L are tabulated once per matrix; the column of H
-    extends the column of H minus its lowest member, the last one built
-    with one member fewer, so n - t + 1 of them per matrix stay live.  A
-    block cell takes the tie bits of whichever part has the lesser minimum,
-    of both on a tie.  The yielded blocks are buffers that the next step rewrites; the caller may
-    overwrite them in between."""
-    n = len(cost)
-    size, t = 1 << n, _block_bits(n)
-    shape, mask_t = (1 << t, size), _mask_dtype(n)
-    lows = np.arange(1 << t, dtype=mask_t)[:, None]
-    tables, live = [], [None] * (n - t + 1)  # live: per member count of H
-    live[0] = []
-    for c in (cost, cost2):
-        top = int(c.max(initial=0)) + 1  # the minimum over no point
-        rank_t = np.min_scalar_type(top)
-        top = rank_t.type(top)
-        rowmin = _subset_table(c.astype(rank_t), np.minimum, top)  # [w, vmask]
-        lmin = np.ascontiguousarray(_subset_table(rowmin[:t], np.minimum, top).T)
-        lbits = np.zeros(shape, mask_t)  # the members of L at L's minimum
-        for j in range(t):
-            lbits |= mask_t.type(1 << j) * (lmin == rowmin[j])
-        lbits &= lows
-        lbits[:, 0] = 0  # empty V
-        tables.append((rowmin, lmin, lbits, np.empty(shape, mask_t)))
-        live[0].append((np.full(size, top), np.zeros(size, mask_t)))
-    tie, tmp = np.empty(shape, bool), np.empty(shape, mask_t)
-    for wlo in range(0, size, 1 << t):
-        k = wlo.bit_count()
-        if wlo:
-            low = wlo & -wlo
-            live[k] = []
-            for (hmin, hbits), (rowmin, *_) in zip(live[k - 1], tables):
-                c = rowmin[low.bit_length() - 1]
-                new = np.minimum(hmin, c)
-                bits = hbits * (hmin == new) | mask_t.type(low) * (c == new)
-                bits[0] = 0  # empty V
-                live[k].append((new, bits))
-        for (hmin, hbits), (_, lmin, lbits, block) in zip(live[k], tables):
-            np.multiply(lbits, np.less_equal(lmin, hmin, out=tie), out=block)
-            block |= np.multiply(hbits, np.less_equal(hmin, lmin, out=tie), out=tmp)
-        yield wlo, tables[0][3], tables[1][3]
+def _least_members(rows, mask_t):
+    """[V, W]: the members of W at the least rank of V's row, as a bitmask,
+    for every W mask, by one fold over the W bits (all of W for a row of
+    top ranks)."""
+    k, n = rows.shape
+    least = np.full((k, 1 << n), np.iinfo(rows.dtype).max, rows.dtype)
+    bits = np.zeros((k, 1 << n), mask_t)
+    for i in range(n):
+        low, rank = 1 << i, rows[:, i:i + 1]
+        new = np.minimum(least[:, :low], rank, out=least[:, low:2 * low])
+        bits[:, low:2 * low] = (bits[:, :low] * (least[:, :low] == new)
+                                | mask_t.type(low) * (rank == new))
+    return bits
 
 
-def _mask_of(labels, index):
-    mask = 0
-    for lab in labels:
-        mask |= 1 << index[lab]
-    return mask
+def _disordered(a, b):
+    """Per row, whether the rank rows a and b [k, n] order some pair of
+    points differently: sorted by a, b must not fall and must tie exactly
+    where a ties."""
+    by_a = np.argsort(a, axis=1, kind="stable")
+    a, b = np.take_along_axis(a, by_a, 1), np.take_along_axis(b, by_a, 1)
+    return np.any(((a[:, 1:] == a[:, :-1]) != (b[:, 1:] == b[:, :-1]))
+                  | (b[:, 1:] < b[:, :-1]), axis=1)
+
+
+def _row_flags(size, n, bad):
+    """``bad(vm)`` over every V mask below ``size``, in chunks of about
+    ``APPLY_CHUNK_CELLS`` (V, point) cells."""
+    step = max(1, APPLY_CHUNK_CELLS // n)
+    return np.concatenate([bad(np.arange(lo, min(lo + step, size)))
+                           for lo in range(0, size, step)])
+
+
+def _witnesses(vmasks, order, cap, differ):
+    """The first ``cap`` (V, W) label pairs, W ascending then V, where
+    ``differ(vm)`` [k, 2^n] holds, read in chunks of the ascending V masks
+    ``vmasks`` of about ``APPLY_CHUNK_CELLS`` cells."""
+    n = len(order)
+    step = max(1, APPLY_CHUNK_CELLS >> n)
+    keys = [np.empty(0, np.int64)]
+    for lo in range(0, len(vmasks), step):
+        vm = vmasks[lo:lo + step]
+        rows, wm = np.nonzero(differ(vm))
+        keys.append(np.sort(wm.astype(np.int64) << n | vm[rows])[:cap])
+    return [(_labels_of(key & (1 << n) - 1, order), _labels_of(key >> n, order))
+            for key in np.sort(np.concatenate(keys))[:cap].tolist()]
 
 
 def _mask_rows(masks, n):
@@ -303,69 +305,58 @@ class EqualityReport:
     def passed(self):
         return not self.mismatches
 
-    def note(self, mismatch, wlo, order, cap):
-        """Record the mismatching pairs of one block, whose row L holds the
-        V masks of W = wlo + L: W ascending, then V, up to ``cap`` in all."""
-        room = cap - len(self.mismatches)
-        if room > 0 and mismatch.any():
-            rows, vmasks = np.nonzero(mismatch)
-            for row, vm in zip(rows[:room].tolist(), vmasks[:room].tolist()):
-                self.mismatches.append((_labels_of(vm, order), _labels_of(wlo + row, order)))
 
-
-def _reduction_lemma(gadget, order, witness_cap):
-    """The Hamming gadget's in-wheel reduction lemma, read off the blocks of
-    the unpatched minimization: wherever V x W holds no near pair and both
-    wheel parts are non-empty, the result is that of the wheel parts alone.
-    Returns the report and the step that checks one block.  The wheel labels
-    take the low bits, so the wheel-only table fills from the first blocks."""
-    n, nx = len(order), 2 * gadget.m
-    size, xsize = 1 << n, 1 << nx
+def _reduction_sweep(f, near, nx, order, cap):
+    """The Hamming gadget's in-wheel reduction lemma on the rank rows ``f``
+    of the unpatched distance: wherever V x W holds no near pair and both
+    wheel parts (the low ``nx`` bits) are non-empty, the result is that of
+    the wheel parts alone; ``near[i]`` masks the points that point i meets
+    in an off-wheel near pair."""
+    n = len(order)
+    size, xmask = 1 << n, (1 << nx) - 1
     mask_t = _mask_dtype(n)
-    # near[vmask]: the points that some member of V meets in an off-wheel
-    # near pair; V x W holds none exactly when near & W is zero
-    near = _subset_table(np.array([
-        sum(1 << j for j, b in enumerate(order)
-            if max(i, j) >= nx and _near(gadget.points, a, b))
-        for i, a in enumerate(order)
-    ], dtype=mask_t), np.bitwise_or, 0)
-    vx_any = np.arange(size) % xsize != 0  # V has wheel points
-    wheel_cols = np.empty((xsize, xsize), dtype=mask_t)  # [W, V], wheel-only
-    shape = (1 << _block_bits(n), size)  # the sweep's blocks
-    guard = np.empty(shape, mask_t)
-    scope, differ = np.empty(shape, bool), np.empty(shape, bool)
-    report = EqualityReport(0, [], sampled=False)
+    near = _subset_table(near, np.bitwise_or, 0)  # [V]
+    free = ~near & mask_t.type(size - 1)  # A
+    ones = _subset_table(np.ones(n, np.uint8), np.add, 0)  # popcounts
+    vx_any = (np.arange(size) & xmask) != 0
+    pairs = 0
+    for part, sign in ((free, 1), (free >> nx, -1)):  # sum of 2^|A| - 2^|A off-wheel|
+        pairs += sign * sum(
+            c << k for k, c in enumerate(np.bincount(ones[part][vx_any]).tolist()))
+    top, bit = f[0, 0], np.arange(n, dtype=mask_t)
 
-    def step(wlo, cols):
-        wmasks = np.arange(wlo, wlo + len(cols), dtype=mask_t)
-        wx = wmasks % xsize
-        if wlo < xsize:
-            wheel_cols[wlo:wlo + len(cols)] = cols[:xsize - wlo, :xsize]
-        # row W's V masks, as (V off-wheel part, V wheel part), against the
-        # wheel-only row of W's wheel part
-        np.equal(np.bitwise_and(near, wmasks[:, None], out=guard), 0, out=scope)
-        np.logical_and(scope, vx_any, out=scope)
-        scope[wx == 0] = False
-        report.pairs_checked += int(np.count_nonzero(scope))
-        np.not_equal(cols.reshape(len(cols), -1, xsize), wheel_cols[wx][:, None, :],
-                     out=differ.reshape(len(cols), -1, xsize))
-        report.note(np.logical_and(scope, differ, out=differ), wlo, order, witness_cap)
+    def bad(vm):
+        # the points outside A, at the top rank on both sides, tie with
+        # each other above the rest, so only the pairs of A count
+        inside = (free[vm][:, None] >> bit & 1).astype(bool)
+        fa = np.where(inside, f[vm], top)
+        wheel_top = np.max(fa[:, :nx], axis=1, where=inside[:, :nx], initial=0)
+        return (_disordered(fa[:, :nx], np.where(inside[:, :nx], f[vm & xmask, :nx], top))
+                | ((fa[:, nx:].min(axis=1, initial=top) <= wheel_top) & inside[:, :nx].any(axis=1)))
 
-    return report, step
+    wmask = np.arange(size, dtype=mask_t)
+
+    def differ(vm):
+        h = f[vm & xmask]
+        h[:, nx:] = top  # the wheel part's minimization, off-wheel points never least
+        scope = ((wmask & near[vm][:, None]) == 0) & ((wmask & xmask) != 0)
+        return scope & (_least_members(f[vm], mask_t) != _least_members(h, mask_t))
+
+    flags = _row_flags(size, n, bad) & vx_any
+    return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ), False)
 
 
 def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
     """Check that the patched operator equals the minimization of the
     patched distance on every subset pair of the universe, or on ``sample``
     seeded random pairs when given.  The exhaustive sweep of a Hamming
-    gadget also checks the reduction lemma, in the same pass, into the
+    gadget also checks the reduction lemma, on the same rank rows, into the
     report's ``reduction``."""
     order = list(gadget.universe)
     n = len(order)
-    report = EqualityReport(0, [], sampled=sample is not None)
+    report = EqualityReport(1 << 2 * n if sample is None else sample, [], sample is not None)
     if sample is not None:
         rng = random.Random(seed)
-        report.pairs_checked = sample
         pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(sample)]
         vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
         lhs = gadget.patched_op.lookup_rows(vrows, wrows, order)
@@ -375,23 +366,33 @@ def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
             report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
         return report
     index = {lab: i for i, lab in enumerate(order)}
-    # the table entries as (V mask, W mask) -> result mask; they override
-    # the backing distance's minimization
-    entries = {(_mask_of(v, index), _mask_of(w, index)): _mask_of(x, index)
-               for (v, w), x in gadget.patched_op.entries.items()}
-    read_reduction = None
+    mask_t = _mask_dtype(n)
+    # the table entries by V mask, as (W mask, result mask); they override
+    # the backing distance's minimization, so their V rows are always folded
+    entries = {}
+    for key, x in gadget.patched_op.entries.items():
+        v, w, x = (sum(1 << index[lab] for lab in labels) for labels in (*key, x))
+        entries.setdefault(v, []).append((w, x))
+    f = _rank_rows(gadget.patched_op.backing, order)
+    g = _rank_rows(gadget.patched_dist, order)
+
+    def differ(vm):
+        left, right = _least_members(f[vm], mask_t), _least_members(g[vm], mask_t)
+        left[vm == 0] = right[vm == 0] = 0  # empty V
+        for row, v in enumerate(vm.tolist()):
+            for w, x in entries.get(v, ()):
+                left[row, w] = x
+        return left != right
+
+    flags = _row_flags(1 << n, n, lambda vm: _disordered(f[vm], g[vm]))
+    flags[list(entries)] = True
+    report.mismatches = _witnesses(np.flatnonzero(flags), order, witness_cap, differ)
     if gadget.points is not None:
-        report.reduction, read_reduction = _reduction_lemma(gadget, order, witness_cap)
-    differ = np.empty((1 << _block_bits(n), 1 << n), bool)
-    cost = distance_int_matrix(gadget.patched_op.backing, order)
-    for wlo, cols, cols2 in _columns(cost, distance_int_matrix(gadget.patched_dist, order)):
-        if read_reduction is not None:
-            read_reduction(wlo, cols)
-        for (vm, wm), bits in entries.items():
-            if wlo <= wm < wlo + len(cols):
-                cols[wm - wlo, vm] = bits
-        report.note(np.not_equal(cols, cols2, out=differ), wlo, order, witness_cap)
-    report.pairs_checked = 1 << 2 * n
+        nx = 2 * gadget.m
+        near = np.array([sum(1 << j for j, b in enumerate(order)
+                             if max(i, j) >= nx and _near(gadget.points, a, b))
+                         for i, a in enumerate(order)], dtype=mask_t)
+        report.reduction = _reduction_sweep(f, near, nx, order, witness_cap)
     return report
 
 
@@ -465,20 +466,18 @@ def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
 
 
 def hamming_sweep_bytes(gadget):
-    """Bytes that the sweep of ``verify_hamming_claims`` holds at most: the
-    wheel-only and near tables, per matrix the row-minimum table and the
-    live H columns of ``_columns``, and per block cell the low-part tables
-    and block of each matrix, the shared block buffers of ``_columns``, of
-    the equality and of the reduction check, and the transients of building
-    the low-part tables."""
-    n, nx = len(gadget.universe), 2 * gadget.m
+    """Bytes that the sweep of ``verify_hamming_claims`` holds at most: per V
+    mask, three rank tables, the reduction's tables and the flagged V masks;
+    per chunk cell, the order checks' sorted rows and pair tests, then two
+    folded W rows with their transients (a chunk holds one row at least)."""
+    n = len(gadget.universe)
     mask = _mask_dtype(n).itemsize
     rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
                for d in (gadget.dist, gadget.patched_dist))
-    t = _block_bits(n)
-    per_column = mask + 2 * (rank * n + (rank + mask) * (n - t + 1))
-    per_cell = 2 * (rank + 2 * mask) + (2 * mask + 4) + (rank + mask + 1)
-    return (mask << 2 * nx) + (per_column << n) + (per_cell << n + t)
+    per_v = 3 * rank * n + 3 * mask + 24
+    per_cell = 2 * rank + 5 * mask + 6
+    return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
+            + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
 
 
 def verify_hamming_claims(gadget, witness_cap=16):

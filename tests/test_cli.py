@@ -125,7 +125,9 @@ def test_wheel_hamming(workdir, capsys):
 
 
 def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
-    assert main(["wheel", "--variant", "hamming", "--n", "4", "--dir", "art"]) == 4
+    # m = n + 3 = 10, the smallest Hamming gadget whose sweep estimate is
+    # over the 1 GiB cap
+    assert main(["wheel", "--variant", "hamming", "--n", "7", "--dir", "art"]) == 4
     assert "MiB" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from distrev import wheel
-from distrev.costs import OrderMode, check_property
+from distrev.costs import INF, OrderMode, PseudoDistance, check_property
 from distrev.distops import (
     OperatorTable,
     apply,
@@ -19,8 +19,11 @@ from distrev.errors import BoundExceededError, FamilyError
 from distrev.logic import hamming_diff
 from distrev.realizability import _entry_tag, solve_table
 from distrev.wheel import (
-    _columns,
+    Gadget,
     _labels_of,
+    _least_members,
+    _mask_dtype,
+    _rank_rows,
     _redirected,
     build_hamming_wheel,
     build_wheel_gadget,
@@ -140,38 +143,125 @@ def _dense_columns(ranks, wmasks):
     return out
 
 
-def _assert_columns_match_dense(order, dists, side, seed):
-    # every V of 300 seeded random W columns of dists[side], read off the
-    # rows of the sweep's blocks, against the dense minimization; that in
+def _assert_rows_match_dense(order, dist, seed):
+    # every V of 300 seeded random W columns, read off the sweep's fold of
+    # each V row over the W bits, against the dense minimization; that in
     # turn against the set-level apply (itself checked against a Fraction
     # minimizer in test_kernels.py) on 20 of the columns
     n = len(order)
     sets = [_labels_of(mask, order) for mask in range(1 << n)]
     index = {lab: i for i, lab in enumerate(order)}
     wanted = random.Random(seed).sample(range(1 << n), 300)
-    dense = _dense_columns(distance_int_matrix(dists[side], order), wanted)
+    dense = _dense_columns(distance_int_matrix(dist, order), wanted)
     for wmask in wanted[:20]:
         for vmask, bits in enumerate(dense[wmask].tolist()):
-            got = apply(dists[side], sets[vmask], sets[wmask])
+            got = apply(dist, sets[vmask], sets[wmask])
             assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
-    seen = 0
-    for wlo, *blocks in _columns(*(distance_int_matrix(d, order) for d in dists)):
-        for row, col in enumerate(blocks[side]):
-            wmask = wlo + row
-            if wmask in dense:
-                seen += 1
-                differ = np.flatnonzero(col != dense[wmask])
-                assert not len(differ), (sets[differ[0]], sets[wmask])
-    assert seen == 300
+    rows = _least_members(_rank_rows(dist, order), _mask_dtype(n))  # [V, W]
+    rows[0] = 0  # the fold keeps all of W for the empty V; the sweep clears it
+    for wmask in wanted:
+        differ = np.flatnonzero(rows[:, wmask] != dense[wmask])
+        assert not len(differ), (sets[differ[0]], sets[wmask])
 
 
 def test_sweep_columns_match_apply():
     gadget = build_wheel_gadget(n=1)
-    _assert_columns_match_dense(
-        list(gadget.universe), (gadget.dist, gadget.patched_dist), 1, seed=0)
+    _assert_rows_match_dense(list(gadget.universe), gadget.patched_dist, seed=0)
     g = build_hamming_wheel(n=1)
     assert g.dist.mode is OrderMode.LIBERAL
-    _assert_columns_match_dense(list(g.universe), (g.dist, g.patched_dist), 0, seed=1)
+    _assert_rows_match_dense(list(g.universe), g.dist, seed=1)
+
+
+def _random_distance(rng, order, liberal, far=()):
+    # seeded costs: sevenths from 0 to 6 under the real order, or four
+    # values with inf under the liberal order, so that ties abound; a
+    # finite pair with a point of ``far`` costs 100 more
+    def cost(a, b):
+        c = rng.choice((F(0), F(1), F(2), INF)) if liberal else F(rng.randrange(43), 7)
+        return c + 100 if c is not INF and (a in far or b in far) else c
+
+    return PseudoDistance.from_function(
+        order, OrderMode.LIBERAL if liberal else OrderMode.REAL, cost)
+
+
+def _direct_sweeps(a, b, entries, near, nx):
+    # both sweeps by direct enumeration of every (W, V) cell of the dense
+    # columns a (the backing, with ``entries`` over it) and b: the
+    # equality's mismatching (V, W) masks, W ascending then V, the
+    # reduction's scope count and its mismatching masks
+    size, xmask = len(a), (1 << nx) - 1
+    near_of = [0] * size  # the points that some member of V is near
+    for v in range(1, size):
+        low = v & -v
+        near_of[v] = near_of[v ^ low] | near[low.bit_length() - 1]
+    vm, near_of = np.arange(size), np.array(near_of)
+    equal, reduction, pairs = [], [], 0
+    for wm in range(size):
+        col = a[wm].copy()
+        for (v, w), x in entries.items():
+            if w == wm:
+                col[v] = x
+        equal += [(v, wm) for v in np.flatnonzero(col != b[wm]).tolist()]
+        scope = ((vm & xmask) != 0) & ((near_of & wm) == 0) & ((wm & xmask) != 0)
+        pairs += int(scope.sum())
+        differ = a[wm] != a[wm & xmask][vm & xmask]
+        reduction += [(v, wm) for v in np.flatnonzero(scope & differ).tolist()]
+    return equal, pairs, reduction
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sweeps_match_direct_enumeration(seed, monkeypatch):
+    # seeded random distances on 6 to 8 points, real or liberal, the second
+    # an order-preserving copy of the first with 0 to 2 cells redrawn;
+    # random table entries, half of them the true minimization, the first
+    # for the empty V; a random wheel part and random near sets of 1 to 3
+    # points.  The V rows that each sweep folds, its verdict, its witnesses
+    # capped and uncapped and the reduction's scope count all equal a
+    # direct (W, V) enumeration.
+    rng = random.Random(seed)
+    n, nx = 6 + seed % 3, rng.randint(1, 5)
+    order = [f"p{i}" for i in range(n)]
+    d1 = _random_distance(rng, order, seed % 2 == 1, far=order[nx:] if seed % 4 >= 2 else ())
+    table = {k: c if c is INF else 2 * c + 1 for k, c in d1.table.items()}
+    values = list(table.values())
+    for k in rng.sample(sorted(table), rng.randrange(3)):
+        table[k] = rng.choice(values)
+    d2 = PseudoDistance(tuple(order), d1.mode, table)
+    size = 1 << n
+    a, b = (_dense_columns(distance_int_matrix(d, order), range(size)) for d in (d1, d2))
+    entries = {}
+    for k in range(rng.randrange(5)):
+        v, w = rng.randrange(size) if k else 0, rng.randrange(size)  # the first for empty V
+        entries[v, w] = int(a[w][v]) if rng.random() < 0.5 else w & rng.randrange(size)
+    near = np.array([sum(1 << j for j in rng.sample(range(n), rng.randint(1, 3)))
+                     for _ in range(n)], dtype=_mask_dtype(n))
+    equal, pairs, reduction = _direct_sweeps(a, b, entries, near, nx)
+    # the V rows with a mismatch or an entry, which the sweeps must fold
+    # into full W rows, and no other
+    flagged = [sorted({v for v, _ in equal} | {v for v, _ in entries}),
+               sorted({v for v, _ in reduction})]
+    folded, real = [], wheel._witnesses
+
+    def spy(vmasks, *rest):
+        folded.append(vmasks.tolist())
+        return real(vmasks, *rest)
+
+    def labels(found):
+        return [(_labels_of(v, order), _labels_of(w, order)) for v, w in found]
+
+    monkeypatch.setattr(wheel, "_witnesses", spy)
+    op = OperatorTable(order, {(_labels_of(v, order), _labels_of(w, order)): _labels_of(x, order)
+                               for (v, w), x in entries.items()}, backing=d1)
+    gadget = Gadget(0, tuple(order), d1, op, 0, op, d2)
+    for cap in (5, 1 << 30):
+        folded.clear()
+        report = wheel_equality_sweep(gadget, witness_cap=cap)
+        red = wheel._reduction_sweep(_rank_rows(d1, order), near, nx, order, cap)
+        assert folded == flagged
+        assert (report.pairs_checked, report.passed) == (size * size, not equal)
+        assert report.mismatches == labels(equal[:cap])
+        assert (red.pairs_checked, red.passed) == (pairs, not reduction)
+        assert red.mismatches == labels(reduction[:cap])
 
 
 def test_full_claims_m4():
@@ -211,15 +301,69 @@ def test_loop_walk_memory_stays_within_chunks():
     assert peak < 8 << 20
 
 
+# The mismatches of the m=4 mutation checks below as {W mask: V masks},
+# over each gadget's universe order, W ascending, then V: frozen from the
+# blocked W-column sweep that the row-wise sweep replaced.
+ABSTRACT_RUNG3 = {
+    6: (64, 96), 12: (64, 192), 14: (64,), 96: (4, 6), 192: (4, 12), 224: (4,),
+}
+HAMMING_RUNG3 = {
+    6: (64, 96, 1088, 1120), 12: (64, 192, 1088, 1216), 14: (64, 1088),
+    96: (4, 6, 516, 518, 1028, 1030, 1540, 1542),
+    192: (4, 12, 516, 524, 1028, 1036, 1540, 1548), 224: (4, 516, 1028, 1540),
+    518: (64, 96, 1088, 1120), 524: (64, 192, 1088, 1216), 526: (64, 1088),
+    1030: (64, 96), 1036: (64, 192), 1038: (64,), 1120: (4, 6, 516, 518),
+    1216: (4, 12, 516, 524), 1248: (4, 516), 1542: (64, 96), 1548: (64, 192),
+    1550: (64,),
+}
+UNGUARDED = {
+    3: (304, 560, 816, 1328, 1584, 1840), 9: (400, 656, 912, 1424, 1680, 1936),
+    48: (259, 771, 1283, 1795), 144: (265, 777, 1289, 1801),
+    259: (48, 304, 560, 816, 1072, 1328, 1584, 1840),
+    265: (144, 400, 656, 912, 1168, 1424, 1680, 1936),
+    304: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    400: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+    515: (304, 560, 816, 1328, 1584, 1840), 521: (400, 656, 912, 1424, 1680, 1936),
+    560: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    656: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+    771: (48, 304, 560, 816, 1072, 1328, 1584, 1840),
+    777: (144, 400, 656, 912, 1168, 1424, 1680, 1936),
+    816: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    912: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+    1027: (304, 560, 816, 1072, 1328, 1584, 1840),
+    1033: (400, 656, 912, 1168, 1424, 1680, 1936),
+    1072: (259, 771, 1027, 1283, 1539, 1795), 1168: (265, 777, 1033, 1289, 1545, 1801),
+    1283: (48, 304, 560, 816, 1072, 1328, 1584, 1840),
+    1289: (144, 400, 656, 912, 1168, 1424, 1680, 1936),
+    1328: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    1424: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+    1539: (304, 560, 816, 1072, 1328, 1584, 1840),
+    1545: (400, 656, 912, 1168, 1424, 1680, 1936),
+    1584: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    1680: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+    1795: (48, 304, 560, 816, 1072, 1328, 1584, 1840),
+    1801: (144, 400, 656, 912, 1168, 1424, 1680, 1936),
+    1840: (3, 259, 515, 771, 1027, 1283, 1539, 1795),
+    1936: (9, 265, 521, 777, 1033, 1289, 1545, 1801),
+}
+
+
+def _frozen(by_w, order, cap=None):
+    # the (V, W) label pairs of a frozen mismatch list, in the sweep's order
+    return [(_labels_of(v, order), _labels_of(w, order))
+            for w, vs in by_w.items() for v in vs][:cap]
+
+
 def test_corrupted_patched_rung_breaks_equality():
     # mutation check: nudging one patched rung cost off its value makes the
-    # exhaustive operator-equality sweep fail
+    # exhaustive operator-equality sweep fail, on the frozen pairs
     gadget = build_wheel_gadget(n=1)
     corrupted = gadget.patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
     report = wheel_equality_sweep(dataclasses.replace(gadget, patched_dist=corrupted))
     assert not report.passed
+    assert report.mismatches == _frozen(ABSTRACT_RUNG3, gadget.universe)
 
 
 def _corrupt_rung3(dist):
@@ -245,14 +389,19 @@ def _sweep_reports(monkeypatch, cells):
 
 
 def test_sweep_block_size_does_not_change_reports(monkeypatch):
-    # one W per block, then one block for the whole table (11 points at
-    # most), against the default block size: the same pair counts and the
-    # same mismatches in the same order, capped and uncapped
-    default = _sweep_reports(monkeypatch, wheel.APPLY_CHUNK_CELLS)
-    abstract, hamming = default[3][1], default[4][1]
-    assert abstract and len(hamming) > 16  # the cap of 16 cuts the Hamming list
-    assert _sweep_reports(monkeypatch, 1) == default
-    assert _sweep_reports(monkeypatch, 1 << 22) == default
+    # one V row per chunk, then every flagged row of the table in one chunk
+    # (11 points at most), against the default chunk size and the frozen
+    # lists: the same pair counts and the same mismatches in the same order,
+    # capped and uncapped
+    abstract, hamming = build_wheel_gadget(n=1).universe, build_hamming_wheel(n=1).universe
+    expected = []
+    for cap in (16, None):
+        expected += [(1 << 20, _frozen(ABSTRACT_RUNG3, abstract, cap)),
+                     (1 << 22, _frozen(HAMMING_RUNG3, hamming, cap)), (242_505, [])]
+    assert len(expected[4][1]) > 16  # the cap of 16 cuts the Hamming list
+    assert _sweep_reports(monkeypatch, wheel.APPLY_CHUNK_CELLS) == expected
+    assert _sweep_reports(monkeypatch, 1) == expected
+    assert _sweep_reports(monkeypatch, 1 << 22) == expected
 
 
 def _scalar_sampled_mismatches(gadget, sample, seed, cap=16):
@@ -447,6 +596,18 @@ def test_hamming_claims_m5_stay_exhaustive():
     assert report.passed
 
 
+def test_hamming_claims_m6_stay_exhaustive():
+    # 15 points: every one of the 2^30 pairs, and the reduction lemma
+    g = build_hamming_wheel(n=3)
+    report = verify_hamming_claims(g)
+    assert not report.equality.sampled
+    assert report.equality.pairs_checked == 1_073_741_824
+    assert report.reduction.pairs_checked == 62_862_345
+    assert not report.loop.passed and report.loop.k == 11
+    assert recheck_chain(g.op, report.loop.chain)
+    assert report.passed
+
+
 def test_dropped_guard_breaks_equality():
     # mutation check: ignoring the closeness guard when keying the special
     # entries must surface as operator-equality mismatches
@@ -465,6 +626,7 @@ def test_dropped_guard_breaks_equality():
     report = wheel_equality_sweep(dataclasses.replace(g, patched_op=unguarded),
                                   witness_cap=1 << 30)
     assert (polluted_v, wrap_w) in report.mismatches
+    assert report.mismatches == _frozen(UNGUARDED, g.universe)
 
 
 def test_corrupted_hamming_rung_breaks_sandwich_not_hir():
@@ -488,11 +650,13 @@ def test_corrupted_hamming_rung_breaks_equality():
     )
     report = verify_hamming_claims(dataclasses.replace(g, patched_dist=corrupted))
     assert not report.equality.passed
+    assert report.equality.mismatches == _frozen(HAMMING_RUNG3, g.universe, 16)
+    assert report.reduction.passed  # the reduction reads the unpatched distance
     assert not report.passed
 
 
 def test_hamming_sweep_estimate_covers_its_peak():
-    for m in (4, 5):
+    for m in (4, 5, 6):
         g = build_hamming_wheel(m=m)
         tracemalloc.start()
         try:
@@ -504,7 +668,10 @@ def test_hamming_sweep_estimate_covers_its_peak():
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
-    g = build_hamming_wheel(m=7)  # a 1 GiB wheel-only table
+    # m=10, 23 points: rank rows of 2^23 V masks by 23 points per distance
+    # put the estimate over 1 GiB; m=9 is the largest it admits
+    assert hamming_sweep_bytes(build_hamming_wheel(m=9)) <= wheel.HAMMING_MAX_BYTES
+    g = build_hamming_wheel(m=10)
     tracemalloc.start()
     try:
         with pytest.raises(BoundExceededError):

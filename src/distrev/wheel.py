@@ -40,7 +40,7 @@ from .distops import (
     find_loop_violation,
 )
 from .errors import BoundExceededError, FamilyError
-from .logic import CLASSICAL, Valuation, hamming_diff
+from .logic import Valuation, hamming_diff
 from .realizability import solve_table
 
 F = Fraction
@@ -138,10 +138,10 @@ def _build(m, extras, mode, ladder, off_cost, near, taken_pairs, points=None):
     return Gadget(m, universe, dist, op, r, patched_op, patched_dist, points)
 
 
-def build_wheel_gadget(n=1, m=None, taken_pairs=(), extras=("x1", "x2")):
+def build_wheel_gadget(n=1, m=None, taken_pairs=()):
     """The abstract gadget, m = n + 3 to defeat arity-n tests, under the
     real order; every pair with an extra costs 1 and is near."""
-    return _build(n + 3 if m is None else m, tuple(extras), OrderMode.REAL,
+    return _build(n + 3 if m is None else m, ("x1", "x2"), OrderMode.REAL,
                   (F(11, 10), F(14, 10), F(2), F(12, 10), F(13, 10)),
                   lambda a, b: F(1), lambda a, b: True, taken_pairs)
 
@@ -150,19 +150,17 @@ def _near(points, a, b):
     return len(hamming_diff(points[a], points[b])) < 3
 
 
-def build_hamming_wheel(n=1, m=None, matrix=CLASSICAL, taken_pairs=()):
+def build_hamming_wheel(n=1, m=None, taken_pairs=()):
     """The Hamming gadget: unit valuations on 2m atoms plus three off-wheel
     valuations at Hamming difference 1, 2, and >= 3 from the wheel, under
     the liberal order; an off-wheel pair costs its difference h (7/5 for
     h = 1) and is near below h = 3."""
     if m is None:
         m = n + 3
-    one = min(matrix.designated)
-    zero = next(t for t in matrix.values if t not in matrix.designated)
     sig = tuple(f"p{i}" for i in range(1, m + 1)) + tuple(f"q{i}" for i in range(1, m + 1))
 
     def unit(*ones):
-        return Valuation(sig, tuple(one if a in ones else zero for a in sig))
+        return Valuation(sig, tuple("1" if a in ones else "0" for a in sig))
 
     points = {}
     for i in range(1, m + 1):
@@ -220,8 +218,7 @@ def loop_family_generators(m):
 # and h order the wheel points of A alike and f_V puts the off-wheel points
 # of A strictly above them.
 
-EXHAUSTIVE_MAX_POINTS = 12  # verify_wheel_claims samples above this
-HAMMING_MAX_BYTES = 1 << 30  # verify_hamming_claims refuses larger sweeps
+SWEEP_MAX_BYTES = 1 << 30  # wheel_equality_sweep refuses larger exhaustive sweeps
 
 
 def _rank_rows(dist, order):
@@ -346,12 +343,29 @@ def _reduction_sweep(f, near, nx, order, cap):
     return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ), False)
 
 
+def sweep_bytes(gadget):
+    """Bytes that the exhaustive sweep of ``wheel_equality_sweep`` holds at
+    most: per V mask, three rank tables, a Hamming gadget's reduction
+    tables and the flagged V masks; per chunk cell, the order checks'
+    sorted rows and pair tests, then two folded W rows with their
+    transients (a chunk holds one row at least)."""
+    n = len(gadget.universe)
+    mask = _mask_dtype(n).itemsize
+    rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
+               for d in (gadget.dist, gadget.patched_dist))
+    per_v = 3 * rank * n + 3 * mask + 24
+    per_cell = 2 * rank + 5 * mask + 6
+    return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
+            + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
+
+
 def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
     """Check that the patched operator equals the minimization of the
     patched distance on every subset pair of the universe, or on ``sample``
-    seeded random pairs when given.  The exhaustive sweep of a Hamming
-    gadget also checks the reduction lemma, on the same rank rows, into the
-    report's ``reduction``."""
+    seeded random pairs when given.  The exhaustive sweep raises
+    ``BoundExceededError`` before it allocates when ``sweep_bytes`` is over
+    ``SWEEP_MAX_BYTES``; on a Hamming gadget it also checks the reduction
+    lemma, on the same rank rows, into the report's ``reduction``."""
     order = list(gadget.universe)
     n = len(order)
     report = EqualityReport(1 << 2 * n if sample is None else sample, [], sample is not None)
@@ -365,6 +379,12 @@ def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
             vmask, wmask = pairs[p]
             report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
         return report
+    need = sweep_bytes(gadget)
+    if need > SWEEP_MAX_BYTES:
+        raise BoundExceededError(
+            f"the exhaustive sweep over {n} points needs about {need >> 20} MiB, "
+            f"over the {SWEEP_MAX_BYTES >> 20} MiB cap"
+        )
     index = {lab: i for i, lab in enumerate(order)}
     mask_t = _mask_dtype(n)
     # the table entries by V mask, as (W mask, result mask); they override
@@ -421,31 +441,25 @@ class ClaimsReport:
         )
 
 
-def _verify(gadget, properties, sample=None, seed=0, witness_cap=16, loop_k_max=None):
+def _verify(gadget, properties, sample=None, seed=0):
     """The claims common to both gadgets: the modified operator's fragment
     is unrealizable, its entries are inclusive, the patch equals the
     patched minimization, and the modified operator violates the loop
     condition."""
     verdict = solve_table(proof_fragment(gadget))
     inclusion = check_inclusion(gadget.op)
-    equality = wheel_equality_sweep(gadget, sample, seed, witness_cap)
-    k_max = loop_k_max if loop_k_max is not None else 2 * gadget.m
-    loop = find_loop_violation(gadget.op, loop_family_generators(gadget.m), k_max)
+    equality = wheel_equality_sweep(gadget, sample, seed)
+    loop = find_loop_violation(gadget.op, loop_family_generators(gadget.m), 2 * gadget.m)
     return ClaimsReport(verdict, inclusion, equality, equality.reduction, properties, loop)
 
 
-def verify_wheel_claims(gadget, sample=None, seed=0, loop_k_max=None):
+def verify_wheel_claims(gadget, sample=None, seed=0):
     """Machine-check the abstract gadget, with the four real-order
-    properties of the patched distance.  The sweep is exhaustive up to
-    ``EXHAUSTIVE_MAX_POINTS`` points and above draws ``sample`` pairs
-    (10^5 by default)."""
-    if len(gadget.universe) <= EXHAUSTIVE_MAX_POINTS:
-        sample = None
-    elif sample is None:
-        sample = 10**5
+    properties of the patched distance.  The sweep is exhaustive, or draws
+    ``sample`` seeded pairs when given."""
     properties = {f"patched.{prop}": check_property(gadget.patched_dist, prop)
                   for prop in ("symmetric", "ir", "positive", "tir")}
-    return _verify(gadget, properties, sample, seed, loop_k_max=loop_k_max)
+    return _verify(gadget, properties, sample, seed)
 
 
 def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
@@ -465,35 +479,13 @@ def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
     return report
 
 
-def hamming_sweep_bytes(gadget):
-    """Bytes that the sweep of ``verify_hamming_claims`` holds at most: per V
-    mask, three rank tables, the reduction's tables and the flagged V masks;
-    per chunk cell, the order checks' sorted rows and pair tests, then two
-    folded W rows with their transients (a chunk holds one row at least)."""
-    n = len(gadget.universe)
-    mask = _mask_dtype(n).itemsize
-    rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
-               for d in (gadget.dist, gadget.patched_dist))
-    per_v = 3 * rank * n + 3 * mask + 24
-    per_cell = 2 * rank + 5 * mask + 6
-    return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
-            + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
-
-
-def verify_hamming_claims(gadget, witness_cap=16):
+def verify_hamming_claims(gadget):
     """Machine-check the Hamming gadget, with the in-wheel reduction lemma,
     Hamming-inequality respect, liberal triangle respect and the sandwich
-    bound.  The sweep is exhaustive; raises ``BoundExceededError`` before
-    it allocates when it would exceed ``HAMMING_MAX_BYTES``."""
-    need = hamming_sweep_bytes(gadget)
-    if need > HAMMING_MAX_BYTES:
-        raise BoundExceededError(
-            f"the Hamming sweep over {len(gadget.universe)} points needs about "
-            f"{need >> 20} MiB, over the {HAMMING_MAX_BYTES >> 20} MiB cap"
-        )
+    bound.  The sweep is exhaustive."""
     properties = {
-        "hamming_respect": check_hir(gadget.patched_dist, gadget.points, witness_cap),
-        "liberal_triangle": check_property(gadget.patched_dist, "liberal_tir", witness_cap),
-        "sandwich": check_sandwich(gadget, witness_cap=witness_cap),
+        "hamming_respect": check_hir(gadget.patched_dist, gadget.points),
+        "liberal_triangle": check_property(gadget.patched_dist, "liberal_tir"),
+        "sandwich": check_sandwich(gadget),
     }
-    return _verify(gadget, properties, witness_cap=witness_cap)
+    return _verify(gadget, properties)

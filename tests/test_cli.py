@@ -124,11 +124,31 @@ def test_wheel_hamming(workdir, capsys):
     assert os.path.exists("art/hamming-fragment.txt")
 
 
+def test_wheel_abstract_sweeps_exhaustively_unless_sampled(workdir, capsys):
+    # m = 6, 14 points: every one of the 2^28 pairs by default, and the
+    # seeded draws only when a sample size is given
+    assert main(["wheel", "--n", "3", "--dir", "art"]) == 0
+    assert "equality: pass (268435456 pairs, exhaustive)\n" in capsys.readouterr().out
+    assert main(["wheel", "--n", "3", "--samples", "500", "--dir", "art"]) == 0
+    assert "equality: pass (500 pairs, sampled)\n" in capsys.readouterr().out
+
+
+def _assert_refused_over_memory_cap(argv, capsys):
+    # exit 4 before the sweep allocates, and no artifacts directory left
+    assert main([*argv, "--dir", "art"]) == 4
+    assert "MiB" in capsys.readouterr().err
+    assert not os.path.exists("art")
+
+
 def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
     # m = n + 3 = 10, the smallest Hamming gadget whose sweep estimate is
     # over the 1 GiB cap
-    assert main(["wheel", "--variant", "hamming", "--n", "7", "--dir", "art"]) == 4
-    assert "MiB" in capsys.readouterr().err
+    _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "7"], capsys)
+
+
+def test_wheel_abstract_over_memory_cap_exits_4(workdir, capsys):
+    # m = 11, the smallest abstract gadget over the same cap
+    _assert_refused_over_memory_cap(["wheel", "--variant", "abstract", "--n", "8"], capsys)
 
 
 def test_wheel_bad_n_exits_2(workdir):
@@ -186,7 +206,8 @@ def _report_under_hash_seed(seed, args, cwd):
 
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
-    # a passing exhaustive run and a sampled run
+    # a passing exhaustive run and a sampled run; wheel: an exhaustive and
+    # a sampled abstract sweep
     _write(
         workdir / "cyclic.txt",
         "universe: 00 01 10 11\nbacking: hamming.txt\n"
@@ -211,10 +232,12 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
          "--samples", "200", "--seed", "3"],
         ["realize", "three.txt", "--budget", "2000"],
         ["realize", "sat.txt", "--symmetric"],
+        ["wheel", "--n", "1", "--dir", "art"],
+        ["wheel", "--n", "3", "--samples", "500", "--dir", "art"],
     ]
     codes = []
     for args in runs:
         first = _report_under_hash_seed(0, args, workdir)
         assert first == _report_under_hash_seed(1, args, workdir), args
         codes.append(first[0])
-    assert codes == [1, 0, 0, 1, 0]
+    assert codes == [1, 0, 0, 1, 0, 0, 0]

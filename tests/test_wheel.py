@@ -29,9 +29,9 @@ from distrev.wheel import (
     build_wheel_gadget,
     distance_int_matrix,
     find_fresh_rung,
-    hamming_sweep_bytes,
     loop_family_generators,
     proof_fragment,
+    sweep_bytes,
     verify_hamming_claims,
     verify_wheel_claims,
     wheel_equality_sweep,
@@ -381,10 +381,10 @@ def _sweep_reports(monkeypatch, cells):
         reports.append(wheel_equality_sweep(
             dataclasses.replace(gadget, patched_dist=_corrupt_rung3(gadget.patched_dist)),
             witness_cap=cap))
-        claims = verify_hamming_claims(
+        sweep = wheel_equality_sweep(
             dataclasses.replace(g, patched_dist=_corrupt_rung3(g.patched_dist)),
             witness_cap=cap)
-        reports += [claims.equality, claims.reduction]
+        reports += [sweep, sweep.reduction]
     return [(r.pairs_checked, r.mismatches) for r in reports]
 
 
@@ -581,10 +581,9 @@ def test_hamming_full_claims():
 
 
 def test_hamming_claims_m5_stay_exhaustive():
-    # 13 points, over EXHAUSTIVE_MAX_POINTS: the Hamming sweep still covers
-    # every pair and the reduction lemma with it
+    # 13 points: the sweep covers every pair and the reduction lemma with it
     g = build_hamming_wheel(n=2)
-    assert len(g.universe) > wheel.EXHAUSTIVE_MAX_POINTS
+    assert len(g.universe) == 13
     report = verify_hamming_claims(g)
     assert not report.equality.sampled
     assert report.equality.pairs_checked == 67_108_864
@@ -655,28 +654,53 @@ def test_corrupted_hamming_rung_breaks_equality():
     assert not report.passed
 
 
+def _claims_peak(verify, g):
+    # the traced peak of a passing claims check
+    tracemalloc.start()
+    try:
+        assert verify(g).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _refusal_peak(verify, g):
+    # the traced peak of a claims check refused over the sweep cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError):
+            verify(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_hamming_sweep_estimate_covers_its_peak():
     for m in (4, 5, 6):
         g = build_hamming_wheel(m=m)
-        tracemalloc.start()
-        try:
-            assert verify_hamming_claims(g).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= hamming_sweep_bytes(g), m
+        assert _claims_peak(verify_hamming_claims, g) <= sweep_bytes(g), m
+
+
+@pytest.mark.parametrize("m", (4, 5, 6, 7, 8))
+def test_abstract_sweep_estimate_covers_its_peak(m):
+    # one estimate for both gadgets; the abstract sweep is exhaustive at
+    # every size it admits
+    g = build_wheel_gadget(m=m)
+    assert _claims_peak(verify_wheel_claims, g) <= sweep_bytes(g)
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
     # m=10, 23 points: rank rows of 2^23 V masks by 23 points per distance
     # put the estimate over 1 GiB; m=9 is the largest it admits
-    assert hamming_sweep_bytes(build_hamming_wheel(m=9)) <= wheel.HAMMING_MAX_BYTES
-    g = build_hamming_wheel(m=10)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BoundExceededError):
-            verify_hamming_claims(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    assert sweep_bytes(build_hamming_wheel(m=9)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=10)) < 16 << 20
+
+
+def test_abstract_sweep_refuses_oversized_tables_before_allocating():
+    # m=11, 24 points: the same estimate is about 2.1 GiB; m=10 is the
+    # largest it admits, and a sample size still samples above it
+    assert sweep_bytes(build_wheel_gadget(m=10)) <= wheel.SWEEP_MAX_BYTES
+    g = build_wheel_gadget(m=11)
+    assert _refusal_peak(verify_wheel_claims, g) < 16 << 20
+    report = wheel_equality_sweep(g, sample=500)
+    assert report.sampled and report.pairs_checked == 500 and report.passed

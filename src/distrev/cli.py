@@ -198,6 +198,9 @@ def _sweep_line(sweep):
 
 
 def cmd_wheel(args):
+    if args.variant == "hamming" and args.samples is not None:
+        raise DistrevError("--samples applies to the abstract variant only: "
+                           "the Hamming sweep is always exhaustive")
     rep = Report()
     rep.add("command", "wheel")
     rep.add("variant", args.variant)

@@ -5,9 +5,12 @@ V x W and mu < d(v, w) for w outside X, and per w in X a clause that some
 d(v, w) <= mu.  ``solve`` propagates clauses left with one viable atom (one
 closing no strict cycle in the transitively closed order), branches on the
 clause with the fewest, and asserts a failed choice's negation (DPLL(T)).
-A node is one propagate-then-branch step; ``unknown`` means only that the
-node budget ran out.  A brute-force enumerator of all weak orders over the
-pair variables serves as an independent oracle at small scale.
+Each failure is explained by one justifying path of asserted atoms per
+blocked atom, as in difference-logic theory solvers (Cotton and Maler, SAT
+2006), and a failure that does not depend on the latest choice jumps back
+past it.  A node is one propagate-then-branch step; ``unknown`` means only
+that the node budget ran out.  A brute-force enumerator of all weak orders
+over the pair variables serves as an independent oracle at small scale.
 """
 
 from __future__ import annotations
@@ -83,19 +86,28 @@ class Verdict:
 
 
 def _entry_tag(vset, wset):
-    return f"{sorted(vset)}|{sorted(wset)}"
+    return _tag(sorted(vset), sorted(wset))
+
+
+def _tag(vs, ws):
+    """The tag of the entry whose sorted V and W are ``vs`` and ``ws``."""
+    return f"{vs}|{ws}"
 
 
 def compile_constraints(table, symmetric=False):
     """Compile an operator table into ordering constraints over the pair
     variables and one minimum variable per entry."""
+    # each entry's V and W sorted once; the keys are distinct, so the sort
+    # never compares results
+    rows = sorted((sorted(vset), sorted(wset), xset)
+                  for (vset, wset), xset in table.entries.items())
     variables = set()
     entries = []  # (tag, {pair: strict}, the pairs of each w in X)
-    for (vset, wset), xset in table.sorted_entries():
-        tag = _entry_tag(vset, wset)
-        if not xset <= wset:
+    for vs, ws, xset in rows:
+        tag = _tag(vs, ws)
+        if not xset.issubset(ws):
             raise UnrealizableError(f"entry {tag}: result not within W")
-        if not vset or not wset:
+        if not vs or not ws:
             if xset:
                 raise UnrealizableError(f"entry {tag}: empty argument with non-empty result")
             continue
@@ -104,14 +116,14 @@ def compile_constraints(table, symmetric=False):
                 f"entry {tag}: empty result on non-empty arguments "
                 "(finite minimization is never empty)"
             )
-        pairs = {w: list(dict.fromkeys(pair_var(v, w, symmetric) for v in sorted(vset)))
-                 for w in sorted(wset)}
+        # for a fixed w, pair_var is injective in v
+        pairs = [[pair_var(v, w, symmetric) for v in vs] for w in ws]
         strict = {}  # pair -> whether mu lies strictly below it
-        for w, ps in pairs.items():
+        for w, ps in zip(ws, pairs):
             for p in ps:
                 strict[p] = strict.get(p, False) or w not in xset
         variables.update(strict)
-        entries.append((tag, strict, [pairs[w] for w in sorted(xset)]))
+        entries.append((tag, strict, [ps for w, ps in zip(ws, pairs) if w in xset]))
     variables = tuple(sorted(variables))
     index = {var: i for i, var in enumerate(variables)}
     encoded = []
@@ -128,17 +140,18 @@ class _OutOfNodes(Exception):
 def solve(system, budget=200_000):
     """Propagate-then-branch search over the clauses (see the module doc).
 
-    Each failure is explained by the entries behind the paths that blocked
-    the failing clause, followed back through propagations and failed
-    branches; a branch whose failure does not depend on its choice is not
-    retried (backjumping), and an unsat verdict's conflict is the root's
+    Each failure is explained by one justifying path of trail atoms per
+    blocked atom, found breadth-first, and by the entries behind those
+    atoms, followed back through propagations and failed branches; a branch
+    whose failure does not depend on its choice is not retried
+    (backjumping), and an unsat verdict's conflict is the root's
     explanation.
     """
     n = len(system.variables) + len(system.minima)
     up = [0] * n  # up[x]: bits of the variables entailed >= x
     sup = [0] * n  # sup[x]: bits of the variables entailed > x
     down = [0] * n  # down[x]: bits of the variables entailed <= x
-    trail = []  # asserted atoms (a, b, why)
+    trail = []  # asserted atoms (a, b, strict, why)
     out = [[] for _ in range(n)]  # out[a]: trail indices of the atoms from a
     nodes = 0
 
@@ -160,7 +173,38 @@ def solve(system, budget=200_000):
             m ^= low
             down[low.bit_length() - 1] |= below
         out[a].append(len(trail))
-        trail.append((a, b, why))
+        trail.append((a, b, strict, why))
+
+    def path(atom, k):
+        """The trail indices below k of one shortest path from b to a that
+        blocks ``atom`` = (a, b, strict): a <= b is blocked by b < a, so the
+        path crosses a strict atom, and a < b by b <= a.  A state is a
+        variable, times 2, plus whether the path has crossed a strict atom
+        (set from the start when the atom is strict)."""
+        a, b, strict = atom
+        inside = (up[b] | 1 << b) & (down[a] | 1 << a)
+        goal = 2 * a + 1
+        start = 2 * b + strict
+        parent = {start: None}
+        queue = [start]
+        for state in queue:
+            if state == goal:
+                steps = []
+                while parent[state] is not None:
+                    state, j = parent[state]
+                    steps.append(j)
+                return steps
+            crossed = state & 1
+            for j in out[state >> 1]:
+                if j >= k:
+                    break
+                _a, y, s, _why = trail[j]
+                if inside >> y & 1:
+                    nxt = 2 * y + (crossed | s)
+                    if nxt not in parent:
+                        parent[nxt] = state, j
+                        queue.append(nxt)
+        raise AssertionError(f"no trail path blocks {atom}: the closure is inconsistent")
 
     def explain(tag, atoms, k):
         """Why a clause whose atoms trail[:k] blocks fails: entry tags and
@@ -168,29 +212,19 @@ def solve(system, budget=200_000):
         ``why`` is its clause's tag and blocked atoms, expanded here."""
         reasons = {tag}
         need = bytearray(k)
-
-        def mark(atoms, k):
-            for a, b, _strict in atoms:
-                # the atoms of trail[:k] on paths from b to a
-                inside = m = (up[b] | 1 << b) & (down[a] | 1 << a)
-                while m:
-                    low = m & -m
-                    m ^= low
-                    for j in out[low.bit_length() - 1]:
-                        if j >= k:
-                            break
-                        if inside >> trail[j][1] & 1:
-                            need[j] = 1
-
-        mark(atoms, k)
+        for atom in atoms:
+            for j in path(atom, k):
+                need[j] = 1
         for i in range(k - 1, -1, -1):
             if need[i]:
-                why = trail[i][2]
+                why = trail[i][3]
                 if isinstance(why, frozenset):
                     reasons |= why
                 else:
                     reasons.add(why[0])
-                    mark(why[1], i)
+                    for atom in why[1]:
+                        for j in path(atom, i):
+                            need[j] = 1
         return frozenset(reasons)
 
     def propagate(pending):
@@ -240,7 +274,7 @@ def solve(system, budget=200_000):
             if failure is None:
                 return None
             up[:], sup[:], down[:], length = saved
-            for a, _b, _why in trail[length:]:
+            for a, _b, _strict, _why in trail[length:]:
                 out[a].pop()
             del trail[length:]
             if depth not in failure:

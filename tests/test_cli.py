@@ -146,6 +146,16 @@ def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
     _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "7"], capsys)
 
 
+@pytest.mark.parametrize("n", ["1", "7"])
+def test_wheel_hamming_rejects_samples_exits_2(workdir, capsys, n):
+    # refused before the gadget is built, even where the exhaustive sweep
+    # would be over the memory cap
+    argv = ["wheel", "--variant", "hamming", "--n", n, "--samples", "100", "--dir", "art"]
+    assert main(argv) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not os.path.exists("art")
+
+
 def test_wheel_abstract_over_memory_cap_exits_4(workdir, capsys):
     # m = 11, the smallest abstract gadget over the same cap
     _assert_refused_over_memory_cap(["wheel", "--variant", "abstract", "--n", "8"], capsys)
@@ -207,7 +217,8 @@ def _report_under_hash_seed(seed, args, cwd):
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
     # a passing exhaustive run and a sampled run; wheel: an exhaustive and
-    # a sampled abstract sweep
+    # a sampled abstract sweep; realize: the wheel fragment, whose conflict
+    # follows the order of the solver's path search
     _write(
         workdir / "cyclic.txt",
         "universe: 00 01 10 11\nbacking: hamming.txt\n"
@@ -233,6 +244,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         ["realize", "three.txt", "--budget", "2000"],
         ["realize", "sat.txt", "--symmetric"],
         ["wheel", "--n", "1", "--dir", "art"],
+        ["realize", "art/wheel-fragment.txt"],
         ["wheel", "--n", "3", "--samples", "500", "--dir", "art"],
     ]
     codes = []
@@ -240,4 +252,4 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         first = _report_under_hash_seed(0, args, workdir)
         assert first == _report_under_hash_seed(1, args, workdir), args
         codes.append(first[0])
-    assert codes == [1, 0, 0, 1, 0, 0, 0]
+    assert codes == [1, 0, 0, 1, 0, 0, 1, 0]

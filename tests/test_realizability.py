@@ -173,6 +173,45 @@ def test_tables_from_real_distances_are_sat(symmetric):
         assert verify_witness(verdict.witness, t, symmetric)
 
 
+def _hard_table(seed, symmetric):
+    """200 distinct entries on 14 points, V of 1 to 3 points and W of 2 to
+    5, minimized on a random distance with costs 1 to 49; asymmetric
+    tables are the hard case."""
+    rng = random.Random(seed)
+    pts = tuple(f"p{i}" for i in range(14))
+    costs = {}
+    for v in pts:
+        for w in pts:
+            if v == w:
+                costs[v, w] = F(0)
+            elif symmetric and (w, v) in costs:
+                costs[v, w] = costs[w, v]
+            else:
+                costs[v, w] = F(rng.randint(1, 49))
+    dist = PseudoDistance(pts, OrderMode.REAL, costs)
+    entries = {}
+    while len(entries) < 200:
+        v = frozenset(rng.sample(pts, rng.randint(1, 3)))
+        w = frozenset(rng.sample(pts, rng.randint(2, 5)))
+        entries[v, w] = apply(dist, v, w)
+    return OperatorTable(pts, entries)
+
+
+def test_hard_table_size():
+    system = compile_constraints(_hard_table(1, False))
+    assert (len(system.variables), len(system.minima), len(system.encoded),
+            sum(len(atoms) for _tag, atoms in system.encoded)) == (196, 200, 1630, 1878)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_hard_tables_are_sat_within_2000_nodes(symmetric):
+    for seed in range(1, 9):
+        t = _hard_table(seed, symmetric)
+        verdict = solve_table(t, symmetric=symmetric, budget=2000)
+        assert verdict.status == "sat", (seed, verdict.nodes)
+        assert verify_witness(verdict.witness, t, symmetric)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_unsat_conflict_names_an_unrealizable_subtable(symmetric):
     # dense tables over few variables, so that many are unsat and need
@@ -221,7 +260,7 @@ def test_budget_exhaustion_returns_unknown():
     # budget k - 1 and gets its verdict at budget k
     for entries, symmetric, status, k in [
         ({("ab", "c"): "c", ("bc", "ac"): "ac", ("ac", "abc"): "abc"}, True, "sat", 7),
-        ({("ab", "ab"): "ab", ("ab", "abc"): "ac"}, False, "unsat", 5),
+        ({("ab", "ab"): "ab", ("ab", "abc"): "ac"}, False, "unsat", 4),
     ]:
         t = _letters_table(entries)
         system = compile_constraints(t, symmetric)

@@ -17,7 +17,7 @@ from distrev.distops import (
 )
 from distrev.errors import BoundExceededError, FamilyError
 from distrev.logic import hamming_diff
-from distrev.realizability import _entry_tag, solve_table
+from distrev.realizability import _entry_tag, solve_table, verify_witness
 from distrev.wheel import (
     Gadget,
     _labels_of,
@@ -78,8 +78,20 @@ def test_modified_operator_entries():
     assert op.lookup({"v1"}, {"w1", "w2"}) == {"w1"}
 
 
+def _core_keys(m):
+    """Each rung's doubleton with its probe of v_{i+1}; the wrap rung's
+    probe is of v1."""
+    keys = []
+    for i in range(1, m + 1):
+        vv, ww = wheel._rung(i, m)
+        keys += [(vv, ww), (frozenset({f"v{i % m + 1}"}), ww)]
+    return keys
+
+
 def test_fragment_is_unrealizable_for_all_small_m():
-    # propagation at the root refutes every fragment, through all 3m entries
+    # propagation at the root refutes every fragment, and the conflict names
+    # the 2m-entry core: one justifying path per blocked atom leaves out the
+    # probes of v_i; removing any core entry leaves a realizable table
     gadgets = [build_wheel_gadget(m=m) for m in range(4, 13)]
     gadgets += [build_hamming_wheel(m=m) for m in (4, 5, 6)]
     for gadget in gadgets:
@@ -87,7 +99,14 @@ def test_fragment_is_unrealizable_for_all_small_m():
         verdict = solve_table(fragment)
         assert (verdict.status, verdict.nodes) == ("unsat", 1), gadget.m
         assert len(fragment.entries) == 3 * gadget.m
-        assert verdict.conflict == sorted(_entry_tag(v, w) for v, w in fragment.entries)
+        keys = _core_keys(gadget.m)
+        assert verdict.conflict == sorted(_entry_tag(v, w) for v, w in keys)
+        for dropped in keys:
+            rest = OperatorTable(gadget.universe, {
+                key: fragment.entries[key] for key in keys if key != dropped})
+            verdict = solve_table(rest)
+            assert verdict.status == "sat", (gadget.m, dropped)
+            assert verify_witness(verdict.witness, rest)
 
 
 def test_unmodified_operator_fragment_is_sat():

@@ -61,6 +61,33 @@ def distance_int_matrix(dist, order=None):
     return matrix[np.ix_(rows, rows)]
 
 
+def _rank_parts(dist, order):
+    """``apply_rows``'s tables for ``dist`` with columns in ``order``: the
+    column count n (at least 1), the minimum over nothing ``top``, and one
+    (points, subset bits, table) triple per part of t points.  They are
+    kept on the distance instance under the key (order, t), t read from
+    ``APPLY_CHUNK_CELLS`` on each call, for the last key only: a distance
+    holds what one call builds.  ``replaced()`` copies are new instances
+    and build their own."""
+    points = dist.universe if order is None else tuple(order)
+    n = max(len(points), 1)
+    t = max(1, (APPLY_CHUNK_CELLS // n).bit_length() - 1)
+    cached = vars(dist).get("_rank_parts")
+    if cached is not None and cached[0] == (points, t):
+        return cached[1]
+    ranks = distance_int_matrix(dist, order)
+    top = int(ranks.max(initial=0)) + 1  # the minimum over nothing
+    dtype = np.min_scalar_type(top)
+    ranks, top = ranks.astype(dtype), dtype.type(top)
+    parts = []
+    for lo in range(0, len(ranks), t):
+        k = min(t, len(ranks) - lo)
+        parts.append((slice(lo, lo + k), (1 << np.arange(k)).astype(_mask_dtype(k)),
+                      _subset_table(ranks[lo:lo + k], np.minimum, top)))  # [column, subset]
+    object.__setattr__(dist, "_rank_parts", ((points, t), (n, top, parts)))
+    return n, top, parts
+
+
 def apply_rows(dist, vrows, wrows, order=None):
     """Batch form of ``apply`` over P pairs given as boolean membership
     rows: row p of the result is the row of apply(dist, V_p, W_p), where
@@ -69,26 +96,18 @@ def apply_rows(dist, vrows, wrows, order=None):
 
     The n points split into parts of t points, t the largest with
     2^t * n <= ``APPLY_CHUNK_CELLS``.  Each part's ``_subset_table`` holds
-    the least rank in every column for every subset of the part.  A pair
+    the least rank in every column for every subset of the part.  The
+    tables are built once per (distance, order, t) and the distance keeps
+    those of the last key, one call's worth (``_rank_parts``).  A pair
     reads one row per part, indexed by its V bits there in the narrowest
     dtype; their minimum is V's least rank per column.  Masked to W, the
     columns tying with the least are the result.  Pairs go in chunks of
-    about ``APPLY_CHUNK_CELLS`` (pair, column) cells, so the temporaries
-    do not grow with P.
+    about ``APPLY_CHUNK_CELLS`` (pair, column) cells, so the temporaries do
+    not grow with P.
     """
     vrows = np.asarray(vrows, dtype=bool)
     wrows = np.asarray(wrows, dtype=bool)
-    ranks = distance_int_matrix(dist, order)
-    n = max(len(ranks), 1)
-    top = int(ranks.max(initial=0)) + 1  # the minimum over nothing
-    dtype = np.min_scalar_type(top)
-    ranks, top = ranks.astype(dtype), dtype.type(top)
-    t = max(1, (APPLY_CHUNK_CELLS // n).bit_length() - 1)
-    parts = []  # (the part's points, their bits in a subset index, its table)
-    for lo in range(0, len(ranks), t):
-        k = min(t, len(ranks) - lo)
-        parts.append((slice(lo, lo + k), (1 << np.arange(k)).astype(_mask_dtype(k)),
-                      _subset_table(ranks[lo:lo + k], np.minimum, top)))  # [column, subset]
+    n, top, parts = _rank_parts(dist, order)
     out = np.zeros(wrows.shape, dtype=bool)
     step = max(1, APPLY_CHUNK_CELLS // n)
     for lo in range(0, len(out), step):

@@ -446,7 +446,8 @@ def formula_extensions(signature, matrix, bound=200_000):
     Returns the valuations and a 2-D array with one row per function: its
     values on the valuations, as codes indexing ``matrix.values``.  The
     closure runs on the codes with flat connective tables, over blocks of
-    about 2^14 (f, g) pairs, so temporaries stay bounded.
+    about 2^14 (f, g) pairs, so temporaries stay bounded.  Once all k^n
+    functions are known it builds no further block.
     """
     vals = enumerate_valuations(signature, matrix)
     k = len(matrix.values)
@@ -473,25 +474,30 @@ def formula_extensions(signature, matrix, bound=200_000):
         seen.update(out)
         return out
 
-    known = np.frombuffer(b"".join(fresh(np.array(gens, dtype).reshape(-1, width))),
-                          dtype).reshape(-1, width)
-    frontier = known
-    while len(frontier):
-        if len(known) > bound:
-            raise BoundExceededError("formula-extension closure exceeds bound")
-        if len(known) == k ** width:  # every function is known
-            break
-        new = []
+    def candidates(frontier, known):
+        """One round's candidate rows, block by block, built on demand."""
         for tbl in unary:
-            new += fresh(tbl[frontier])
+            yield tbl[frontier]
         # left operands scaled once into rows of the flat tables
         known_k = known.astype(np.intp) * k
         step = max(1, _BLOCK_PAIRS // len(known))
         for lo in range(0, len(frontier), step):
             block = frontier[lo:lo + step].astype(np.intp)
             for tbl in binary:
-                new += fresh(tbl[block[:, None, :] * k + known[None, :, :]].reshape(-1, width))
-                new += fresh(tbl[known_k[None, :, :] + block[:, None, :]].reshape(-1, width))
+                yield tbl[block[:, None, :] * k + known[None, :, :]].reshape(-1, width)
+                yield tbl[known_k[None, :, :] + block[:, None, :]].reshape(-1, width)
+
+    known = np.frombuffer(b"".join(fresh(np.array(gens, dtype).reshape(-1, width))),
+                          dtype).reshape(-1, width)
+    frontier = known
+    while len(frontier):
+        if len(known) > bound:
+            raise BoundExceededError("formula-extension closure exceeds bound")
+        new = []
+        for rows in candidates(frontier, known):
+            if len(seen) == k ** width:  # every function is known
+                break
+            new += fresh(rows)
         frontier = np.frombuffer(b"".join(new), dtype).reshape(-1, width)
         known = np.concatenate([known, frontier])
     return vals, known
@@ -499,8 +505,10 @@ def formula_extensions(signature, matrix, bound=200_000):
 
 def definable_model_sets(signature, matrix=CLASSICAL, bound=200_000):
     """Model sets of formula collections: closure of single-formula model
-    sets under intersection, plus the full set (empty collection).  The
-    closure runs on bitmasks over the valuation order."""
+    sets under intersection, plus the full set (empty collection), as a
+    frozenset of frozensets.  The closure runs on bitmasks over the
+    valuation order.  Each call computes afresh; the revision checkers keep
+    one result per (signature, matrix) in their model-set space."""
     vals, extensions = formula_extensions(signature, matrix, bound)
     designated = np.array([x in matrix.designated for x in matrix.values])
     bits = np.packbits(designated[extensions], axis=1, bitorder="little")
@@ -517,7 +525,7 @@ def definable_model_sets(signature, matrix=CLASSICAL, bound=200_000):
                     closed.add(r)
                     new.append(r)
         frontier = new
-    return {
+    return frozenset(
         frozenset(vals[i] for i in range(len(vals)) if mask >> i & 1)
         for mask in closed
-    }
+    )

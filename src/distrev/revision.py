@@ -7,6 +7,7 @@ content is checked exhaustively or by seeded sampling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -181,6 +182,59 @@ def _label(model_set):
     return sorted("".join(str(x) for x in v.values) for v in model_set)
 
 
+def _read_only(rows):
+    rows.flags.writeable = False
+    return rows
+
+
+class _ModelSetSpace:
+    """The tables the checkers read for one signature and matrix, each
+    built on first use: the valuation ``order``; the non-empty model
+    ``sets`` and their membership ``rows``; the ``moved`` mask of the
+    canonical-formula round trip; and the definable sets sorted by
+    ``_label``, with their rows and packed row keys.  Rows have their
+    columns in ``order`` and are read-only."""
+
+    def __init__(self, signature, matrix):
+        self.signature, self.matrix = signature, matrix
+        self.order = valuation_universe(signature, matrix)
+
+    @functools.cached_property
+    def sets(self):
+        return tuple(nonempty_model_sets(self.signature, self.matrix))
+
+    @functools.cached_property
+    def rows(self):
+        return _read_only(_membership_rows(self.sets, self.order))
+
+    @functools.cached_property
+    def moved(self):
+        """Whether rebuilding each set from its canonical formula changes it."""
+        sig, matrix = self.signature, self.matrix
+        trip = _membership_rows(
+            [models([canonical_dnf(s, sig)], sig, matrix) for s in self.sets], self.order)
+        return _read_only((trip != self.rows).any(axis=1))
+
+    @functools.cached_property
+    def definable(self):
+        return tuple(sorted(definable_model_sets(self.signature, self.matrix), key=_label))
+
+    @functools.cached_property
+    def definable_rows(self):
+        return _read_only(_membership_rows(self.definable, self.order))
+
+    @functools.cached_property
+    def definable_keys(self):
+        return frozenset(_row_keys(self.definable_rows).tolist())
+
+
+# Every checker call on one signature and matrix reads the same tables.  The
+# cache holds at most 8 spaces, like the valuation cache.
+@functools.lru_cache(maxsize=8)
+def _model_set_space(signature, matrix):
+    return _ModelSetSpace(signature, matrix)
+
+
 def _labels(*model_sets):
     """A violation witness; built only when a violation is recorded."""
     return tuple(_label(s) for s in model_sets)
@@ -199,26 +253,24 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     over all consistent pairs, revised in one ``revise_rows`` batch; the
     composite postulate about conjoining extra information is sampled over
     triples with a fixed seed, and only the samples it constrains are
-    revised again, in a second batch.
+    revised again, in a second batch.  The model sets, their rows and their
+    round trips come from the model-set space of (signature, matrix),
+    built once and kept in a cache of 8 spaces.
     """
-    sig = op.signature
-    sets = nonempty_model_sets(sig, matrix)
-    order = valuation_universe(sig, matrix)
+    space = _model_set_space(op.signature, matrix)
+    sets, order, rows = space.sets, space.order, space.rows
     n = len(sets)
     reports = {
         name: PropertyReport(name, True, witness_cap=witness_cap)
         for name in ("star0", "star1", "star2", "star3", "star4")
     }
-    rows = _membership_rows(sets, order)
     vrows, wrows = _pair_rows(rows)
     result = op.revise_rows(vrows, wrows, order)
     # invariance: rebuilding the arguments from their canonical formulas
-    # must not change the outcome; each set makes the round trip once.  A
-    # pair that comes back unchanged is the same question again, so only a
-    # pair with a moved set can fail it.
-    trip = _membership_rows(
-        [models([canonical_dnf(s, sig)], sig, matrix) for s in sets], order)
-    moved = (trip != rows).any(axis=1)
+    # must not change the outcome; each set makes the round trip once per
+    # signature.  A pair that comes back unchanged is the same question
+    # again, so only a pair with a moved set can fail it.
+    moved = space.moved
     both = vrows & wrows
     failed = {
         "star0": (moved[:, None] | moved[None, :]).ravel(),
@@ -261,11 +313,10 @@ def check_star_loop(op, k_max=3, matrix=CLASSICAL, budget=10**6,
     conclusion closes the cycle.  Union of model sets realizes the
     disjunction of theories; non-empty intersection realizes consistency
     of a union of theories."""
-    sig = op.signature
-    universe = valuation_universe(sig, matrix)
-    sets = nonempty_model_sets(sig, matrix)
-    adapter = _ModelSetOperator(universe, op)
-    return check_loop(adapter, sets, k_max, budget=budget, samples=samples, seed=seed)
+    space = _model_set_space(op.signature, matrix)
+    adapter = _ModelSetOperator(space.order, op)
+    return check_loop(adapter, space.sets, k_max, budget=budget, samples=samples,
+                      seed=seed)
 
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
@@ -278,10 +329,8 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     converse property is containment of some branch outcome in the
     disjunctive outcome.
     """
-    sig = op.signature
-    sets = nonempty_model_sets(sig, matrix)
-    order = valuation_universe(sig, matrix)
-    rows = _membership_rows(sets, order)
+    space = _model_set_space(op.signature, matrix)
+    sets, order, rows = space.sets, space.order, space.rows
     draws = _draws(random.Random(seed), len(sets), 4 * samples).reshape(samples, 4)
     gamma, alpha, beta, delta = (rows[draws[:, i]] for i in range(4))
     # per sample the three branches alpha, beta and alpha v beta: revise
@@ -307,34 +356,34 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     consistency preservation (non-empty arguments give non-empty results).
 
     All pairs are minimized in one ``apply_rows`` batch over membership
-    rows, by default every pair of definable sets; witnesses follow the
-    pair order."""
-    sig = tuple(signature)
-    universe = valuation_universe(sig, matrix)
-    if set(dist.universe) != set(universe):
+    rows in valuation order, by default every pair of definable sets;
+    witnesses follow the pair order.  The definable sets, sorted by label,
+    their rows and their packed keys come from the model-set space of
+    (signature, matrix), built once and kept in a cache of 8 spaces."""
+    space = _model_set_space(tuple(signature), matrix)
+    order = space.order
+    if set(dist.universe) != set(order):
         raise UnknownAtomError("distance universe must be the valuation universe")
-    definable = definable_model_sets(sig, matrix)
-    points = dist.universe
     if pairs is None:
-        defs = sorted(definable, key=_label)
+        defs = space.definable
         count = len(defs)
-        vrows, wrows = _pair_rows(_membership_rows(defs, points))
+        vrows, wrows = _pair_rows(space.definable_rows)
 
         def pair_at(p):
             return defs[p // count], defs[p % count]
     else:
         pairs = list(pairs)
-        vrows = _membership_rows([v for v, _ in pairs], points)
-        wrows = _membership_rows([w for _, w in pairs], points)
+        vrows = _membership_rows([v for v, _ in pairs], order)
+        wrows = _membership_rows([w for _, w in pairs], order)
         pair_at = pairs.__getitem__
-    result = apply_rows(dist, vrows, wrows)
-    defined = set(_row_keys(_membership_rows(definable, points)).tolist())
+    result = apply_rows(dist, vrows, wrows, order)
+    defined = space.definable_keys
     dp = PropertyReport("dp", True, witness_cap=witness_cap)
     cp = PropertyReport("cp", True, witness_cap=witness_cap)
     for p, key in enumerate(_row_keys(result).tolist()):
         if key not in defined:
             vset, wset = pair_at(p)
-            out = frozenset(points[j] for j in np.flatnonzero(result[p]))
+            out = frozenset(order[j] for j in np.flatnonzero(result[p]))
             dp.record((_label(vset), _label(wset), _label(out)))
     empty = vrows.any(axis=1) & wrows.any(axis=1) & ~result.any(axis=1)
     for p in np.flatnonzero(empty):

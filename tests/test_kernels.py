@@ -2,6 +2,7 @@
 rank-compiled minimization and its batch form, the index-keyed loop search
 and the coded definability closure."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from distrev import distops
+from distrev import distops, logic
 from distrev.costs import INF, OrderMode, PseudoDistance
 from distrev.distops import (
     LoopVerdict,
@@ -92,6 +93,26 @@ def test_replaced_distance_compiles_its_own_kernel(data):
     assert apply(dist, full, full) == before
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_replaced_distance_builds_its_own_rank_tables(data):
+    dist = data.draw(distances())
+    order = data.draw(st.permutations(dist.universe))
+    full = _rows([frozenset(order)], order)
+    before = apply_rows(dist, full, full, order)  # builds and keeps dist's tables
+    values = COSTS + ((INF,) if dist.mode is OrderMode.LIBERAL else ())
+    pairs = st.tuples(st.sampled_from(dist.universe), st.sampled_from(dist.universe))
+    overrides = data.draw(st.dictionaries(pairs, st.sampled_from(values), min_size=1))
+    patched = dist.replaced(overrides)
+    subsets = _subsets(dist.universe)
+    queries = data.draw(st.lists(st.tuples(subsets, subsets), min_size=1, max_size=6))
+    got = apply_rows(patched, _rows([v for v, _ in queries], order),
+                     _rows([w for _, w in queries], order), order)
+    assert [frozenset(itertools.compress(order, row)) for row in got] == \
+        [_reference_apply(patched, v, w) for v, w in queries]
+    assert (apply_rows(dist, full, full, order) == before).all()
+
+
 def _rows(sets, order):
     return np.array([[p in s for p in order] for s in sets],
                     dtype=bool).reshape(len(sets), len(order))
@@ -155,6 +176,50 @@ def test_apply_rows_splits_twenty_points_into_parts():
               (frozenset(order[13:]), frozenset(points)),
               (frozenset(order[:13]), frozenset(order[12:]))]
     _assert_rows_match_apply(dist, pairs, order)
+
+
+def _twenty_point_case():
+    """A liberal 20-point distance with INF and frequent ties, a point order
+    unlike its own, and 60 random pairs."""
+    rng = random.Random(11)
+    points = tuple(f"x{i}" for i in range(20))
+    values = COSTS + (INF,)
+    dist = PseudoDistance(points, OrderMode.LIBERAL, {
+        (v, w): rng.choice(values) for v in points for w in points})
+    order = tuple(rng.sample(points, len(points)))
+    pairs = [tuple(frozenset(p for p in points if rng.random() < density)
+                   for density in (rng.random(), rng.random()))
+             for _ in range(60)]
+    return dist, order, pairs
+
+
+def test_apply_rows_builds_its_rank_tables_once_per_order():
+    dist, order, pairs = _twenty_point_case()
+    with mock.patch.object(distops, "distance_int_matrix",
+                           wraps=distops.distance_int_matrix) as built:
+        # the default order is the distance's own: one key for both forms
+        for cols in (None, dist.universe, dist.universe, order, order, order):
+            _assert_rows_match_apply(dist, pairs, cols)
+    assert built.call_count == 2
+    for cols in (dist.universe, order):  # both orders answer as a fresh distance
+        fresh = PseudoDistance(dist.universe, dist.mode, dist.table)
+        vrows, wrows = (_rows(sets, cols) for sets in zip(*pairs))
+        assert (apply_rows(dist, vrows, wrows, cols)
+                == apply_rows(fresh, vrows, wrows, cols)).all()
+
+
+def test_apply_rows_rebuilds_its_parts_when_the_chunk_size_changes():
+    # 20 points split into parts of 13 and 7 at the default chunk size and
+    # into parts of 3 at 160 cells; a part size the cache did not build for
+    # must be built again, not served from the last call
+    dist, order, pairs = _twenty_point_case()
+    for cells, sizes in ((distops.APPLY_CHUNK_CELLS, [13, 7]), (160, [3] * 6 + [2]),
+                         (distops.APPLY_CHUNK_CELLS, [13, 7])):
+        with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells), \
+                mock.patch.object(distops, "_subset_table",
+                                  wraps=distops._subset_table) as tabled:
+            _assert_rows_match_apply(dist, pairs, order)
+        assert [len(call.args[0]) for call in tabled.call_args_list] == sizes
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,6 +493,37 @@ def _kleene():
 def _extension_labels(signature, matrix):
     _, codes = formula_extensions(signature, matrix)
     return {tuple(matrix.values[c] for c in row) for row in codes}
+
+
+# SHA-256 of the closure's code rows, as the closure emitted them before it
+# stopped at saturation
+_EXTENSION_DIGESTS = {
+    ("classical", 1): "eddbfad5043d7f782086e4976c28f8d5a98199e02f2c893e891c4ad4da8e8573",
+    ("classical", 2): "c846396e609cfcc947c890f26ada8414f3cbbd9bd3ed6c705d0879051c41e626",
+    ("classical", 3): "5ae6b69a42394f1f42f5a455ee783093c4107badecdd6cbd04e037ee9f2923b0",
+    ("identity", 2): "88bb90ca6d46365e9a5e1bda1ff64711fc40094cd039a3552b3aba106e7d0f74",
+    ("kleene", 2): "f4fdbf5adc04aad41cb0f506328c1a172557fea71f7fbeb9c78a3d47d513557a",
+}
+
+
+@pytest.mark.parametrize("name, atoms", sorted(_EXTENSION_DIGESTS))
+def test_formula_extensions_stop_at_saturation(name, atoms):
+    matrix = {"classical": CLASSICAL, "identity": _identity_matrix(), "kleene": _kleene()}[name]
+    sig = ("p", "q", "r")[:atoms]
+    known, unique_rows = set(), logic._unique_rows
+    before = []  # functions known when each batch of candidates is deduplicated
+
+    def spy(rows):
+        before.append(len(known))
+        out = unique_rows(rows)
+        known.update(out)
+        return out
+
+    with mock.patch.object(logic, "_unique_rows", spy):
+        vals, codes = formula_extensions(sig, matrix)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == _EXTENSION_DIGESTS[name, atoms]
+    assert len(known) == len(codes)
+    assert max(before) < len(matrix.values) ** len(vals)
 
 
 def test_formula_extensions_classical_three_atoms():

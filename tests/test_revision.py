@@ -1,10 +1,15 @@
+import contextlib
+import functools
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from distrev import revision
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.errors import InconsistentTheoryError
 from distrev.distops import apply
@@ -387,3 +392,62 @@ def test_disjunction_report_matches_scalar_loop(make):
     reference_op, _ = make()
     reference = _scalar_disjunction(reference_op, matrix=matrix, samples=400, seed=5)
     _assert_reports_equal(reports, reference, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# The model-set space: the checkers read their sets, rows, round trips and
+# definable sets from one cached space per (signature, matrix).
+
+
+def _space_case(case):
+    """A fresh distance, its signature and its matrix."""
+    if case == "identity_matrix":
+        return _identity_matrix_case()
+    sig = ("p", "q", "r")[:int(case[0])]
+    return _asymmetric_op(sig, 3).dist, sig, CLASSICAL
+
+
+@contextlib.contextmanager
+def _memoized_round_trips():
+    """``_scalar_agm`` with each set's round trip computed once: the same
+    pure functions, patched into this module, so the 3-atom loop's 130,050
+    round trips take seconds, not half a minute."""
+    trip = functools.lru_cache(maxsize=None)(models)
+    module = sys.modules[__name__]
+    with mock.patch.object(module, "canonical_dnf",
+                           functools.lru_cache(maxsize=None)(canonical_dnf)), \
+            mock.patch.object(module, "models",
+                              lambda gamma, sig, matrix: trip(tuple(gamma), sig, matrix)):
+        yield
+
+
+@pytest.mark.parametrize("case", ["1_atom", "2_atoms", "3_atoms", "identity_matrix"])
+def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
+    # every run builds its own distance and operator, so the runs share the
+    # cached space alone
+    def run():
+        dist, sig, matrix = _space_case(case)
+        op = RevisionOperator.from_distance(dist, sig)
+        return (check_agm(op, matrix=matrix, samples=300, seed=4),
+                check_disjunction_iteration(op, matrix=matrix, samples=300, seed=5),
+                check_star_loop(op, k_max=3, matrix=matrix),
+                check_dp_cp(dist, sig, matrix=matrix))
+
+    revision._model_set_space.cache_clear()
+    cold = run()
+    hits = revision._model_set_space.cache_info().hits
+    assert run() == cold
+    assert revision._model_set_space.cache_info().hits > hits
+    agm, disjunction, _, dp_cp = cold
+    dist, sig, matrix = _space_case(case)
+    with _memoized_round_trips():
+        reference = _scalar_agm(RevisionOperator.from_distance(dist, sig), matrix,
+                                samples=300, seed=4)
+    _assert_reports_equal(agm, reference)
+    reference = _scalar_disjunction(RevisionOperator.from_distance(dist, sig), matrix,
+                                    samples=300, seed=5)
+    _assert_reports_equal(disjunction, reference)
+    _assert_reports_equal(dp_cp, _scalar_dp_cp(dist, sig, matrix))
+    definable = definable_model_sets(sig, matrix)
+    assert type(definable) is frozenset
+    assert all(type(s) is frozenset for s in definable)

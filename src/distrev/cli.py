@@ -147,9 +147,7 @@ def cmd_check(args):
     if args.props:
         props = [_PROP_ALIASES.get(p, p) for p in args.props.split(",") if p]
     else:
-        props = list(
-            REAL_PROPERTIES if dist.mode is OrderMode.REAL else LIBERAL_PROPERTIES
-        )
+        props = REAL_PROPERTIES if dist.mode is OrderMode.REAL else LIBERAL_PROPERTIES
     all_pass = True
     for prop in props:
         result = check_property(dist, prop)
@@ -295,51 +293,49 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=200_000)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--out", default=None, help="also write the report here")
-
     p = sub.add_parser("revise", help="revise one theory by another")
     p.add_argument("gamma")
     p.add_argument("delta")
     p.add_argument("distance")
-    common(p)
     p.set_defaults(func=cmd_revise)
 
     p = sub.add_parser("check", help="check distance properties")
     p.add_argument("distance")
     p.add_argument("--props", default=None, help="comma list, e.g. sym,ir,pos,tir")
-    common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("realize", help="decide distance realizability of a table")
     p.add_argument("operator")
     p.add_argument("--symmetric", action="store_true")
-    common(p)
+    p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("wheel", help="build and verify a cycle gadget")
     p.add_argument("--variant", choices=("abstract", "hamming"), default="abstract")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--dir", default="wheel-artifacts")
-    common(p)
-    p.set_defaults(func=cmd_wheel, samples=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
+    p.set_defaults(func=cmd_wheel)
 
     p = sub.add_parser("loop", help="check the cyclic chain condition")
     p.add_argument("operator")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--family", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("agm", help="postulate sweep for a revision distance")
     p.add_argument("distance")
     p.add_argument("--atoms", required=True, help="comma list of atoms")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=cmd_agm)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="also write the report here")
     return parser
 
 

@@ -180,31 +180,34 @@ LIBERAL_PROPERTIES = ("symmetric", "liberal_ir", "liberal_positive", "liberal_ti
 
 def check_property(dist, prop, witness_cap=16):
     """Exhaustively check one distance property; witnesses in deterministic
-    order.  ``prop`` is one of symmetric, ir, positive, tir, liberal_ir,
-    liberal_positive, liberal_tir."""
+    order.  ``prop`` is one of symmetric, ir, positive, tir, or a liberal_
+    form of the last three: that check under the liberal order, inf on top."""
     if prop in ("ir", "positive", "tir") and dist.mode is not OrderMode.REAL:
         raise ModeMismatchError(f"{prop} requires the real order mode")
     if prop.startswith("liberal_") and dist.mode is not OrderMode.LIBERAL:
         raise ModeMismatchError(f"{prop} requires the liberal order mode")
+    if prop not in REAL_PROPERTIES + LIBERAL_PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}")
+    base = prop.removeprefix("liberal_")
     report = PropertyReport(prop, True, witness_cap=witness_cap)
     pts = dist.universe
-    if prop == "symmetric":
+    if base == "symmetric":
         for i, v in enumerate(pts):
             for w in pts[i + 1:]:
                 if compare_costs(dist.d(v, w), dist.d(w, v), dist.mode) is not Ordering.EQUAL:
                     report.record((v, w))
-    elif prop in ("ir", "liberal_ir"):
+    elif base == "ir":
         for v in pts:
             for w in pts:
                 zero = dist.d(v, w) is not INF and dist.d(v, w) == ZERO
                 if zero != (v == w):
                     report.record((v, w))
-    elif prop in ("positive", "liberal_positive"):
+    elif base == "positive":
         for v in pts:
             for w in pts:
                 if cost_lt(dist.d(v, w), ZERO, dist.mode):
                     report.record((v, w))
-    elif prop == "tir":
+    else:
         for v in pts:
             for w in pts:
                 for x in pts:
@@ -212,19 +215,6 @@ def check_property(dist, prop, witness_cap=16):
                         dist.d(v, x), add_costs(dist.d(v, w), dist.d(w, x)), dist.mode
                     ):
                         report.record((v, w, x))
-    elif prop == "liberal_tir":
-        for v in pts:
-            for w in pts:
-                for x in pts:
-                    dvx, dvw, dwx = dist.d(v, x), dist.d(v, w), dist.d(w, x)
-                    if dvx is INF:
-                        if dvw is not INF and dwx is not INF:
-                            report.record((v, w, x))
-                    elif dvw is not INF and dwx is not INF:
-                        if not cost_le(dvx, add_costs(dvw, dwx), dist.mode):
-                            report.record((v, w, x))
-    else:
-        raise ValueError(f"unknown property {prop!r}")
     return report
 
 

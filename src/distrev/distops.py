@@ -61,6 +61,15 @@ def distance_int_matrix(dist, order=None):
     return matrix[np.ix_(rows, rows)]
 
 
+def narrow_ranks(dist, order=None):
+    """``distance_int_matrix(dist, order)`` in the narrowest dtype that holds
+    its top rank, one above every entry; and that rank, in the same dtype."""
+    ranks = distance_int_matrix(dist, order)
+    top = int(ranks.max(initial=0)) + 1
+    dtype = np.min_scalar_type(top)
+    return ranks.astype(dtype), dtype.type(top)
+
+
 def _rank_parts(dist, order):
     """``apply_rows``'s tables for ``dist`` with columns in ``order``: the
     column count n (at least 1), the minimum over nothing ``top``, and one
@@ -75,10 +84,7 @@ def _rank_parts(dist, order):
     cached = vars(dist).get("_rank_parts")
     if cached is not None and cached[0] == (points, t):
         return cached[1]
-    ranks = distance_int_matrix(dist, order)
-    top = int(ranks.max(initial=0)) + 1  # the minimum over nothing
-    dtype = np.min_scalar_type(top)
-    ranks, top = ranks.astype(dtype), dtype.type(top)
+    ranks, top = narrow_ranks(dist, order)
     parts = []
     for lo in range(0, len(ranks), t):
         k = min(t, len(ranks) - lo)
@@ -214,30 +220,33 @@ class OperatorTable:
 
 
 def validate_family(universe, family):
-    """Check the loop-condition family invariants: no empty set, closed
-    under union, closed under non-disjoint intersection."""
-    pts = set(universe)
+    """The distinct sets of ``family`` in input order, after checking the
+    loop-condition invariants: no empty set, closed under union, closed
+    under non-disjoint intersection (tested on integer point masks)."""
+    index = {p: i for i, p in enumerate(universe)}
     sets = []
     seen = set()
     for s in family:
         s = frozenset(s)
         if not s:
             raise FamilyError("family contains the empty set")
-        if not s <= pts:
+        if not s <= index.keys():
             raise FamilyError("family member outside the universe")
         if s not in seen:
             seen.add(s)
             sets.append(s)
-    for a in sets:
-        for b in sets:
-            if (a | b) not in seen:
+    masks = [sum(1 << index[p] for p in s) for s in sets]
+    present = set(masks)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a | b not in present:
                 raise FamilyError(
-                    f"family not closed under union: {sorted(a)} | {sorted(b)}"
+                    f"family not closed under union: {sorted(sets[i])} | {sorted(sets[j])}"
                 )
-            if a & b and (a & b) not in seen:
+            if a & b and a & b not in present:
                 raise FamilyError(
                     f"family not closed under non-disjoint intersection: "
-                    f"{sorted(a)} & {sorted(b)}"
+                    f"{sorted(sets[i])} & {sorted(sets[j])}"
                 )
     return sets
 

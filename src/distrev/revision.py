@@ -355,10 +355,11 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     """Definability preservation (results stay definable model sets) and
     consistency preservation (non-empty arguments give non-empty results).
 
-    All pairs are minimized in one ``apply_rows`` batch over membership
-    rows in valuation order, by default every pair of definable sets;
-    witnesses follow the pair order.  The definable sets, sorted by label,
-    their rows and their packed keys come from the model-set space of
+    All pairs, by default every pair of definable sets, are minimized in
+    one ``apply_rows`` batch over membership rows in valuation order;
+    witnesses follow the pair order, and a valuation outside the signature
+    raises ``UnknownAtomError``.  The definable sets, sorted by label, their
+    rows and their packed keys come from the model-set space of
     (signature, matrix), built once and kept in a cache of 8 spaces."""
     space = _model_set_space(tuple(signature), matrix)
     order = space.order
@@ -373,6 +374,11 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
             return defs[p // count], defs[p % count]
     else:
         pairs = list(pairs)
+        inside = set(order)
+        for p, (vset, wset) in enumerate(pairs):
+            if not set(vset) | set(wset) <= inside:
+                raise UnknownAtomError(f"pair {p} ({_label(vset)} | {_label(wset)}) has a "
+                                       f"valuation outside the signature {tuple(signature)}")
         vrows = _membership_rows([v for v, _ in pairs], order)
         wrows = _membership_rows([w for _, w in pairs], order)
         pair_at = pairs.__getitem__

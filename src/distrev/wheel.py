@@ -36,8 +36,8 @@ from .distops import (
     _subset_table,
     apply_rows,
     check_inclusion,
-    distance_int_matrix,
     find_loop_violation,
+    narrow_ranks,
 )
 from .errors import BoundExceededError, FamilyError
 from .logic import Valuation, hamming_diff
@@ -225,10 +225,8 @@ def _rank_rows(dist, order):
     """[V, w]: V's least rank toward w, for every V mask over ``order``, in
     the narrowest dtype; the empty V's row holds the top rank, one above
     every entry."""
-    cost = distance_int_matrix(dist, order)
-    top = int(cost.max(initial=0)) + 1
-    top = np.min_scalar_type(top).type(top)
-    return np.ascontiguousarray(_subset_table(cost.astype(top.dtype), np.minimum, top).T)
+    ranks, top = narrow_ranks(dist, order)
+    return np.ascontiguousarray(_subset_table(ranks, np.minimum, top).T)
 
 
 def _least_members(rows, mask_t):
@@ -351,8 +349,7 @@ def sweep_bytes(gadget):
     transients (a chunk holds one row at least)."""
     n = len(gadget.universe)
     mask = _mask_dtype(n).itemsize
-    rank = max(np.min_scalar_type(int(distance_int_matrix(d).max()) + 1).itemsize
-               for d in (gadget.dist, gadget.patched_dist))
+    rank = max(narrow_ranks(d)[1].itemsize for d in (gadget.dist, gadget.patched_dist))
     per_v = 3 * rank * n + 3 * mask + 24
     per_cell = 2 * rank + 5 * mask + 6
     return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
@@ -462,15 +459,15 @@ def verify_wheel_claims(gadget, sample=None, seed=0):
     return _verify(gadget, properties, sample, seed)
 
 
-def check_sandwich(gadget, dist=None, patched=None, witness_cap=16):
-    """|h| <= d' <= d <= |h| + 1/2 on every finite-difference pair."""
-    dist = dist if dist is not None else gadget.dist
+def check_sandwich(gadget, patched=None, witness_cap=16):
+    """|h| <= d' <= d <= |h| + 1/2 on every finite-difference pair, d the
+    gadget's distance and d' ``patched``, by default its patched one."""
     patched = patched if patched is not None else gadget.patched_dist
     report = PropertyReport("sandwich", True, witness_cap=witness_cap)
     for a in gadget.universe:
         for b in gadget.universe:
             h = F(len(hamming_diff(gadget.points[a], gadget.points[b])))
-            d = dist.d(a, b)
+            d = gadget.dist.d(a, b)
             dp = patched.d(a, b)
             if d is INF or dp is INF:
                 continue

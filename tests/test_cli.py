@@ -1,11 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import distrev
-from distrev.cli import main
+from distrev.cli import build_parser, main
 from distrev.costs import PseudoDistance
 from distrev.fileio import save_distance, save_operator_table
 from distrev.revision import hamming_pseudo_distance
@@ -117,9 +118,12 @@ def test_wheel_abstract(workdir, capsys):
 
 
 def test_wheel_hamming(workdir, capsys):
-    code = main(["wheel", "--variant", "hamming", "--n", "1", "--dir", "art"])
+    # the Hamming variant never samples, but accepts and reports a seed, so
+    # that callers can pass one seed to both variants
+    code = main(["wheel", "--variant", "hamming", "--n", "1", "--seed", "5", "--dir", "art"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "seed: 5\n" in out
     assert "result: pass" in out
     assert os.path.exists("art/hamming-fragment.txt")
 
@@ -195,6 +199,63 @@ def test_agm_sweep(workdir, hamming_file, capsys):
     assert code == 0
     assert "postulate.star4: pass" in out
     assert "seed: 7" in out
+
+
+SUBCOMMAND_OPTIONS = {
+    "revise": {"--out"},
+    "check": {"--props", "--out"},
+    "realize": {"--symmetric", "--budget", "--out"},
+    "wheel": {"--variant", "--n", "--dir", "--seed", "--samples", "--out"},
+    "loop": {"--k", "--family", "--seed", "--budget", "--samples", "--out"},
+    "agm": {"--atoms", "--seed", "--samples", "--out"},
+}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    return action.choices
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    (action,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    assert set(action.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, sub in action.choices.items():
+        declared = {opt for a in sub._actions for opt in a.option_strings}
+        assert declared - {"-h", "--help"} == SUBCOMMAND_OPTIONS[name], name
+
+
+DROPPED = [("revise", "--seed"), ("revise", "--budget"), ("revise", "--samples"),
+           ("check", "--seed"), ("check", "--budget"), ("check", "--samples"),
+           ("realize", "--seed"), ("realize", "--samples"),
+           ("wheel", "--budget"), ("agm", "--budget")]
+MINIMAL_ARGV = {"revise": ["g.txt", "d.txt", "x.txt"], "check": ["x.txt"],
+                "realize": ["t.txt"], "wheel": [], "agm": ["x.txt", "--atoms", "p,q"]}
+
+
+@pytest.mark.parametrize("subcommand, option", DROPPED, ids=["".join(d) for d in DROPPED])
+def test_dropped_options_exit_2(workdir, capsys, subcommand, option):
+    assert main([subcommand, *MINIMAL_ARGV[subcommand], option, "3"]) == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
+def test_readme_command_line_matches_the_parser():
+    # every example line parses, and the option table lists each
+    # subcommand's options exactly
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()]
+    assert {words[0] for words in commands} == set(SUBCOMMAND_OPTIONS)
+    parser = build_parser()
+    for words in commands:
+        parser.parse_args(words)
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().strip("`") in SUBCOMMAND_OPTIONS:
+            table[cells[1].strip().strip("`")] = set(re.findall(r"`(--[a-z]+)`", cells[2]))
+    assert table == SUBCOMMAND_OPTIONS
 
 
 def test_report_written_to_out_file(workdir, hamming_file):

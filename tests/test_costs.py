@@ -12,6 +12,7 @@ from distrev.costs import (
     check_hir,
     check_property,
     compare_costs,
+    cost_le,
     format_cost,
     parse_cost,
 )
@@ -145,6 +146,43 @@ def test_mode_prop_mismatch():
     lib = _full(("a", "b"), lambda v, w: F(0) if v == w else F(1), OrderMode.LIBERAL)
     with pytest.raises(ModeMismatchError):
         check_property(lib, "tir")
+
+
+def _liberal_tir_reference(dist):
+    """The separate liberal triangle body that ``check_property`` once
+    kept: an infinite d(v, x) fails exactly when both legs are finite, and
+    a finite one is compared only against two finite legs."""
+    found = []
+    for v in dist.universe:
+        for w in dist.universe:
+            for x in dist.universe:
+                dvx, dvw, dwx = dist.d(v, x), dist.d(v, w), dist.d(w, x)
+                if dvx is INF:
+                    if dvw is not INF and dwx is not INF:
+                        found.append((v, w, x))
+                elif dvw is not INF and dwx is not INF:
+                    if not cost_le(dvx, add_costs(dvw, dwx), dist.mode):
+                        found.append((v, w, x))
+    return found
+
+
+@given(st.data())
+def test_liberal_tir_is_tir_with_inf_on_top(data):
+    points = ("a", "b", "c", "d")[:data.draw(st.integers(1, 4))]
+    costs = st.one_of(st.just(INF), st.fractions(-3, 3, max_denominator=4))
+    dist = PseudoDistance(points, OrderMode.LIBERAL, {
+        (v, w): data.draw(costs) for v in points for w in points})
+    report = check_property(dist, "liberal_tir", witness_cap=1 << 10)
+    expected = _liberal_tir_reference(dist)
+    assert (report.witnesses, report.total_violations) == (expected, len(expected))
+    assert report.passed == (not expected)
+
+
+def test_unknown_property_names():
+    lib = _full(("a", "b"), lambda v, w: F(0) if v == w else F(1), OrderMode.LIBERAL)
+    for name in ("liberal_symmetric", "triangle", "liberal_"):
+        with pytest.raises(ValueError, match="unknown property"):
+            check_property(lib, name)
 
 
 def test_hir_check():

@@ -84,10 +84,16 @@ def test_validate_family():
     assert len(validate_family(U, closed)) == 3
     with pytest.raises(FamilyError):
         validate_family(U, [{"a"}, set()])
-    with pytest.raises(FamilyError):
+    with pytest.raises(FamilyError, match=r"^family not closed under union: \['a'\] \| \['b'\]$"):
         validate_family(U, [{"a"}, {"b"}])  # union missing
-    with pytest.raises(FamilyError):
+    with pytest.raises(FamilyError, match=r"^family not closed under non-disjoint "
+                       r"intersection: \['a', 'b'\] & \['b', 'c'\]$"):
         validate_family(U, [{"a", "b"}, {"b", "c"}, {"a", "b", "c"}])  # cap missing
+    # the first failing pair in input order, the union tested before the cap
+    with pytest.raises(FamilyError, match=r"union: \['b', 'c'\] \| \['a'\]$"):
+        validate_family(U, [{"b", "c"}, {"b"}, {"a"}, {"a", "b"}])
+    assert validate_family(U, [{"b"}, {"a", "b"}, {"b"}, {"a"}]) == [
+        frozenset({"b"}), frozenset({"a", "b"}), frozenset({"a"})]
 
 
 def test_family_closure():

@@ -11,13 +11,14 @@ import pytest
 
 from distrev import revision
 from distrev.costs import OrderMode, PseudoDistance
-from distrev.errors import InconsistentTheoryError
+from distrev.errors import InconsistentTheoryError, UnknownAtomError
 from distrev.distops import apply
 from distrev.logic import (
     CLASSICAL,
     Matrix,
     canonical_dnf,
     definable_model_sets,
+    enumerate_valuations,
     formula_to_text,
     models,
 )
@@ -337,6 +338,20 @@ def test_dp_cp_report_matches_scalar_loop_on_explicit_pairs():
     reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs)
     assert not reports["dp"].passed
     _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs))
+
+
+def test_dp_cp_refuses_pairs_outside_the_signature():
+    # a valuation of another signature once read as no member at all, so
+    # the pairs below passed both checks
+    sig = ("p", "q")
+    dist = hamming_pseudo_distance(sig)
+    other = enumerate_valuations(("p", "r"))
+    U = valuation_universe(sig)
+    pairs = [({U[1]}, {U[2]}), ({U[0]}, {other[3], U[1]}), ({other[0]}, {U[1]})]
+    with pytest.raises(UnknownAtomError, match=r"^pair 1 \(\['00'\] \| \['01', '11'\]\) "
+                       r"has a valuation outside the signature \('p', 'q'\)$"):
+        check_dp_cp(dist, sig, pairs=pairs)
+    assert check_dp_cp(dist, sig, pairs=pairs[:1])["dp"].passed
 
 
 def test_dp_cp_report_matches_scalar_loop_at_three_atoms():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from distrev import wheel
-from distrev.costs import INF, OrderMode, PseudoDistance, check_property
+from distrev.costs import INF, OrderMode, PseudoDistance, check_hir, check_property
 from distrev.distops import (
     OperatorTable,
     apply,
     check_inclusion,
+    distance_int_matrix,
     find_loop_violation,
     recheck_chain,
 )
@@ -27,7 +28,7 @@ from distrev.wheel import (
     _redirected,
     build_hamming_wheel,
     build_wheel_gadget,
-    distance_int_matrix,
+    check_sandwich,
     find_fresh_rung,
     loop_family_generators,
     proof_fragment,
@@ -480,6 +481,42 @@ def test_taken_pairs_shift_the_fresh_rung():
     assert verify_wheel_claims(gadget).passed
 
 
+def _every_rung(build, m):
+    """(r, gadget) for r = 1..m-1, the gadget patched at rung r because the
+    rungs below it are taken."""
+    for r in range(1, m):
+        yield r, build(m=m, taken_pairs=[wheel._rung(i, m) for i in range(1, r)])
+
+
+def _redirected_count(g):
+    """The table entries on which the modified and patched operators differ."""
+    keys = g.op.entries.keys() | g.patched_op.entries.keys()
+    return sum(g.op.entries.get(key) != g.patched_op.entries.get(key) for key in keys)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_every_abstract_patch_rung_passes(m):
+    for r, g in _every_rung(build_wheel_gadget, m):
+        assert g.r == r
+        assert _redirected_count(g) == 2  # every extra is near: no extended pair
+        assert wheel_equality_sweep(g).passed, (m, r)
+        for prop in ("symmetric", "ir", "positive", "tir"):
+            assert check_property(g.patched_dist, prop).passed, (m, r, prop)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_every_hamming_patch_rung_passes(m):
+    for r, g in _every_rung(build_hamming_wheel, m):
+        assert g.r == r
+        # e2 is near v1..v3 only, so rungs from 4 on extend by it on more sides
+        assert _redirected_count(g) == (12 if r <= 3 else 18), (m, r)
+        report = wheel_equality_sweep(g)
+        assert report.passed and report.reduction.passed, (m, r)
+        assert check_hir(g.patched_dist, g.points).passed, (m, r)
+        assert check_property(g.patched_dist, "liberal_tir").passed, (m, r)
+        assert check_sandwich(g).passed, (m, r)
+
+
 # ---------------------------------------------------------------------------
 # Hamming variant
 
@@ -648,15 +685,17 @@ def test_dropped_guard_breaks_equality():
 
 
 def test_corrupted_hamming_rung_breaks_sandwich_not_hir():
-    from distrev.costs import check_hir
-    from distrev.wheel import check_sandwich
-
     g = build_hamming_wheel(n=1)
     corrupted = g.patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
     assert check_hir(corrupted, g.points).passed
     assert not check_sandwich(g, patched=corrupted).passed
+    # a patched rung above the unpatched 12/5, still within |h| + 1/2,
+    # breaks only d' <= d
+    raised = g.patched_dist.replaced({("v3", "w3"): F(49, 20)})
+    report = check_sandwich(g, patched=raised)
+    assert report.witnesses == [("v3", "w3", 2, F(49, 20), F(12, 5))]
 
 
 def test_corrupted_hamming_rung_breaks_equality():

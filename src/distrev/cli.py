@@ -146,6 +146,9 @@ def cmd_check(args):
     dist = fileio.load_distance(args.distance)
     if args.props:
         props = [_PROP_ALIASES.get(p, p) for p in args.props.split(",") if p]
+        for prop in props:
+            if prop not in REAL_PROPERTIES + LIBERAL_PROPERTIES:
+                raise DistrevError(f"unknown property {prop!r}")
     else:
         props = REAL_PROPERTIES if dist.mode is OrderMode.REAL else LIBERAL_PROPERTIES
     all_pass = True

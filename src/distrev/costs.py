@@ -182,12 +182,12 @@ def check_property(dist, prop, witness_cap=16):
     """Exhaustively check one distance property; witnesses in deterministic
     order.  ``prop`` is one of symmetric, ir, positive, tir, or a liberal_
     form of the last three: that check under the liberal order, inf on top."""
+    if prop not in REAL_PROPERTIES + LIBERAL_PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}")
     if prop in ("ir", "positive", "tir") and dist.mode is not OrderMode.REAL:
         raise ModeMismatchError(f"{prop} requires the real order mode")
     if prop.startswith("liberal_") and dist.mode is not OrderMode.LIBERAL:
         raise ModeMismatchError(f"{prop} requires the liberal order mode")
-    if prop not in REAL_PROPERTIES + LIBERAL_PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}")
     base = prop.removeprefix("liberal_")
     report = PropertyReport(prop, True, witness_cap=witness_cap)
     pts = dist.universe

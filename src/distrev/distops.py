@@ -4,6 +4,7 @@ and loop condition checkers."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -141,6 +142,25 @@ def _membership_rows(sets, order):
 def _row_sets(rows, order):
     """The set of each boolean row, over the points ``order``."""
     return [frozenset(itertools.compress(order, row)) for row in np.asarray(rows).tolist()]
+
+
+def _row_words(rows):
+    """Each boolean row packed into little-endian 64-bit words: an array
+    [row, word], point i at bit i % 64 of word i // 64 and the spare bits 0.
+    The rows are padded to whole words and packed flat, in chunks of about
+    ``APPLY_CHUNK_CELLS`` bits: ``np.packbits`` along rows of a few points
+    is several times slower."""
+    rows = np.asarray(rows, dtype=bool)
+    count, points = rows.shape
+    width = 64 * max(1, -(-points // 64))
+    out = np.empty((count, width // 8), dtype=np.uint8)
+    step = max(1, APPLY_CHUNK_CELLS // width)
+    padded = np.zeros((min(step, count), width), dtype=bool)
+    for lo in range(0, count, step):
+        chunk = padded[:min(step, count - lo)]
+        chunk[:, :points] = rows[lo:lo + step]
+        out[lo:lo + len(chunk)] = np.packbits(chunk, bitorder="little").reshape(len(chunk), -1)
+    return out.view("<u8")
 
 
 def _row_keys(rows):
@@ -319,35 +339,68 @@ def recheck_chain(op, chain):
 
 def _premise_reader(op, sets):
     """``premises(a, b, c)``: premise(a, b, c) over index arrays into
-    ``sets``, all of one shape, as a boolean array of that shape.  One
-    ``lookup_rows`` batch asks the operator about each distinct
-    (V_b, V_a u V_c) pair the arrays name, V_b the outer order and each
-    union numbered where it first appears in (a, c) row-major order.  The
-    rows are read back in chunks of about ``APPLY_CHUNK_CELLS`` cells.  The
-    columns are the points of ``sets`` in ``op.universe`` order."""
+    ``sets``, all of one shape, as a boolean array of that shape; and
+    ``premises.tensor()``: the whole tensor P[a, b, c] over the n sets.
+
+    Both read alike.  The unions V_a u V_c of the (a, c) pairs in play are
+    numbered in the order of their packed row keys (``_row_keys``).  One
+    ``lookup_rows`` batch asks the operator about each (V_b, union) pair in
+    play, V_b the outer order, and packs its answers into words
+    (``_row_words``).  Premise (a, b, c) holds when the packed answer for
+    (V_b, V_a u V_c) shares a bit with V_a's packed row.  ``premises``
+    numbers only the distinct (a, c) pairs its arrays name and asks only
+    about the distinct (V_b, union) pairs they name; ``tensor`` asks about
+    every V_b with every union.  The bit tests go in chunks of about
+    ``APPLY_CHUNK_CELLS`` (premise, point) cells.  The columns are the
+    points of ``sets`` in ``op.universe`` order."""
     n = len(sets)
     points = set().union(*sets)
     order = tuple(p for p in op.universe if p in points)
     member = _membership_rows(sets, order)
+    bits = _row_words(member)
+
+    def unions(a, c):
+        # the distinct rows V_a u V_c in key order, and each pair's number
+        rows = member[a] | member[c]
+        _, first, number = np.unique(_row_keys(rows), return_index=True,
+                                     return_inverse=True)
+        return rows[first], number
+
+    def read(pairs, union_rows):
+        # pair b * m + u is (V_b, union u), m the number of unions
+        m = len(union_rows)
+        return _row_words(op.lookup_rows(member[pairs // m], union_rows[pairs % m], order))
+
+    def shares(looked, at, a):
+        # (looked[at] & bits[a]).any(-1), ``a`` broadcast against ``at``,
+        # in chunks along the first axis
+        out = np.empty(np.shape(at), dtype=bool)
+        step = max(1, APPLY_CHUNK_CELLS // max(math.prod(out.shape[1:]) * len(order), 1))
+        for lo in range(0, len(out), step):
+            rows = slice(lo, lo + step)
+            out[rows] = (looked[at[rows]] & bits[a[rows]]).any(axis=-1)
+        return out
 
     def premises(a, b, c):
         shape = np.shape(a)
         a, b, c = (np.ravel(x) for x in (a, b, c))
         ac, ac_at = np.unique(a * n + c, return_inverse=True)
-        unions = {}
-        union_of = np.array([unions.setdefault(sets[x // n] | sets[x % n], len(unions))
-                             for x in ac.tolist()], dtype=np.intp)
-        m = len(unions)
+        union_rows, union_of = unions(ac // n, ac % n)
+        m = len(union_rows)
         pairs, at = np.unique(b * m + union_of[ac_at], return_inverse=True)
-        looked = op.lookup_rows(member[pairs // m],
-                                _membership_rows(list(unions), order)[pairs % m], order)
-        out = np.empty(len(at), dtype=bool)
-        step = max(1, APPLY_CHUNK_CELLS // max(len(order), 1))
-        for lo in range(0, len(out), step):
-            rows = slice(lo, lo + step)
-            out[rows] = (looked[at[rows]] & member[a[rows]]).any(axis=1)
-        return out.reshape(shape)
+        looked = read(pairs, union_rows)
+        return shares(looked, at, a).reshape(shape)
 
+    def tensor():
+        a, c = np.divmod(np.arange(n * n), n)
+        union_rows, union_of = unions(a, c)
+        m = len(union_rows)
+        looked = read(np.arange(n * m), union_rows)
+        # at[a, b, c]: the row of looked for (V_b, V_a u V_c)
+        at = np.arange(0, n * m, m)[:, None] + union_of.reshape(n, 1, n)
+        return shares(looked, at, np.arange(n)[:, None, None])
+
+    premises.tensor = tensor
     return premises
 
 
@@ -361,16 +414,17 @@ def _walk(premises, n, k_max):
     (V_{j-1}, V_j) reachable through premises 1..j-1.  Layer 1, the starts
     themselves, is read for all starts at once off ``q[a, b]``, which is
     premise(a, b, a): premise 1 is q[i0, i1] and the conclusion q[i1, i0].
-    Only a walk to k >= 2 reads the premise tensor ``P[a, b, c]``, and
-    takes ``q`` from it.  From layer 2 on, starts go in blocks of about
-    ``APPLY_CHUNK_CELLS`` (start, state) cells, each further layer one
-    batched float32 matmul read as ``> 0`` (its sums of 0/1 values are
-    exact), and each block searches only for a k below the best one found.
+    Only a walk to k >= 2 reads the premise tensor ``P[a, b, c]``
+    (``premises.tensor()``), and takes ``q`` from it.  From layer 2 on,
+    starts go in blocks of about ``APPLY_CHUNK_CELLS`` (start, state)
+    cells, each further layer one batched float32 matmul read as ``> 0``
+    (its sums of 0/1 values are exact), and each block searches only for a
+    k below the best one found.
     """
     if k_max < 1 or n == 0:
         return None, 0
     a, b = np.indices((n, n))
-    P = premises(*np.indices((n, n, n))) if k_max >= 2 else None
+    P = premises.tensor() if k_max >= 2 else None
     q = premises(a, b, a) if P is None else P[a, b, a]
     hits, states = np.flatnonzero(q & ~q.T), n * n
     if len(hits):
@@ -392,15 +446,19 @@ def _walk(premises, n, k_max):
         # layer 2 is (i1, c) for every c with premise 1
         reached = np.zeros((n, s * n, n), dtype=bool)
         reached[x % n, x] = P[lo:lo + s].reshape(s * n, n)
-        # shut[b, i0, i1, c]: state (b, c) at depth k closes a counterexample
-        shut = close[lo:lo + s].transpose(1, 0, 2)[:, :, None, :] & fails[None, lo:lo + s]
+        # shut[b, x, c]: state (b, c) at depth k closes a counterexample
+        shut = (close[lo:lo + s].transpose(1, 0, 2)[:, :, None, :]
+                & fails[None, lo:lo + s]).reshape(reached.shape)
         for k in range(2, k_top + 1):
             if k > 2:
-                layer = np.ascontiguousarray(reached.transpose(2, 1, 0), dtype=np.float32)
+                # transposed as bytes, then widened: about twice as fast as
+                # a transposing copy that casts as it goes
+                layer = np.ascontiguousarray(reached.transpose(2, 1, 0)).astype(np.float32)
                 reached = np.matmul(layer, step) > 0
             count = int(np.count_nonzero(reached))
             states += count
-            hit = (reached.reshape(n, s, n, n) & shut).any(axis=(0, 3))
+            # one row of (b, c) cells per start x, each row contiguous
+            hit = (reached & shut).transpose(1, 0, 2).reshape(s * n, -1).any(axis=1)
             if hit.any():
                 best = (k, *divmod(lo * n + int(np.argmax(hit)), n))
                 break

@@ -86,6 +86,11 @@ def test_check_mode_mismatch_exits_2(workdir, hamming_file):
     assert main(["check", hamming_file, "--props", "lib-ir"]) == 2
 
 
+def test_check_unknown_property_exits_2(workdir, hamming_file, capsys):
+    assert main(["check", hamming_file, "--props", "sym,foo"]) == 2
+    assert capsys.readouterr().err == "error: unknown property 'foo'\n"
+
+
 def test_realize_sat_unsat(workdir, hamming_file, capsys):
     from distrev.wheel import build_wheel_gadget, proof_fragment
 

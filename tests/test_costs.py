@@ -179,10 +179,13 @@ def test_liberal_tir_is_tir_with_inf_on_top(data):
 
 
 def test_unknown_property_names():
-    lib = _full(("a", "b"), lambda v, w: F(0) if v == w else F(1), OrderMode.LIBERAL)
-    for name in ("liberal_symmetric", "triangle", "liberal_"):
-        with pytest.raises(ValueError, match="unknown property"):
-            check_property(lib, name)
+    # the name is checked before the mode, so a liberal_ name that is no
+    # property is unknown on a real distance too, not a mode mismatch
+    for mode in OrderMode:
+        dist = _full(("a", "b"), lambda v, w: F(0) if v == w else F(1), mode)
+        for name in ("liberal_symmetric", "liberal_foo", "triangle", "liberal_"):
+            with pytest.raises(ValueError, match="unknown property"):
+                check_property(dist, name)
 
 
 def test_hir_check():

@@ -26,6 +26,13 @@ from distrev.distops import (
 )
 from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
+from distrev.revision import (
+    _ModelSetOperator,
+    nonempty_model_sets,
+    per_source_order_operator,
+    valuation_universe,
+)
+from distrev.wheel import build_wheel_gadget, loop_family_generators
 from test_distops import _cyclic_override_op
 from test_logic import _identity_matrix
 
@@ -445,6 +452,57 @@ def test_find_loop_violation_matches_enumeration_on_unclosed_sets(case, k_max, c
         assert verdict.passed == (k is None)
         assert verdict.chain == chain
         assert verdict.k == (k_max if k is None else k)
+
+
+def _wheel_premise_case():
+    # the generators key the gadget's two explicit entries, and the extras
+    # bring the points to 10, past the first byte of each packed row
+    gadget = build_wheel_gadget(n=1)
+    return gadget.op, loop_family_generators(4) + [frozenset({"x1"}), frozenset({"x2"})]
+
+
+def _model_set_premise_case():
+    sig = ("p", "q", "r")
+    sets = random.Random(5).sample(nonempty_model_sets(sig), 12)
+    op = per_source_order_operator(sig, seed=2)
+    return _ModelSetOperator(valuation_universe(sig), op), sets
+
+
+def _wide_premise_case():
+    # 70 points, so packed rows span two 64-bit words; an asymmetric
+    # backing with explicit entries on (V_b, V_a u V_c) pairs the premises
+    # ask about
+    rng = random.Random(7)
+    universe = tuple(f"p{i:02}" for i in range(70))
+    table = {(v, w): F(0) if v == w else rng.choice(COSTS[1:])
+             for v in universe for w in universe}
+    sets = [frozenset(universe[i::7]) for i in range(7)]
+    sets += [frozenset(rng.sample(universe, 3)) for _ in range(3)]
+    entries = {}
+    for _ in range(6):
+        a, b, c = (rng.choice(sets) for _ in range(3))
+        entries[b, a | c] = frozenset(rng.sample(sorted(a | c), 2))
+    dist = PseudoDistance(universe, OrderMode.REAL, table)
+    return OperatorTable(universe, entries, backing=dist), sets
+
+
+@pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
+@pytest.mark.parametrize("case", [_wheel_premise_case, _model_set_premise_case,
+                                  _wide_premise_case])
+def test_premise_reads_match_the_scalar_premise(case, cells):
+    op, sets = case()
+    n = len(sets)
+    expected = np.array([distops._premise(op, a, b, c)
+                         for a, b, c in itertools.product(sets, repeat=3)]).reshape(n, n, n)
+    # a chunk size of 40 splits every read and bit test into many chunks
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+        premises = distops._premise_reader(op, sets)
+        assert (premises.tensor() == expected).all()
+        assert (premises(*np.indices((n, n, n))) == expected).all()
+        # a flat read in shuffled order names only some of the (a, c) pairs
+        a, b, c = np.unravel_index(np.random.default_rng(0).permutation(n ** 3)[:n * n],
+                                   (n, n, n))
+        assert (premises(a, b, c) == expected[a, b, c]).all()
 
 
 def _naive_extensions(signature, matrix):

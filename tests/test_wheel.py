@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -319,6 +320,25 @@ def test_loop_walk_memory_stays_within_chunks():
     assert not verdict.passed and verdict.k == 19
     assert recheck_chain(gadget.op, verdict.chain)
     assert peak < 8 << 20
+
+
+def test_no_k1_loop_violation_over_every_set():
+    # the pigeonhole bound where it can be exhaustive: a loop with k = 1 is
+    # a condition over two (V, W) pairs, and m = 4 admits none violated over
+    # all 1,023 non-empty sets of the 10 points.  The k = 1 walk reads
+    # premise(a, b, a) for each of the 1,023^2 starts.
+    gadget = build_wheel_gadget(n=1)
+    sets = [frozenset(c) for r in range(1, 11)
+            for c in itertools.combinations(gadget.universe, r)]
+    tracemalloc.start()
+    try:
+        verdict = find_loop_violation(gadget.op, sets, k_max=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert verdict.states == 1023 ** 2
+    assert peak < 128 << 20
 
 
 # The mismatches of the m=4 mutation checks below as {W mask: V masks},

@@ -144,8 +144,10 @@ def cmd_check(args):
     rep.add("command", "check")
     rep.add_input("distance", args.distance)
     dist = fileio.load_distance(args.distance)
-    if args.props:
+    if args.props is not None:
         props = [_PROP_ALIASES.get(p, p) for p in args.props.split(",") if p]
+        if not props:
+            raise DistrevError(f"no property in --props {args.props!r}")
         for prop in props:
             if prop not in REAL_PROPERTIES + LIBERAL_PROPERTIES:
                 raise DistrevError(f"unknown property {prop!r}")
@@ -289,6 +291,13 @@ def cmd_agm(args):
 # Argument parsing
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="distrev",
@@ -318,23 +327,23 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--dir", default="wheel-artifacts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.set_defaults(func=cmd_wheel)
 
     p = sub.add_parser("loop", help="check the cyclic chain condition")
     p.add_argument("operator")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_positive_int, default=3)
     p.add_argument("--family", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("agm", help="postulate sweep for a revision distance")
     p.add_argument("distance")
     p.add_argument("--atoms", required=True, help="comma list of atoms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_agm)
 
     for p in sub.choices.values():

@@ -144,15 +144,14 @@ def _row_sets(rows, order):
     return [frozenset(itertools.compress(order, row)) for row in np.asarray(rows).tolist()]
 
 
-def _row_words(rows):
-    """Each boolean row packed into little-endian 64-bit words: an array
-    [row, word], point i at bit i % 64 of word i // 64 and the spare bits 0.
-    The rows are padded to whole words and packed flat, in chunks of about
-    ``APPLY_CHUNK_CELLS`` bits: ``np.packbits`` along rows of a few points
-    is several times slower."""
+def _packed_rows(rows, unit):
+    """Each boolean row packed into whole units of ``unit`` bytes, at least
+    one: an array [row, byte], point i at bit i % 8 of byte i // 8, spare
+    bits 0.  Rows are padded and packed flat in chunks of about
+    ``APPLY_CHUNK_CELLS`` bits, faster than packing along short rows."""
     rows = np.asarray(rows, dtype=bool)
     count, points = rows.shape
-    width = 64 * max(1, -(-points // 64))
+    width = 8 * unit * max(1, -(-points // (8 * unit)))
     out = np.empty((count, width // 8), dtype=np.uint8)
     step = max(1, APPLY_CHUNK_CELLS // width)
     padded = np.zeros((min(step, count), width), dtype=bool)
@@ -160,13 +159,17 @@ def _row_words(rows):
         chunk = padded[:min(step, count - lo)]
         chunk[:, :points] = rows[lo:lo + step]
         out[lo:lo + len(chunk)] = np.packbits(chunk, bitorder="little").reshape(len(chunk), -1)
-    return out.view("<u8")
+    return out
+
+
+def _row_words(rows):
+    """The rows packed into little-endian 64-bit words: an array [row, word]."""
+    return _packed_rows(rows, 8).view("<u8")
 
 
 def _row_keys(rows):
-    """Each boolean row packed into bytes: an array of keys, one per row,
-    that compare, sort and search as their sets' bits."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
+    """One packed byte-string key per row, comparing as its set's bits."""
+    packed = _packed_rows(rows, 1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
@@ -318,13 +321,9 @@ class LoopVerdict:
 
 
 def _premise(op, a, b, c):
-    # (V_b | (V_a u V_c)) n V_a is non-empty, written for chain positions
-    # premise i: a = V_{i-1}, b = V_i, c = V_{i+1 mod k+1}
+    # (V_b | (V_a u V_c)) n V_a is non-empty.  Premise i is (V_{i-1}, V_i,
+    # V_{i+1 mod k+1}), and the conclusion is (V_1, V_0, V_k)
     return bool(op.lookup(b, a | c) & a)
-
-
-def _conclusion(op, v0, v1, vk):
-    return bool(op.lookup(v0, vk | v1) & v1)
 
 
 def recheck_chain(op, chain):
@@ -334,7 +333,7 @@ def recheck_chain(op, chain):
     for i in range(1, k + 1):
         if not _premise(op, ring[i - 1], ring[i], ring[i + 1]):
             return False
-    return not _conclusion(op, chain[0], chain[1], chain[k])
+    return not _premise(op, chain[1], chain[0], chain[k])
 
 
 def _premise_reader(op, sets):
@@ -415,11 +414,11 @@ def _walk(premises, n, k_max):
     themselves, is read for all starts at once off ``q[a, b]``, which is
     premise(a, b, a): premise 1 is q[i0, i1] and the conclusion q[i1, i0].
     Only a walk to k >= 2 reads the premise tensor ``P[a, b, c]``
-    (``premises.tensor()``), and takes ``q`` from it.  From layer 2 on,
-    starts go in blocks of about ``APPLY_CHUNK_CELLS`` (start, state)
-    cells, each further layer one batched float32 matmul read as ``> 0``
-    (its sums of 0/1 values are exact), and each block searches only for a
-    k below the best one found.
+    (``premises.tensor()``), and takes ``q`` from it.  From layer 2 on, a
+    block holds max(1, ``APPLY_CHUNK_CELLS`` // n^3) first sets V_0 with n^3
+    (start, state) cells each; each further layer is one batched float32
+    matmul read as ``> 0`` (its sums of 0/1 values are exact), and each
+    block searches only for a k below the best one found.
     """
     if k_max < 1 or n == 0:
         return None, 0
@@ -493,10 +492,9 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
     k is uniformly sampled with a fixed seed.  Returns the first
     counterexample found, in deterministic order.  The search runs over
     indices into the sorted family, and the walk and the sampler read every
-    premise through one ``_premise_reader``.  The premise tensor is built
-    only when the walk reaches k = 2; a walk of k = 1 reads just
-    premise(a, b, a).  The sampler draws its chains in bulk and reads each
-    premise for all the drawn chains still in play in one batch.
+    premise through one ``_premise_reader``; ``_walk`` says when it builds
+    the premise tensor.  The sampler draws its chains in bulk and reads
+    each premise for all the drawn chains still in play in one batch.
     """
     sets = sorted(validate_family(op.universe, family), key=sorted)
     n = len(sets)

@@ -82,8 +82,6 @@ FALSE = FalseConst()
 # operators ! & | -> <-> with precedence ! > & > | > -> > <->,
 # -> and <-> right-associative, parentheses allowed.
 
-_TWO_CHAR = ("->", "<->")
-
 
 def _tokenize(text):
     tokens = []

@@ -85,10 +85,6 @@ class Verdict:
     nodes: int = 0
 
 
-def _entry_tag(vset, wset):
-    return _tag(sorted(vset), sorted(wset))
-
-
 def _tag(vs, ws):
     """The tag of the entry whose sorted V and W are ``vs`` and ``ws``."""
     return f"{vs}|{ws}"

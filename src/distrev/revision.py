@@ -386,12 +386,10 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     defined = space.definable_keys
     dp = PropertyReport("dp", True, witness_cap=witness_cap)
     cp = PropertyReport("cp", True, witness_cap=witness_cap)
-    for p, key in enumerate(_row_keys(result).tolist()):
-        if key not in defined:
-            vset, wset = pair_at(p)
-            out = frozenset(order[j] for j in np.flatnonzero(result[p]))
-            dp.record((_label(vset), _label(wset), _label(out)))
+    bad = [p for p, key in enumerate(_row_keys(result).tolist()) if key not in defined]
+    for p, out in zip(bad, _row_sets(result[bad], order)):
+        dp.record(_labels(*pair_at(p), out))
     empty = vrows.any(axis=1) & wrows.any(axis=1) & ~result.any(axis=1)
     for p in np.flatnonzero(empty):
-        cp.record(tuple(_label(s) for s in pair_at(p)))
+        cp.record(_labels(*pair_at(p)))
     return {"dp": dp, "cp": cp}

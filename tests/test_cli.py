@@ -206,6 +206,25 @@ def test_agm_sweep(workdir, hamming_file, capsys):
     assert "seed: 7" in out
 
 
+VACUOUS = {
+    "wheel-samples-negative": ["wheel", "--n", "1", "--samples", "-5"],
+    "wheel-samples-0": ["wheel", "--samples", "0"],
+    "agm-samples-0": ["agm", "hamming.txt", "--atoms", "p,q", "--samples", "0"],
+    "loop-samples-negative": ["loop", "op.txt", "--k", "3", "--samples", "-1", "--budget", "1"],
+    "loop-k-0": ["loop", "op.txt", "--k", "0"],
+    "check-no-property": ["check", "hamming.txt", "--props", ","],
+}
+
+
+@pytest.mark.parametrize("argv", VACUOUS.values(), ids=VACUOUS.keys())
+def test_counts_below_one_and_empty_property_lists_exit_2(workdir, hamming_file, capsys,
+                                                          argv):
+    # each would otherwise check nothing and report a pass
+    _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
+    assert main(argv) == 2
+    assert "result" not in capsys.readouterr().out
+
+
 SUBCOMMAND_OPTIONS = {
     "revise": {"--out"},
     "check": {"--props", "--out"},

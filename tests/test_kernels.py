@@ -289,6 +289,27 @@ def test_draws_refuse_an_empty_range():
         distops._draws(random.Random(0), 0, 1)
 
 
+@pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
+def test_row_packers_match_packbits(cells):
+    # 0 rows, 1 row and several chunks' worth; a key is np.packbits's bytes
+    # of its row, one zero byte for a row of no points, and the words are
+    # those bytes zero-padded to whole words
+    rng = np.random.default_rng(7)
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+        for points in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+            for count in (0, 1, 2 * cells // 8 + 3):
+                rows = rng.random((count, points)) < 0.5
+                packed = np.packbits(rows, axis=1, bitorder="little")
+                if not points:
+                    packed = np.zeros((count, 1), dtype=np.uint8)
+                keys, words = distops._row_keys(rows), distops._row_words(rows)
+                assert keys.tolist() == [row.tobytes() for row in packed]
+                padded = np.zeros((count, 8 * -(-packed.shape[1] // 8)), dtype=np.uint8)
+                padded[:, :packed.shape[1]] = packed
+                assert words.dtype == np.dtype("<u8")
+                assert np.array_equal(words, padded.view("<u8"))
+
+
 def _first_chain_brute_force(op, family, k_max):
     """Lexicographic enumeration of every chain; the first counterexample
     with its k and the number of chains counted up to and including its k."""

@@ -236,7 +236,7 @@ def test_unsat_conflict_names_an_unrealizable_subtable(symmetric):
             unsat += 1
             named = {
                 k: x for k, x in t.entries.items()
-                if realizability._entry_tag(*k) in verdict.conflict
+                if realizability._tag(sorted(k[0]), sorted(k[1])) in verdict.conflict
             }
             core = OperatorTable(universe, named)
             assert brute_force_realizable(core, symmetric=symmetric).status == "unsat"

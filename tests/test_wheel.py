@@ -19,7 +19,7 @@ from distrev.distops import (
 )
 from distrev.errors import BoundExceededError, FamilyError
 from distrev.logic import hamming_diff
-from distrev.realizability import _entry_tag, solve_table, verify_witness
+from distrev.realizability import _tag, solve_table, verify_witness
 from distrev.wheel import (
     Gadget,
     _labels_of,
@@ -102,7 +102,7 @@ def test_fragment_is_unrealizable_for_all_small_m():
         assert (verdict.status, verdict.nodes) == ("unsat", 1), gadget.m
         assert len(fragment.entries) == 3 * gadget.m
         keys = _core_keys(gadget.m)
-        assert verdict.conflict == sorted(_entry_tag(v, w) for v, w in keys)
+        assert verdict.conflict == sorted(_tag(sorted(v), sorted(w)) for v, w in keys)
         for dropped in keys:
             rest = OperatorTable(gadget.universe, {
                 key: fragment.entries[key] for key in keys if key != dropped})

@@ -145,7 +145,7 @@ def cmd_check(args):
     rep.add_input("distance", args.distance)
     dist = fileio.load_distance(args.distance)
     if args.props is not None:
-        props = [_PROP_ALIASES.get(p, p) for p in args.props.split(",") if p]
+        props = list(dict.fromkeys(_PROP_ALIASES.get(p, p) for p in args.props.split(",") if p))
         if not props:
             raise DistrevError(f"no property in --props {args.props!r}")
         for prop in props:
@@ -218,10 +218,10 @@ def cmd_wheel(args):
     os.makedirs(args.dir, exist_ok=True)
     prefix = os.path.join(args.dir, "wheel" if args.variant == "abstract" else "hamming")
     fileio.save_distance(gadget.dist, f"{prefix}-distance.txt")
-    fileio.save_distance(gadget.patched_dist, f"{prefix}-distance-patched.txt")
+    fileio.save_distance(gadget.patch(result.rung)[1], f"{prefix}-distance-patched.txt")
     fileio.save_operator_table(proof_fragment(gadget), f"{prefix}-fragment.txt")
     rep.add("m", gadget.m)
-    rep.add("patched_rung", gadget.r)
+    rep.add("patched_rung", result.rung)
     rep.add("fragment", result.fragment_verdict.status)
     rep.add("inclusion", "pass" if result.inclusion.passed else "fail")
     rep.add("equality", _sweep_line(result.equality))
@@ -275,6 +275,8 @@ def cmd_agm(args):
     rep.add("seed", args.seed)
     rep.add("samples", args.samples)
     signature = tuple(args.atoms.split(","))
+    if "" in signature or len(set(signature)) < len(signature):
+        raise DistrevError(f"--atoms needs distinct non-empty names, not {args.atoms!r}")
     dist = _valuation_distance(fileio.load_distance(args.distance), signature)
     op = RevisionOperator.from_distance(dist, signature)
     reports = check_agm(op, samples=args.samples, seed=args.seed)

@@ -490,13 +490,16 @@ def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
 
     One walk covers every k whose chain space fits the budget; each larger
     k is uniformly sampled with a fixed seed.  Returns the first
-    counterexample found, in deterministic order.  The search runs over
+    counterexample found, in deterministic order; an empty family, with no
+    chain to check, raises ``FamilyError``.  The search runs over
     indices into the sorted family, and the walk and the sampler read every
     premise through one ``_premise_reader``; ``_walk`` says when it builds
     the premise tensor.  The sampler draws its chains in bulk and reads
     each premise for all the drawn chains still in play in one batch.
     """
     sets = sorted(validate_family(op.universe, family), key=sorted)
+    if not sets:
+        raise FamilyError("the family has no set to chain")
     n = len(sets)
     k_walk = 0
     while k_walk < k_max and n ** (k_walk + 2) <= budget:

@@ -4,12 +4,12 @@ A gadget lives on 2m wheel points v1..vm, w1..wm (plus off-wheel extras)
 with graded costs: the abstract gadget on labeled points under the real
 order, the Hamming gadget on matrix valuations over 2m atoms under the
 liberal order.  Each carries a modified operator, the wrap rung redirected
-to a single point, that no pseudo-distance reproduces, together with a
-patched operator and patched distance that coincide exactly.  Both
-operators are tables over the distance whose entries are the redirected
-rung pairs, each extended by the extras that put no near pair across
-V x W: every off-wheel pair is near in the abstract gadget, one below
-Hamming difference 3 in the Hamming gadget.
+to a single point, that no pseudo-distance reproduces; ``Gadget.patch(r)``
+gives, for each rung r < m, a patched operator and patched distance that
+coincide exactly.  Both operators are tables over the distance whose
+entries are the redirected rung pairs, each extended by the extras that
+put no near pair across V x W: every off-wheel pair is near in the abstract
+gadget, one below Hamming difference 3 in the Hamming gadget.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .distops import (
     find_loop_violation,
     narrow_ranks,
 )
-from .errors import BoundExceededError, FamilyError
+from .errors import BoundExceededError, FamilyError, UndefinedPairError, UnknownAtomError
 from .logic import Valuation, hamming_diff
 from .realizability import solve_table
 
@@ -53,18 +53,28 @@ F = Fraction
 @dataclass(frozen=True)
 class Gadget:
     """A cycle gadget over ``universe``, the 2m wheel labels first: the
-    distance, the modified operator, the patched rung ``r`` with the
-    patched operator and distance, and for the Hamming gadget the
-    valuation of every label."""
+    distance, the modified operator, the ``near`` test of off-wheel pairs
+    and the ``patched_cost`` of the rungs a patch lowers, and for the
+    Hamming gadget the valuation of every label."""
 
     m: int
     universe: tuple
     dist: PseudoDistance
     op: OperatorTable
-    r: int
-    patched_op: OperatorTable
-    patched_dist: PseudoDistance
+    near: object  # (a, b) -> bool, read only for pairs with an extra
+    patched_cost: Fraction
     points: dict = None  # label -> Valuation, Hamming only
+
+    def patch(self, r):
+        """Rung r's patched operator and distance, 1 <= r < m (any other r
+        raises ``UnknownAtomError``): the operator also sends rung r to rung
+        r + 1's single point, and the distance lowers the rungs beyond r to
+        ``patched_cost`` so that both redirections become minimal."""
+        m = self.m
+        entries = _redirected(m, self.universe[2 * m:], ((m, m), (r, r + 1)), self.near)
+        dist = self.dist.replaced({(f"{a}{i}", f"{b}{i}"): self.patched_cost
+                                   for i in range(r + 1, m + 1) for a, b in ("vw", "wv")})
+        return OperatorTable(self.universe, entries, backing=self.dist), dist
 
 
 def _rung(i, m):
@@ -106,11 +116,10 @@ def _redirected(m, extras, rungs, near):
     return entries
 
 
-def _build(m, extras, mode, ladder, off_cost, near, taken_pairs, points=None):
+def _build(m, extras, mode, ladder, off_cost, near, points=None):
     """The gadget whose wheel costs are ``ladder`` = (same side, rung,
     adjacent rungs, chord, patched rung), with ``off_cost`` on pairs that
-    leave the wheel; the patch lowers the rungs beyond the fresh one to the
-    patched rung cost so that its redirection becomes minimal."""
+    leave the wheel."""
     if m < 4:
         raise FamilyError("wheel needs m >= 4")
     side, rung, adjacent, chord, patched = ladder
@@ -129,28 +138,19 @@ def _build(m, extras, mode, ladder, off_cost, near, taken_pairs, points=None):
         return adjacent if abs(i - j) in (1, m - 1) else chord
 
     dist = PseudoDistance.from_function(universe, mode, cost)
-    r = find_fresh_rung(list(taken_pairs), m)
     op = OperatorTable(universe, _redirected(m, extras, ((m, m),), near), backing=dist)
-    patched_op = OperatorTable(
-        universe, _redirected(m, extras, ((m, m), (r, r + 1)), near), backing=dist)
-    patched_dist = dist.replaced({(f"{a}{i}", f"{b}{i}"): patched
-                                  for i in range(r + 1, m + 1) for a, b in ("vw", "wv")})
-    return Gadget(m, universe, dist, op, r, patched_op, patched_dist, points)
+    return Gadget(m, universe, dist, op, near, patched, points)
 
 
-def build_wheel_gadget(n=1, m=None, taken_pairs=()):
+def build_wheel_gadget(n=1, m=None):
     """The abstract gadget, m = n + 3 to defeat arity-n tests, under the
     real order; every pair with an extra costs 1 and is near."""
     return _build(n + 3 if m is None else m, ("x1", "x2"), OrderMode.REAL,
                   (F(11, 10), F(14, 10), F(2), F(12, 10), F(13, 10)),
-                  lambda a, b: F(1), lambda a, b: True, taken_pairs)
+                  lambda a, b: F(1), lambda a, b: True)
 
 
-def _near(points, a, b):
-    return len(hamming_diff(points[a], points[b])) < 3
-
-
-def build_hamming_wheel(n=1, m=None, taken_pairs=()):
+def build_hamming_wheel(n=1, m=None):
     """The Hamming gadget: unit valuations on 2m atoms plus three off-wheel
     valuations at Hamming difference 1, 2, and >= 3 from the wheel, under
     the liberal order; an off-wheel pair costs its difference h (7/5 for
@@ -172,13 +172,13 @@ def build_hamming_wheel(n=1, m=None, taken_pairs=()):
     points["e2"] = unit("p1", "p2", "p3")
     points["e3"] = unit("p1", "q1", "p2", "q2")
 
-    def off_cost(a, b):
-        h = len(hamming_diff(points[a], points[b]))
-        return F(14, 10) if h == 1 else F(h)
+    def diff(a, b):
+        return len(hamming_diff(points[a], points[b]))
 
     return _build(m, ("e1", "e2", "e3"), OrderMode.LIBERAL,
                   (F(21, 10), F(24, 10), F(25, 10), F(22, 10), F(23, 10)),
-                  off_cost, lambda a, b: _near(points, a, b), taken_pairs, points)
+                  lambda a, b: F(14, 10) if diff(a, b) == 1 else F(diff(a, b)),
+                  lambda a, b: diff(a, b) < 3, points)
 
 
 def proof_fragment(gadget):
@@ -294,7 +294,6 @@ class EqualityReport:
     pairs_checked: int
     mismatches: list
     sampled: bool
-    reduction: EqualityReport = None  # the exhaustive sweep of a Hamming gadget
 
     @property
     def passed(self):
@@ -341,42 +340,49 @@ def _reduction_sweep(f, near, nx, order, cap):
     return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ), False)
 
 
-def sweep_bytes(gadget):
+def sweep_bytes(table, dist):
     """Bytes that the exhaustive sweep of ``wheel_equality_sweep`` holds at
-    most: per V mask, three rank tables, a Hamming gadget's reduction
-    tables and the flagged V masks; per chunk cell, the order checks'
-    sorted rows and pair tests, then two folded W rows with their
-    transients (a chunk holds one row at least)."""
-    n = len(gadget.universe)
+    most: per V mask, three rank tables, the reduction tables of a Hamming
+    gadget's claims check and the flagged V masks; per chunk cell, the order
+    checks' sorted rows and pair tests, then two folded W rows with their
+    transients (a chunk holds one row at least).  ``table`` must have a
+    backing (else ``UndefinedPairError``), and it, its backing and ``dist``
+    the same points (else ``UnknownAtomError``)."""
+    if table.backing is None:
+        raise UndefinedPairError("the sweep reads pairs off the table's backing distance")
+    if not set(table.universe) == set(table.backing.universe) == set(dist.universe):
+        raise UnknownAtomError("the table, its backing and the distance have different points")
+    n = len(dist.universe)
     mask = _mask_dtype(n).itemsize
-    rank = max(narrow_ranks(d)[1].itemsize for d in (gadget.dist, gadget.patched_dist))
+    rank = max(narrow_ranks(d)[1].itemsize for d in (table.backing, dist))
     per_v = 3 * rank * n + 3 * mask + 24
     per_cell = 2 * rank + 5 * mask + 6
     return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
             + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
 
 
-def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
-    """Check that the patched operator equals the minimization of the
-    patched distance on every subset pair of the universe, or on ``sample``
-    seeded random pairs when given.  The exhaustive sweep raises
+def wheel_equality_sweep(table, dist, sample=None, seed=0, witness_cap=16):
+    """The (V, W) pairs, over every subset pair of ``dist``'s universe or
+    over ``sample`` seeded random pairs when given, on which ``table`` and
+    the minimization of ``dist`` differ, the first ``witness_cap`` of them.
+    ``table`` and its backing must be on ``dist``'s points, as
+    ``sweep_bytes`` checks first.  The exhaustive sweep raises
     ``BoundExceededError`` before it allocates when ``sweep_bytes`` is over
-    ``SWEEP_MAX_BYTES``; on a Hamming gadget it also checks the reduction
-    lemma, on the same rank rows, into the report's ``reduction``."""
-    order = list(gadget.universe)
+    ``SWEEP_MAX_BYTES``."""
+    need = sweep_bytes(table, dist)
+    order = list(dist.universe)
     n = len(order)
     report = EqualityReport(1 << 2 * n if sample is None else sample, [], sample is not None)
     if sample is not None:
         rng = random.Random(seed)
         pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(sample)]
         vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
-        lhs = gadget.patched_op.lookup_rows(vrows, wrows, order)
-        rhs = apply_rows(gadget.patched_dist, vrows, wrows, order)
+        lhs = table.lookup_rows(vrows, wrows, order)
+        rhs = apply_rows(dist, vrows, wrows, order)
         for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
             vmask, wmask = pairs[p]
             report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
         return report
-    need = sweep_bytes(gadget)
     if need > SWEEP_MAX_BYTES:
         raise BoundExceededError(
             f"the exhaustive sweep over {n} points needs about {need >> 20} MiB, "
@@ -387,11 +393,11 @@ def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
     # the table entries by V mask, as (W mask, result mask); they override
     # the backing distance's minimization, so their V rows are always folded
     entries = {}
-    for key, x in gadget.patched_op.entries.items():
+    for key, x in table.entries.items():
         v, w, x = (sum(1 << index[lab] for lab in labels) for labels in (*key, x))
         entries.setdefault(v, []).append((w, x))
-    f = _rank_rows(gadget.patched_op.backing, order)
-    g = _rank_rows(gadget.patched_dist, order)
+    f = _rank_rows(table.backing, order)
+    g = _rank_rows(dist, order)
 
     def differ(vm):
         left, right = _least_members(f[vm], mask_t), _least_members(g[vm], mask_t)
@@ -404,12 +410,6 @@ def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
     flags = _row_flags(1 << n, n, lambda vm: _disordered(f[vm], g[vm]))
     flags[list(entries)] = True
     report.mismatches = _witnesses(np.flatnonzero(flags), order, witness_cap, differ)
-    if gadget.points is not None:
-        nx = 2 * gadget.m
-        near = np.array([sum(1 << j for j, b in enumerate(order)
-                             if max(i, j) >= nx and _near(gadget.points, a, b))
-                         for i, a in enumerate(order)], dtype=mask_t)
-        report.reduction = _reduction_sweep(f, near, nx, order, witness_cap)
     return report
 
 
@@ -419,10 +419,11 @@ def wheel_equality_sweep(gadget, sample=None, seed=0, witness_cap=16):
 
 @dataclass
 class ClaimsReport:
+    rung: int  # the patched rung
     fragment_verdict: object
     inclusion: object
     equality: EqualityReport
-    reduction: EqualityReport  # None for the abstract gadget
+    reduction: EqualityReport  # the Hamming gadget's reduction lemma, else None
     properties: dict  # report key -> PropertyReport
     loop: object
 
@@ -438,31 +439,33 @@ class ClaimsReport:
         )
 
 
-def _verify(gadget, properties, sample=None, seed=0):
-    """The claims common to both gadgets: the modified operator's fragment
-    is unrealizable, its entries are inclusive, the patch equals the
-    patched minimization, and the modified operator violates the loop
-    condition."""
+def _verify(gadget, properties_of, sample=None, seed=0):
+    """The claims common to both gadgets, on the fresh rung r that no pair
+    takes: the modified operator's fragment is unrealizable, its entries
+    are inclusive, rung r's patch equals the patched minimization, and the
+    modified operator violates the loop condition.  ``properties_of`` maps
+    the patched distance to the gadget's own property reports."""
+    r = find_fresh_rung((), gadget.m)
+    patched_op, patched_dist = gadget.patch(r)
     verdict = solve_table(proof_fragment(gadget))
     inclusion = check_inclusion(gadget.op)
-    equality = wheel_equality_sweep(gadget, sample, seed)
+    equality = wheel_equality_sweep(patched_op, patched_dist, sample, seed)
     loop = find_loop_violation(gadget.op, loop_family_generators(gadget.m), 2 * gadget.m)
-    return ClaimsReport(verdict, inclusion, equality, equality.reduction, properties, loop)
+    return ClaimsReport(r, verdict, inclusion, equality, None, properties_of(patched_dist), loop)
 
 
 def verify_wheel_claims(gadget, sample=None, seed=0):
     """Machine-check the abstract gadget, with the four real-order
     properties of the patched distance.  The sweep is exhaustive, or draws
     ``sample`` seeded pairs when given."""
-    properties = {f"patched.{prop}": check_property(gadget.patched_dist, prop)
-                  for prop in ("symmetric", "ir", "positive", "tir")}
-    return _verify(gadget, properties, sample, seed)
+    return _verify(gadget, lambda patched: {f"patched.{prop}": check_property(patched, prop)
+                                            for prop in ("symmetric", "ir", "positive", "tir")},
+                   sample=sample, seed=seed)
 
 
-def check_sandwich(gadget, patched=None, witness_cap=16):
+def check_sandwich(gadget, patched, witness_cap=16):
     """|h| <= d' <= d <= |h| + 1/2 on every finite-difference pair, d the
-    gadget's distance and d' ``patched``, by default its patched one."""
-    patched = patched if patched is not None else gadget.patched_dist
+    gadget's distance and d' ``patched``."""
     report = PropertyReport("sandwich", True, witness_cap=witness_cap)
     for a in gadget.universe:
         for b in gadget.universe:
@@ -477,12 +480,18 @@ def check_sandwich(gadget, patched=None, witness_cap=16):
 
 
 def verify_hamming_claims(gadget):
-    """Machine-check the Hamming gadget, with the in-wheel reduction lemma,
-    Hamming-inequality respect, liberal triangle respect and the sandwich
-    bound.  The sweep is exhaustive."""
-    properties = {
-        "hamming_respect": check_hir(gadget.patched_dist, gadget.points),
-        "liberal_triangle": check_property(gadget.patched_dist, "liberal_tir"),
-        "sandwich": check_sandwich(gadget),
-    }
-    return _verify(gadget, properties)
+    """Machine-check the Hamming gadget, with Hamming-inequality respect,
+    liberal triangle respect, the sandwich bound and, once the equality
+    sweep has passed its size check, the in-wheel reduction lemma on the
+    unpatched distance.  The sweeps are exhaustive."""
+    report = _verify(gadget, lambda patched: {
+        "hamming_respect": check_hir(patched, gadget.points),
+        "liberal_triangle": check_property(patched, "liberal_tir"),
+        "sandwich": check_sandwich(gadget, patched),
+    })
+    order, nx = gadget.universe, 2 * gadget.m
+    near = np.array([sum(1 << j for j, b in enumerate(order)
+                         if max(i, j) >= nx and gadget.near(a, b))
+                     for i, a in enumerate(order)], dtype=_mask_dtype(len(order)))
+    report.reduction = _reduction_sweep(_rank_rows(gadget.dist, order), near, nx, order, 16)
+    return report

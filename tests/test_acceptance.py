@@ -1,7 +1,6 @@
 """Acceptance criteria: one test per criterion, each announcing a single
 pass/fail line with its tolerance."""
 
-import dataclasses
 import itertools
 import random
 import time
@@ -273,7 +272,8 @@ def test_criterion_8_mutation_sensitivity(announce):
     ranks is rejected by witness verification."""
     # (a) corrupted rung cost
     g = build_hamming_wheel(n=1)
-    corrupted = g.patched_dist.replaced(
+    patched_op, patched_dist = g.patch(1)
+    corrupted = patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
     a_ok = (
@@ -285,15 +285,14 @@ def test_criterion_8_mutation_sensitivity(announce):
     # polluted with a nearby off-wheel valuation and disagrees with the
     # patched minimization, and the equality sweep reports that pair
     unguarded = OperatorTable(g.universe, _redirected(
-        g.m, g.universe[2 * g.m:], ((g.m, g.m), (g.r, g.r + 1)), lambda a, b: False),
+        g.m, g.universe[2 * g.m:], ((g.m, g.m), (1, 2)), lambda a, b: False),
         backing=g.dist)
     polluted = frozenset({"v4", "v1", "e1"})
     wrap_w = frozenset({"w4", "w1"})
-    expected = apply(g.patched_dist, polluted, wrap_w)
-    sweep = wheel_equality_sweep(dataclasses.replace(g, patched_op=unguarded),
-                                 witness_cap=1 << 30)
+    expected = apply(patched_dist, polluted, wrap_w)
+    sweep = wheel_equality_sweep(unguarded, patched_dist, witness_cap=1 << 30)
     b_ok = (
-        g.patched_op.lookup(polluted, wrap_w) == expected
+        patched_op.lookup(polluted, wrap_w) == expected
         and unguarded.lookup(polluted, wrap_w) != expected
         and (polluted, wrap_w) in sweep.mismatches
     )

@@ -86,6 +86,15 @@ def test_check_mode_mismatch_exits_2(workdir, hamming_file):
     assert main(["check", hamming_file, "--props", "lib-ir"]) == 2
 
 
+def test_check_names_each_property_once(workdir, hamming_file, capsys):
+    # repeats, an alias and its full name among them, collapse to the first
+    for props, names in (("sym,sym", ["symmetric"]), ("sym,symmetric", ["symmetric"]),
+                         ("tir,sym,tir,symmetric", ["tir", "symmetric"])):
+        assert main(["check", hamming_file, "--props", props]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^property\.(\w+): ", out, re.M) == names, props
+
+
 def test_check_unknown_property_exits_2(workdir, hamming_file, capsys):
     assert main(["check", hamming_file, "--props", "sym,foo"]) == 2
     assert capsys.readouterr().err == "error: unknown property 'foo'\n"
@@ -223,6 +232,25 @@ def test_counts_below_one_and_empty_property_lists_exit_2(workdir, hamming_file,
     _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
     assert main(argv) == 2
     assert "result" not in capsys.readouterr().out
+
+
+MALFORMED = {
+    "agm-repeated-atom": ["agm", "hamming.txt", "--atoms", "p,p"],
+    "agm-empty-atoms": ["agm", "hamming.txt", "--atoms", ","],
+    "agm-trailing-comma": ["agm", "hamming.txt", "--atoms", "p,"],
+    "loop-empty-family": ["loop", "op.txt", "--k", "2", "--family", "empty.txt"],
+    "loop-empty-closure": ["loop", "op.txt", "--budget", "-5"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_atoms_and_empty_families_exit_2(workdir, hamming_file, capsys, argv):
+    # an entry-less operator closes no family without --family
+    _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
+    _write(workdir / "empty.txt", "")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "result" not in out and err.startswith("error: ")
 
 
 SUBCOMMAND_OPTIONS = {

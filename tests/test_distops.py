@@ -96,6 +96,14 @@ def test_validate_family():
         frozenset({"b"}), frozenset({"a", "b"}), frozenset({"a"})]
 
 
+def test_check_loop_refuses_an_empty_family():
+    # no chain to check, under any budget: not a vacuous pass
+    op = OperatorTable(U, backing=_dist(lambda v, w: F(0) if v == w else F(1)))
+    for budget in (10**6, -5):
+        with pytest.raises(FamilyError, match="no set"):
+            check_loop(op, [], 2, budget=budget)
+
+
 def test_family_closure():
     closed = family_closure([{"a", "b"}, {"b", "c"}])
     assert closed == {

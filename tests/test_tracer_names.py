@@ -7,6 +7,7 @@ import inspect
 import tokenize
 from pathlib import Path
 
+from distrev import wheel
 from distrev.distops import LoopVerdict, OperatorTable, check_loop
 from distrev.realizability import compile_constraints
 from distrev.revision import RevisionOperator
@@ -56,6 +57,19 @@ def test_traced_report_fields_exist():
     assert "pairs_checked" in {f.name for f in dataclasses.fields(EqualityReport)}
     fields = {f.name for f in dataclasses.fields(ClaimsReport)}
     assert {"equality", "reduction"} <= fields
+
+
+def test_wheel_counters_of_the_benchmark():
+    # the gadgets workload's wheel pair counters come from the traced
+    # equality sweep and Hamming claims check
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        wheel.verify_hamming_claims(wheel.build_hamming_wheel(n=1))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["wheel.wheel_equality_sweep.pairs"] == 1 << 22
+    assert tracer.counts["wheel.verify_hamming_claims.pairs"] == (1 << 22) + 242_505
 
 
 def test_loop_contract_of_the_benchmark():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -17,11 +16,15 @@ from distrev.distops import (
     find_loop_violation,
     recheck_chain,
 )
-from distrev.errors import BoundExceededError, FamilyError
+from distrev.errors import (
+    BoundExceededError,
+    FamilyError,
+    UndefinedPairError,
+    UnknownAtomError,
+)
 from distrev.logic import hamming_diff
 from distrev.realizability import _tag, solve_table, verify_witness
 from distrev.wheel import (
-    Gadget,
     _labels_of,
     _least_members,
     _mask_dtype,
@@ -136,14 +139,17 @@ def test_fresh_rung_pigeonhole():
 
 def test_patched_distance_costs():
     gadget = build_wheel_gadget(n=1)
-    assert gadget.r == 1
-    dp = gadget.patched_dist
+    patched_op, dp = gadget.patch(1)
     assert dp.d("v1", "w1") == F(14, 10)  # rung r keeps its cost
     for i in (2, 3, 4):
         assert dp.d(f"v{i}", f"w{i}") == F(13, 10)
         assert dp.d(f"w{i}", f"v{i}") == F(13, 10)
-    assert gadget.patched_op.lookup({"v1", "v2"}, {"w1", "w2"}) == {"w2"}
-    assert gadget.patched_op.lookup({"w1", "w2"}, {"v1", "v2"}) == {"v2"}
+    assert patched_op.lookup({"v1", "v2"}, {"w1", "w2"}) == {"w2"}
+    assert patched_op.lookup({"w1", "w2"}, {"v1", "v2"}) == {"v2"}
+    assert patched_op.backing is gadget.dist
+    for r in (0, 4):  # the wrap rung is patched with every rung, never alone
+        with pytest.raises(UnknownAtomError):
+            gadget.patch(r)
 
 
 def _dense_columns(ranks, wmasks):
@@ -187,7 +193,7 @@ def _assert_rows_match_dense(order, dist, seed):
 
 def test_sweep_columns_match_apply():
     gadget = build_wheel_gadget(n=1)
-    _assert_rows_match_dense(list(gadget.universe), gadget.patched_dist, seed=0)
+    _assert_rows_match_dense(list(gadget.universe), gadget.patch(1)[1], seed=0)
     g = build_hamming_wheel(n=1)
     assert g.dist.mode is OrderMode.LIBERAL
     _assert_rows_match_dense(list(g.universe), g.dist, seed=1)
@@ -273,10 +279,9 @@ def test_sweeps_match_direct_enumeration(seed, monkeypatch):
     monkeypatch.setattr(wheel, "_witnesses", spy)
     op = OperatorTable(order, {(_labels_of(v, order), _labels_of(w, order)): _labels_of(x, order)
                                for (v, w), x in entries.items()}, backing=d1)
-    gadget = Gadget(0, tuple(order), d1, op, 0, op, d2)
     for cap in (5, 1 << 30):
         folded.clear()
-        report = wheel_equality_sweep(gadget, witness_cap=cap)
+        report = wheel_equality_sweep(op, d2, witness_cap=cap)
         red = wheel._reduction_sweep(_rank_rows(d1, order), near, nx, order, cap)
         assert folded == flagged
         assert (report.pairs_checked, report.passed) == (size * size, not equal)
@@ -398,12 +403,35 @@ def test_corrupted_patched_rung_breaks_equality():
     # mutation check: nudging one patched rung cost off its value makes the
     # exhaustive operator-equality sweep fail, on the frozen pairs
     gadget = build_wheel_gadget(n=1)
-    corrupted = gadget.patched_dist.replaced(
+    patched_op, patched_dist = gadget.patch(1)
+    corrupted = patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
-    report = wheel_equality_sweep(dataclasses.replace(gadget, patched_dist=corrupted))
+    report = wheel_equality_sweep(patched_op, corrupted)
     assert not report.passed
     assert report.mismatches == _frozen(ABSTRACT_RUNG3, gadget.universe)
+
+
+def test_claims_fail_on_equality_alone(monkeypatch):
+    # a patch whose operator sends rung 1 to the wrong point: the patched
+    # distance keeps every property, so only the equality sweep can fail
+    # the claims check
+    gadget = build_wheel_gadget(n=1)
+    patch = wheel.Gadget.patch
+    key = (frozenset({"v1", "v2"}), frozenset({"w1", "w2"}))
+
+    def misrouted(g, r):
+        patched_op, patched_dist = patch(g, r)
+        entries = {**patched_op.entries, key: frozenset({"w1"})}
+        return OperatorTable(g.universe, entries, backing=g.dist), patched_dist
+
+    monkeypatch.setattr(wheel.Gadget, "patch", misrouted)
+    report = verify_wheel_claims(gadget)
+    assert report.equality.mismatches == [key]
+    assert all(rep.passed for rep in report.properties.values())
+    assert report.fragment_verdict.status == "unsat" and report.inclusion.passed
+    assert not report.loop.passed
+    assert not report.passed
 
 
 def _corrupt_rung3(dist):
@@ -412,19 +440,17 @@ def _corrupt_rung3(dist):
 
 def _sweep_reports(monkeypatch, cells):
     # the equality reports of both gadgets at m=4, each with a corrupted
-    # patched rung, when a block holds about ``cells`` cells
+    # patched rung, and the Hamming gadget's reduction report, when a block
+    # holds about ``cells`` cells
     monkeypatch.setattr(wheel, "APPLY_CHUNK_CELLS", cells)
     gadget = build_wheel_gadget(n=1)
     g = build_hamming_wheel(n=1)
+    reduction = verify_hamming_claims(g).reduction
     reports = []
     for cap in (16, 1 << 30):
-        reports.append(wheel_equality_sweep(
-            dataclasses.replace(gadget, patched_dist=_corrupt_rung3(gadget.patched_dist)),
-            witness_cap=cap))
-        sweep = wheel_equality_sweep(
-            dataclasses.replace(g, patched_dist=_corrupt_rung3(g.patched_dist)),
-            witness_cap=cap)
-        reports += [sweep, sweep.reduction]
+        for table, dist in (gadget.patch(1), g.patch(1)):
+            reports.append(wheel_equality_sweep(table, _corrupt_rung3(dist), witness_cap=cap))
+        reports.append(reduction)
     return [(r.pairs_checked, r.mismatches) for r in reports]
 
 
@@ -444,16 +470,15 @@ def test_sweep_block_size_does_not_change_reports(monkeypatch):
     assert _sweep_reports(monkeypatch, 1 << 22) == expected
 
 
-def _scalar_sampled_mismatches(gadget, sample, seed, cap=16):
+def _scalar_sampled_mismatches(table, dist, sample, seed, cap=16):
     # the per-pair lookup-versus-apply loop over the sampled sweep's draws
-    order = list(gadget.universe)
-    patched_op, patched_dist = gadget.patched_op, gadget.patched_dist
+    order = list(dist.universe)
     rng = random.Random(seed)
     found = []
     for _ in range(sample):
         vset = _labels_of(rng.randrange(1 << len(order)), order)
         wset = _labels_of(rng.randrange(1 << len(order)), order)
-        if patched_op.lookup(vset, wset) != apply(patched_dist, vset, wset):
+        if table.lookup(vset, wset) != apply(dist, vset, wset):
             found.append((vset, wset))
     return found[:cap]
 
@@ -461,7 +486,7 @@ def _scalar_sampled_mismatches(gadget, sample, seed, cap=16):
 def test_sampled_sweep_passes_m6():
     gadget = build_wheel_gadget(n=3)
     assert len(gadget.universe) == 14
-    report = wheel_equality_sweep(gadget, sample=10_000, seed=0)
+    report = wheel_equality_sweep(*gadget.patch(1), sample=10_000, seed=0)
     assert report.sampled
     assert report.pairs_checked == 10_000
     assert report.passed
@@ -469,72 +494,130 @@ def test_sampled_sweep_passes_m6():
 
 def test_sampled_sweep_catches_corrupted_rung_m6():
     # rung 3 made cheaper than every other cost between distinct points
-    gadget = build_wheel_gadget(n=3)
-    corrupted = dataclasses.replace(gadget, patched_dist=gadget.patched_dist.replaced(
-        {("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)}
-    ))
-    report = wheel_equality_sweep(corrupted, sample=10_000, seed=0)
+    patched_op, patched_dist = build_wheel_gadget(n=3).patch(1)
+    corrupted = patched_dist.replaced({("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)})
+    report = wheel_equality_sweep(patched_op, corrupted, sample=10_000, seed=0)
     assert not report.passed
-    assert report.mismatches == _scalar_sampled_mismatches(corrupted, 10_000, seed=0)
+    assert report.mismatches == _scalar_sampled_mismatches(patched_op, corrupted, 10_000,
+                                                           seed=0)
 
 
 def test_sampled_sweep_catches_corrupted_entry_m6():
     # a wrong table entry at the third pair the sweep draws
     gadget = build_wheel_gadget(n=3)
+    patched_op, patched_dist = gadget.patch(1)
     order = list(gadget.universe)
     rng = random.Random(0)
     for _ in range(3):
         vset, wset = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
-    entries = dict(gadget.patched_op.entries)
-    entries[vset, wset] = apply(gadget.patched_dist, vset, wset) ^ {"x1"}
-    corrupted = dataclasses.replace(gadget, patched_op=OperatorTable(
-        order, entries, backing=gadget.patched_op.backing))
-    report = wheel_equality_sweep(corrupted, sample=10_000, seed=0)
+    entries = dict(patched_op.entries)
+    entries[vset, wset] = apply(patched_dist, vset, wset) ^ {"x1"}
+    corrupted = OperatorTable(order, entries, backing=patched_op.backing)
+    report = wheel_equality_sweep(corrupted, patched_dist, sample=10_000, seed=0)
     assert report.mismatches == [(vset, wset)]
-    assert report.mismatches == _scalar_sampled_mismatches(corrupted, 10_000, seed=0)
+    assert report.mismatches == _scalar_sampled_mismatches(corrupted, patched_dist, 10_000,
+                                                           seed=0)
 
 
-def test_taken_pairs_shift_the_fresh_rung():
-    taken = [({"v1", "v2"}, {"w1", "w2"})]
-    gadget = build_wheel_gadget(n=1, taken_pairs=taken)
-    assert gadget.r == 2
-    assert verify_wheel_claims(gadget).passed
+def test_the_rung_after_a_taken_one_patches():
+    # a taken rung 1 leaves rung 2 fresh, and rung 2's patch equals its
+    # patched minimization with the real-order properties intact
+    assert find_fresh_rung([({"v1", "v2"}, {"w1", "w2"})], 4) == 2
+    patched_op, patched_dist = build_wheel_gadget(n=1).patch(2)
+    assert patched_op.lookup({"v2", "v3"}, {"w2", "w3"}) == {"w3"}
+    assert wheel_equality_sweep(patched_op, patched_dist).passed
+    for prop in ("symmetric", "ir", "positive", "tir"):
+        assert check_property(patched_dist, prop).passed, prop
 
 
-def _every_rung(build, m):
-    """(r, gadget) for r = 1..m-1, the gadget patched at rung r because the
-    rungs below it are taken."""
-    for r in range(1, m):
-        yield r, build(m=m, taken_pairs=[wheel._rung(i, m) for i in range(1, r)])
-
-
-def _redirected_count(g):
+def _redirected_count(g, patched_op):
     """The table entries on which the modified and patched operators differ."""
-    keys = g.op.entries.keys() | g.patched_op.entries.keys()
-    return sum(g.op.entries.get(key) != g.patched_op.entries.get(key) for key in keys)
+    keys = g.op.entries.keys() | patched_op.entries.keys()
+    return sum(g.op.entries.get(key) != patched_op.entries.get(key) for key in keys)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_every_abstract_patch_rung_passes(m):
-    for r, g in _every_rung(build_wheel_gadget, m):
-        assert g.r == r
-        assert _redirected_count(g) == 2  # every extra is near: no extended pair
-        assert wheel_equality_sweep(g).passed, (m, r)
+    g = build_wheel_gadget(m=m)
+    for r in range(1, m):
+        patched_op, patched_dist = g.patch(r)
+        assert _redirected_count(g, patched_op) == 2  # every extra is near: no extended pair
+        assert wheel_equality_sweep(patched_op, patched_dist).passed, (m, r)
         for prop in ("symmetric", "ir", "positive", "tir"):
-            assert check_property(g.patched_dist, prop).passed, (m, r, prop)
+            assert check_property(patched_dist, prop).passed, (m, r, prop)
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_every_hamming_patch_rung_passes(m):
-    for r, g in _every_rung(build_hamming_wheel, m):
-        assert g.r == r
+    g = build_hamming_wheel(m=m)
+    for r in range(1, m):
+        patched_op, patched_dist = g.patch(r)
         # e2 is near v1..v3 only, so rungs from 4 on extend by it on more sides
-        assert _redirected_count(g) == (12 if r <= 3 else 18), (m, r)
-        report = wheel_equality_sweep(g)
-        assert report.passed and report.reduction.passed, (m, r)
-        assert check_hir(g.patched_dist, g.points).passed, (m, r)
-        assert check_property(g.patched_dist, "liberal_tir").passed, (m, r)
-        assert check_sandwich(g).passed, (m, r)
+        assert _redirected_count(g, patched_op) == (12 if r <= 3 else 18), (m, r)
+        assert wheel_equality_sweep(patched_op, patched_dist).passed, (m, r)
+        assert check_hir(patched_dist, g.points).passed, (m, r)
+        assert check_property(patched_dist, "liberal_tir").passed, (m, r)
+        assert check_sandwich(g, patched_dist).passed, (m, r)
+
+
+def _rung_entries(g, r):
+    """The (V, W) keys that redirect rung r of ``g``, extended by the
+    extras that put no near pair across V x W."""
+    return set(_redirected(g.m, g.universe[2 * g.m:], ((r, r),), g.near))
+
+
+def _listed_exactly(table, dist, seed):
+    # the uncapped sweep's list, checked against lookup and apply: each
+    # listed pair differs, and of 2,000 seeded pairs exactly the listed
+    # ones do
+    listed = wheel_equality_sweep(table, dist, witness_cap=1 << 30).mismatches
+    found = set(listed)
+    assert len(found) == len(listed)
+    for v, w in listed:
+        assert table.lookup(v, w) != apply(dist, v, w), (v, w)
+    order, rng = dist.universe, random.Random(seed)
+    for _ in range(2_000):
+        v, w = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
+        assert ((v, w) in found) == (table.lookup(v, w) != apply(dist, v, w)), (v, w)
+    return found
+
+
+@pytest.mark.parametrize("build, m", [(build_wheel_gadget, 4), (build_wheel_gadget, 5),
+                                      (build_wheel_gadget, 6), (build_hamming_wheel, 4)])
+def test_correction_sets_of_the_pigeonhole_argument(build, m):
+    # the modified operator differs from the unpatched distance's
+    # minimization on the wrap rung's pairs only, and from patch r's on
+    # rung r's pairs only: m disjoint correction sets, 2 pairs each in the
+    # abstract gadget and 12 in the Hamming one
+    g = build(m=m)
+    size = 2 if build is build_wheel_gadget else 12
+    wrap = _listed_exactly(g.op, g.dist, seed=0)
+    assert wrap == g.op.entries.keys() == _rung_entries(g, m) and len(wrap) == size
+    for r in range(1, m):
+        rung = _listed_exactly(g.op, g.patch(r)[1], seed=r)
+        assert rung == _rung_entries(g, r) and len(rung) == size, r
+    # at m = 4, rung 3 of patch 1 moved below every other cost, and above
+    # it: larger correction sets
+    if m == 4:
+        for cost, count in zip((F(1, 2), F(26, 10)), (12_596, 12) if size == 2 else (36_534, 72)):
+            moved = g.patch(1)[1].replaced({("v3", "w3"): cost, ("w3", "v3"): cost})
+            assert len(_listed_exactly(g.op, moved, seed=m)) == count, cost
+
+
+def test_sweep_needs_a_backed_table_on_the_distance_points():
+    g = build_wheel_gadget(n=1)
+    unbacked = OperatorTable(g.universe, g.op.entries)
+    with pytest.raises(UndefinedPairError):
+        sweep_bytes(unbacked, g.dist)
+    # a table over one more point than its backing and the distance
+    wider = OperatorTable(g.universe + ("y",), g.op.entries, backing=g.dist)
+    for sample in (None, 10):
+        with pytest.raises(UndefinedPairError):
+            wheel_equality_sweep(unbacked, g.dist, sample=sample)
+        with pytest.raises(UnknownAtomError):
+            wheel_equality_sweep(g.op, build_wheel_gadget(n=2).dist, sample=sample)
+        with pytest.raises(UnknownAtomError):
+            wheel_equality_sweep(wider, g.dist, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +651,7 @@ def test_hamming_distance_cases():
     assert d.d("v2", "w2") == F(24, 10)  # rung
     assert d.d("v1", "w2") == F(25, 10)  # adjacent
     assert d.d("v1", "w3") == F(22, 10)  # chord
-    assert g.patched_dist.d("v3", "w3") == F(23, 10)
+    assert g.patch(1)[1].d("v3", "w3") == F(23, 10)
 
 
 def test_hamming_guard_routes_to_minimization():
@@ -588,18 +671,19 @@ def test_hamming_table_sizes():
     # the redirected rung pairs with the extras that stay clear of the guard
     for m in (4, 5, 6, 7):
         g = build_hamming_wheel(m=m)
-        assert (len(g.op.entries), len(g.patched_op.entries)) == (12, 24), m
+        assert (len(g.op.entries), len(g.patch(1)[0].entries)) == (12, 24), m
 
 
-def _scalar_hamming_operator(g, patched):
-    # the guarded operator pair by pair: the wheel parts of a redirected
+def _scalar_hamming_operator(g, r):
+    # the guarded operator pair by pair, patched at rung r unless r is
+    # None: the wheel parts of a redirected
     # rung pair keep a single point unless some cross pair leaves the wheel
     # below Hamming difference 3; every other pair is minimized
     m, wheel = g.m, set(g.universe[:2 * g.m])
     close = {(a, b): len(hamming_diff(g.points[a], g.points[b])) < 3
              for a in g.universe for b in g.universe}
     special = {}
-    for i, j in [(m, m)] + ([(g.r, g.r + 1)] if patched else []):
+    for i, j in [(m, m)] + ([(r, r + 1)] if r else []):
         nxt = i % m + 1
         vv, ww = frozenset({f"v{i}", f"v{nxt}"}), frozenset({f"w{i}", f"w{nxt}"})
         special[vv, ww] = frozenset({f"w{j}"})
@@ -622,7 +706,7 @@ def test_hamming_tables_match_scalar_guard(m):
     extras = g.universe[2 * m:]
     subsets = [frozenset(e for k, e in enumerate(extras) if bits >> k & 1)
                for bits in range(1 << len(extras))]
-    rungs = [(m, m), (g.r, g.r + 1)]
+    rungs = [(m, m), (1, 2)]
     pairs = []
     for i, _ in rungs:
         vv = frozenset({f"v{i}", f"v{i % m + 1}"})
@@ -634,10 +718,10 @@ def test_hamming_tables_match_scalar_guard(m):
     order = list(g.universe)
     for _ in range(20_000):
         pairs.append(tuple(_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw"))
-    for table, patched in ((g.op, False), (g.patched_op, True)):
-        reference = _scalar_hamming_operator(g, patched)
+    for table, r in ((g.op, None), (g.patch(1)[0], 1)):
+        reference = _scalar_hamming_operator(g, r)
         bad = [(v, w) for v, w in pairs if table.lookup(v, w) != reference(v, w)]
-        assert not bad, (patched, bad[:3])
+        assert not bad, (r, bad[:3])
 
 
 def test_hamming_full_claims():
@@ -665,7 +749,7 @@ def test_hamming_claims_m5_stay_exhaustive():
     assert report.equality.pairs_checked == 67_108_864
     assert report.reduction.pairs_checked == 3_919_113
     assert report.inclusion.passed
-    assert check_inclusion(g.patched_op).passed
+    assert check_inclusion(g.patch(1)[0]).passed
     assert not report.loop.passed and report.loop.k == 9
     assert recheck_chain(g.op, report.loop.chain)
     assert report.passed
@@ -687,45 +771,49 @@ def test_dropped_guard_breaks_equality():
     # mutation check: ignoring the closeness guard when keying the special
     # entries must surface as operator-equality mismatches
     g = build_hamming_wheel(n=1)
-    rungs = ((g.m, g.m), (g.r, g.r + 1))
+    patched_op, patched_dist = g.patch(1)
     unguarded = OperatorTable(g.universe, _redirected(
-        g.m, g.universe[2 * g.m:], rungs, lambda a, b: False), backing=g.dist)
+        g.m, g.universe[2 * g.m:], ((g.m, g.m), (1, 2)), lambda a, b: False), backing=g.dist)
     # a polluted wrap pair now fires the special entry, disagreeing with the
     # patched minimization, which the guarded table still equals
     polluted_v = frozenset({"v4", "v1", "e1"})
     wrap_w = frozenset({"w4", "w1"})
-    expected = apply(g.patched_dist, polluted_v, wrap_w)
-    assert g.patched_op.lookup(polluted_v, wrap_w) == expected
+    expected = apply(patched_dist, polluted_v, wrap_w)
+    assert patched_op.lookup(polluted_v, wrap_w) == expected
     assert unguarded.lookup(polluted_v, wrap_w) == {"w4"}
     assert unguarded.lookup(polluted_v, wrap_w) != expected
-    report = wheel_equality_sweep(dataclasses.replace(g, patched_op=unguarded),
-                                  witness_cap=1 << 30)
+    report = wheel_equality_sweep(unguarded, patched_dist, witness_cap=1 << 30)
     assert (polluted_v, wrap_w) in report.mismatches
     assert report.mismatches == _frozen(UNGUARDED, g.universe)
 
 
 def test_corrupted_hamming_rung_breaks_sandwich_not_hir():
     g = build_hamming_wheel(n=1)
-    corrupted = g.patched_dist.replaced(
+    patched_dist = g.patch(1)[1]
+    corrupted = patched_dist.replaced(
         {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
     )
     assert check_hir(corrupted, g.points).passed
-    assert not check_sandwich(g, patched=corrupted).passed
+    assert not check_sandwich(g, corrupted).passed
     # a patched rung above the unpatched 12/5, still within |h| + 1/2,
     # breaks only d' <= d
-    raised = g.patched_dist.replaced({("v3", "w3"): F(49, 20)})
-    report = check_sandwich(g, patched=raised)
+    raised = patched_dist.replaced({("v3", "w3"): F(49, 20)})
+    report = check_sandwich(g, raised)
     assert report.witnesses == [("v3", "w3", 2, F(49, 20), F(12, 5))]
 
 
-def test_corrupted_hamming_rung_breaks_equality():
+def test_corrupted_hamming_rung_breaks_equality(monkeypatch):
     # mutation check: the same rung corruption makes the Hamming sweep's
-    # operator equality fail
+    # operator equality fail, and with it the claims check
     g = build_hamming_wheel(n=1)
-    corrupted = g.patched_dist.replaced(
-        {("v3", "w3"): F(26, 10), ("w3", "v3"): F(26, 10)}
-    )
-    report = verify_hamming_claims(dataclasses.replace(g, patched_dist=corrupted))
+    patch = wheel.Gadget.patch
+
+    def corrupted(gadget, r):
+        patched_op, patched_dist = patch(gadget, r)
+        return patched_op, _corrupt_rung3(patched_dist)
+
+    monkeypatch.setattr(wheel.Gadget, "patch", corrupted)
+    report = verify_hamming_claims(g)
     assert not report.equality.passed
     assert report.equality.mismatches == _frozen(HAMMING_RUNG3, g.universe, 16)
     assert report.reduction.passed  # the reduction reads the unpatched distance
@@ -756,7 +844,7 @@ def _refusal_peak(verify, g):
 def test_hamming_sweep_estimate_covers_its_peak():
     for m in (4, 5, 6):
         g = build_hamming_wheel(m=m)
-        assert _claims_peak(verify_hamming_claims, g) <= sweep_bytes(g), m
+        assert _claims_peak(verify_hamming_claims, g) <= sweep_bytes(*g.patch(1)), m
 
 
 @pytest.mark.parametrize("m", (4, 5, 6, 7, 8))
@@ -764,21 +852,21 @@ def test_abstract_sweep_estimate_covers_its_peak(m):
     # one estimate for both gadgets; the abstract sweep is exhaustive at
     # every size it admits
     g = build_wheel_gadget(m=m)
-    assert _claims_peak(verify_wheel_claims, g) <= sweep_bytes(g)
+    assert _claims_peak(verify_wheel_claims, g) <= sweep_bytes(*g.patch(1))
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
     # m=10, 23 points: rank rows of 2^23 V masks by 23 points per distance
     # put the estimate over 1 GiB; m=9 is the largest it admits
-    assert sweep_bytes(build_hamming_wheel(m=9)) <= wheel.SWEEP_MAX_BYTES
+    assert sweep_bytes(*build_hamming_wheel(m=9).patch(1)) <= wheel.SWEEP_MAX_BYTES
     assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=10)) < 16 << 20
 
 
 def test_abstract_sweep_refuses_oversized_tables_before_allocating():
     # m=11, 24 points: the same estimate is about 2.1 GiB; m=10 is the
     # largest it admits, and a sample size still samples above it
-    assert sweep_bytes(build_wheel_gadget(m=10)) <= wheel.SWEEP_MAX_BYTES
+    assert sweep_bytes(*build_wheel_gadget(m=10).patch(1)) <= wheel.SWEEP_MAX_BYTES
     g = build_wheel_gadget(m=11)
     assert _refusal_peak(verify_wheel_claims, g) < 16 << 20
-    report = wheel_equality_sweep(g, sample=500)
+    report = wheel_equality_sweep(*g.patch(1), sample=500)
     assert report.sampled and report.pairs_checked == 500 and report.passed

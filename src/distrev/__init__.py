@@ -8,12 +8,10 @@ finite operator tables, and machine-checked cyclic counterexample gadgets.
 from .costs import (
     INF,
     OrderMode,
-    Ordering,
     PropertyReport,
     PseudoDistance,
     check_hir,
     check_property,
-    compare_costs,
     format_cost,
     parse_cost,
 )

@@ -1,8 +1,11 @@
 """Exact costs, pseudo-distance tables, and distance-property checkers.
 
 Costs are exact rationals, optionally extended with a single infinite top
-element.  Two order modes exist: the real order (finite costs only) and the
-liberal order (the top element strictly above every finite cost).
+element, ``INF``, which compares and adds natively: it is above every finite
+cost, equal only to itself, and absorbs addition.  So costs form one total
+order under Python's own operators.  Two order modes exist: the real order
+(finite costs only, enforced when a ``PseudoDistance`` is built) and the
+liberal order (``INF`` admitted).
 
 Costs stay exact at the input/output boundary.  The minimization only needs
 their order, so each distance compiles once, on first use, to integer ranks
@@ -15,13 +18,16 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import FileFormatError, ModeMismatchError, UnknownAtomError
 from .logic import hamming_diff
 
 
+@functools.total_ordering
 class _Infinite:
-    """The infinite cost marker; compare via the module singleton INF."""
+    """The infinite cost: the top of the cost order and absorbing under
+    addition.  Its one instance is the module singleton INF."""
 
     _instance = None
 
@@ -33,20 +39,21 @@ class _Infinite:
     def __repr__(self):
         return "inf"
 
+    def __lt__(self, other):
+        return False if other is self or isinstance(other, Rational) else NotImplemented
+
+    def __add__(self, other):
+        return self if other is self or isinstance(other, Rational) else NotImplemented
+
+    __radd__ = __add__
+
 
 INF = _Infinite()
-ZERO = Fraction(0)
 
 
 class OrderMode(Enum):
     REAL = "real"
     LIBERAL = "liberal"
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 def parse_cost(text):
@@ -66,40 +73,6 @@ def format_cost(c):
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
-
-
-def compare_costs(a, b, mode=OrderMode.REAL):
-    """Strict-total-order comparison of two admitted costs."""
-    a_inf = a is INF
-    b_inf = b is INF
-    if mode is OrderMode.REAL and (a_inf or b_inf):
-        raise ModeMismatchError("infinite cost is not admitted under the real order")
-    if a_inf and b_inf:
-        return Ordering.EQUAL
-    if a_inf:
-        return Ordering.GREATER
-    if b_inf:
-        return Ordering.LESS
-    if a < b:
-        return Ordering.LESS
-    if a > b:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
-def cost_lt(a, b, mode):
-    return compare_costs(a, b, mode) is Ordering.LESS
-
-
-def cost_le(a, b, mode):
-    return compare_costs(a, b, mode) is not Ordering.GREATER
-
-
-def add_costs(a, b):
-    """Rational addition with the top element absorbing."""
-    if a is INF or b is INF:
-        return INF
-    return a + b
 
 
 @dataclass(frozen=True)
@@ -132,14 +105,13 @@ class PseudoDistance:
         """The table compiled to integers on first use and cached on the
         instance: ``(index, ranks)`` where ``index`` maps each point to its
         row and ``ranks[i][j]`` is the dense rank of d(point i, point j)
-        among the distinct finite costs.  The infinite cost, admitted only
-        under the liberal order, ranks above every finite one.  Ranks keep
+        among the distinct costs.  The infinite cost, admitted only under
+        the liberal order, ranks above every finite one.  Ranks keep
         the order and the ties of the costs, which is all minimization
         needs.  The cache is not a field, so it stays out of equality, repr
         and ``replaced()`` copies."""
-        distinct = sorted({c for c in self.table.values() if c is not INF})
+        distinct = sorted(set(self.table.values()))
         rank = dict(zip(distinct, range(len(distinct))))
-        rank[INF] = len(distinct)
         pts = self.universe
         index = {p: i for i, p in enumerate(pts)}
         return index, [[rank[self.table[v, w]] for w in pts] for v in pts]
@@ -194,26 +166,23 @@ def check_property(dist, prop, witness_cap=16):
     if base == "symmetric":
         for i, v in enumerate(pts):
             for w in pts[i + 1:]:
-                if compare_costs(dist.d(v, w), dist.d(w, v), dist.mode) is not Ordering.EQUAL:
+                if dist.d(v, w) != dist.d(w, v):
                     report.record((v, w))
     elif base == "ir":
         for v in pts:
             for w in pts:
-                zero = dist.d(v, w) is not INF and dist.d(v, w) == ZERO
-                if zero != (v == w):
+                if (dist.d(v, w) == 0) != (v == w):
                     report.record((v, w))
     elif base == "positive":
         for v in pts:
             for w in pts:
-                if cost_lt(dist.d(v, w), ZERO, dist.mode):
+                if dist.d(v, w) < 0:
                     report.record((v, w))
     else:
         for v in pts:
             for w in pts:
                 for x in pts:
-                    if not cost_le(
-                        dist.d(v, x), add_costs(dist.d(v, w), dist.d(w, x)), dist.mode
-                    ):
+                    if dist.d(v, x) > dist.d(v, w) + dist.d(w, x):
                         report.record((v, w, x))
     return report
 
@@ -233,6 +202,6 @@ def check_hir(dist, vals, witness_cap=16):
         for w in pts:
             for x in pts:
                 if hsize[(v, w)] < hsize[(v, x)]:
-                    if not cost_lt(dist.d(v, w), dist.d(v, x), dist.mode):
+                    if not dist.d(v, w) < dist.d(v, x):
                         report.record((v, w, x))
     return report

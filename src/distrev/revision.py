@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -44,19 +44,11 @@ class Theory:
 
     signature: tuple
     model_set: frozenset
-    presentation: tuple = ()
+    presentation: tuple = field(default=(), compare=False)
 
     @property
     def consistent(self):
         return bool(self.model_set)
-
-    def __eq__(self, other):
-        if not isinstance(other, Theory):
-            return NotImplemented
-        return (self.signature, self.model_set) == (other.signature, other.model_set)
-
-    def __hash__(self):
-        return hash((self.signature, self.model_set))
 
     def canonical_formula(self):
         return canonical_dnf(self.model_set, self.signature)
@@ -98,16 +90,11 @@ class RevisionOperator:
     def __post_init__(self):
         if (self.dist is None) == (self.fn is None):
             raise ValueError("exactly one of dist/fn must be given")
-        object.__setattr__(self, "_cache", {})
 
     def revise_models(self, vset, wset):
-        key = (frozenset(vset), frozenset(wset))
-        if key not in self._cache:
-            if self.dist is not None:
-                self._cache[key] = apply(self.dist, *key)
-            else:
-                self._cache[key] = frozenset(self.fn(*key))
-        return self._cache[key]
+        if self.dist is not None:
+            return apply(self.dist, vset, wset)
+        return frozenset(self.fn(frozenset(vset), frozenset(wset)))
 
     def revise_rows(self, vrows, wrows, order):
         """Batch form of ``revise_models`` over P pairs given as boolean

@@ -183,12 +183,12 @@ def build_hamming_wheel(n=1, m=None):
 
 def proof_fragment(gadget):
     """The finite sub-table of the modified operator that already blocks
-    realizability: every rung doubleton with its singleton probes, the
-    modified wrap rung included."""
+    realizability, its 2m-entry core: every rung doubleton with its
+    singleton probe of v_{i%m+1}, the modified wrap rung included."""
     m, entries = gadget.m, {}
     for i in range(1, m + 1):
         vv, ww = _rung(i, m)
-        for vset in (vv, frozenset({f"v{i}"}), frozenset({f"v{i % m + 1}"})):
+        for vset in (vv, frozenset({f"v{i % m + 1}"})):
             entries[(vset, ww)] = gadget.op.lookup(vset, ww)
     return OperatorTable(gadget.universe, entries)
 

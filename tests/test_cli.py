@@ -86,6 +86,12 @@ def test_check_mode_mismatch_exits_2(workdir, hamming_file):
     assert main(["check", hamming_file, "--props", "lib-ir"]) == 2
 
 
+def test_check_inf_under_real_order_exits_2(workdir, capsys):
+    path = _write(workdir / "inf.txt", "mode: real\npoints: a b\n0 inf\n1 0\n")
+    assert main(["check", path, "--props", "sym"]) == 2
+    assert "infinite cost at (a, b) under the real order" in capsys.readouterr().err
+
+
 def test_check_names_each_property_once(workdir, hamming_file, capsys):
     # repeats, an alias and its full name among them, collapse to the first
     for props, names in (("sym,sym", ["symmetric"]), ("sym,symmetric", ["symmetric"]),

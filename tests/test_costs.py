@@ -6,13 +6,9 @@ from hypothesis import given, strategies as st
 from distrev.costs import (
     INF,
     OrderMode,
-    Ordering,
     PseudoDistance,
-    add_costs,
     check_hir,
     check_property,
-    compare_costs,
-    cost_le,
     format_cost,
     parse_cost,
 )
@@ -39,35 +35,48 @@ def test_format_cost_roundtrip():
 
 
 def test_compare_real_mode_rejects_inf():
+    # the real order admits no INF, however the distance is built
+    table = {("a", "a"): F(0), ("a", "b"): INF, ("b", "a"): F(1), ("b", "b"): F(0)}
     with pytest.raises(ModeMismatchError):
-        compare_costs(INF, F(1), OrderMode.REAL)
+        PseudoDistance(("a", "b"), OrderMode.REAL, table)
+    finite = PseudoDistance.from_function(
+        ("a", "b"), OrderMode.REAL, lambda v, w: F(0) if v == w else F(1))
+    with pytest.raises(ModeMismatchError):
+        finite.replaced({("b", "a"): INF})
 
 
 def test_compare_liberal_inf_is_top():
-    assert compare_costs(INF, F(10**9), OrderMode.LIBERAL) is Ordering.GREATER
-    assert compare_costs(F(0), INF, OrderMode.LIBERAL) is Ordering.LESS
-    assert compare_costs(INF, INF, OrderMode.LIBERAL) is Ordering.EQUAL
+    for c in (F(10**400), F(10**9), F(0), F(-7, 3), -(10**400), 0, 5):
+        assert c < INF and INF > c
+        assert c <= INF and INF >= c
+        assert not INF < c and not c > INF and not INF <= c
+        assert c != INF and INF != c
 
 
 def test_add_costs_absorbing():
-    assert add_costs(INF, F(1)) is INF
-    assert add_costs(F(1), F(2)) == F(3)
+    assert INF == INF and INF <= INF and INF >= INF
+    assert not INF < INF and not INF > INF
+    for c in (F(1), F(-3, 2), F(10**400), 0, INF):
+        assert INF + c is INF
+        assert c + INF is INF
+    assert F(1) + F(2) == F(3)
 
 
-@given(
-    st.fractions(min_value=0, max_value=10),
-    st.fractions(min_value=0, max_value=10),
-    st.fractions(min_value=0, max_value=10),
-)
+_COSTS = st.one_of(st.just(INF), st.fractions(), st.integers())
+
+
+@given(_COSTS, _COSTS, _COSTS)
 def test_compare_is_a_total_order(a, b, c):
-    r = compare_costs(a, b, OrderMode.REAL)
-    flipped = compare_costs(b, a, OrderMode.REAL)
-    assert r.value == -flipped.value
-    if (
-        compare_costs(a, b, OrderMode.REAL) is Ordering.LESS
-        and compare_costs(b, c, OrderMode.REAL) is Ordering.LESS
-    ):
-        assert compare_costs(a, c, OrderMode.REAL) is Ordering.LESS
+    # Fractions, ints and INF form one total order with INF on top
+    assert [a < b, a == b, a > b].count(True) == 1
+    assert (a <= b) == (a < b or a == b) and (a >= b) == (b <= a)
+    assert (a == b) == (b == a) and (a < b) == (b > a)
+    if a <= b and b <= c:
+        assert a <= c
+    if a < b and b <= c:
+        assert a < c
+    if INF in (a, b):
+        assert (a < b) == (a is not INF and b is INF)
 
 
 def _dist(table, mode=OrderMode.REAL):
@@ -161,7 +170,7 @@ def _liberal_tir_reference(dist):
                     if dvw is not INF and dwx is not INF:
                         found.append((v, w, x))
                 elif dvw is not INF and dwx is not INF:
-                    if not cost_le(dvx, add_costs(dvw, dwx), dist.mode):
+                    if not dvx <= dvw + dwx:
                         found.append((v, w, x))
     return found
 

@@ -4,7 +4,7 @@ import pytest
 
 from distrev.costs import INF, OrderMode, PseudoDistance
 from distrev.distops import OperatorTable
-from distrev.errors import FileFormatError
+from distrev.errors import FileFormatError, ModeMismatchError
 from distrev.fileio import (
     format_distance,
     format_family,
@@ -72,6 +72,13 @@ def test_distance_parse_accepts_comments_and_fractions():
 def test_distance_parse_errors(text):
     with pytest.raises(FileFormatError):
         parse_distance(text)
+
+
+def test_distance_parse_rejects_inf_under_real_order():
+    text = "mode: real\npoints: a b\n0 inf\n1 0"
+    with pytest.raises(ModeMismatchError):
+        parse_distance(text)
+    assert parse_distance(text.replace("real", "liberal")).d("a", "b") is INF
 
 
 def test_operator_table_roundtrip(tmp_path):

@@ -235,6 +235,7 @@ def test_presentation_invariance_on_random_pairs():
         g1 = Theory.from_models(vset, SIG)
         g2 = Theory(SIG, vset, presentation=("anything",))
         d1 = Theory.from_models(wset, SIG)
+        assert g1 == g2 and hash(g1) == hash(g2)
         assert revise(op, g1, d1) == revise(op, g2, d1)
 
 

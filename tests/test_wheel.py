@@ -95,15 +95,15 @@ def _core_keys(m):
 
 def test_fragment_is_unrealizable_for_all_small_m():
     # propagation at the root refutes every fragment, and the conflict names
-    # the 2m-entry core: one justifying path per blocked atom leaves out the
-    # probes of v_i; removing any core entry leaves a realizable table
+    # the whole fragment, the 2m-entry core; removing any core entry leaves
+    # a realizable table
     gadgets = [build_wheel_gadget(m=m) for m in range(4, 13)]
     gadgets += [build_hamming_wheel(m=m) for m in (4, 5, 6)]
     for gadget in gadgets:
         fragment = proof_fragment(gadget)
         verdict = solve_table(fragment)
         assert (verdict.status, verdict.nodes) == ("unsat", 1), gadget.m
-        assert len(fragment.entries) == 3 * gadget.m
+        assert len(fragment.entries) == 2 * gadget.m
         keys = _core_keys(gadget.m)
         assert verdict.conflict == sorted(_tag(sorted(v), sorted(w)) for v, w in keys)
         for dropped in keys:

@@ -72,10 +72,11 @@ def narrow_ranks(dist, order=None):
 
 
 def _rank_parts(dist, order):
-    """``apply_rows``'s tables for ``dist`` with columns in ``order``: the
-    column count n (at least 1), the minimum over nothing ``top``, and one
-    (points, subset bits, table) triple per part of t points.  They are
-    kept on the distance instance under the key (order, t), t read from
+    """The least-rank tables that ``apply_rows`` and ``least_rank_rows``
+    read, for ``dist`` with columns in ``order``: the column count n (at
+    least 1), the minimum over nothing ``top``, and one (points, subset
+    bits, table) triple per part of t points.  They are kept on the
+    distance instance under the key (order, t), t read from
     ``APPLY_CHUNK_CELLS`` on each call, for the last key only: a distance
     holds what one call builds.  ``replaced()`` copies are new instances
     and build their own."""
@@ -125,6 +126,23 @@ def apply_rows(dist, vrows, wrows, order=None):
         np.putmask(col, ~w.T, top)
         best = col.min(axis=0, initial=top)
         out[lo:lo + step] = ((col == best) & (best < top)).T
+    return out
+
+
+def least_rank_rows(dist, vmasks, order=None):
+    """[V, column]: V's least rank in each column of ``order`` (default
+    ``dist.universe``), for each integer V mask of ``vmasks``, point i of
+    ``order`` at bit i; the empty V's row holds the top rank, one above
+    every entry.  Reads ``apply_rows``' part tables (``_rank_parts``): the
+    minimum, over the parts, of each part's row at V's bits in that part.
+    The result is a new array, in the tables' dtype, so callers may write
+    to it."""
+    _, top, parts = _rank_parts(dist, order)
+    vmasks = np.asarray(vmasks)
+    out = np.full(vmasks.shape + (0,), top)  # no points, no parts
+    for i, (cut, weights, table) in enumerate(parts):
+        rows = table.T[(vmasks >> cut.start) & ((1 << len(weights)) - 1)]
+        out = np.minimum(out, rows, out=out) if i else rows
     return out
 
 

@@ -162,10 +162,6 @@ def parse_family(text):
     return sets
 
 
-def format_family(sets):
-    return "\n".join(_format_set(s) for s in sets) + "\n"
-
-
 def load_family(path):
     with open(path, encoding="utf-8") as fh:
         return parse_family(fh.read())

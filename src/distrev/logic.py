@@ -316,11 +316,6 @@ class Valuation:
         return f"Valuation({self.label()})"
 
 
-def make_valuation(signature, assignment):
-    sig = tuple(signature)
-    return Valuation(sig, tuple(assignment[a] for a in sig))
-
-
 def eval_formula(v, phi, matrix=CLASSICAL):
     """Homomorphic evaluation of ``phi`` under valuation ``v``."""
     if isinstance(phi, Atom):

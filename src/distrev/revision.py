@@ -61,10 +61,6 @@ class Theory:
         )
         return cls(sig, frozenset(models(parsed, sig, matrix)), parsed)
 
-    @classmethod
-    def from_models(cls, model_set, signature):
-        return cls(tuple(signature), frozenset(model_set))
-
 
 def valuation_universe(signature, matrix=CLASSICAL):
     return tuple(enumerate_valuations(signature, matrix))

@@ -33,11 +33,12 @@ from .distops import (
     APPLY_CHUNK_CELLS,
     OperatorTable,
     _mask_dtype,
+    _rank_parts,
     _subset_table,
     apply_rows,
     check_inclusion,
     find_loop_violation,
-    narrow_ranks,
+    least_rank_rows,
 )
 from .errors import BoundExceededError, FamilyError, UndefinedPairError, UnknownAtomError
 from .logic import Valuation, hamming_diff
@@ -205,28 +206,21 @@ def loop_family_generators(m):
 # ---------------------------------------------------------------------------
 # Subset sweeps
 #
-# Point k of the sweep's order is bit k of a mask, and row V of a rank table
-# holds f_V(w), V's least rank toward w; the minimization of (V, W) keeps
-# the members of W at the least f_V.  By Arrow's choice-function lemma
-# (Economica 1959), two rows keep the same members of every W exactly when
-# they order every pair of points alike.  So a sweep compares each V's two
-# rows as weak orders, and folds the full W row only for the V's that fail
-# or key a table entry, to list the mismatching pairs.  The same reading
-# gives the Hamming reduction lemma: with A the points that no member of V
-# is near and h the row of V's wheel part, the minimization over every W
-# within A that meets the wheel is that of the wheel parts exactly when f_V
-# and h order the wheel points of A alike and f_V puts the off-wheel points
-# of A strictly above them.
+# Point k of the sweep's order is bit k of a mask, and V's rank row, read
+# per chunk of V masks by ``least_rank_rows``, holds f_V(w), V's least rank
+# toward w; the minimization of (V, W) keeps the members of W at the least
+# f_V.  By Arrow's choice-function lemma (Economica 1959), two rows keep
+# the same members of every W exactly when they order every pair of points
+# alike.  So a sweep compares each V's two rows as weak orders, and folds
+# the full W row only for the V's that fail or key a table entry, to list
+# the mismatching pairs.  The same reading gives the Hamming reduction
+# lemma: with A the points that no member of V is near and h the row of
+# V's wheel part, the minimization over every W within A that meets the
+# wheel is that of the wheel parts exactly when f_V and h order the wheel
+# points of A alike and f_V puts the off-wheel points of A strictly above
+# them.
 
 SWEEP_MAX_BYTES = 1 << 30  # wheel_equality_sweep refuses larger exhaustive sweeps
-
-
-def _rank_rows(dist, order):
-    """[V, w]: V's least rank toward w, for every V mask over ``order``, in
-    the narrowest dtype; the empty V's row holds the top rank, one above
-    every entry."""
-    ranks, top = narrow_ranks(dist, order)
-    return np.ascontiguousarray(_subset_table(ranks, np.minimum, top).T)
 
 
 def _least_members(rows, mask_t):
@@ -300,9 +294,10 @@ class EqualityReport:
         return not self.mismatches
 
 
-def _reduction_sweep(f, near, nx, order, cap):
-    """The Hamming gadget's in-wheel reduction lemma on the rank rows ``f``
-    of the unpatched distance: wherever V x W holds no near pair and both
+def _reduction_sweep(dist, near, nx, order, cap):
+    """The Hamming gadget's in-wheel reduction lemma on the unpatched
+    distance ``dist``, its V rows read in chunks by ``least_rank_rows``
+    over ``order``: wherever V x W holds no near pair and both
     wheel parts (the low ``nx`` bits) are non-empty, the result is that of
     the wheel parts alone; ``near[i]`` masks the points that point i meets
     in an off-wheel near pair."""
@@ -317,24 +312,28 @@ def _reduction_sweep(f, near, nx, order, cap):
     for part, sign in ((free, 1), (free >> nx, -1)):  # sum of 2^|A| - 2^|A off-wheel|
         pairs += sign * sum(
             c << k for k, c in enumerate(np.bincount(ones[part][vx_any]).tolist()))
-    top, bit = f[0, 0], np.arange(n, dtype=mask_t)
+
+    def f(vm):
+        return least_rank_rows(dist, vm, order)
+
+    top, bit = f([0])[0, 0], np.arange(n, dtype=mask_t)
 
     def bad(vm):
         # the points outside A, at the top rank on both sides, tie with
         # each other above the rest, so only the pairs of A count
         inside = (free[vm][:, None] >> bit & 1).astype(bool)
-        fa = np.where(inside, f[vm], top)
+        fa = np.where(inside, f(vm), top)
         wheel_top = np.max(fa[:, :nx], axis=1, where=inside[:, :nx], initial=0)
-        return (_disordered(fa[:, :nx], np.where(inside[:, :nx], f[vm & xmask, :nx], top))
+        return (_disordered(fa[:, :nx], np.where(inside[:, :nx], f(vm & xmask)[:, :nx], top))
                 | ((fa[:, nx:].min(axis=1, initial=top) <= wheel_top) & inside[:, :nx].any(axis=1)))
 
     wmask = np.arange(size, dtype=mask_t)
 
     def differ(vm):
-        h = f[vm & xmask]
+        h = f(vm & xmask)
         h[:, nx:] = top  # the wheel part's minimization, off-wheel points never least
         scope = ((wmask & near[vm][:, None]) == 0) & ((wmask & xmask) != 0)
-        return scope & (_least_members(f[vm], mask_t) != _least_members(h, mask_t))
+        return scope & (_least_members(f(vm), mask_t) != _least_members(h, mask_t))
 
     flags = _row_flags(size, n, bad) & vx_any
     return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ), False)
@@ -342,22 +341,27 @@ def _reduction_sweep(f, near, nx, order, cap):
 
 def sweep_bytes(table, dist):
     """Bytes that the exhaustive sweep of ``wheel_equality_sweep`` holds at
-    most: per V mask, three rank tables, the reduction tables of a Hamming
-    gadget's claims check and the flagged V masks; per chunk cell, the order
-    checks' sorted rows and pair tests, then two folded W rows with their
-    transients (a chunk holds one row at least).  ``table`` must have a
-    backing (else ``UndefinedPairError``), and it, its backing and ``dist``
-    the same points (else ``UnknownAtomError``)."""
+    most: the part tables of the table's backing and of ``dist`` over
+    ``dist.universe`` (``_rank_parts``, built here if not yet held), which
+    the sweeps read their V rows from; per V mask, the reduction tables of
+    a Hamming gadget's claims check and the flagged V masks; per chunk
+    cell, the V rows read, the order checks' sorted rows and pair tests,
+    then two folded W rows with their transients (a chunk holds one row at
+    least).  ``table`` must have a backing (else ``UndefinedPairError``),
+    and it, its backing and ``dist`` the same points (else
+    ``UnknownAtomError``)."""
     if table.backing is None:
         raise UndefinedPairError("the sweep reads pairs off the table's backing distance")
     if not set(table.universe) == set(table.backing.universe) == set(dist.universe):
         raise UnknownAtomError("the table, its backing and the distance have different points")
     n = len(dist.universe)
     mask = _mask_dtype(n).itemsize
-    rank = max(narrow_ranks(d)[1].itemsize for d in (table.backing, dist))
-    per_v = 3 * rank * n + 3 * mask + 24
+    tables = [_rank_parts(d, dist.universe) for d in (table.backing, dist)]
+    rank = max(top.itemsize for _, top, _ in tables)
+    held = sum(part.nbytes for _, _, parts in tables for *_, part in parts)
+    per_v = 3 * mask + 24
     per_cell = 2 * rank + 5 * mask + 6
-    return ((per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
+    return (held + (per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
             + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
 
 
@@ -396,18 +400,22 @@ def wheel_equality_sweep(table, dist, sample=None, seed=0, witness_cap=16):
     for key, x in table.entries.items():
         v, w, x = (sum(1 << index[lab] for lab in labels) for labels in (*key, x))
         entries.setdefault(v, []).append((w, x))
-    f = _rank_rows(table.backing, order)
-    g = _rank_rows(dist, order)
+
+    def f(vm):
+        return least_rank_rows(table.backing, vm, order)
+
+    def g(vm):
+        return least_rank_rows(dist, vm, order)
 
     def differ(vm):
-        left, right = _least_members(f[vm], mask_t), _least_members(g[vm], mask_t)
+        left, right = _least_members(f(vm), mask_t), _least_members(g(vm), mask_t)
         left[vm == 0] = right[vm == 0] = 0  # empty V
         for row, v in enumerate(vm.tolist()):
             for w, x in entries.get(v, ()):
                 left[row, w] = x
         return left != right
 
-    flags = _row_flags(1 << n, n, lambda vm: _disordered(f[vm], g[vm]))
+    flags = _row_flags(1 << n, n, lambda vm: _disordered(f(vm), g(vm)))
     flags[list(entries)] = True
     report.mismatches = _witnesses(np.flatnonzero(flags), order, witness_cap, differ)
     return report
@@ -493,5 +501,5 @@ def verify_hamming_claims(gadget):
     near = np.array([sum(1 << j for j, b in enumerate(order)
                          if max(i, j) >= nx and gadget.near(a, b))
                      for i, a in enumerate(order)], dtype=_mask_dtype(len(order)))
-    report.reduction = _reduction_sweep(_rank_rows(gadget.dist, order), near, nx, order, 16)
+    report.reduction = _reduction_sweep(gadget.dist, near, nx, order, 16)
     return report

@@ -165,15 +165,15 @@ def _assert_refused_over_memory_cap(argv, capsys):
 
 
 def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
-    # m = n + 3 = 10, the smallest Hamming gadget whose sweep estimate is
+    # m = n + 3 = 11, the smallest Hamming gadget whose sweep estimate is
     # over the 1 GiB cap
-    _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "7"], capsys)
+    _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "8"], capsys)
 
 
 @pytest.mark.parametrize("n", ["1", "7"])
 def test_wheel_hamming_rejects_samples_exits_2(workdir, capsys, n):
-    # refused before the gadget is built, even where the exhaustive sweep
-    # would be over the memory cap
+    # refused before the gadget is built, even at m = 10, the largest
+    # Hamming gadget that the memory cap admits
     argv = ["wheel", "--variant", "hamming", "--n", n, "--samples", "100", "--dir", "art"]
     assert main(argv) == 2
     assert "--samples" in capsys.readouterr().err

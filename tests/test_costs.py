@@ -13,7 +13,7 @@ from distrev.costs import (
     parse_cost,
 )
 from distrev.errors import FileFormatError, ModeMismatchError, UnknownAtomError
-from distrev.logic import make_valuation
+from distrev.logic import Valuation
 
 F = Fraction
 
@@ -200,9 +200,9 @@ def test_unknown_property_names():
 def test_hir_check():
     sig = ("x", "y")
     vals = {
-        "a": make_valuation(sig, {"x": "0", "y": "0"}),
-        "b": make_valuation(sig, {"x": "1", "y": "0"}),
-        "c": make_valuation(sig, {"x": "1", "y": "1"}),
+        "a": Valuation(sig, ("0", "0")),
+        "b": Valuation(sig, ("1", "0")),
+        "c": Valuation(sig, ("1", "1")),
     }
 
     def respecting(v, w):

@@ -7,7 +7,6 @@ from distrev.distops import OperatorTable
 from distrev.errors import FileFormatError, ModeMismatchError
 from distrev.fileio import (
     format_distance,
-    format_family,
     format_operator_table,
     load_distance,
     load_operator_table,
@@ -123,8 +122,7 @@ def test_operator_table_parse_errors():
 
 def test_family_roundtrip():
     sets = [frozenset({"a"}), frozenset({"a", "b"})]
-    text = format_family(sets)
-    assert parse_family(text) == sets
+    assert parse_family("a\na b\n") == sets
     with pytest.raises(FileFormatError):
         parse_family("a\n-\n")
 

@@ -22,6 +22,7 @@ from distrev.distops import (
     apply_rows,
     check_loop,
     find_loop_violation,
+    least_rank_rows,
     recheck_chain,
 )
 from distrev.errors import UndefinedPairError
@@ -227,6 +228,28 @@ def test_apply_rows_rebuilds_its_parts_when_the_chunk_size_changes():
                                   wraps=distops._subset_table) as tabled:
             _assert_rows_match_apply(dist, pairs, order)
         assert [len(call.args[0]) for call in tabled.call_args_list] == sizes
+
+
+@pytest.mark.parametrize("cells, parts", [(distops.APPLY_CHUNK_CELLS, 1), (288, 2), (144, 3)])
+def test_least_rank_rows_match_the_whole_subset_table(cells, parts):
+    # nine points of a liberal distance with INF and frequent ties, in an
+    # order unlike the distance's; every V mask, shuffled, the empty one
+    # among them, read off one, two and three part tables; and no columns
+    # on a distance without points
+    rng = random.Random(3)
+    points = tuple(f"x{i}" for i in range(9))
+    dist = PseudoDistance(points, OrderMode.LIBERAL, {
+        (v, w): rng.choice(COSTS + (INF,)) for v in points for w in points})
+    order = tuple(rng.sample(points, len(points)))
+    masks = np.array(rng.sample(range(1 << 9), 1 << 9))
+    ranks, top = distops.narrow_ranks(dist, order)
+    expected = distops._subset_table(ranks, np.minimum, top).T[masks]
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+        rows = least_rank_rows(dist, masks, order)
+        assert len(distops._rank_parts(dist, order)[2]) == parts
+    assert rows.dtype == expected.dtype and (rows == expected).all()
+    assert (rows[masks == 0] == top).all()
+    assert least_rank_rows(PseudoDistance((), OrderMode.REAL, {}), [0, 0]).shape == (2, 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from distrev.logic import (
     Implies,
     Not,
     Or,
+    Valuation,
     canonical_dnf,
     definable_model_sets,
     enumerate_valuations,
@@ -23,7 +24,6 @@ from distrev.logic import (
     formula_extensions,
     formula_to_text,
     hamming_diff,
-    make_valuation,
     models,
     parse_formula,
     satisfies,
@@ -48,7 +48,7 @@ def test_parse_right_associativity():
 
 def test_parse_parentheses_and_constants():
     phi = parse_formula("(p | false) & true")
-    v = make_valuation(("p",), {"p": "1"})
+    v = Valuation(("p",), ("1",))
     assert satisfies(v, phi)
 
 
@@ -108,9 +108,9 @@ def test_enumerations_share_valuations_but_not_lists():
 
 
 def test_valuation_hash_follows_fields():
-    a = make_valuation(SIG, {"p": 1, "q": 0, "r": 0})
-    b = make_valuation(SIG, {"p": 1, "q": 0, "r": 0})
-    c = make_valuation(SIG, {"p": 0, "q": 0, "r": 0})
+    a = Valuation(SIG, (1, 0, 0))
+    b = Valuation(SIG, (1, 0, 0))
+    c = Valuation(SIG, (0, 0, 0))
     assert a is not b and a == b and hash(a) == hash(b)
     assert hash(a) == hash((a.atoms, a.values))
     assert a != c and len({a, b, c}) == 2
@@ -126,11 +126,11 @@ def test_models_and_consistency():
 
 
 def test_hamming_diff():
-    a = make_valuation(SIG, {"p": "1", "q": "0", "r": "0"})
-    b = make_valuation(SIG, {"p": "0", "q": "0", "r": "1"})
+    a = Valuation(SIG, ("1", "0", "0"))
+    b = Valuation(SIG, ("0", "0", "1"))
     assert hamming_diff(a, b) == {"p", "r"}
     with pytest.raises(UnknownAtomError):
-        hamming_diff(a, make_valuation(("p",), {"p": "1"}))
+        hamming_diff(a, Valuation(("p",), ("1",)))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=7)))

@@ -232,9 +232,9 @@ def test_presentation_invariance_on_random_pairs():
     for _ in range(50):
         vset = rng.choice(sets)
         wset = rng.choice(sets)
-        g1 = Theory.from_models(vset, SIG)
+        g1 = Theory(SIG, vset)
         g2 = Theory(SIG, vset, presentation=("anything",))
-        d1 = Theory.from_models(wset, SIG)
+        d1 = Theory(SIG, wset)
         assert g1 == g2 and hash(g1) == hash(g2)
         assert revise(op, g1, d1) == revise(op, g2, d1)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distrev import wheel
+from distrev import distops, wheel
 from distrev.costs import INF, OrderMode, PseudoDistance, check_hir, check_property
 from distrev.distops import (
     OperatorTable,
@@ -14,6 +14,7 @@ from distrev.distops import (
     check_inclusion,
     distance_int_matrix,
     find_loop_violation,
+    least_rank_rows,
     recheck_chain,
 )
 from distrev.errors import (
@@ -28,7 +29,6 @@ from distrev.wheel import (
     _labels_of,
     _least_members,
     _mask_dtype,
-    _rank_rows,
     _redirected,
     build_hamming_wheel,
     build_wheel_gadget,
@@ -184,7 +184,7 @@ def _assert_rows_match_dense(order, dist, seed):
         for vmask, bits in enumerate(dense[wmask].tolist()):
             got = apply(dist, sets[vmask], sets[wmask])
             assert bits == sum(1 << index[lab] for lab in got), (sets[vmask], sets[wmask])
-    rows = _least_members(_rank_rows(dist, order), _mask_dtype(n))  # [V, W]
+    rows = _least_members(least_rank_rows(dist, np.arange(1 << n), order), _mask_dtype(n))
     rows[0] = 0  # the fold keeps all of W for the empty V; the sweep clears it
     for wmask in wanted:
         differ = np.flatnonzero(rows[:, wmask] != dense[wmask])
@@ -244,7 +244,8 @@ def test_sweeps_match_direct_enumeration(seed, monkeypatch):
     # for the empty V; a random wheel part and random near sets of 1 to 3
     # points.  The V rows that each sweep folds, its verdict, its witnesses
     # capped and uncapped and the reduction's scope count all equal a
-    # direct (W, V) enumeration.
+    # direct (W, V) enumeration, with the V rows read off one part table
+    # and, at 64 cells, off two or three.
     rng = random.Random(seed)
     n, nx = 6 + seed % 3, rng.randint(1, 5)
     order = [f"p{i}" for i in range(n)]
@@ -279,10 +280,12 @@ def test_sweeps_match_direct_enumeration(seed, monkeypatch):
     monkeypatch.setattr(wheel, "_witnesses", spy)
     op = OperatorTable(order, {(_labels_of(v, order), _labels_of(w, order)): _labels_of(x, order)
                                for (v, w), x in entries.items()}, backing=d1)
-    for cap in (5, 1 << 30):
+    for cells, cap in itertools.product((distops.APPLY_CHUNK_CELLS, 64), (5, 1 << 30)):
+        monkeypatch.setattr(distops, "APPLY_CHUNK_CELLS", cells)
         folded.clear()
         report = wheel_equality_sweep(op, d2, witness_cap=cap)
-        red = wheel._reduction_sweep(_rank_rows(d1, order), near, nx, order, cap)
+        red = wheel._reduction_sweep(d1, near, nx, order, cap)
+        assert (len(distops._rank_parts(d1, order)[2]) > 1) == (cells == 64)
         assert folded == flagged
         assert (report.pairs_checked, report.passed) == (size * size, not equal)
         assert report.mismatches == labels(equal[:cap])
@@ -856,14 +859,14 @@ def test_abstract_sweep_estimate_covers_its_peak(m):
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
-    # m=10, 23 points: rank rows of 2^23 V masks by 23 points per distance
-    # put the estimate over 1 GiB; m=9 is the largest it admits
-    assert sweep_bytes(*build_hamming_wheel(m=9).patch(1)) <= wheel.SWEEP_MAX_BYTES
-    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=10)) < 16 << 20
+    # m=11, 25 points: the per-V tables and the folded W rows of 2^25 masks
+    # put the estimate at about 2 GiB; m=10 is the largest it admits
+    assert sweep_bytes(*build_hamming_wheel(m=10).patch(1)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=11)) < 16 << 20
 
 
 def test_abstract_sweep_refuses_oversized_tables_before_allocating():
-    # m=11, 24 points: the same estimate is about 2.1 GiB; m=10 is the
+    # m=11, 24 points: the same estimate is just over 1 GiB; m=10 is the
     # largest it admits, and a sample size still samples above it
     assert sweep_bytes(*build_wheel_gadget(m=10).patch(1)) <= wheel.SWEEP_MAX_BYTES
     g = build_wheel_gadget(m=11)

@@ -321,7 +321,7 @@ def build_parser():
     p = sub.add_parser("realize", help="decide distance realizability of a table")
     p.add_argument("operator")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_positive_int, default=200_000)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("wheel", help="build and verify a cycle gadget")
@@ -337,7 +337,7 @@ def build_parser():
     p.add_argument("--k", type=_positive_int, default=3)
     p.add_argument("--family", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_positive_int, default=200_000)
     p.add_argument("--samples", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_loop)
 

@@ -31,6 +31,7 @@ def apply(dist, vset, wset):
 
 
 APPLY_CHUNK_CELLS = 1 << 18  # cells per table, chunk or block of the kernels
+SWEEP_MAX_BYTES = 1 << 30  # the exhaustive sweeps refuse to hold more
 
 
 def _subset_table(rows, ufunc, empty):
@@ -202,6 +203,8 @@ class OperatorTable:
 
     def __post_init__(self):
         pts = set(self.universe)
+        if self.backing is not None and not pts <= set(self.backing.universe):
+            raise UnknownAtomError("the backing distance misses points of the universe")
         canon = {}
         for (v, w), x in self.entries.items():
             v, w, x = frozenset(v), frozenset(w), frozenset(x)

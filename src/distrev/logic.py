@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,30 +77,54 @@ FALSE = FalseConst()
 
 
 # ---------------------------------------------------------------------------
+# Binary connectives
+#
+# One row per binary connective, tightest binding first: its AST class, the
+# name of its matrix table, its precedence, its symbol, and whether it is
+# right-associative.  The tokenizer, parser, printer, evaluator and
+# definable-set closure all read these rows; the closure tries the matrix
+# tables in row order.
+
+
+@dataclass(frozen=True)
+class _Binary:
+    cls: type
+    table: str
+    prec: int
+    symbol: str
+    right_assoc: bool
+
+
+_BINARY = (
+    _Binary(And, "and", 4, "&", False),
+    _Binary(Or, "or", 3, "|", False),
+    _Binary(Implies, "implies", 2, "->", True),
+    _Binary(Iff, "iff", 1, "<->", True),
+)
+_BY_CLASS = {row.cls: row for row in _BINARY}
+_BY_SYMBOL = {row.symbol: row for row in _BINARY}
+
+
+# ---------------------------------------------------------------------------
 # Parser
 #
-# Grammar: atoms /[a-z][a-z0-9_]*/, literals "true"/"false",
-# operators ! & | -> <-> with precedence ! > & > | > -> > <->,
-# -> and <-> right-associative, parentheses allowed.
+# Grammar: atoms /[a-z][a-z0-9_]*/, literals "true"/"false", prefix "!"
+# binding tightest, the binary connectives of ``_BINARY``, parentheses.
 
 
 def _tokenize(text):
+    # longest symbol first, so "<->" is not read as "<" and "->"
+    symbols = sorted([*_BY_SYMBOL, "!", "(", ")"], key=len, reverse=True)
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(("->", i))
-            i += 2
-        elif ch in "!&|()":
-            tokens.append((ch, i))
+        sym = next((s for s in symbols if text.startswith(s, i)), None)
+        if sym is not None:
+            tokens.append((sym, i))
+            i += len(sym)
+        elif ch.isspace():
             i += 1
         elif ch.isalpha() and ch.islower():
             j = i + 1
@@ -113,124 +138,67 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, signature):
-        self.tokens = tokens
-        self.pos = 0
-        self.signature = frozenset(signature) if signature is not None else None
+def parse_formula(text, signature=None):
+    """Parse ``text`` into a Formula, validating atoms against ``signature``.
+    Binary connectives are read by precedence climbing over ``_BINARY``."""
+    tokens = _tokenize(text)[::-1]  # the next token last
+    names = frozenset(signature) if signature is not None else None
 
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def offset(self):
-        return self.tokens[self.pos][1]
-
-    def take(self, expected=None):
-        tok, off = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise FormulaParseError(f"expected {expected!r}, found {tok!r}", off)
-        self.pos += 1
-        return tok
-
-    def parse_iff(self):
-        left = self.parse_implies()
-        if self.peek() == "<->":
-            self.take()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.peek() == "!":
-            self.take()
-            return Not(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
+    def operand():
+        tok, off = tokens.pop()
+        if tok == "!":
+            return Not(operand())
         if tok == "(":
-            self.take()
-            node = self.parse_iff()
-            self.take(")")
+            node = climb(0)
+            tok, off = tokens.pop()
+            if tok != ")":
+                raise FormulaParseError(f"expected ')', found {tok!r}", off)
             return node
         if tok.startswith("name:"):
             name = tok[5:]
-            off = self.offset()
-            self.take()
             if name == "true":
                 return TRUE
             if name == "false":
                 return FALSE
-            if self.signature is not None and name not in self.signature:
+            if names is not None and name not in names:
                 raise UnknownAtomError(f"unknown atom {name!r} at offset {off}")
             return Atom(name)
-        raise FormulaParseError(f"expected a formula, found {tok!r}", self.offset())
+        raise FormulaParseError(f"expected a formula, found {tok!r}", off)
 
+    def climb(min_prec):
+        """An operand, then every connective that binds at least ``min_prec``."""
+        node = operand()
+        while (row := _BY_SYMBOL.get(tokens[-1][0])) and row.prec >= min_prec:
+            tokens.pop()
+            node = row.cls(node, climb(row.prec if row.right_assoc else row.prec + 1))
+        return node
 
-def parse_formula(text, signature=None):
-    """Parse ``text`` into a Formula, validating atoms against ``signature``."""
-    parser = _Parser(_tokenize(text), signature)
-    node = parser.parse_iff()
-    if parser.peek() != "end":
-        raise FormulaParseError(f"trailing input {parser.peek()!r}", parser.offset())
+    node = climb(0)
+    tok, off = tokens[-1]
+    if tok != "end":
+        raise FormulaParseError(f"trailing input {tok!r}", off)
     return node
 
 
 def formula_to_text(phi):
-    """Render a formula back to the concrete grammar (fully parenthesized
-    only where needed)."""
-
-    def prec(f):
-        if isinstance(f, (Atom, TrueConst, FalseConst, Not)):
-            return 5
-        if isinstance(f, And):
-            return 4
-        if isinstance(f, Or):
-            return 3
-        if isinstance(f, Implies):
-            return 2
-        return 1
+    """Render a formula back to the concrete grammar, parenthesized only
+    where needed.  Both operands print at the connective's precedence, the
+    left one a level tighter under a right-associative connective, so
+    right-nested ``&`` and ``|`` chains print flat."""
 
     def render(f, parent_prec):
         if isinstance(f, Atom):
-            out = f.name
-        elif isinstance(f, TrueConst):
-            out = "true"
-        elif isinstance(f, FalseConst):
-            out = "false"
-        elif isinstance(f, Not):
-            out = "!" + render(f.arg, 5)
-        elif isinstance(f, And):
-            out = render(f.left, 4) + " & " + render(f.right, 4)
-        elif isinstance(f, Or):
-            out = render(f.left, 3) + " | " + render(f.right, 3)
-        elif isinstance(f, Implies):
-            out = render(f.left, 3) + " -> " + render(f.right, 2)
-        else:
-            out = render(f.left, 2) + " <-> " + render(f.right, 1)
-        if prec(f) < parent_prec:
-            out = "(" + out + ")"
-        return out
+            return f.name
+        if isinstance(f, TrueConst):
+            return "true"
+        if isinstance(f, FalseConst):
+            return "false"
+        if isinstance(f, Not):
+            return "!" + render(f.arg, math.inf)
+        row = _BY_CLASS[type(f)]
+        left = render(f.left, row.prec + 1 if row.right_assoc else row.prec)
+        out = f"{left} {row.symbol} {render(f.right, row.prec)}"
+        return f"({out})" if row.prec < parent_prec else out
 
     return render(phi, 0)
 
@@ -326,10 +294,10 @@ def eval_formula(v, phi, matrix=CLASSICAL):
         return matrix.table("false")[()]
     if isinstance(phi, Not):
         return matrix.table("not")[(eval_formula(v, phi.arg, matrix),)]
-    name = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(phi)]
+    row = _BY_CLASS[type(phi)]
     left = eval_formula(v, phi.left, matrix)
     right = eval_formula(v, phi.right, matrix)
-    return matrix.table(name)[(left, right)]
+    return matrix.table(row.table)[(left, right)]
 
 
 def satisfies(v, phi, matrix=CLASSICAL):
@@ -455,9 +423,9 @@ def formula_extensions(signature, matrix, bound=200_000):
         for name in ("not",) if name in matrix.tables
     ]
     binary = [
-        np.array([code[matrix.tables[name][(x, y)]]
+        np.array([code[matrix.tables[row.table][(x, y)]]
                   for x in matrix.values for y in matrix.values], dtype)
-        for name in ("and", "or", "implies", "iff") if name in matrix.tables
+        for row in _BINARY if row.table in matrix.tables
     ]
     width = len(vals)
     seen = set()

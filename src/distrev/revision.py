@@ -17,6 +17,7 @@ import numpy as np
 
 from .costs import OrderMode, PropertyReport, PseudoDistance
 from .distops import (
+    SWEEP_MAX_BYTES,
     _draws,
     _membership_rows,
     _row_keys,
@@ -25,7 +26,7 @@ from .distops import (
     apply_rows,
     check_loop,
 )
-from .errors import InconsistentTheoryError, UnknownAtomError
+from .errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
     canonical_dnf,
@@ -238,9 +239,19 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     triples with a fixed seed, and only the samples it constrains are
     revised again, in a second batch.  The model sets, their rows and their
     round trips come from the model-set space of (signature, matrix),
-    built once and kept in a cache of 8 spaces.
+    built once and kept in a cache of 8 spaces.  Raises
+    ``BoundExceededError`` before it builds the sets when the V and W rows
+    of every pair and their index would take over ``SWEEP_MAX_BYTES``.
     """
     space = _model_set_space(op.signature, matrix)
+    width = len(space.order)
+    need = (2 ** width - 1) ** 2 * (2 * width + 8)  # V and W rows, and an index
+    if need > SWEEP_MAX_BYTES:
+        raise BoundExceededError(
+            f"the postulate sweep over {width} valuations needs at least "
+            f"2^{need.bit_length() - 1} bytes of pair rows, over the "
+            f"{SWEEP_MAX_BYTES >> 20} MiB cap"
+        )
     sets, order, rows = space.sets, space.order, space.rows
     n = len(sets)
     reports = {

@@ -31,6 +31,7 @@ from .costs import (
 )
 from .distops import (
     APPLY_CHUNK_CELLS,
+    SWEEP_MAX_BYTES,
     OperatorTable,
     _mask_dtype,
     _rank_parts,
@@ -219,8 +220,6 @@ def loop_family_generators(m):
 # wheel is that of the wheel parts exactly when f_V and h order the wheel
 # points of A alike and f_V puts the off-wheel points of A strictly above
 # them.
-
-SWEEP_MAX_BYTES = 1 << 30  # wheel_equality_sweep refuses larger exhaustive sweeps
 
 
 def _least_members(rows, mask_t):

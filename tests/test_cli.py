@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import distrev
+from distrev import logic
 from distrev.cli import build_parser, main
 from distrev.costs import PseudoDistance
 from distrev.fileio import save_distance, save_operator_table
@@ -211,6 +212,16 @@ def test_loop_malformed_family_exits_2(workdir, hamming_file):
     assert main(["loop", op_path, "--k", "2", "--family", fam]) == 2
 
 
+def test_loop_over_a_backing_that_misses_a_point_exits_2(workdir, capsys):
+    # the backing has no distances to c, so no pair that holds c has a result
+    _write(workdir / "ab.txt", "mode: real\npoints: a b\n0 1\n1 0\n")
+    _write(workdir / "op.txt", "universe: a b c\nbacking: ab.txt\n")
+    _write(workdir / "fam.txt", "a\nc\na c\n")
+    assert main(["loop", "op.txt", "--family", "fam.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert "result" not in out and err.startswith("error: ")
+
+
 def test_agm_sweep(workdir, hamming_file, capsys):
     code = main(
         ["agm", hamming_file, "--atoms", "p,q", "--samples", "300", "--seed", "7"]
@@ -227,6 +238,9 @@ VACUOUS = {
     "agm-samples-0": ["agm", "hamming.txt", "--atoms", "p,q", "--samples", "0"],
     "loop-samples-negative": ["loop", "op.txt", "--k", "3", "--samples", "-1", "--budget", "1"],
     "loop-k-0": ["loop", "op.txt", "--k", "0"],
+    "loop-budget-negative": ["loop", "op.txt", "--family", "fam.txt", "--budget", "-5"],
+    "realize-budget-negative": ["realize", "op.txt", "--budget", "-3"],
+    "realize-budget-0": ["realize", "op.txt", "--budget", "0"],
     "check-no-property": ["check", "hamming.txt", "--props", ","],
 }
 
@@ -234,8 +248,10 @@ VACUOUS = {
 @pytest.mark.parametrize("argv", VACUOUS.values(), ids=VACUOUS.keys())
 def test_counts_below_one_and_empty_property_lists_exit_2(workdir, hamming_file, capsys,
                                                           argv):
-    # each would otherwise check nothing and report a pass
+    # each would otherwise check nothing and report a pass, or for realize
+    # give up at once as unknown
     _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
+    _write(workdir / "fam.txt", "00\n01\n00 01\n")
     assert main(argv) == 2
     assert "result" not in capsys.readouterr().out
 
@@ -245,7 +261,7 @@ MALFORMED = {
     "agm-empty-atoms": ["agm", "hamming.txt", "--atoms", ","],
     "agm-trailing-comma": ["agm", "hamming.txt", "--atoms", "p,"],
     "loop-empty-family": ["loop", "op.txt", "--k", "2", "--family", "empty.txt"],
-    "loop-empty-closure": ["loop", "op.txt", "--budget", "-5"],
+    "loop-empty-closure": ["loop", "op.txt"],
 }
 
 
@@ -296,12 +312,16 @@ def test_dropped_options_exit_2(workdir, capsys, subcommand, option):
     assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
 
+def _readme():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_readme_command_line_matches_the_parser():
     # every example line parses, and the option table lists each
     # subcommand's options exactly
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    section = _readme().split("## Command line", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()]
     assert {words[0] for words in commands} == set(SUBCOMMAND_OPTIONS)
@@ -314,6 +334,18 @@ def test_readme_command_line_matches_the_parser():
         if len(cells) == 4 and cells[1].strip().strip("`") in SUBCOMMAND_OPTIONS:
             table[cells[1].strip().strip("`")] = set(re.findall(r"`(--[a-z]+)`", cells[2]))
     assert table == SUBCOMMAND_OPTIONS
+
+
+def test_readme_connectives_match_the_grammar():
+    # the file-format paragraph names the connectives tightest first and
+    # the right-associative ones, as the parser's connective table has them
+    text = " ".join(_readme().split())
+    listed, right = (re.findall(r"`([^`]+)`", part) for part in re.search(
+        r"the connectives (.*?), which bind in that order, tightest first; "
+        r"(.*?) are right-associative", text).groups())
+    binary = sorted(logic._BINARY, key=lambda row: -row.prec)
+    assert listed == ["!"] + [row.symbol for row in binary]
+    assert set(right) == {row.symbol for row in binary if row.right_assoc}
 
 
 def test_report_written_to_out_file(workdir, hamming_file):

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from distrev.errors import (
     BoundExceededError,
@@ -10,6 +10,8 @@ from distrev.errors import (
 )
 from distrev.logic import (
     CLASSICAL,
+    FALSE,
+    TRUE,
     And,
     Atom,
     Iff,
@@ -53,26 +55,57 @@ def test_parse_parentheses_and_constants():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(FormulaParseError) as exc:
-        parse_formula("p & & q")
-    assert exc.value.position is not None
+    cases = {
+        "p & & q": ("expected a formula, found '&'", 4),
+        "(p": ("expected ')', found 'end'", 2),
+        "": ("expected a formula, found 'end'", 0),
+    }
+    for text, (message, offset) in cases.items():
+        with pytest.raises(FormulaParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.position == offset
 
 
 def test_parse_rejects_unknown_atom():
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(UnknownAtomError) as exc:
         parse_formula("p & z", signature=("p", "q"))
+    assert str(exc.value) == "unknown atom 'z' at offset 4"
 
 
 def test_parse_rejects_trailing_garbage():
-    with pytest.raises(FormulaParseError):
+    with pytest.raises(FormulaParseError) as exc:
         parse_formula("p q")
+    assert str(exc.value) == "trailing input 'name:q' (at offset 2)"
 
 
 def test_roundtrip_through_text():
-    texts = ["p & (q | !r)", "p -> q -> r", "!(p <-> q)", "true | false"]
+    texts = ["p & (q | !r)", "p -> q -> r", "!(p <-> q)", "true | false",
+             "(p -> q) -> r", "(p <-> q) <-> r", "(p | q) -> r <-> !!p"]
     for text in texts:
         phi = parse_formula(text)
         assert parse_formula(formula_to_text(phi)) == phi
+
+
+@settings(max_examples=300)
+@given(
+    st.recursive(
+        st.sampled_from([Atom("p"), Atom("q"), Atom("r"), TRUE, FALSE]),
+        lambda c: st.one_of(
+            st.builds(Not, c),
+            *(st.builds(cls, c, c) for cls in (And, Or, Implies, Iff)),
+        ),
+        max_leaves=12,
+    )
+)
+def test_printed_formulas_parse_back_to_the_same_truth_table(phi):
+    # right-nested & and | chains print flat and parse back left-nested,
+    # so the parsed formula may differ in shape but not in truth table or text
+    text = formula_to_text(phi)
+    back = parse_formula(text, SIG)
+    for v in enumerate_valuations(SIG):
+        assert satisfies(v, back) == satisfies(v, phi)
+    assert formula_to_text(back) == text
 
 
 def test_classical_truth_tables():

@@ -11,7 +11,7 @@ import pytest
 
 from distrev import revision
 from distrev.costs import OrderMode, PseudoDistance
-from distrev.errors import InconsistentTheoryError, UnknownAtomError
+from distrev.errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from distrev.distops import apply
 from distrev.logic import (
     CLASSICAL,
@@ -116,6 +116,20 @@ def test_agm_star1_fails_for_empty_returning_op():
     op = RevisionOperator.from_function(lambda v, w: frozenset(), SIG)
     reports = check_agm(op, samples=100, seed=0)
     assert not reports["star1"].passed
+
+
+def test_agm_refuses_four_atoms_before_allocating():
+    # 65,535 model sets, so about 160 GiB of rows for their ordered pairs
+    sig = ("p", "q", "r", "s")
+    op = RevisionOperator.from_distance(hamming_pseudo_distance(sig), sig)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match="1024 MiB cap"):
+            check_agm(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_star_loop_passes_for_hamming():

@@ -612,15 +612,18 @@ def test_sweep_needs_a_backed_table_on_the_distance_points():
     unbacked = OperatorTable(g.universe, g.op.entries)
     with pytest.raises(UndefinedPairError):
         sweep_bytes(unbacked, g.dist)
-    # a table over one more point than its backing and the distance
-    wider = OperatorTable(g.universe + ("y",), g.op.entries, backing=g.dist)
+    # a table over one more point than its backing is refused as it is built
+    with pytest.raises(UnknownAtomError):
+        OperatorTable(g.universe + ("y",), g.op.entries, backing=g.dist)
+    # one over fewer points than its backing and the distance
+    narrower = OperatorTable(g.universe[1:], {}, backing=g.dist)
     for sample in (None, 10):
         with pytest.raises(UndefinedPairError):
             wheel_equality_sweep(unbacked, g.dist, sample=sample)
         with pytest.raises(UnknownAtomError):
             wheel_equality_sweep(g.op, build_wheel_gadget(n=2).dist, sample=sample)
         with pytest.raises(UnknownAtomError):
-            wheel_equality_sweep(wider, g.dist, sample=sample)
+            wheel_equality_sweep(narrower, g.dist, sample=sample)
 
 
 # ---------------------------------------------------------------------------

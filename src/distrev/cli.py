@@ -246,6 +246,9 @@ def cmd_loop(args):
     rep.add_input("operator", args.operator)
     rep.add("seed", args.seed)
     op = fileio.load_operator_table(args.operator)
+    backing = fileio.operator_backing_path(args.operator)
+    if backing is not None:
+        rep.add_input("backing", backing)
     if args.family:
         rep.add_input("family", args.family)
         family = fileio.load_family(args.family)

@@ -15,7 +15,7 @@ their order, so each distance compiles once, on first use, to integer ranks
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -129,21 +129,27 @@ class PseudoDistance:
         return PseudoDistance(self.universe, self.mode, table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one exhaustive property check with capped witnesses."""
+    """Outcome of one exhaustive property check: every violation counted,
+    the first few kept as witnesses."""
 
     name: str
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    total_violations: int = 0
-    witness_cap: int = 16
+    witnesses: list
+    total_violations: int
 
-    def record(self, witness):
-        self.passed = False
-        self.total_violations += 1
-        if len(self.witnesses) < self.witness_cap:
-            self.witnesses.append(witness)
+    @property
+    def passed(self):
+        return not self.total_violations
+
+    @classmethod
+    def of(cls, name, violations, witness_cap=16, witness=None):
+        """The report of ``violations``, a sequence in order.  With
+        ``witness`` given, only the first ``witness_cap`` violations are
+        passed to it, and its results are the witnesses."""
+        kept = violations[:witness_cap]
+        return cls(name, list(kept if witness is None else map(witness, kept)),
+                   len(violations))
 
 
 REAL_PROPERTIES = ("symmetric", "ir", "positive", "tir")
@@ -161,30 +167,17 @@ def check_property(dist, prop, witness_cap=16):
     if prop.startswith("liberal_") and dist.mode is not OrderMode.LIBERAL:
         raise ModeMismatchError(f"{prop} requires the liberal order mode")
     base = prop.removeprefix("liberal_")
-    report = PropertyReport(prop, True, witness_cap=witness_cap)
-    pts = dist.universe
+    pts, d = dist.universe, dist.d
     if base == "symmetric":
-        for i, v in enumerate(pts):
-            for w in pts[i + 1:]:
-                if dist.d(v, w) != dist.d(w, v):
-                    report.record((v, w))
+        found = [(v, w) for i, v in enumerate(pts) for w in pts[i + 1:] if d(v, w) != d(w, v)]
     elif base == "ir":
-        for v in pts:
-            for w in pts:
-                if (dist.d(v, w) == 0) != (v == w):
-                    report.record((v, w))
+        found = [(v, w) for v in pts for w in pts if (d(v, w) == 0) != (v == w)]
     elif base == "positive":
-        for v in pts:
-            for w in pts:
-                if dist.d(v, w) < 0:
-                    report.record((v, w))
+        found = [(v, w) for v in pts for w in pts if d(v, w) < 0]
     else:
-        for v in pts:
-            for w in pts:
-                for x in pts:
-                    if dist.d(v, x) > dist.d(v, w) + dist.d(w, x):
-                        report.record((v, w, x))
-    return report
+        found = [(v, w, x) for v in pts for w in pts for x in pts
+                 if d(v, x) > d(v, w) + d(w, x)]
+    return PropertyReport.of(prop, found, witness_cap)
 
 
 def check_hir(dist, vals, witness_cap=16):
@@ -193,15 +186,8 @@ def check_hir(dist, vals, witness_cap=16):
     for p in dist.universe:
         if p not in vals:
             raise UnknownAtomError(f"point {p!r} has no valuation")
-    report = PropertyReport("hir", True, witness_cap=witness_cap)
     pts = dist.universe
-    hsize = {
-        (v, w): len(hamming_diff(vals[v], vals[w])) for v in pts for w in pts
-    }
-    for v in pts:
-        for w in pts:
-            for x in pts:
-                if hsize[(v, w)] < hsize[(v, x)]:
-                    if not dist.d(v, w) < dist.d(v, x):
-                        report.record((v, w, x))
-    return report
+    hsize = {(v, w): len(hamming_diff(vals[v], vals[w])) for v in pts for w in pts}
+    found = [(v, w, x) for v in pts for w in pts for x in pts
+             if hsize[(v, w)] < hsize[(v, x)] and not dist.d(v, w) < dist.d(v, x)]
+    return PropertyReport.of("hir", found, witness_cap)

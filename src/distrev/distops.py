@@ -203,6 +203,9 @@ class OperatorTable:
 
     def __post_init__(self):
         pts = set(self.universe)
+        if len(pts) < len(self.universe):
+            repeated = sorted({p for p in self.universe if self.universe.count(p) > 1})
+            raise FamilyError(f"repeated universe labels {repeated}")
         if self.backing is not None and not pts <= set(self.backing.universe):
             raise UnknownAtomError("the backing distance misses points of the universe")
         canon = {}
@@ -315,17 +318,14 @@ def family_closure(generators):
 def check_inclusion(op, family=None, witness_cap=16):
     """Verify V|W is a subset of W for all table entries, or for all pairs
     of the given family."""
-    report = PropertyReport("inclusion", True, witness_cap=witness_cap)
     if family is None:
         pairs = [key for key, _ in op.sorted_entries()]
     else:
         sets = sorted({frozenset(s) for s in family}, key=sorted)
         pairs = [(a, b) for a in sets for b in sets]
-    for v, w in pairs:
-        x = op.lookup(v, w)
-        if not x <= w:
-            report.record((sorted(v), sorted(w), sorted(x)))
-    return report
+    found = [(sorted(v), sorted(w), sorted(x))
+             for v, w in pairs if not (x := op.lookup(v, w)) <= w]
+    return PropertyReport.of("inclusion", found, witness_cap)
 
 
 @dataclass

@@ -96,6 +96,14 @@ def save_distance(dist, path):
 # Operator tables
 
 
+def _backing_ref(lines):
+    """The distance file named on an operator file's optional ``backing:``
+    line, its second logical line, or None."""
+    if len(lines) > 1 and lines[1][1].startswith("backing:"):
+        return _header(lines[1][1], "backing", lines[1][0])
+    return None
+
+
 def parse_operator_table(text, base_dir="."):
     """universe, optional backing distance file, then ``entry: V | W -> X``
     lines with space-separated labels (``-`` for the empty set)."""
@@ -103,14 +111,10 @@ def parse_operator_table(text, base_dir="."):
     if not lines:
         raise FileFormatError("empty operator file")
     universe = _labels(_header(lines[0][1], "universe", lines[0][0]))
-    backing = None
-    rest = lines[1:]
-    if rest and rest[0][1].startswith("backing:"):
-        ref = _header(rest[0][1], "backing", rest[0][0])
-        backing = load_distance(os.path.join(base_dir, ref))
-        rest = rest[1:]
+    ref = _backing_ref(lines)
+    backing = None if ref is None else load_distance(os.path.join(base_dir, ref))
     entries = {}
-    for lineno, line in rest:
+    for lineno, line in lines[1 + (ref is not None):]:
         body = _header(line, "entry", lineno)
         try:
             args, result = body.rsplit("->", 1)
@@ -140,6 +144,15 @@ def format_operator_table(op, backing_ref=None):
 def load_operator_table(path):
     with open(path, encoding="utf-8") as fh:
         return parse_operator_table(fh.read(), base_dir=os.path.dirname(path) or ".")
+
+
+def operator_backing_path(path):
+    """The path of the distance file that the operator file at ``path`` is
+    backed by, resolved against that file's directory as
+    ``load_operator_table`` resolves it, or None when it has no backing."""
+    with open(path, encoding="utf-8") as fh:
+        ref = _backing_ref(list(_logical_lines(fh.read())))
+    return None if ref is None else os.path.join(os.path.dirname(path) or ".", ref)
 
 
 def save_operator_table(op, path, backing_ref=None):

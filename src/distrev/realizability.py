@@ -293,12 +293,12 @@ def solve(system, budget=200_000):
     return Verdict("sat", witness=witness, nodes=nodes)
 
 
-def witness_distance(witness, universe, symmetric=False, mode=OrderMode.REAL):
-    """Convert rank assignments to an integer-cost pseudo-distance; pairs
-    without a variable get a cost above every rank."""
+def witness_distance(witness, universe, symmetric=False):
+    """Convert rank assignments to an integer-cost pseudo-distance under the
+    real order; pairs without a variable get a cost above every rank."""
     default = max(witness.values(), default=0) + 1
     return PseudoDistance.from_function(
-        universe, mode, lambda v, w: witness.get(pair_var(v, w, symmetric), default)
+        universe, OrderMode.REAL, lambda v, w: witness.get(pair_var(v, w, symmetric), default)
     )
 
 

@@ -67,11 +67,12 @@ def valuation_universe(signature, matrix=CLASSICAL):
     return tuple(enumerate_valuations(signature, matrix))
 
 
-def hamming_pseudo_distance(signature, matrix=CLASSICAL, mode=OrderMode.REAL):
-    """Cost = number of differing atoms, over all valuations of a signature."""
+def hamming_pseudo_distance(signature, matrix=CLASSICAL):
+    """Cost = number of differing atoms, over all valuations of a signature,
+    under the real order."""
     universe = valuation_universe(signature, matrix)
     return PseudoDistance.from_function(
-        universe, mode, lambda v, w: Fraction(len(hamming_diff(v, w)))
+        universe, OrderMode.REAL, lambda v, w: Fraction(len(hamming_diff(v, w)))
     )
 
 
@@ -220,7 +221,7 @@ def _model_set_space(signature, matrix):
 
 
 def _labels(*model_sets):
-    """A violation witness; built only when a violation is recorded."""
+    """A violation witness; built only for the witnesses a report keeps."""
     return tuple(_label(s) for s in model_sets)
 
 
@@ -254,10 +255,6 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
         )
     sets, order, rows = space.sets, space.order, space.rows
     n = len(sets)
-    reports = {
-        name: PropertyReport(name, True, witness_cap=witness_cap)
-        for name in ("star0", "star1", "star2", "star3", "star4")
-    }
     vrows, wrows = _pair_rows(rows)
     result = op.revise_rows(vrows, wrows, order)
     # invariance: rebuilding the arguments from their canonical formulas
@@ -272,16 +269,17 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
         "star2": (result & ~wrows).any(axis=1),
         "star3": both.any(axis=1) & (result != both).any(axis=1),
     }
-    for name, bad in failed.items():
-        for p in np.flatnonzero(bad):
-            reports[name].record(_labels(sets[p // n], sets[p % n]))
+    reports = {name: PropertyReport.of(name, np.flatnonzero(bad), witness_cap,
+                                       lambda p: _labels(sets[p // n], sets[p % n]))
+               for name, bad in failed.items()}
     draws = _draws(random.Random(seed), n, 3 * samples).reshape(samples, 3)
     first = result.reshape(n, n, -1)[draws[:, 0], draws[:, 1]] & rows[draws[:, 2]]
     live = np.flatnonzero(first.any(axis=1))
     again = op.revise_rows(rows[draws[live, 0]],
                            rows[draws[live, 1]] & rows[draws[live, 2]], order)
-    for i in live[(again != first[live]).any(axis=1)]:
-        reports["star4"].record(_labels(*(sets[j] for j in draws[i])))
+    reports["star4"] = PropertyReport.of(
+        "star4", live[(again != first[live]).any(axis=1)], witness_cap,
+        lambda i: _labels(*(sets[j] for j in draws[i])))
     return reports
 
 
@@ -333,16 +331,13 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     first = op.revise_rows(np.repeat(gamma, 3, axis=0), branches, order)
     second = op.revise_rows(first, np.repeat(delta, 3, axis=0), order)
     r_a, r_b, r_or = second.reshape(samples, 3, -1).transpose(1, 0, 2)
-    reports = {}
-    for name, bad in (
-        ("disjunction_iteration_1", (r_or & ~(r_a | r_b)).any(axis=1)),
-        ("disjunction_iteration_2",
-         (r_a & ~r_or).any(axis=1) & (r_b & ~r_or).any(axis=1)),
-    ):
-        reports[name] = PropertyReport(name, True, witness_cap=witness_cap)
-        for i in np.flatnonzero(bad):
-            reports[name].record(_labels(*(sets[j] for j in draws[i])))
-    return reports
+    failed = {
+        "disjunction_iteration_1": (r_or & ~(r_a | r_b)).any(axis=1),
+        "disjunction_iteration_2": (r_a & ~r_or).any(axis=1) & (r_b & ~r_or).any(axis=1),
+    }
+    return {name: PropertyReport.of(name, np.flatnonzero(bad), witness_cap,
+                                    lambda i: _labels(*(sets[j] for j in draws[i])))
+            for name, bad in failed.items()}
 
 
 def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
@@ -378,12 +373,11 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
         pair_at = pairs.__getitem__
     result = apply_rows(dist, vrows, wrows, order)
     defined = space.definable_keys
-    dp = PropertyReport("dp", True, witness_cap=witness_cap)
-    cp = PropertyReport("cp", True, witness_cap=witness_cap)
     bad = [p for p, key in enumerate(_row_keys(result).tolist()) if key not in defined]
-    for p, out in zip(bad, _row_sets(result[bad], order)):
-        dp.record(_labels(*pair_at(p), out))
     empty = vrows.any(axis=1) & wrows.any(axis=1) & ~result.any(axis=1)
-    for p in np.flatnonzero(empty):
-        cp.record(_labels(*pair_at(p)))
-    return {"dp": dp, "cp": cp}
+    return {
+        "dp": PropertyReport.of("dp", bad, witness_cap, lambda p: _labels(
+            *pair_at(p), *_row_sets(result[p:p + 1], order))),
+        "cp": PropertyReport.of("cp", np.flatnonzero(empty), witness_cap,
+                                lambda p: _labels(*pair_at(p))),
+    }

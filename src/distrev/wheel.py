@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -473,17 +473,13 @@ def verify_wheel_claims(gadget, sample=None, seed=0):
 def check_sandwich(gadget, patched, witness_cap=16):
     """|h| <= d' <= d <= |h| + 1/2 on every finite-difference pair, d the
     gadget's distance and d' ``patched``."""
-    report = PropertyReport("sandwich", True, witness_cap=witness_cap)
-    for a in gadget.universe:
-        for b in gadget.universe:
-            h = F(len(hamming_diff(gadget.points[a], gadget.points[b])))
-            d = gadget.dist.d(a, b)
-            dp = patched.d(a, b)
-            if d is INF or dp is INF:
-                continue
-            if not (h <= dp <= d <= h + F(1, 2)):
-                report.record((a, b, h, dp, d))
-    return report
+    found = []
+    for a, b in product(gadget.universe, repeat=2):
+        h = F(len(hamming_diff(gadget.points[a], gadget.points[b])))
+        d, dp = gadget.dist.d(a, b), patched.d(a, b)
+        if d is not INF and dp is not INF and not (h <= dp <= d <= h + F(1, 2)):
+            found.append((a, b, h, dp, d))
+    return PropertyReport.of("sandwich", found, witness_cap)
 
 
 def verify_hamming_claims(gadget):

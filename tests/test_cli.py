@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -222,6 +223,34 @@ def test_loop_over_a_backing_that_misses_a_point_exits_2(workdir, capsys):
     assert "result" not in out and err.startswith("error: ")
 
 
+def test_loop_report_names_its_backing(workdir, capsys):
+    # editing only the backing turns fail into pass; the report once named
+    # the operator file alone, with the same hash both times
+    _write(workdir / "op.txt", "universe: a b c\nbacking: d.txt\nentry: a | b c -> c\n")
+    _write(workdir / "fam.txt", "a\nb\nc\na b\na c\nb c\na b c\n")
+    codes = []
+    for rows in (b"0 1 1\n1 0 1\n1 1 0\n", b"0 1 1\n1 0 2\n1 3 0\n"):
+        text = b"mode: real\npoints: a b c\n" + rows
+        (workdir / "d.txt").write_bytes(text)
+        codes.append(main(["loop", "op.txt", "--family", "fam.txt"]))
+        out = capsys.readouterr().out
+        assert (f"\ninput.backing: {os.path.join('.', 'd.txt')}\n"
+                f"input.backing.sha256: {hashlib.sha256(text).hexdigest()}\n") in out
+    assert codes == [1, 0]
+    _write(workdir / "bare.txt", "universe: a b c\nentry: a | b c -> c\n")
+    main(["loop", "bare.txt"])
+    assert "input.backing" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["realize", "loop"])
+def test_repeated_universe_label_exits_2(workdir, capsys, command):
+    # the table once loaded, and realize printed status: sat and exited 0
+    _write(workdir / "op.txt", "universe: a a b\nentry: a | a b -> a\n")
+    assert main([command, "op.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: repeated universe labels ['a']\n"
+
+
 def test_agm_sweep(workdir, hamming_file, capsys):
     code = main(
         ["agm", hamming_file, "--atoms", "p,q", "--samples", "300", "--seed", "7"]
@@ -367,10 +396,10 @@ def _report_under_hash_seed(seed, args, cwd):
 
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
-    # a passing exhaustive run and a sampled run; wheel: an exhaustive and
-    # a sampled abstract sweep; realize: the wheel fragment, whose conflict
-    # follows the order of the solver's path search; agm: the postulate
-    # sweep over the cached model-set space
+    # the same from a subdirectory, a passing exhaustive run and a sampled
+    # run; wheel: an exhaustive and a sampled abstract sweep; realize: the
+    # wheel fragment, whose conflict follows the order of the solver's path
+    # search; agm: the postulate sweep over the cached model-set space
     _write(
         workdir / "cyclic.txt",
         "universe: 00 01 10 11\nbacking: hamming.txt\n"
@@ -379,6 +408,13 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     )
     _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
     _write(workdir / "fam.txt", "00\n01\n10\n00 01\n00 10\n01 10\n00 01 10\n")
+    (workdir / "sub").mkdir()
+    _write(
+        workdir / "sub" / "cyclic.txt",
+        "universe: 00 01 10 11\nbacking: ../hamming.txt\n"
+        "entry: 01 | 00 10 -> 00\nentry: 10 | 00 01 -> 01\n"
+        "entry: 00 | 01 10 -> 10\n",
+    )
     _write(
         workdir / "three.txt",
         "universe: a b c\nentry: a b c | a b c -> a\n"
@@ -390,6 +426,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     )
     runs = [
         ["loop", "cyclic.txt", "--k", "3", "--family", "fam.txt"],
+        ["loop", os.path.join("sub", "cyclic.txt"), "--k", "3", "--family", "fam.txt"],
         ["loop", "op.txt", "--k", "3", "--family", "fam.txt"],
         ["loop", "op.txt", "--k", "3", "--family", "fam.txt", "--budget", "50",
          "--samples", "200", "--seed", "3"],
@@ -400,9 +437,15 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         ["wheel", "--n", "3", "--samples", "500", "--dir", "art"],
         ["agm", "hamming.txt", "--atoms", "p,q"],
     ]
-    codes = []
+    codes, reports = [], []
     for args in runs:
         first = _report_under_hash_seed(0, args, workdir)
         assert first == _report_under_hash_seed(1, args, workdir), args
         codes.append(first[0])
-    assert codes == [1, 0, 0, 1, 0, 0, 1, 0, 0]
+        reports.append(first[1])
+    assert codes == [1, 1, 0, 0, 1, 0, 0, 1, 0, 0]
+    # a backing is named as resolved against its operator file's directory
+    digest = hashlib.sha256((workdir / "hamming.txt").read_bytes()).hexdigest()
+    for report, path in ((reports[0], os.path.join(".", "hamming.txt")),
+                         (reports[1], os.path.join("sub", "..", "hamming.txt"))):
+        assert f"\ninput.backing: {path}\ninput.backing.sha256: {digest}\n".encode() in report

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from distrev.costs import (
     parse_cost,
 )
 from distrev.errors import FileFormatError, ModeMismatchError, UnknownAtomError
-from distrev.logic import Valuation
+from distrev.logic import Valuation, enumerate_valuations
 
 F = Fraction
 
@@ -212,3 +214,49 @@ def test_hir_check():
     assert check_hir(good, vals).passed
     bad = good.replaced({("a", "b"): F(5)})  # h=1 pair costs above the h=2 pair
     assert not check_hir(bad, vals).passed
+
+
+# ---------------------------------------------------------------------------
+# Witness order: each checker reports every violation and keeps the first
+# 16 in plain enumeration order.
+
+
+def _seeded(universe, seed, low, high):
+    rng = random.Random(seed)
+    return _full(universe, lambda v, w: F(rng.randrange(low, high)))
+
+
+def test_symmetric_ir_positive_witnesses_follow_enumeration_order():
+    pts = tuple("abcdefghi")
+    dist = _seeded(pts, 1, -1, 2)
+    d = dist.d
+    expected = {
+        "symmetric": [(v, w) for v, w in itertools.combinations(pts, 2) if d(v, w) != d(w, v)],
+        "ir": [(v, w) for v, w in itertools.product(pts, repeat=2)
+               if (d(v, w) == 0) != (v == w)],
+        "positive": [(v, w) for v, w in itertools.product(pts, repeat=2) if d(v, w) < 0],
+    }
+    for prop, found in expected.items():
+        assert len(found) > 16, prop
+        report = check_property(dist, prop)
+        assert (report.name, report.passed) == (prop, False)
+        assert report.witnesses == found[:16], prop
+        assert report.total_violations == len(found), prop
+
+
+def test_hir_witnesses_follow_enumeration_order():
+    sig = ("x", "y", "z")
+    vals = {v.label(): v for v in enumerate_valuations(sig)}
+    pts = tuple(vals)
+    dist = _seeded(pts, 2, 0, 4)
+
+    def h(v, w):
+        return sum(vals[v][a] != vals[w][a] for a in sig)
+
+    found = [(v, w, x) for v, w, x in itertools.product(pts, repeat=3)
+             if h(v, w) < h(v, x) and dist.d(v, w) >= dist.d(v, x)]
+    assert len(found) > 16
+    report = check_hir(dist, vals)
+    assert (report.name, report.passed) == ("hir", False)
+    assert report.witnesses == found[:16]
+    assert report.total_violations == len(found)

@@ -126,6 +126,25 @@ def test_check_inclusion():
     assert not check_inclusion(bad).passed
 
 
+def test_inclusion_witnesses_follow_enumeration_order():
+    # every pair of non-empty subsets has an explicit entry with a seeded
+    # result; the entries and a shuffled family of all subsets give the
+    # same pairs in the same order, V then W by their sorted labels
+    rng = random.Random(3)
+    subsets = [frozenset(c) for r in range(1, 5) for c in itertools.combinations(U, r)]
+    op = OperatorTable(U, {(v, w): rng.choice(subsets) for v in subsets for w in subsets})
+    ordered = sorted(subsets, key=sorted)
+    found = [(sorted(v), sorted(w), sorted(op.entries[v, w]))
+             for v in ordered for w in ordered if not op.entries[v, w] <= w]
+    assert len(found) > 16
+    family = list(subsets)
+    rng.shuffle(family)
+    for report in (check_inclusion(op), check_inclusion(op, family)):
+        assert (report.name, report.passed) == ("inclusion", False)
+        assert report.witnesses == found[:16]
+        assert report.total_violations == len(found)
+
+
 def _all_nonempty_subsets(universe):
     return [
         frozenset(c)

@@ -278,11 +278,11 @@ def _scalar_agm(op, matrix=CLASSICAL, samples=0, seed=0):
     sig = op.signature
     sets = nonempty_model_sets(sig, matrix)
     found = {name: [] for name in ("star0", "star1", "star2", "star3", "star4")}
+    trip = {s: frozenset(models([canonical_dnf(s, sig)], sig, matrix)) for s in sets}
     for vset in sets:
         for wset in sets:
             result = op.revise_models(vset, wset)
-            v2 = frozenset(models([canonical_dnf(vset, sig)], sig, matrix))
-            w2 = frozenset(models([canonical_dnf(wset, sig)], sig, matrix))
+            v2, w2 = trip[vset], trip[wset]
             if (v2, w2) != (vset, wset) or op.revise_models(v2, w2) != result:
                 found["star0"].append((_labels(vset), _labels(wset)))
             if not result:
@@ -400,6 +400,30 @@ def test_agm_report_matches_scalar_loop_on_fn_operator():
     assert not reports["star2"].passed
     reference = _scalar_agm(op, matrix=matrix, samples=200, seed=1)
     _assert_reports_equal(reports, reference, cap=3)
+
+
+def test_agm_builds_only_the_witnesses_it_keeps(monkeypatch):
+    # a failing 3-atom distance with about 52,000 star3 violations: each
+    # report counts them all but labels only the ones it keeps
+    sig = ("p", "q", "r")
+    universe = valuation_universe(sig)
+    rng = random.Random(0)
+    table = {(v, w): F(rng.randrange(0, 3)) for v in universe for w in universe}
+    op = RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
+    built = []
+
+    def spy(*model_sets):
+        built.append(model_sets)
+        return labels(*model_sets)
+
+    labels = revision._labels
+    monkeypatch.setattr(revision, "_labels", spy)
+    reports = check_agm(op, samples=500, seed=2)
+    assert reports["star3"].total_violations > 50_000
+    assert all(len(rep.witnesses) <= 16 for rep in reports.values())
+    assert len(built) == sum(len(rep.witnesses) for rep in reports.values())
+    monkeypatch.undo()
+    _assert_reports_equal(reports, _scalar_agm(op, samples=500, seed=2))
 
 
 def _asymmetric_op(sig, seed):

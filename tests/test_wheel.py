@@ -808,6 +808,26 @@ def test_corrupted_hamming_rung_breaks_sandwich_not_hir():
     assert report.witnesses == [("v3", "w3", 2, F(49, 20), F(12, 5))]
 
 
+def test_sandwich_witnesses_follow_enumeration_order():
+    # raising every off-diagonal cost by 1/4 breaks d' <= d on each
+    # finite pair
+    g = build_hamming_wheel(n=1)
+    raised = PseudoDistance.from_function(
+        g.universe, g.dist.mode,
+        lambda a, b: g.dist.d(a, b) + F(1, 4) if a != b else g.dist.d(a, b))
+    found = []
+    for a, b in itertools.product(g.universe, repeat=2):
+        h = F(len(hamming_diff(g.points[a], g.points[b])))
+        d, dp = g.dist.d(a, b), raised.d(a, b)
+        if INF not in (d, dp) and not (h <= dp and dp <= d and d <= h + F(1, 2)):
+            found.append((a, b, h, dp, d))
+    assert len(found) > 16
+    report = check_sandwich(g, raised)
+    assert (report.name, report.passed) == ("sandwich", False)
+    assert report.witnesses == found[:16]
+    assert report.total_violations == len(found)
+
+
 def test_corrupted_hamming_rung_breaks_equality(monkeypatch):
     # mutation check: the same rung corruption makes the Hamming sweep's
     # operator equality fail, and with it the claims check

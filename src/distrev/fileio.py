@@ -33,11 +33,19 @@ def _labels(text):
     return tuple(text.split())
 
 
-def _set_labels(text):
+def _distinct(labels, lineno, what):
+    """``labels``, refused naming the line when one of them repeats."""
+    repeated = sorted({a for a in labels if labels.count(a) > 1})
+    if repeated:
+        raise FileFormatError(f"line {lineno}: repeated {what} {repeated}")
+    return labels
+
+
+def _set_labels(text, lineno):
     text = text.strip()
     if text == "-":
         return frozenset()
-    return frozenset(text.split())
+    return frozenset(_distinct(text.split(), lineno, "labels in one set"))
 
 
 def _format_set(labels):
@@ -123,10 +131,10 @@ def parse_operator_table(text, base_dir="."):
             raise FileFormatError(
                 f"line {lineno}: expected 'entry: V | W -> X'"
             ) from exc
-        key = (_set_labels(vpart), _set_labels(wpart))
+        key = (_set_labels(vpart, lineno), _set_labels(wpart, lineno))
         if key in entries:
             raise FileFormatError(f"line {lineno}: duplicate entry")
-        entries[key] = _set_labels(result)
+        entries[key] = _set_labels(result, lineno)
     return OperatorTable(universe, entries, backing=backing)
 
 
@@ -168,7 +176,7 @@ def parse_family(text):
     """One set per line, space-separated labels; the empty set is rejected."""
     sets = []
     for lineno, line in _logical_lines(text):
-        labels = _set_labels(line)
+        labels = _set_labels(line, lineno)
         if not labels:
             raise FileFormatError(f"line {lineno}: family sets must be non-empty")
         sets.append(labels)
@@ -189,7 +197,8 @@ def parse_theory_file(text):
     lines = list(_logical_lines(text))
     if not lines:
         raise FileFormatError("empty theory file")
-    signature = _labels(_header(lines[0][1], "atoms", lines[0][0]))
+    lineno, header = lines[0]
+    signature = _distinct(_labels(_header(header, "atoms", lineno)), lineno, "atoms")
     formulas = []
     for lineno, line in lines[1:]:
         try:

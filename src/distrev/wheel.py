@@ -14,7 +14,6 @@ gadget, one below Hamming difference 3 in the Hamming gadget.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,7 +35,6 @@ from .distops import (
     _mask_dtype,
     _rank_parts,
     _subset_table,
-    apply_rows,
     check_inclusion,
     find_loop_violation,
     least_rank_rows,
@@ -249,10 +247,12 @@ def _disordered(a, b):
 
 def _row_flags(size, n, bad):
     """``bad(vm)`` over every V mask below ``size``, in chunks of about
-    ``APPLY_CHUNK_CELLS`` (V, point) cells."""
+    ``APPLY_CHUNK_CELLS`` (V, point) cells, into one flag per V."""
     step = max(1, APPLY_CHUNK_CELLS // n)
-    return np.concatenate([bad(np.arange(lo, min(lo + step, size)))
-                           for lo in range(0, size, step)])
+    flags = np.empty(size, bool)
+    for lo in range(0, size, step):
+        flags[lo:lo + step] = bad(np.arange(lo, min(lo + step, size)))
+    return flags
 
 
 def _witnesses(vmasks, order, cap, differ):
@@ -270,14 +270,6 @@ def _witnesses(vmasks, order, cap, differ):
             for key in np.sort(np.concatenate(keys))[:cap].tolist()]
 
 
-def _mask_rows(masks, n):
-    """Boolean membership rows of the given point masks over n points."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                           dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
-
-
 def _labels_of(mask, order):
     return frozenset(order[j] for j in range(len(order)) if mask >> j & 1)
 
@@ -286,11 +278,19 @@ def _labels_of(mask, order):
 class EqualityReport:
     pairs_checked: int
     mismatches: list
-    sampled: bool
 
     @property
     def passed(self):
         return not self.mismatches
+
+
+def _folds(rows, ufunc):
+    """``ufunc`` folded over rows[i] for the members i of each point mask
+    (0 for none), read off the ``_subset_table``s of the low and the high
+    half of the points: no table over every mask is held."""
+    half = len(rows) // 2
+    low, high = (_subset_table(part, ufunc, 0) for part in (rows[:half], rows[half:]))
+    return lambda masks: ufunc(low[masks & (1 << half) - 1], high[masks >> half])
 
 
 def _reduction_sweep(dist, near, nx, order, cap):
@@ -301,54 +301,59 @@ def _reduction_sweep(dist, near, nx, order, cap):
     the wheel parts alone; ``near[i]`` masks the points that point i meets
     in an off-wheel near pair."""
     n = len(order)
-    size, xmask = 1 << n, (1 << nx) - 1
+    xmask = (1 << nx) - 1
     mask_t = _mask_dtype(n)
-    near = _subset_table(near, np.bitwise_or, 0)  # [V]
-    free = ~near & mask_t.type(size - 1)  # A
-    ones = _subset_table(np.ones(n, np.uint8), np.add, 0)  # popcounts
-    vx_any = (np.arange(size) & xmask) != 0
-    pairs = 0
-    for part, sign in ((free, 1), (free >> nx, -1)):  # sum of 2^|A| - 2^|A off-wheel|
-        pairs += sign * sum(
-            c << k for k, c in enumerate(np.bincount(ones[part][vx_any]).tolist()))
+    near_of = _folds(near, np.bitwise_or)
+    count = _folds(np.ones(n, np.int64), np.add)  # popcounts
 
     def f(vm):
         return least_rank_rows(dist, vm, order)
 
     top, bit = f([0])[0, 0], np.arange(n, dtype=mask_t)
+    pairs = 0
 
     def bad(vm):
-        # the points outside A, at the top rank on both sides, tie with
-        # each other above the rest, so only the pairs of A count
-        inside = (free[vm][:, None] >> bit & 1).astype(bool)
+        # A, the points that no member of V is near, holds 2^|A| - 2^|A
+        # off-wheel| W's that meet the wheel; the points outside A, at the
+        # top rank on both sides, tie with each other above the rest, so
+        # only the pairs of A count
+        nonlocal pairs
+        free = ~near_of(vm) & mask_t.type((1 << n) - 1)  # A
+        wheel = (vm & xmask) != 0
+        pairs += int(np.sum((1 << count(free)) - (1 << count(free >> nx)), where=wheel))
+        inside = (free[:, None] >> bit & 1).astype(bool)
         fa = np.where(inside, f(vm), top)
         wheel_top = np.max(fa[:, :nx], axis=1, where=inside[:, :nx], initial=0)
-        return (_disordered(fa[:, :nx], np.where(inside[:, :nx], f(vm & xmask)[:, :nx], top))
-                | ((fa[:, nx:].min(axis=1, initial=top) <= wheel_top) & inside[:, :nx].any(axis=1)))
-
-    wmask = np.arange(size, dtype=mask_t)
+        return wheel & (
+            _disordered(fa[:, :nx], np.where(inside[:, :nx], f(vm & xmask)[:, :nx], top))
+            | ((fa[:, nx:].min(axis=1, initial=top) <= wheel_top) & inside[:, :nx].any(axis=1)))
 
     def differ(vm):
         h = f(vm & xmask)
         h[:, nx:] = top  # the wheel part's minimization, off-wheel points never least
-        scope = ((wmask & near[vm][:, None]) == 0) & ((wmask & xmask) != 0)
-        return scope & (_least_members(f(vm), mask_t) != _least_members(h, mask_t))
+        found = _least_members(f(vm), mask_t) != _least_members(h, mask_t)
+        wmask = np.arange(1 << n, dtype=mask_t)
+        return found & ((wmask & near_of(vm)[:, None]) == 0) & ((wmask & xmask) != 0)
 
-    flags = _row_flags(size, n, bad) & vx_any
-    return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ), False)
+    flags = _row_flags(1 << n, n, bad)
+    return EqualityReport(pairs, _witnesses(np.flatnonzero(flags), order, cap, differ))
 
 
 def sweep_bytes(table, dist):
-    """Bytes that the exhaustive sweep of ``wheel_equality_sweep`` holds at
-    most: the part tables of the table's backing and of ``dist`` over
-    ``dist.universe`` (``_rank_parts``, built here if not yet held), which
-    the sweeps read their V rows from; per V mask, the reduction tables of
-    a Hamming gadget's claims check and the flagged V masks; per chunk
-    cell, the V rows read, the order checks' sorted rows and pair tests,
-    then two folded W rows with their transients (a chunk holds one row at
-    least).  ``table`` must have a backing (else ``UndefinedPairError``),
-    and it, its backing and ``dist`` the same points (else
-    ``UnknownAtomError``)."""
+    """Bytes that the sweeps of a claims check hold at most, besides the
+    mismatches they list: the exhaustive sweep of ``wheel_equality_sweep``
+    and the Hamming reduction sweep.  Both hold the part tables of the
+    table's backing and of ``dist`` over ``dist.universe`` (``_rank_parts``,
+    built here if not yet held), which they read their V rows from, and one
+    flag per V mask.  Then they hold the larger of two passes.  The order
+    checks read V rows in chunks of about ``APPLY_CHUNK_CELLS`` (V, point)
+    cells; per cell they hold two ranks read, the stable sort's index
+    (8 B), two sorted ranks and at most four boolean pair tests.  The folds
+    of the flagged V's run over chunks of as many W cells, one V at least;
+    per cell they hold two folded masks, one least rank and the fold's
+    transients, under two masks.  ``table`` must have a backing (else
+    ``UndefinedPairError``), and it, its backing and ``dist`` the same
+    points (else ``UnknownAtomError``)."""
     if table.backing is None:
         raise UndefinedPairError("the sweep reads pairs off the table's backing distance")
     if not set(table.universe) == set(table.backing.universe) == set(dist.universe):
@@ -357,35 +362,22 @@ def sweep_bytes(table, dist):
     mask = _mask_dtype(n).itemsize
     tables = [_rank_parts(d, dist.universe) for d in (table.backing, dist)]
     rank = max(top.itemsize for _, top, _ in tables)
-    held = sum(part.nbytes for _, _, parts in tables for *_, part in parts)
-    per_v = 3 * mask + 24
-    per_cell = 2 * rank + 5 * mask + 6
-    return (held + (per_v << n) + (6 * rank + 2 * mask + 16) * APPLY_CHUNK_CELLS
-            + per_cell * max(APPLY_CHUNK_CELLS, 1 << n))
+    held = sum(part.nbytes for _, _, parts in tables for *_, part in parts) + (1 << n)
+    order_cells = min(1 << n, max(1, APPLY_CHUNK_CELLS // n)) * n
+    fold_cells = min(1 << n, max(1, APPLY_CHUNK_CELLS >> n)) << n
+    return held + max((4 * rank + 12) * order_cells, (4 * mask + rank) * fold_cells)
 
 
-def wheel_equality_sweep(table, dist, sample=None, seed=0, witness_cap=16):
-    """The (V, W) pairs, over every subset pair of ``dist``'s universe or
-    over ``sample`` seeded random pairs when given, on which ``table`` and
-    the minimization of ``dist`` differ, the first ``witness_cap`` of them.
-    ``table`` and its backing must be on ``dist``'s points, as
-    ``sweep_bytes`` checks first.  The exhaustive sweep raises
+def wheel_equality_sweep(table, dist, witness_cap=16):
+    """The (V, W) pairs, over every subset pair of ``dist``'s universe, on
+    which ``table`` and the minimization of ``dist`` differ, the first
+    ``witness_cap`` of them.  ``table`` and its backing must be on
+    ``dist``'s points, as ``sweep_bytes`` checks first; the sweep raises
     ``BoundExceededError`` before it allocates when ``sweep_bytes`` is over
     ``SWEEP_MAX_BYTES``."""
     need = sweep_bytes(table, dist)
     order = list(dist.universe)
     n = len(order)
-    report = EqualityReport(1 << 2 * n if sample is None else sample, [], sample is not None)
-    if sample is not None:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(sample)]
-        vrows, wrows = (_mask_rows([pair[side] for pair in pairs], n) for side in (0, 1))
-        lhs = table.lookup_rows(vrows, wrows, order)
-        rhs = apply_rows(dist, vrows, wrows, order)
-        for p in np.flatnonzero((lhs != rhs).any(axis=1))[:witness_cap]:
-            vmask, wmask = pairs[p]
-            report.mismatches.append((_labels_of(vmask, order), _labels_of(wmask, order)))
-        return report
     if need > SWEEP_MAX_BYTES:
         raise BoundExceededError(
             f"the exhaustive sweep over {n} points needs about {need >> 20} MiB, "
@@ -416,8 +408,7 @@ def wheel_equality_sweep(table, dist, sample=None, seed=0, witness_cap=16):
 
     flags = _row_flags(1 << n, n, lambda vm: _disordered(f(vm), g(vm)))
     flags[list(entries)] = True
-    report.mismatches = _witnesses(np.flatnonzero(flags), order, witness_cap, differ)
-    return report
+    return EqualityReport(1 << 2 * n, _witnesses(np.flatnonzero(flags), order, witness_cap, differ))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +437,7 @@ class ClaimsReport:
         )
 
 
-def _verify(gadget, properties_of, sample=None, seed=0):
+def _verify(gadget, properties_of):
     """The claims common to both gadgets, on the fresh rung r that no pair
     takes: the modified operator's fragment is unrealizable, its entries
     are inclusive, rung r's patch equals the patched minimization, and the
@@ -456,18 +447,16 @@ def _verify(gadget, properties_of, sample=None, seed=0):
     patched_op, patched_dist = gadget.patch(r)
     verdict = solve_table(proof_fragment(gadget))
     inclusion = check_inclusion(gadget.op)
-    equality = wheel_equality_sweep(patched_op, patched_dist, sample, seed)
+    equality = wheel_equality_sweep(patched_op, patched_dist)
     loop = find_loop_violation(gadget.op, loop_family_generators(gadget.m), 2 * gadget.m)
     return ClaimsReport(r, verdict, inclusion, equality, None, properties_of(patched_dist), loop)
 
 
-def verify_wheel_claims(gadget, sample=None, seed=0):
+def verify_wheel_claims(gadget):
     """Machine-check the abstract gadget, with the four real-order
-    properties of the patched distance.  The sweep is exhaustive, or draws
-    ``sample`` seeded pairs when given."""
+    properties of the patched distance.  The sweep is exhaustive."""
     return _verify(gadget, lambda patched: {f"patched.{prop}": check_property(patched, prop)
-                                            for prop in ("symmetric", "ir", "positive", "tir")},
-                   sample=sample, seed=seed)
+                                            for prop in ("symmetric", "ir", "positive", "tir")})
 
 
 def check_sandwich(gadget, patched, witness_cap=16):

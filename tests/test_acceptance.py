@@ -57,7 +57,6 @@ def test_criterion_1_abstract_wheel_m4(announce, tmp_path):
     ok = (
         report.fragment_verdict.status == "unsat"
         and report.equality.passed
-        and not report.equality.sampled
         and report.equality.pairs_checked >= 256 * 256
         and all(r.passed for r in report.properties.values())
         and not report.loop.passed
@@ -79,25 +78,20 @@ def test_criterion_1_abstract_wheel_m4(announce, tmp_path):
 
 
 def test_criterion_2_abstract_wheel_m5_m6(announce):
-    """Same gadget at m=5 (exhaustive) and m=6 (1e5 sampled pairs): zero
-    mismatches and all distance properties hold."""
+    """Same gadget at m=5 and m=6, both swept exhaustively: zero mismatches
+    over every pair and all distance properties hold."""
     ok = True
     details = []
-    for n, sample in ((2, None), (3, 100_000)):
+    for n, pairs in ((2, 1 << 24), (3, 1 << 28)):  # 12 and 14 points
         gadget = build_wheel_gadget(n=n)
-        report = verify_wheel_claims(gadget, sample=sample, seed=0)
+        report = verify_wheel_claims(gadget)
         m = gadget.m
         this_ok = (
             report.fragment_verdict.status == "unsat"
             and report.equality.passed
+            and report.equality.pairs_checked == pairs
             and all(r.passed for r in report.properties.values())
         )
-        if sample is None:
-            this_ok = this_ok and not report.equality.sampled
-            this_ok = this_ok and report.equality.pairs_checked >= 1024 * 1024
-        else:
-            this_ok = this_ok and report.equality.sampled
-            this_ok = this_ok and report.equality.pairs_checked == sample
         ok = ok and this_ok
         details.append(f"m={m}:{report.equality.pairs_checked} pairs")
     announce(

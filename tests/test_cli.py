@@ -59,6 +59,15 @@ def test_revise_parse_error_exits_2(workdir, hamming_file):
     assert main(["revise", gamma, delta, hamming_file]) == 2
 
 
+def test_revise_repeated_atom_exits_2(workdir, hamming_file, capsys):
+    # as agm --atoms p,p does; the two p's were read as separate atoms
+    gamma = _write(workdir / "gamma.txt", "# header\natoms: p p\np\n")
+    delta = _write(workdir / "delta.txt", "atoms: p q\n!p\n")
+    assert main(["revise", gamma, delta, hamming_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 2: repeated atoms ['p']\n"
+
+
 def test_revise_missing_file_exits_2(workdir, hamming_file):
     gamma = _write(workdir / "gamma.txt", "atoms: p q\np\n")
     assert main(["revise", gamma, "nope.txt", hamming_file]) == 2
@@ -140,8 +149,8 @@ def test_wheel_abstract(workdir, capsys):
 
 
 def test_wheel_hamming(workdir, capsys):
-    # the Hamming variant never samples, but accepts and reports a seed, so
-    # that callers can pass one seed to both variants
+    # neither variant draws anything, but both accept and report a seed, so
+    # that callers passing one keep working
     code = main(["wheel", "--variant", "hamming", "--n", "1", "--seed", "5", "--dir", "art"])
     out = capsys.readouterr().out
     assert code == 0
@@ -150,13 +159,11 @@ def test_wheel_hamming(workdir, capsys):
     assert os.path.exists("art/hamming-fragment.txt")
 
 
-def test_wheel_abstract_sweeps_exhaustively_unless_sampled(workdir, capsys):
-    # m = 6, 14 points: every one of the 2^28 pairs by default, and the
-    # seeded draws only when a sample size is given
-    assert main(["wheel", "--n", "3", "--dir", "art"]) == 0
-    assert "equality: pass (268435456 pairs, exhaustive)\n" in capsys.readouterr().out
-    assert main(["wheel", "--n", "3", "--samples", "500", "--dir", "art"]) == 0
-    assert "equality: pass (500 pairs, sampled)\n" in capsys.readouterr().out
+def test_wheel_abstract_sweeps_exhaustively(workdir, capsys):
+    # m = 6, 14 points: every one of the 2^28 pairs, whatever the seed
+    for seed in ("0", "9"):
+        assert main(["wheel", "--n", "3", "--seed", seed, "--dir", "art"]) == 0
+        assert "equality: pass (268435456 pairs, exhaustive)\n" in capsys.readouterr().out
 
 
 def _assert_refused_over_memory_cap(argv, capsys):
@@ -167,15 +174,15 @@ def _assert_refused_over_memory_cap(argv, capsys):
 
 
 def test_wheel_hamming_over_memory_cap_exits_4(workdir, capsys):
-    # m = n + 3 = 11, the smallest Hamming gadget whose sweep estimate is
+    # m = n + 3 = 12, the smallest Hamming gadget whose sweep estimate is
     # over the 1 GiB cap
-    _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "8"], capsys)
+    _assert_refused_over_memory_cap(["wheel", "--variant", "hamming", "--n", "9"], capsys)
 
 
 @pytest.mark.parametrize("n", ["1", "7"])
 def test_wheel_hamming_rejects_samples_exits_2(workdir, capsys, n):
-    # refused before the gadget is built, even at m = 10, the largest
-    # Hamming gadget that the memory cap admits
+    # no variant samples any more: the option is refused before the gadget
+    # is built, even at m = 10, and leaves no artifacts directory
     argv = ["wheel", "--variant", "hamming", "--n", n, "--samples", "100", "--dir", "art"]
     assert main(argv) == 2
     assert "--samples" in capsys.readouterr().err
@@ -183,8 +190,8 @@ def test_wheel_hamming_rejects_samples_exits_2(workdir, capsys, n):
 
 
 def test_wheel_abstract_over_memory_cap_exits_4(workdir, capsys):
-    # m = 11, the smallest abstract gadget over the same cap
-    _assert_refused_over_memory_cap(["wheel", "--variant", "abstract", "--n", "8"], capsys)
+    # m = 12, the smallest abstract gadget over the same cap
+    _assert_refused_over_memory_cap(["wheel", "--variant", "abstract", "--n", "9"], capsys)
 
 
 def test_wheel_bad_n_exits_2(workdir):
@@ -211,6 +218,17 @@ def test_loop_malformed_family_exits_2(workdir, hamming_file):
     )
     fam = _write(workdir / "fam.txt", "00\n01\n")  # union missing
     assert main(["loop", op_path, "--k", "2", "--family", fam]) == 2
+
+
+def test_repeated_label_in_one_set_exits_2(workdir, capsys):
+    # the repeated label was merged into one without notice
+    _write(workdir / "op.txt", "universe: a b c\nentry: a a | b c -> c\n")
+    _write(workdir / "ok.txt", "universe: a b c\nentry: a | b c -> c\n")
+    _write(workdir / "fam.txt", "a\na a\n")
+    for argv in (["realize", "op.txt"], ["loop", "ok.txt", "--family", "fam.txt"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: line 2: repeated labels in one set ['a']\n"
 
 
 def test_loop_over_a_backing_that_misses_a_point_exits_2(workdir, capsys):
@@ -278,7 +296,8 @@ VACUOUS = {
 def test_counts_below_one_and_empty_property_lists_exit_2(workdir, hamming_file, capsys,
                                                           argv):
     # each would otherwise check nothing and report a pass, or for realize
-    # give up at once as unknown
+    # give up at once as unknown; wheel, which no longer samples, refuses
+    # --samples whatever its count
     _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
     _write(workdir / "fam.txt", "00\n01\n00 01\n")
     assert main(argv) == 2
@@ -308,7 +327,7 @@ SUBCOMMAND_OPTIONS = {
     "revise": {"--out"},
     "check": {"--props", "--out"},
     "realize": {"--symmetric", "--budget", "--out"},
-    "wheel": {"--variant", "--n", "--dir", "--seed", "--samples", "--out"},
+    "wheel": {"--variant", "--n", "--dir", "--seed", "--out"},
     "loop": {"--k", "--family", "--seed", "--budget", "--samples", "--out"},
     "agm": {"--atoms", "--seed", "--samples", "--out"},
 }
@@ -330,7 +349,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
 DROPPED = [("revise", "--seed"), ("revise", "--budget"), ("revise", "--samples"),
            ("check", "--seed"), ("check", "--budget"), ("check", "--samples"),
            ("realize", "--seed"), ("realize", "--samples"),
-           ("wheel", "--budget"), ("agm", "--budget")]
+           ("wheel", "--budget"), ("wheel", "--samples"), ("agm", "--budget")]
 MINIMAL_ARGV = {"revise": ["g.txt", "d.txt", "x.txt"], "check": ["x.txt"],
                 "realize": ["t.txt"], "wheel": [], "agm": ["x.txt", "--atoms", "p,q"]}
 
@@ -397,7 +416,7 @@ def _report_under_hash_seed(seed, args, cwd):
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
     # the same from a subdirectory, a passing exhaustive run and a sampled
-    # run; wheel: an exhaustive and a sampled abstract sweep; realize: the
+    # run; wheel: two exhaustive abstract sweeps, one given a seed; realize: the
     # wheel fragment, whose conflict follows the order of the solver's path
     # search; agm: the postulate sweep over the cached model-set space
     _write(
@@ -434,7 +453,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         ["realize", "sat.txt", "--symmetric"],
         ["wheel", "--n", "1", "--dir", "art"],
         ["realize", "art/wheel-fragment.txt"],
-        ["wheel", "--n", "3", "--samples", "500", "--dir", "art"],
+        ["wheel", "--n", "3", "--seed", "7", "--dir", "art"],
         ["agm", "hamming.txt", "--atoms", "p,q"],
     ]
     codes, reports = [], []

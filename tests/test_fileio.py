@@ -125,6 +125,16 @@ def test_family_roundtrip():
     assert parse_family("a\na b\n") == sets
     with pytest.raises(FileFormatError):
         parse_family("a\n-\n")
+    with pytest.raises(FileFormatError, match="line 2: repeated"):
+        parse_family("a\nb a b\n")
+
+
+@pytest.mark.parametrize("text", ["universe: a b\nentry: a a | b -> b",
+                                  "universe: a b\nentry: a | b b -> b",
+                                  "universe: a b\nentry: a | a b -> b b"])
+def test_operator_entry_repeats_a_label(text):
+    with pytest.raises(FileFormatError, match="line 2: repeated labels in one set"):
+        parse_operator_table(text)
 
 
 def test_theory_file():
@@ -135,3 +145,5 @@ def test_theory_file():
         parse_theory_file("atoms: p\nq\n")  # unknown atom
     with pytest.raises(FileFormatError):
         parse_theory_file("")
+    with pytest.raises(FileFormatError, match="line 1: repeated atoms"):
+        parse_theory_file("atoms: p q p\np\n")

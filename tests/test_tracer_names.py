@@ -1,5 +1,6 @@
 """The benchmark's span tracer rebinds distrev functions by name and reads
-report fields; a rename must fail here rather than in a traced run."""
+report fields, and its workloads run distrev command lines; a rename or a
+dropped flag must fail here rather than in a benchmark run."""
 
 import dataclasses
 import importlib.util
@@ -7,24 +8,24 @@ import inspect
 import tokenize
 from pathlib import Path
 
-from distrev import wheel
+from distrev import cli, wheel
 from distrev.distops import LoopVerdict, OperatorTable, check_loop
 from distrev.realizability import compile_constraints
 from distrev.revision import RevisionOperator
 from distrev.wheel import ClaimsReport, EqualityReport
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def _traced():
-    return _tracer().TRACED
+    return _perfbench("tracer").TRACED
 
 
 def _code_names(module):
@@ -62,7 +63,7 @@ def test_traced_report_fields_exist():
 def test_wheel_counters_of_the_benchmark():
     # the gadgets workload's wheel pair counters come from the traced
     # equality sweep and Hamming claims check
-    tracer = _tracer().Tracer()
+    tracer = _perfbench("tracer").Tracer()
     tracer.install()
     try:
         wheel.verify_hamming_claims(wheel.build_hamming_wheel(n=1))
@@ -94,4 +95,18 @@ def test_atom_count_of_the_benchmark():
     assert all(len(d) == 1 for c in clauses for d in c.disjuncts)
     assert any(len(c.disjuncts) > 1 for c in clauses)
     solved = sum(len(atoms) for _tag, atoms in system.encoded)
-    assert _tracer()._atoms((table,), {}, system) == {"realizability.atoms": solved}
+    assert _perfbench("tracer")._atoms((table,), {}, system) == {"realizability.atoms": solved}
+
+
+def test_gadgets_command_lines_parse(tmp_path, monkeypatch):
+    # each gadgets job runs one distrev command line in a child process;
+    # the jobs are run here with the child replaced by a recorder
+    workloads = _perfbench("workloads")
+    argvs = []
+    monkeypatch.setattr(workloads, "run_child", lambda argv, *rest: argvs.append(argv))
+    for _, job in workloads.Gadgets(1, tmp_path).jobs():
+        job()
+    assert len(argvs) == len(workloads.GADGET_RUNGS)
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).func is cli.cmd_wheel, argv

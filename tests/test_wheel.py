@@ -473,53 +473,49 @@ def test_sweep_block_size_does_not_change_reports(monkeypatch):
     assert _sweep_reports(monkeypatch, 1 << 22) == expected
 
 
-def _scalar_sampled_mismatches(table, dist, sample, seed, cap=16):
-    # the per-pair lookup-versus-apply loop over the sampled sweep's draws
-    order = list(dist.universe)
-    rng = random.Random(seed)
-    found = []
-    for _ in range(sample):
-        vset = _labels_of(rng.randrange(1 << len(order)), order)
-        wset = _labels_of(rng.randrange(1 << len(order)), order)
-        if table.lookup(vset, wset) != apply(dist, vset, wset):
-            found.append((vset, wset))
-    return found[:cap]
-
-
-def test_sampled_sweep_passes_m6():
+def test_exhaustive_sweep_passes_m6():
     gadget = build_wheel_gadget(n=3)
     assert len(gadget.universe) == 14
-    report = wheel_equality_sweep(*gadget.patch(1), sample=10_000, seed=0)
-    assert report.sampled
-    assert report.pairs_checked == 10_000
+    report = wheel_equality_sweep(*gadget.patch(1))
+    assert report.pairs_checked == 1 << 28
     assert report.passed
 
 
-def test_sampled_sweep_catches_corrupted_rung_m6():
+def test_exhaustive_sweep_catches_corrupted_rung_m6():
     # rung 3 made cheaper than every other cost between distinct points
     patched_op, patched_dist = build_wheel_gadget(n=3).patch(1)
     corrupted = patched_dist.replaced({("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)})
-    report = wheel_equality_sweep(patched_op, corrupted, sample=10_000, seed=0)
-    assert not report.passed
-    assert report.mismatches == _scalar_sampled_mismatches(patched_op, corrupted, 10_000,
-                                                           seed=0)
+    report = wheel_equality_sweep(patched_op, corrupted)
+    # the first 16 of many pairs, each a true mismatch
+    assert len(report.mismatches) == 16
+    assert all(patched_op.lookup(v, w) != apply(corrupted, v, w) for v, w in report.mismatches)
 
 
-def test_sampled_sweep_catches_corrupted_entry_m6():
-    # a wrong table entry at the third pair the sweep draws
+def test_exhaustive_sweep_catches_corrupted_entry_m6():
+    # a wrong table entry at one seeded pair
     gadget = build_wheel_gadget(n=3)
     patched_op, patched_dist = gadget.patch(1)
     order = list(gadget.universe)
     rng = random.Random(0)
-    for _ in range(3):
-        vset, wset = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
+    vset, wset = (_labels_of(rng.randrange(1 << len(order)), order) for _ in "vw")
     entries = dict(patched_op.entries)
     entries[vset, wset] = apply(patched_dist, vset, wset) ^ {"x1"}
     corrupted = OperatorTable(order, entries, backing=patched_op.backing)
-    report = wheel_equality_sweep(corrupted, patched_dist, sample=10_000, seed=0)
-    assert report.mismatches == [(vset, wset)]
-    assert report.mismatches == _scalar_sampled_mismatches(corrupted, patched_dist, 10_000,
-                                                           seed=0)
+    assert wheel_equality_sweep(corrupted, patched_dist).mismatches == [(vset, wset)]
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_exhaustive_sweep_lists_each_widened_patch_entry_m6(entry):
+    # the abstract m = 6 patch has 4 entries, the two rungs it redirects
+    # and their mirrors; widening one result by a point of W outside it is
+    # a mismatch on that entry alone
+    patched_op, patched_dist = build_wheel_gadget(n=3).patch(1)
+    assert len(patched_op.entries) == 4
+    (vset, wset), result = sorted(patched_op.entries.items(), key=repr)[entry]
+    entries = dict(patched_op.entries)
+    entries[vset, wset] = result | {min(wset - result)}
+    corrupted = OperatorTable(patched_op.universe, entries, backing=patched_op.backing)
+    assert wheel_equality_sweep(corrupted, patched_dist).mismatches == [(vset, wset)]
 
 
 def test_the_rung_after_a_taken_one_patches():
@@ -617,13 +613,12 @@ def test_sweep_needs_a_backed_table_on_the_distance_points():
         OperatorTable(g.universe + ("y",), g.op.entries, backing=g.dist)
     # one over fewer points than its backing and the distance
     narrower = OperatorTable(g.universe[1:], {}, backing=g.dist)
-    for sample in (None, 10):
-        with pytest.raises(UndefinedPairError):
-            wheel_equality_sweep(unbacked, g.dist, sample=sample)
-        with pytest.raises(UnknownAtomError):
-            wheel_equality_sweep(g.op, build_wheel_gadget(n=2).dist, sample=sample)
-        with pytest.raises(UnknownAtomError):
-            wheel_equality_sweep(narrower, g.dist, sample=sample)
+    with pytest.raises(UndefinedPairError):
+        wheel_equality_sweep(unbacked, g.dist)
+    with pytest.raises(UnknownAtomError):
+        wheel_equality_sweep(g.op, build_wheel_gadget(n=2).dist)
+    with pytest.raises(UnknownAtomError):
+        wheel_equality_sweep(narrower, g.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +746,6 @@ def test_hamming_claims_m5_stay_exhaustive():
     g = build_hamming_wheel(n=2)
     assert len(g.universe) == 13
     report = verify_hamming_claims(g)
-    assert not report.equality.sampled
     assert report.equality.pairs_checked == 67_108_864
     assert report.reduction.pairs_checked == 3_919_113
     assert report.inclusion.passed
@@ -765,7 +759,6 @@ def test_hamming_claims_m6_stay_exhaustive():
     # 15 points: every one of the 2^30 pairs, and the reduction lemma
     g = build_hamming_wheel(n=3)
     report = verify_hamming_claims(g)
-    assert not report.equality.sampled
     assert report.equality.pairs_checked == 1_073_741_824
     assert report.reduction.pairs_checked == 62_862_345
     assert not report.loop.passed and report.loop.k == 11
@@ -867,32 +860,35 @@ def _refusal_peak(verify, g):
         tracemalloc.stop()
 
 
+def _assert_estimate_bounds_peak(verify, g):
+    # the estimate covers the traced peak of a claims check, and from 18
+    # points on, where the sweeps outweigh the rest, is within 1.5 times it
+    peak = _claims_peak(verify, g)
+    assert peak <= sweep_bytes(*g.patch(1))
+    if len(g.universe) >= 18:
+        assert sweep_bytes(*g.patch(1)) <= 1.5 * peak
+
+
 def test_hamming_sweep_estimate_covers_its_peak():
-    for m in (4, 5, 6):
-        g = build_hamming_wheel(m=m)
-        assert _claims_peak(verify_hamming_claims, g) <= sweep_bytes(*g.patch(1)), m
+    for m in (4, 5, 6, 8):
+        _assert_estimate_bounds_peak(verify_hamming_claims, build_hamming_wheel(m=m))
 
 
-@pytest.mark.parametrize("m", (4, 5, 6, 7, 8))
+@pytest.mark.parametrize("m", (4, 5, 6, 7, 8, 9))
 def test_abstract_sweep_estimate_covers_its_peak(m):
-    # one estimate for both gadgets; the abstract sweep is exhaustive at
-    # every size it admits
-    g = build_wheel_gadget(m=m)
-    assert _claims_peak(verify_wheel_claims, g) <= sweep_bytes(*g.patch(1))
+    # one estimate for both gadgets' claims checks
+    _assert_estimate_bounds_peak(verify_wheel_claims, build_wheel_gadget(m=m))
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
-    # m=11, 25 points: the per-V tables and the folded W rows of 2^25 masks
-    # put the estimate at about 2 GiB; m=10 is the largest it admits
-    assert sweep_bytes(*build_hamming_wheel(m=10).patch(1)) <= wheel.SWEEP_MAX_BYTES
-    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=11)) < 16 << 20
+    # m=12, 27 points: the folded W rows of 2^27 masks put the estimate at
+    # about 2.3 GiB; m=11 is the largest it admits
+    assert sweep_bytes(*build_hamming_wheel(m=11).patch(1)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=12)) < 16 << 20
 
 
 def test_abstract_sweep_refuses_oversized_tables_before_allocating():
-    # m=11, 24 points: the same estimate is just over 1 GiB; m=10 is the
-    # largest it admits, and a sample size still samples above it
-    assert sweep_bytes(*build_wheel_gadget(m=10).patch(1)) <= wheel.SWEEP_MAX_BYTES
-    g = build_wheel_gadget(m=11)
-    assert _refusal_peak(verify_wheel_claims, g) < 16 << 20
-    report = wheel_equality_sweep(*g.patch(1), sample=500)
-    assert report.sampled and report.pairs_checked == 500 and report.passed
+    # m=12, 26 points: the same estimate is just over 1.1 GiB; m=11 is the
+    # largest it admits
+    assert sweep_bytes(*build_wheel_gadget(m=11).patch(1)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_wheel_claims, build_wheel_gadget(m=12)) < 16 << 20

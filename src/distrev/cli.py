@@ -8,7 +8,6 @@ Exit codes: 0 pass/SAT, 1 fail/UNSAT, 2 input error, 3 inconsistency,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -66,6 +65,9 @@ class Report:
             self.lines.append(f"  - {item}")
 
     def add_input(self, name, path):
+        # imported here: libcrypto costs ~3.6 MB RSS, and only input-reading commands digest
+        import hashlib
+
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.add(f"input.{name}", path)

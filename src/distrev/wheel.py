@@ -236,11 +236,17 @@ def _least_members(rows, mask_t):
 
 
 def _disordered(a, b):
-    """Per row, whether the rank rows a and b [k, n] order some pair of
-    points differently: sorted by a, b must not fall and must tie exactly
-    where a ties."""
-    by_a = np.argsort(a, axis=1, kind="stable")
-    a, b = np.take_along_axis(a, by_a, 1), np.take_along_axis(b, by_a, 1)
+    """Per row, whether the unsigned rank rows a and b [k, n] order some
+    pair of points differently.  Each row's (a, b) pairs are sorted as
+    packed keys a << s | b, twice the wider rank's width, in place; b then
+    rises within each tie of a, so the rows agree exactly when b never
+    falls and ties exactly where a ties."""
+    shift = 8 * np.result_type(a, b).itemsize
+    key = a.astype(f"u{shift // 4}")
+    key <<= shift
+    key |= b
+    key.sort(axis=1)
+    a, b = key >> shift, key & (1 << shift) - 1
     return np.any(((a[:, 1:] == a[:, :-1]) != (b[:, 1:] == b[:, :-1]))
                   | (b[:, 1:] < b[:, :-1]), axis=1)
 
@@ -347,11 +353,11 @@ def sweep_bytes(table, dist):
     built here if not yet held), which they read their V rows from, and one
     flag per V mask.  Then they hold the larger of two passes.  The order
     checks read V rows in chunks of about ``APPLY_CHUNK_CELLS`` (V, point)
-    cells; per cell they hold two ranks read, the stable sort's index
-    (8 B), two sorted ranks and at most four boolean pair tests.  The folds
-    of the flagged V's run over chunks of as many W cells, one V at least;
-    per cell they hold two folded masks, one least rank and the fold's
-    transients, under two masks.  ``table`` must have a backing (else
+    cells; per cell they hold two ranks read, their packed key of twice the
+    rank's width, its two halves and at most four boolean pair tests.  The
+    folds of the flagged V's run over chunks of as many W cells, one V at
+    least; per cell they hold two folded masks, one least rank and the
+    fold's transients, under two masks.  ``table`` must have a backing (else
     ``UndefinedPairError``), and it, its backing and ``dist`` the same
     points (else ``UnknownAtomError``)."""
     if table.backing is None:
@@ -365,7 +371,7 @@ def sweep_bytes(table, dist):
     held = sum(part.nbytes for _, _, parts in tables for *_, part in parts) + (1 << n)
     order_cells = min(1 << n, max(1, APPLY_CHUNK_CELLS // n)) * n
     fold_cells = min(1 << n, max(1, APPLY_CHUNK_CELLS >> n)) << n
-    return held + max((4 * rank + 12) * order_cells, (4 * mask + rank) * fold_cells)
+    return held + max((8 * rank + 4) * order_cells, (4 * mask + rank) * fold_cells)
 
 
 def wheel_equality_sweep(table, dist, witness_cap=16):

@@ -402,15 +402,31 @@ def test_report_written_to_out_file(workdir, hamming_file):
     assert "result: pass" in out_path.read_text()
 
 
-def _report_under_hash_seed(seed, args, cwd):
+def _child(argv, cwd, **env):
+    # a fresh interpreter with this distrev first on its path
     src = os.path.dirname(os.path.dirname(distrev.__file__))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "distrev.cli", *args],
-        cwd=cwd, env=env, capture_output=True, check=False,
-    )
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+
+
+def _report_under_hash_seed(seed, args, cwd):
+    done = _child(["-m", "distrev.cli", *args], cwd, PYTHONHASHSEED=str(seed))
     return done.returncode, done.stdout
+
+
+def test_only_input_digests_load_openssl(workdir, capsys):
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB RSS), so a wheel child,
+    # which reads no input, never imports it; realize still digests its input
+    probe = ("import sys\nfrom distrev.cli import main\n"
+             "code = main(['wheel', '--n', '1', '--dir', 'art'])\n"
+             "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n")
+    assert _child(["-c", probe], workdir).stderr == b"0 False\n"
+    frag = workdir / "art" / "wheel-fragment.txt"
+    assert main(["realize", str(frag)]) == 1
+    digest = hashlib.sha256(frag.read_bytes()).hexdigest()
+    assert f"\ninput.operator.sha256: {digest}\n" in capsys.readouterr().out
 
 
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):

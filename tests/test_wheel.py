@@ -26,6 +26,7 @@ from distrev.errors import (
 from distrev.logic import hamming_diff
 from distrev.realizability import _tag, solve_table, verify_witness
 from distrev.wheel import (
+    _disordered,
     _labels_of,
     _least_members,
     _mask_dtype,
@@ -197,6 +198,49 @@ def test_sweep_columns_match_apply():
     g = build_hamming_wheel(n=1)
     assert g.dist.mode is OrderMode.LIBERAL
     _assert_rows_match_dense(list(g.universe), g.dist, seed=1)
+
+
+def _disordered_pairwise(a, b):
+    # a row is disordered iff some pair (i, j) compares differently in a and b
+    def signs(r):
+        r = r.astype(np.int64)
+        return np.sign(r[:, :, None] - r[:, None, :])
+
+    return (signs(a) != signs(b)).any(axis=(1, 2))
+
+
+@pytest.mark.parametrize("types", [("u1", "u1"), ("u1", "u2"), ("u2", "u2")])
+def test_disordered_matches_pairwise_reference(types):
+    # seeded rank rows over 0 to 16 columns, drawn from five levels that
+    # set the low, the middle and the top bits of each dtype, so ties
+    # abound and every bit of the packed key counts; b is an
+    # order-preserving copy of a with some cells redrawn, or drawn on its
+    # own; then an all-equal row, a reversed row and a row with one tie
+    # broken
+    rng = np.random.default_rng(27)
+    ta, tb = (np.dtype(t) for t in types)
+    la, lb = (np.array([0, 1, 1 << 4 * t.itemsize, np.iinfo(t).max - 1, np.iinfo(t).max], t)
+              for t in (ta, tb))
+    for n in range(17):
+        a = la[rng.integers(0, 5, (300, n))]
+        b = lb[np.searchsorted(la, a)]
+        redraw = rng.random((300, n)) < 0.1
+        b[redraw] = lb[rng.integers(0, 5, redraw.sum())]
+        b[::3] = lb[rng.integers(0, 5, (100, n))]
+        flags = _disordered(a, b)
+        assert flags.dtype == bool and flags.shape == (300,)
+        assert (flags == _disordered_pairwise(a, b)).all(), n
+        if n >= 2:
+            assert flags.any() and not flags.all()
+        rising = np.arange(n)
+        tied = rising // 2 * 2  # (0, 0, 2, 2, ...): the first tie broken below
+        broken = tied.copy()
+        broken[1:2] += 1
+        special = [(np.zeros(n), np.zeros(n), False), (rising, rising[::-1], n >= 2),
+                   (tied, broken, n >= 2)]
+        for x, y, expected in special:
+            row = _disordered(x[None].astype(ta), y[None].astype(tb))
+            assert row.tolist() == [expected] == _disordered_pairwise(x[None], y[None]).tolist()
 
 
 def _random_distance(rng, order, liberal, far=()):

@@ -7,9 +7,11 @@ sub-table of it already has no realizing distance, and the cyclic chain
 condition fails.  Patching a fresh rung restores exact realizability.
 """
 
+from distrev.distops import OperatorTable, find_loop_violation
 from distrev.realizability import solve_table
 from distrev.wheel import (
     build_wheel_gadget,
+    loop_family_generators,
     proof_fragment,
     verify_wheel_claims,
 )
@@ -54,8 +56,17 @@ print("\nequality sweep:", report.equality.pairs_checked, "pairs (exhaustive),",
 for name, prop in report.properties.items():
     print(f"{name}: {'pass' if prop.passed else 'fail'}")
 
-print("\nchain violation at k =", report.loop.k)
+print(f"\nchain violation at k = {report.loop.k} = 2m - 1")
 for i, vset in enumerate(report.loop.chain):
     print(f"  V_{i} = {{{', '.join(sorted(vset))}}}")
+
+# The other side: the patched distance's own minimization is a distance
+# operator, so the chain condition holds for it at every k.  Over the same
+# candidate sets the walk runs out of new premise states and stops there.
+patched = OperatorTable(gadget.universe, backing=gadget.patch(report.rung)[1])
+holds = find_loop_violation(patched, loop_family_generators(gadget.m))
+print("patched distance's operator:",
+      f"passes for every k (fixpoint at depth {holds.fixpoint})"
+      if holds.fixpoint is not None else "FAILS")
 
 print("\nall claims verified:", report.passed)

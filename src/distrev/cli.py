@@ -19,7 +19,7 @@ from .costs import (
     REAL_PROPERTIES,
     check_property,
 )
-from .distops import check_loop, family_closure
+from .distops import OperatorTable, check_loop, family_closure
 from .errors import (
     BoundExceededError,
     DistrevError,
@@ -172,7 +172,7 @@ def cmd_realize(args):
     rep = Report()
     rep.add("command", "realize")
     rep.add_input("operator", args.operator)
-    table = fileio.load_operator_table(args.operator)
+    table, _ = fileio.load_operator_table(args.operator)
     verdict = solve_table(table, symmetric=args.symmetric, budget=args.budget)
     rep.add("status", verdict.status)
     rep.add("nodes", verdict.nodes)
@@ -242,11 +242,10 @@ def cmd_loop(args):
     rep = Report()
     rep.add("command", "loop")
     rep.add_input("operator", args.operator)
-    rep.add("seed", args.seed)
-    op = fileio.load_operator_table(args.operator)
-    backing = fileio.operator_backing_path(args.operator)
+    op, backing = fileio.load_operator_table(args.operator)
     if backing is not None:
         rep.add_input("backing", backing)
+        op = OperatorTable(op.universe, op.entries, fileio.load_distance(backing))
     if args.family:
         rep.add_input("family", args.family)
         family = fileio.load_family(args.family)
@@ -254,13 +253,11 @@ def cmd_loop(args):
         family = family_closure(
             {key[0] for key in op.entries} | {key[1] for key in op.entries}
         )
-    verdict = check_loop(
-        op, family, args.k, budget=args.budget, samples=args.samples, seed=args.seed
-    )
-    rep.add("k_max", args.k)
+    verdict = check_loop(op, family, args.k, budget=args.budget)
+    rep.add("k_max", "-" if args.k is None else args.k)
     rep.add("checked", verdict.checked)
     rep.add("states", verdict.states)
-    rep.add("sampled", verdict.sampled)
+    rep.add("fixpoint", "-" if verdict.fixpoint is None else verdict.fixpoint)
     rep.add("result", "pass" if verdict.passed else "fail")
     if not verdict.passed:
         rep.add("violation.k", verdict.k)
@@ -335,11 +332,9 @@ def build_parser():
 
     p = sub.add_parser("loop", help="check the cyclic chain condition")
     p.add_argument("operator")
-    p.add_argument("--k", type=_positive_int, default=3)
+    p.add_argument("--k", type=_positive_int, default=None, help="cut-off (none: every k)")
     p.add_argument("--family", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_positive_int, default=200_000)
-    p.add_argument("--samples", type=_positive_int, default=10_000)
+    p.add_argument("--budget", type=_positive_int, default=10**6)
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("agm", help="postulate sweep for a revision distance")

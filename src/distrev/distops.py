@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import PropertyReport
-from .errors import FamilyError, UndefinedPairError, UnknownAtomError, WitnessError
+from .errors import (
+    BoundExceededError,
+    FamilyError,
+    UndefinedPairError,
+    UnknownAtomError,
+    WitnessError,
+)
 
 
 def apply(dist, vset, wset):
@@ -331,14 +336,17 @@ def check_inclusion(op, family=None, witness_cap=16):
 @dataclass
 class LoopVerdict:
     """Result of a loop-condition check.  On failure the witness chain
-    V_0..V_k is re-checkable against the operator."""
+    V_0..V_k is re-checkable against the operator.  A pass holds for every k
+    exactly when ``fixpoint`` is set; its ``k`` is the cut-off, if given, else
+    the fixpoint.  ``sampled``, always False, goes with ROADMAP item 1a."""
 
     passed: bool
     k: int = 0
     chain: tuple = ()
     checked: int = 0
     sampled: bool = False
-    states: int = 0  # (start, state) pairs the walk reached, over its layers
+    states: int = 0  # distinct (start, state) pairs the walk reached
+    fixpoint: int | None = None  # the walk's depth when it ran out of states
 
 
 def _premise(op, a, b, c):
@@ -425,69 +433,94 @@ def _premise_reader(op, sets):
 
 
 def _walk(premises, n, k_max):
-    """The index chain of least k <= k_max whose premises hold and whose
-    conclusion fails, lexicographically first at that k, or None; with the
-    number of (start, state) pairs the walk reached, summed over its layers.
-    ``premises`` is a ``_premise_reader`` over the n sets.
+    """The index chain of least k whose premises hold and whose conclusion
+    fails, lexicographically first at that k, or None; the number of
+    distinct (start, state) pairs reached; and the fixpoint, the deepest
+    layer that reached a new state, or None when the walk found a chain or
+    was cut off at ``k_max``.  With ``k_max`` None the walk runs until no
+    start reaches a new state.  ``premises`` is a ``_premise_reader``.
 
     Layer j holds, for every start (V_0, V_1), the premise states
-    (V_{j-1}, V_j) reachable through premises 1..j-1.  Layer 1, the starts
-    themselves, is read for all starts at once off ``q[a, b]``, which is
-    premise(a, b, a): premise 1 is q[i0, i1] and the conclusion q[i1, i0].
-    Only a walk to k >= 2 reads the premise tensor ``P[a, b, c]``
-    (``premises.tensor()``), and takes ``q`` from it.  From layer 2 on, a
-    block holds max(1, ``APPLY_CHUNK_CELLS`` // n^3) first sets V_0 with n^3
-    (start, state) cells each; each further layer is one batched float32
-    matmul read as ``> 0`` (its sums of 0/1 values are exact), and each
-    block searches only for a k below the best one found.
+    (V_{j-1}, V_j) first reached through premises 1..j-1: whether a state
+    closes the ring depends only on it and its start.  Layer 1, the starts,
+    is read off ``q[a, b]``, which is premise(a, b, a): premise 1 is
+    q[i0, i1] and the conclusion q[i1, i0].  Only a walk past k = 1 reads
+    the premise tensor ``P[a, b, c]`` (``premises.tensor()``), and takes
+    ``q`` from it.  From layer 2 on, a block of ``_walk_block`` holds
+    max(1, ``APPLY_CHUNK_CELLS`` // n^3) first sets V_0 with n^3 cells
+    each, so above 64 sets one V_0 of more than ``APPLY_CHUNK_CELLS``
+    cells; each block searches only for a k below the best one found.
     """
-    if k_max < 1 or n == 0:
-        return None, 0
+    if k_max is not None and k_max < 1:
+        return None, 0, None
+    if n == 0:
+        return None, 0, 0
     a, b = np.indices((n, n))
-    P = premises.tensor() if k_max >= 2 else None
+    P = premises.tensor() if k_max != 1 else None
     q = premises(a, b, a) if P is None else P[a, b, a]
     hits, states = np.flatnonzero(q & ~q.T), n * n
     if len(hits):
-        return tuple(int(i) for i in divmod(hits[0], n)), states
+        return tuple(int(i) for i in divmod(hits[0], n)), states, None
     if P is None:
-        return None, states
-    fails = ~P.transpose(1, 0, 2)  # fails[i0, i1, c]: the conclusion fails at V_k = c
-    close = P.transpose(2, 0, 1)  # close[i0, b, c]: premise k, P[b, c, i0], holds
+        return None, states, None
     step = np.ascontiguousarray(P.transpose(1, 0, 2), dtype=np.float32)  # [b, a, c]
     block = max(1, APPLY_CHUNK_CELLS // n ** 3)
-    best = None
+    best, fixpoint = None, 1
     for lo in range(0, n, block):
         k_top = k_max if best is None else best[0] - 1
-        if k_top < 2:
+        if k_top is not None and k_top < 2:
             break
-        s = min(block, n - lo)
-        x = np.arange(s * n)
-        # reached[b, x, c]: state (b, c) reached from start x = (i0, i1);
-        # layer 2 is (i1, c) for every c with premise 1
-        reached = np.zeros((n, s * n, n), dtype=bool)
-        reached[x % n, x] = P[lo:lo + s].reshape(s * n, n)
-        # shut[b, x, c]: state (b, c) at depth k closes a counterexample
-        shut = (close[lo:lo + s].transpose(1, 0, 2)[:, :, None, :]
-                & fails[None, lo:lo + s]).reshape(reached.shape)
-        for k in range(2, k_top + 1):
-            if k > 2:
-                # transposed as bytes, then widened: about twice as fast as
-                # a transposing copy that casts as it goes
-                layer = np.ascontiguousarray(reached.transpose(2, 1, 0)).astype(np.float32)
-                reached = np.matmul(layer, step) > 0
-            count = int(np.count_nonzero(reached))
-            states += count
-            # one row of (b, c) cells per start x, each row contiguous
-            hit = (reached & shut).transpose(1, 0, 2).reshape(s * n, -1).any(axis=1)
-            if hit.any():
-                best = (k, *divmod(lo * n + int(np.argmax(hit)), n))
-                break
-            if not count:
-                break
+        count, k, x = _walk_block(P, step, lo, min(block, n - lo), k_top)
+        states += count
+        if x is not None:
+            best = (k, *divmod(lo * n + x, n))
+        fixpoint = fixpoint and k and max(fixpoint, k)  # None once a block is cut off
     if best is None:
-        return None, states
+        return None, states, fixpoint
     k, i0, i1 = best
-    return _chain(P, i0, i1, k), states
+    return _chain(P, i0, i1, k), states, None
+
+
+def _walk_block(P, step, lo, s, k_top):
+    """The number of states first reached from the starts whose V_0 is one
+    of the s sets from ``lo`` on, and the depth k and the first start x,
+    numbered ``(i0 - lo) * n + i1``, at which one closes a counterexample;
+    with x None, k is the deepest layer before the block ran dry, or None
+    when it was cut off at ``k_top``.  Each layer is a batched float32
+    matmul of the last with the premises, read as ``> 0`` (its sums of 0/1
+    values are exact), less the states reached before.  A block holds 10
+    bytes a cell: the float32 layer multiplied and its product, the layer
+    read and the states not yet reached, all freed when it returns."""
+    n = len(P)
+    x = np.arange(s * n)
+    # reached[b, x, c]: state (b, c) first reached from start x = (i0, i1);
+    # layer 2 is (i1, c) for every c with premise 1, less the start
+    unseen = np.ones((n, s * n, n), dtype=bool)
+    unseen[lo + x // n, x, x % n] = False
+    reached = np.zeros_like(unseen)
+    reached[x % n, x] = P[lo:lo + s].reshape(s * n, n)
+    # state (b, c) at depth k closes a counterexample when premise k holds,
+    # close[b, i0, 0, c] = P[b, c, i0], and the conclusion fails[i0, i1, c]
+    close = np.ascontiguousarray(P[:, :, lo:lo + s].transpose(0, 2, 1))[:, :, None, :]
+    fails = ~P[:, lo:lo + s].transpose(1, 0, 2)
+    layer = np.empty(unseen.shape, dtype=np.float32)
+    states = 0
+    for k in itertools.count(2):
+        reached &= unseen
+        count = int(np.count_nonzero(reached))
+        if not count:
+            return states, k - 1, None
+        states += count
+        unseen ^= reached  # reached lies within unseen, so this clears just it
+        hit = ((reached.reshape(n, s, n, n) & close).any(axis=0) & fails).any(axis=2).ravel()
+        if hit.any():
+            return states, k, int(np.argmax(hit))
+        if k == k_top:
+            return states, None, None
+        # transposed and widened in one pass, read as bytes: a cast from
+        # bool is about twice as slow
+        np.copyto(layer, reached.view(np.uint8).transpose(2, 1, 0))
+        np.greater(np.matmul(layer, step), 0, out=reached)
 
 
 def _chain(P, i0, i1, k):
@@ -506,37 +539,38 @@ def _chain(P, i0, i1, k):
     return tuple(chain)
 
 
-def check_loop(op, family, k_max, budget=10**6, samples=10**4, seed=0):
-    """Check the loop condition for chains from ``family`` with k <= k_max.
-
-    One walk covers every k whose chain space fits the budget; each larger
-    k is uniformly sampled with a fixed seed.  Returns the first
-    counterexample found, in deterministic order; an empty family, with no
-    chain to check, raises ``FamilyError``.  The search runs over
-    indices into the sorted family, and the walk and the sampler read every
-    premise through one ``_premise_reader``; ``_walk`` says when it builds
-    the premise tensor.  The sampler draws its chains in bulk and reads
-    each premise for all the drawn chains still in play in one batch.
+def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
+    """Check the loop condition for chains from ``family``, for every k or
+    for k <= the cut-off ``k_max``, by one walk over indices into the sorted
+    family (``_walk``); an empty family raises ``FamilyError``.  Before it
+    reads a premise, a walk over n sets of more than ``budget`` cells per
+    layer raises ``BoundExceededError``: n^2 for a walk cut off at k = 1,
+    else n^5 (n^2 starts by n^2 states by n successors).  ``samples`` is
+    accepted and unused, and ``LoopVerdict.sampled`` is always False: both
+    stay for the benchmark's loop job until ROADMAP item 1a.
     """
     sets = sorted(validate_family(op.universe, family), key=sorted)
     if not sets:
         raise FamilyError("the family has no set to chain")
     n = len(sets)
-    k_walk = 0
-    while k_walk < k_max and n ** (k_walk + 2) <= budget:
-        k_walk += 1
-    premises = _premise_reader(op, sets)
-    found, states = _walk(premises, n, k_walk)
-    k = len(found) - 1 if found else k_walk
-    checked = sum(n ** (j + 1) for j in range(1, k + 1))
-    while found is None and k < k_max:
-        k += 1
-        found = _loop_sampled(premises, n, k, samples, seed)
-        checked += samples
-    sampled = k > k_walk
+    cells = n ** 2 if k_max == 1 else n ** 5
+    if cells > budget:
+        raise BoundExceededError(
+            f"the loop walk over {n} sets needs {cells} cells per layer, "
+            f"over the budget of {budget}"
+        )
+    return _verdict(op, sets, k_max)
+
+
+def _verdict(op, sets, k_max):
+    """The walk's verdict over ``sets``, its chain re-verified; ``checked``
+    counts the chains up to the violation's k, the cut-off or the fixpoint."""
+    found, states, fixpoint = _walk(_premise_reader(op, sets), len(sets), k_max)
+    k = len(found) - 1 if found else fixpoint if k_max is None else k_max
+    checked = sum(len(sets) ** (j + 1) for j in range(1, k + 1))
     if found is None:
-        return LoopVerdict(True, k_max, (), checked, sampled, states)
-    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, sampled, states)
+        return LoopVerdict(True, k, (), checked, states=states, fixpoint=fixpoint)
+    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, states=states)
 
 
 def _rechecked(op, sets, found):
@@ -571,26 +605,8 @@ def _draws(rng, n, count):
     return np.concatenate(kept)[:count].astype(np.intp)
 
 
-def _loop_sampled(premises, n, k, samples, seed):
-    """The first of ``samples`` index chains of length k, drawn with a
-    fixed seed, whose premises hold and whose conclusion fails, in sample
-    order; or None.  Premise i is read only for the chains whose earlier
-    premises held, then the conclusion for the chains that remain."""
-    ring = _draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1)).reshape(samples, k + 1)
-    ring = np.hstack([ring, ring[:, :1]])  # V_{k+1} is V_0
-    for i in range(1, k + 1):
-        ring = ring[premises(ring[:, i - 1], ring[:, i], ring[:, i + 1])]
-    ring = ring[~premises(ring[:, 1], ring[:, 0], ring[:, k])]
-    return tuple(ring[0, :k + 1].tolist()) if len(ring) else None
-
-
-def find_loop_violation(op, sets, k_max):
+def find_loop_violation(op, sets, k_max=None):
     """Directed search for a loop counterexample over the given candidate
     sets: no closure requirement and no budget, the walk of ``check_loop``
-    up to ``k_max``."""
-    sets = sorted({frozenset(s) for s in sets if s}, key=sorted)
-    found, states = _walk(_premise_reader(op, sets), len(sets), k_max)
-    if found is None:
-        return LoopVerdict(True, k_max, states=states)
-    return LoopVerdict(False, len(found) - 1, _rechecked(op, sets, found),
-                       states=states)
+    to its fixpoint or to the cut-off ``k_max``."""
+    return _verdict(op, sorted({frozenset(s) for s in sets if s}, key=sorted), k_max)

@@ -104,23 +104,17 @@ def save_distance(dist, path):
 # Operator tables
 
 
-def _backing_ref(lines):
-    """The distance file named on an operator file's optional ``backing:``
-    line, its second logical line, or None."""
-    if len(lines) > 1 and lines[1][1].startswith("backing:"):
-        return _header(lines[1][1], "backing", lines[1][0])
-    return None
-
-
-def parse_operator_table(text, base_dir="."):
-    """universe, optional backing distance file, then ``entry: V | W -> X``
-    lines with space-separated labels (``-`` for the empty set)."""
+def parse_operator_table(text):
+    """universe, optional ``backing:`` distance file, then ``entry: V | W -> X``
+    lines with space-separated labels (``-`` for the empty set): the table of
+    the entries alone, and the backing as written or None, which is not read."""
     lines = list(_logical_lines(text))
     if not lines:
         raise FileFormatError("empty operator file")
     universe = _labels(_header(lines[0][1], "universe", lines[0][0]))
-    ref = _backing_ref(lines)
-    backing = None if ref is None else load_distance(os.path.join(base_dir, ref))
+    ref = None
+    if len(lines) > 1 and lines[1][1].startswith("backing:"):
+        ref = _header(lines[1][1], "backing", lines[1][0])
     entries = {}
     for lineno, line in lines[1 + (ref is not None):]:
         body = _header(line, "entry", lineno)
@@ -135,7 +129,7 @@ def parse_operator_table(text, base_dir="."):
         if key in entries:
             raise FileFormatError(f"line {lineno}: duplicate entry")
         entries[key] = _set_labels(result, lineno)
-    return OperatorTable(universe, entries, backing=backing)
+    return OperatorTable(universe, entries), ref
 
 
 def format_operator_table(op, backing_ref=None):
@@ -150,17 +144,11 @@ def format_operator_table(op, backing_ref=None):
 
 
 def load_operator_table(path):
+    """The entries' table of the operator file at ``path`` and its backing's
+    path, resolved against that file's directory, or None; the backing is not read."""
     with open(path, encoding="utf-8") as fh:
-        return parse_operator_table(fh.read(), base_dir=os.path.dirname(path) or ".")
-
-
-def operator_backing_path(path):
-    """The path of the distance file that the operator file at ``path`` is
-    backed by, resolved against that file's directory as
-    ``load_operator_table`` resolves it, or None when it has no backing."""
-    with open(path, encoding="utf-8") as fh:
-        ref = _backing_ref(list(_logical_lines(fh.read())))
-    return None if ref is None else os.path.join(os.path.dirname(path) or ".", ref)
+        table, ref = parse_operator_table(fh.read())
+    return table, None if ref is None else os.path.join(os.path.dirname(path) or ".", ref)
 
 
 def save_operator_table(op, path, backing_ref=None):

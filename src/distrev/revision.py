@@ -298,17 +298,16 @@ class _ModelSetOperator:
         return self.op.revise_rows(vrows, wrows, order)
 
 
-def check_star_loop(op, k_max=3, matrix=CLASSICAL, budget=10**6,
-                    samples=10_000, seed=0):
+def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     """The cyclic chain condition at the theory level: premises say each
     source stays compatible with its revised neighbor disjunction, the
     conclusion closes the cycle.  Union of model sets realizes the
     disjunction of theories; non-empty intersection realizes consistency
-    of a union of theories."""
+    of a union of theories.  ``check_loop`` walks the consistent theories,
+    to its fixpoint or to the cut-off ``k_max``, under ``budget``."""
     space = _model_set_space(op.signature, matrix)
     adapter = _ModelSetOperator(space.order, op)
-    return check_loop(adapter, space.sets, k_max, budget=budget, samples=samples,
-                      seed=seed)
+    return check_loop(adapter, space.sets, k_max, budget=budget)
 
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,

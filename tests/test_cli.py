@@ -209,7 +209,12 @@ def test_loop_with_family(workdir, hamming_file, capsys):
     out = capsys.readouterr().out
     assert "result: pass" in out
     assert "checked: 36\n" in out  # 3^2 + 3^3 chains
-    assert "states: 32\n" in out  # 9 starts, then 23 states at depth 2
+    assert "states: 29\n" in out  # 9 starts, then 20 new states at depth 2
+    assert "fixpoint: -\n" in out  # cut off with new states left
+    # with no cut-off the walk runs dry at depth 4: a pass for every k
+    assert main(["loop", str(op_path), "--family", fam]) == 0
+    out = capsys.readouterr().out
+    assert "\nk_max: -\nchecked: 360\nstates: 67\nfixpoint: 4\nresult: pass\n" in out
 
 
 def test_loop_malformed_family_exits_2(workdir, hamming_file):
@@ -258,6 +263,18 @@ def test_loop_report_names_its_backing(workdir, capsys):
     _write(workdir / "bare.txt", "universe: a b c\nentry: a | b c -> c\n")
     main(["loop", "bare.txt"])
     assert "input.backing" not in capsys.readouterr().out
+
+
+def test_realize_reads_only_the_entries(workdir, capsys):
+    # the backing named on the table's second line is missing: realize,
+    # which solves the entries alone, never opens it; loop needs it
+    _write(workdir / "op.txt", "universe: a b c\nbacking: gone.txt\nentry: a | b c -> b\n")
+    assert main(["realize", "op.txt"]) == 0
+    out = capsys.readouterr().out
+    assert "\nstatus: sat\n" in out and "backing" not in out
+    assert main(["loop", "op.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "gone.txt" in err
 
 
 @pytest.mark.parametrize("command", ["realize", "loop"])
@@ -328,7 +345,7 @@ SUBCOMMAND_OPTIONS = {
     "check": {"--props", "--out"},
     "realize": {"--symmetric", "--budget", "--out"},
     "wheel": {"--variant", "--n", "--dir", "--seed", "--out"},
-    "loop": {"--k", "--family", "--seed", "--budget", "--samples", "--out"},
+    "loop": {"--k", "--family", "--budget", "--out"},
     "agm": {"--atoms", "--seed", "--samples", "--out"},
 }
 
@@ -349,9 +366,11 @@ def test_each_subcommand_declares_only_the_options_it_reads():
 DROPPED = [("revise", "--seed"), ("revise", "--budget"), ("revise", "--samples"),
            ("check", "--seed"), ("check", "--budget"), ("check", "--samples"),
            ("realize", "--seed"), ("realize", "--samples"),
-           ("wheel", "--budget"), ("wheel", "--samples"), ("agm", "--budget")]
+           ("wheel", "--budget"), ("wheel", "--samples"), ("agm", "--budget"),
+           ("loop", "--seed"), ("loop", "--samples")]
 MINIMAL_ARGV = {"revise": ["g.txt", "d.txt", "x.txt"], "check": ["x.txt"],
-                "realize": ["t.txt"], "wheel": [], "agm": ["x.txt", "--atoms", "p,q"]}
+                "realize": ["t.txt"], "wheel": [], "agm": ["x.txt", "--atoms", "p,q"],
+                "loop": ["t.txt"]}
 
 
 @pytest.mark.parametrize("subcommand, option", DROPPED, ids=["".join(d) for d in DROPPED])
@@ -431,8 +450,8 @@ def test_only_input_digests_load_openssl(workdir, capsys):
 
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
-    # the same from a subdirectory, a passing exhaustive run and a sampled
-    # run; wheel: two exhaustive abstract sweeps, one given a seed; realize: the
+    # the same from a subdirectory, a passing run and one refused over its
+    # budget; wheel: two exhaustive abstract sweeps, one given a seed; realize: the
     # wheel fragment, whose conflict follows the order of the solver's path
     # search; agm: the postulate sweep over the cached model-set space
     _write(
@@ -463,8 +482,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         ["loop", "cyclic.txt", "--k", "3", "--family", "fam.txt"],
         ["loop", os.path.join("sub", "cyclic.txt"), "--k", "3", "--family", "fam.txt"],
         ["loop", "op.txt", "--k", "3", "--family", "fam.txt"],
-        ["loop", "op.txt", "--k", "3", "--family", "fam.txt", "--budget", "50",
-         "--samples", "200", "--seed", "3"],
+        ["loop", "op.txt", "--k", "3", "--family", "fam.txt", "--budget", "50"],
         ["realize", "three.txt", "--budget", "2000"],
         ["realize", "sat.txt", "--symmetric"],
         ["wheel", "--n", "1", "--dir", "art"],
@@ -478,7 +496,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         assert first == _report_under_hash_seed(1, args, workdir), args
         codes.append(first[0])
         reports.append(first[1])
-    assert codes == [1, 1, 0, 0, 1, 0, 0, 1, 0, 0]
+    assert codes == [1, 1, 0, 4, 1, 0, 0, 1, 0, 0]
     # a backing is named as resolved against its operator file's directory
     digest = hashlib.sha256((workdir / "hamming.txt").read_bytes()).hexdigest()
     for report, path in ((reports[0], os.path.join(".", "hamming.txt")),

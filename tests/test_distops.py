@@ -18,6 +18,7 @@ from distrev.distops import (
     validate_family,
 )
 from distrev.errors import (
+    BoundExceededError,
     FamilyError,
     UndefinedPairError,
     UnknownAtomError,
@@ -173,14 +174,19 @@ def test_loop_holds_for_symmetric_distances():
         assert not verdict.sampled
 
 
-def test_loop_sampling_kicks_in_under_budget():
-    rng = random.Random(3)
+def test_loop_refuses_an_oversized_walk_before_reading_a_premise():
+    # 15 sets: n^5 = 759,375 cells per layer past k = 1, and n^2 = 225 for
+    # the k = 1 walk.  The table has neither entries nor backing, so any
+    # premise it is asked about raises UndefinedPairError.
+    op = OperatorTable(U)
     family = _all_nonempty_subsets(U)
-    op = OperatorTable(U, {}, backing=_random_symmetric(rng))
-    verdict = check_loop(op, family, k_max=3, budget=10, samples=50)
-    assert verdict.passed
-    assert verdict.sampled
-    assert verdict.checked == 150
+    for k_max in (None, 2, 3):
+        with pytest.raises(BoundExceededError, match="759375 cells"):
+            check_loop(op, family, k_max, budget=15**5 - 1)
+    with pytest.raises(BoundExceededError, match="225 cells"):
+        check_loop(op, family, 1, budget=224)
+    with pytest.raises(UndefinedPairError):
+        check_loop(op, family, 1, budget=225)
 
 
 def _cyclic_override_op():
@@ -234,12 +240,14 @@ def test_loop_chain_back_to_its_start_state():
     op, family = _returning_chain_op()
     chain = (frozenset({"a"}), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"a"}))
     assert recheck_chain(op, chain)
-    for verdict in (check_loop(op, family, 4), find_loop_violation(op, family, 4)):
-        assert not verdict.passed
+    for k_max in (4, None):
+        verdict = check_loop(op, family, k_max)
+        assert verdict == find_loop_violation(op, family, k_max)
+        assert not verdict.passed and verdict.fixpoint is None
         assert (verdict.k, verdict.chain) == (3, chain)
 
 
-@pytest.mark.parametrize("budget", [10**6, 1])  # walked, then sampled
+@pytest.mark.parametrize("budget", [10**6, 2**5])  # the default, then the walk's own cells
 def test_failed_loop_recheck_raises(monkeypatch, budget):
     op, family = _returning_chain_op()
     monkeypatch.setattr(distops, "recheck_chain", lambda op, chain: False)

@@ -90,9 +90,10 @@ def test_operator_table_roundtrip(tmp_path):
     )
     path = tmp_path / "op.txt"
     save_operator_table(op, path)
-    loaded = load_operator_table(path)
+    loaded, backing = load_operator_table(path)
     assert loaded.universe == op.universe
     assert loaded.entries == op.entries
+    assert backing is None
 
 
 def test_operator_table_with_backing(tmp_path):
@@ -104,8 +105,10 @@ def test_operator_table_with_backing(tmp_path):
         backing=dist,
     )
     save_operator_table(op, tmp_path / "op.txt", backing_ref="d.txt")
-    loaded = load_operator_table(tmp_path / "op.txt")
-    assert loaded.backing is not None
+    loaded, backing = load_operator_table(tmp_path / "op.txt")
+    # the backing is named, resolved against the table's directory, not read
+    assert (loaded.backing, backing) == (None, str(tmp_path / "d.txt"))
+    loaded = OperatorTable(loaded.universe, loaded.entries, load_distance(backing))
     assert loaded.lookup({"b"}, {"a", "c"}) == {"a", "c"}
 
 

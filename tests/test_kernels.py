@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from distrev import distops, logic
 from distrev.costs import INF, OrderMode, PseudoDistance
 from distrev.distops import (
-    LoopVerdict,
     OperatorTable,
     apply,
     apply_rows,
@@ -34,7 +33,6 @@ from distrev.revision import (
     valuation_universe,
 )
 from distrev.wheel import build_wheel_gadget, loop_family_generators
-from test_distops import _cyclic_override_op
 from test_logic import _identity_matrix
 
 F = Fraction
@@ -384,47 +382,73 @@ def test_check_loop_matches_lexicographic_enumeration(case):
     assert walked.chain == (chain if k == 1 else ())
 
 
-def _sampled_loop_reference(op, family, k_max, k_walk, samples, seed):
-    """check_loop's verdict from a chain-at-a-time search: lexicographic
-    enumeration up to ``k_walk``, then each longer k over the same draws,
-    one chain and one scalar lookup at a time, the first counterexample in
-    sample order."""
-    sets = sorted(family, key=sorted)
+def _first_chain_by_extension(op, sets, k_max):
+    """Plain chain enumeration to ``k_max``: every index chain V_0..V_k
+    whose premises hold, extended one set at a time in lexicographic
+    order, each premise read once by a scalar lookup; the least k at which
+    one of them closes with a failing conclusion, and the first such chain,
+    or (None, ())."""
     n = len(sets)
-    k, chain, checked = _first_chain_brute_force(op, sets, k_walk)
-    k = k_walk if k is None else k
-    while not chain and k < k_max:
-        k += 1
-        checked += samples
-        draws = distops._draws(random.Random(f"{seed}:{k}"), n, samples * (k + 1))
-        for indices in draws.reshape(samples, k + 1).tolist():
-            candidate = tuple(sets[i] for i in indices)
-            if recheck_chain(op, candidate):
-                chain = candidate
-                break
-    states = n * n if k_walk else 0
-    return LoopVerdict(not chain, k if chain else k_max, chain, checked, k > k_walk, states)
+    P = np.array([[[bool(op.lookup(b, a | c) & a) for c in sets] for b in sets]
+                  for a in sets]).reshape(n, n, n)
+    chains = np.array(list(itertools.product(range(n), repeat=2)), dtype=np.int8)
+    for k in range(1, k_max + 1):
+        if k > 1:
+            # premise k - 1 is (V_{k-2}, V_{k-1}, V_k)
+            rows, last = np.nonzero(P[chains[:, -2], chains[:, -1]])
+            chains = np.column_stack([chains[rows], last.astype(np.int8)])
+        # premise k is (V_{k-1}, V_k, V_0), the conclusion (V_1, V_0, V_k)
+        closing = (P[chains[:, -2], chains[:, -1], chains[:, 0]]
+                   & ~P[chains[:, 1], chains[:, 0], chains[:, -1]])
+        if closing.any():
+            return k, tuple(sets[i] for i in chains[np.argmax(closing)])
+    return None, ()
 
 
-@settings(max_examples=40, deadline=None)
-@given(loop_operators(), st.sampled_from((1, 48, 49, 342)), st.integers(0, 50))
-def test_sampled_loop_matches_chain_at_a_time_reference(case, budget, seed):
-    # 7 sets: budgets below 7^2 sample every k, and those below 7^3 walk
-    # k = 1 and sample k = 2 and 3
-    op, family = case
-    k_walk = 1 if budget >= 49 else 0
-    expected = _sampled_loop_reference(op, family, 3, k_walk, 300, seed)
-    assert check_loop(op, family, 3, budget=budget, samples=300, seed=seed) == expected
+def _seeded_operator(rng, points, entries):
+    """A distance-backed operator over ``points``, symmetric or not, with
+    up to ``entries`` explicit entries, and its non-empty subsets."""
+    subsets = [frozenset(c) for r in range(1, len(points) + 1)
+               for c in itertools.combinations(points, r)]
+    symmetric = rng.random() < 0.5
+    table = {}
+    for i, v in enumerate(points):
+        for w in points[i:]:
+            table[v, w] = F(0) if v == w else rng.choice(COSTS[1:])
+            table[w, v] = table[v, w] if symmetric or v == w else rng.choice(COSTS[1:])
+    chosen = {}
+    for _ in range(rng.randrange(entries + 1)):
+        vset, wset = rng.choice(subsets), rng.choice(subsets)
+        chosen[vset, wset] = frozenset(p for p in sorted(wset) if rng.random() < 0.5)
+    dist = PseudoDistance(points, OrderMode.REAL, table)
+    return OperatorTable(points, chosen, backing=dist), subsets
 
 
-@pytest.mark.parametrize("budget, k_walk", [(1, 0), (49, 1)])
-def test_sampled_loop_finds_the_reference_violation(budget, k_walk):
-    op = _cyclic_override_op()
-    family = [frozenset(c) for r in range(1, 4)
-              for c in itertools.combinations(op.universe, r)]
-    verdict = check_loop(op, family, 3, budget=budget)
-    assert not verdict.passed and verdict.sampled
-    assert verdict == _sampled_loop_reference(op, family, 3, k_walk, 10**4, 0)
+def test_fixpoint_walk_matches_chain_enumeration_to_k7():
+    # 3-point operators over every set (check_loop) and 4-point ones over
+    # up to six candidate sets (find_loop_violation), both walked to their
+    # fixpoint: a pass at the fixpoint has no chain up to k = 7, and a
+    # violation is the enumeration's least k and first chain
+    rng = random.Random(28)
+    tally = {"fixpoint": 0, "violated": 0}
+    for i in range(60):
+        if i % 2:
+            op, subsets = _seeded_operator(rng, POINTS[:4], 4)
+            sets = rng.sample(subsets, rng.randrange(1, 7))
+            verdict = find_loop_violation(op, sets)
+        else:
+            op, sets = _seeded_operator(rng, POINTS[:3], 3)
+            verdict = check_loop(op, sets)
+        k, chain = _first_chain_by_extension(op, sorted(sets, key=sorted), 7)
+        if verdict.passed:
+            assert verdict.fixpoint is not None and verdict.k == verdict.fixpoint
+            assert k is None, i
+            tally["fixpoint"] += 1
+        else:
+            assert verdict.fixpoint is None
+            assert (verdict.k, verdict.chain) == (k, chain), i
+            tally["violated"] += 1
+    assert min(tally.values()) >= 20, tally
 
 
 class _CachedLookups:
@@ -442,15 +466,16 @@ class _CachedLookups:
 
 
 def _reached_states(op, sets, k):
-    """(start, state) pairs reachable at depths 1..k, summed over depths: a
-    state (V_{j-1}, V_j) at depth j has premises 1..j-1 holding."""
+    """Distinct (start, state) pairs first reached at depths 1..k: a state
+    (V_{j-1}, V_j) at depth j has premises 1..j-1 holding."""
     total = 0
     for v0, v1 in itertools.product(sets, repeat=2):
-        layer = {(v0, v1)}
+        seen = layer = {(v0, v1)}
         for _ in range(k):
             total += len(layer)
             layer = {(b, c) for a, b in layer for c in sets
-                     if op.lookup(b, a | c) & a}
+                     if op.lookup(b, a | c) & a} - seen
+            seen = seen | layer
     return total
 
 

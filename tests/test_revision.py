@@ -136,6 +136,9 @@ def test_star_loop_passes_for_hamming():
     verdict = check_star_loop(_hamming_op(), k_max=3)
     assert verdict.passed
     assert not verdict.sampled
+    # 15 theories: the walk runs to its fixpoint, so the pass holds for every k
+    verdict = check_star_loop(_hamming_op())
+    assert verdict.passed and verdict.k == verdict.fixpoint
 
 
 def test_star_loop_violated_by_per_source_orders():
@@ -149,9 +152,10 @@ def test_star_loop_violated_by_per_source_orders():
 
 def test_star_loop_walks_k1_on_point_premises():
     # 3 atoms: 255 model sets, so the budget admits only the k = 1 walk
-    # (n^2 <= 10^6 < n^3).  It needs premise(a, b, a) for every start, 2n^2
-    # premises; filling whole premise rows instead reads n^3 = 16.6M of them
-    # (about 180 s at a 1.35 GiB peak).
+    # (n^2 <= 10^6 < n^5), and refuses a longer one before it reads a
+    # premise.  The k = 1 walk needs premise(a, b, a) for every start, 2n^2
+    # premises; filling whole premise rows instead reads n^3 = 16.6M of
+    # them (about 180 s at a 1.35 GiB peak).
     sig = ("p", "q", "r")
     universe = valuation_universe(sig)
     rng = random.Random(11)
@@ -161,14 +165,19 @@ def test_star_loop_walks_k1_on_point_premises():
             table[v, w] = table[w, v] = F(0) if v == w else F(rng.randrange(1, 16), 4)
     op = RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
     tracemalloc.start()
-    began = time.perf_counter()
     try:
-        verdict = check_star_loop(op, k_max=3)
+        with pytest.raises(BoundExceededError, match="255 sets"):
+            check_star_loop(op, k_max=3)
+        refused = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        began = time.perf_counter()
+        verdict = check_star_loop(op, k_max=1)
+        elapsed = time.perf_counter() - began
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    elapsed = time.perf_counter() - began
-    assert (verdict.passed, verdict.k, verdict.checked, verdict.sampled) == (True, 3, 85025, True)
+    assert refused < 16 << 20
+    assert (verdict.passed, verdict.k, verdict.checked, verdict.fixpoint) == (True, 1, 65025, None)
     assert verdict.states == 255 ** 2
     assert peak < 64 << 20
     assert elapsed < 60
@@ -478,13 +487,16 @@ def _memoized_round_trips():
 @pytest.mark.parametrize("case", ["1_atom", "2_atoms", "3_atoms", "identity_matrix"])
 def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
     # every run builds its own distance and operator, so the runs share the
-    # cached space alone
+    # cached space alone.  The budget admits only the k = 1 loop walk over
+    # the 255 theories of 3 atoms.
+    k_max = 1 if case == "3_atoms" else 3
+
     def run():
         dist, sig, matrix = _space_case(case)
         op = RevisionOperator.from_distance(dist, sig)
         return (check_agm(op, matrix=matrix, samples=300, seed=4),
                 check_disjunction_iteration(op, matrix=matrix, samples=300, seed=5),
-                check_star_loop(op, k_max=3, matrix=matrix),
+                check_star_loop(op, k_max=k_max, matrix=matrix),
                 check_dp_cp(dist, sig, matrix=matrix))
 
     revision._model_set_space.cache_clear()

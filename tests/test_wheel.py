@@ -356,6 +356,26 @@ def test_loop_chain_is_independently_checkable():
     assert recheck_chain(gadget.op, report.loop.chain)
 
 
+LOOP_GADGETS = [("abstract", m) for m in range(4, 9)] + [("hamming", m) for m in range(4, 7)]
+
+
+@pytest.mark.parametrize("variant, m", LOOP_GADGETS)
+def test_loop_walk_to_its_fixpoint_decides_both_sides(variant, m):
+    # the modified operator's least violation has k = 2m - 1 over the
+    # generators, with no cut-off; each rung's patched distance passes for
+    # every k, its walk running dry at depth 2m + 3 - 2 min(r, m - r)
+    gadget = (build_wheel_gadget if variant == "abstract" else build_hamming_wheel)(m=m)
+    sets = loop_family_generators(m)
+    verdict = find_loop_violation(gadget.op, sets)
+    assert (verdict.passed, verdict.k, verdict.fixpoint) == (False, 2 * m - 1, None)
+    assert recheck_chain(gadget.op, verdict.chain)
+    for r in range(1, m):
+        patched = OperatorTable(gadget.universe, backing=gadget.patch(r)[1])
+        verdict = find_loop_violation(patched, sets)
+        depth = 2 * m + 3 - 2 * min(r, m - r)
+        assert (verdict.passed, verdict.k, verdict.fixpoint) == (True, depth, depth), r
+
+
 def test_loop_walk_memory_stays_within_chunks():
     # m = 10: 40 candidate sets, 2.56M (start, state) cells.  One float32
     # layer of the unchunked walk alone is 10 MiB, so an 8 MiB bound fails

@@ -270,14 +270,12 @@ def cmd_agm(args):
     rep = Report()
     rep.add("command", "agm")
     rep.add_input("distance", args.distance)
-    rep.add("seed", args.seed)
-    rep.add("samples", args.samples)
     signature = tuple(args.atoms.split(","))
     if "" in signature or len(set(signature)) < len(signature):
         raise DistrevError(f"--atoms needs distinct non-empty names, not {args.atoms!r}")
     dist = _valuation_distance(fileio.load_distance(args.distance), signature)
     op = RevisionOperator.from_distance(dist, signature)
-    reports = check_agm(op, samples=args.samples, seed=args.seed)
+    reports = check_agm(op)
     all_pass = True
     for name, result in reports.items():
         _add_property_section(rep, f"postulate.{name}", result)
@@ -340,8 +338,6 @@ def build_parser():
     p = sub.add_parser("agm", help="postulate sweep for a revision distance")
     p.add_argument("distance")
     p.add_argument("--atoms", required=True, help="comma list of atoms")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_agm)
 
     for p in sub.choices.values():

@@ -583,28 +583,6 @@ def _rechecked(op, sets, found):
     return chain
 
 
-def _draws(rng, n, count):
-    """The indices of ``count`` successive ``rng.choice`` calls on a
-    sequence of length ``n``, 1 <= n <= 2**32, drawn in bulk.
-
-    A choice keeps the top ``n.bit_length()`` bits of one 32-bit Mersenne
-    Twister word and draws again while they read n or more;
-    ``rng.getrandbits(32 * m)`` returns the next m words, the first in the
-    lowest bits.  Rejections are topped up from further words, so ``rng``
-    may end up past where the single calls would have left it."""
-    if not 1 <= n <= 1 << 32:
-        raise ValueError(f"cannot draw indices below {n}")
-    k = n.bit_length()
-    kept, have = [np.zeros(0, dtype="<u4")], 0
-    while have < count:
-        m = -(-(count - have) * (1 << k) // n)  # words for the draws expected
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
-                              dtype="<u4") >> (32 - k)
-        kept.append(words[words < n])
-        have += len(kept[-1])
-    return np.concatenate(kept)[:count].astype(np.intp)
-
-
 def find_loop_violation(op, sets, k_max=None):
     """Directed search for a loop counterexample over the given candidate
     sets: no closure requirement and no budget, the walk of ``check_loop``

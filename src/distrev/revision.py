@@ -2,7 +2,8 @@
 
 Theories are represented by their canonical model set; deductive closure and
 presentation invariance are thereby structural, and the remaining postulate
-content is checked exhaustively or by seeded sampling.
+content is checked exhaustively: every pair, triple and 4-tuple of consistent
+theories, read off one revision table per check, for 1 to 3 classical atoms.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,9 +19,11 @@ import numpy as np
 
 from .costs import OrderMode, PropertyReport, PseudoDistance
 from .distops import (
+    APPLY_CHUNK_CELLS,
     SWEEP_MAX_BYTES,
-    _draws,
+    _mask_dtype,
     _membership_rows,
+    _packed_rows,
     _row_keys,
     _row_sets,
     apply,
@@ -119,8 +123,7 @@ def revise(op, gamma, delta):
         raise InconsistentTheoryError("cannot revise an inconsistent theory")
     if not delta.consistent:
         raise InconsistentTheoryError("cannot revise by an inconsistent theory")
-    result = op.revise_models(gamma.model_set, delta.model_set)
-    return Theory(gamma.signature, result)
+    return Theory(gamma.signature, op.revise_models(gamma.model_set, delta.model_set))
 
 
 def per_source_order_operator(signature, matrix=CLASSICAL, seed=0):
@@ -134,8 +137,7 @@ def per_source_order_operator(signature, matrix=CLASSICAL, seed=0):
     index = {v: i for i, v in enumerate(universe)}
     orders = {}
 
-    def fn(vset, wset):
-        vset, wset = frozenset(vset), frozenset(wset)
+    def fn(vset, wset):  # frozensets, from revise_models
         if not vset or not wset:
             return frozenset()
         if vset not in orders:
@@ -156,11 +158,8 @@ def per_source_order_operator(signature, matrix=CLASSICAL, seed=0):
 
 def nonempty_model_sets(signature, matrix=CLASSICAL):
     universe = valuation_universe(signature, matrix)
-    out = []
-    for r in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, r):
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(combo) for r in range(1, len(universe) + 1)
+            for combo in itertools.combinations(universe, r)]
 
 
 def _label(model_set):
@@ -172,13 +171,19 @@ def _read_only(rows):
     return rows
 
 
+def _masks(rows):
+    """Each boolean row's integer mask, column i at bit i, packed bitwise."""
+    unit = _mask_dtype(np.shape(rows)[1]).itemsize
+    return _packed_rows(rows, unit).view(f"<u{unit}").ravel()
+
+
 class _ModelSetSpace:
     """The tables the checkers read for one signature and matrix, each
     built on first use: the valuation ``order``; the non-empty model
-    ``sets`` and their membership ``rows``; the ``moved`` mask of the
+    ``sets`` and their integer ``masks``; the ``moved`` mask of the
     canonical-formula round trip; and the definable sets sorted by
-    ``_label``, with their rows and packed row keys.  Rows have their
-    columns in ``order`` and are read-only."""
+    ``_label``, with their rows and packed row keys.  Masks and rows have
+    their columns in ``order`` and are read-only."""
 
     def __init__(self, signature, matrix):
         self.signature, self.matrix = signature, matrix
@@ -189,8 +194,8 @@ class _ModelSetSpace:
         return tuple(nonempty_model_sets(self.signature, self.matrix))
 
     @functools.cached_property
-    def rows(self):
-        return _read_only(_membership_rows(self.sets, self.order))
+    def masks(self):
+        return _read_only(_masks(_membership_rows(self.sets, self.order)))
 
     @functools.cached_property
     def moved(self):
@@ -198,7 +203,7 @@ class _ModelSetSpace:
         sig, matrix = self.signature, self.matrix
         trip = _membership_rows(
             [models([canonical_dnf(s, sig)], sig, matrix) for s in self.sets], self.order)
-        return _read_only((trip != self.rows).any(axis=1))
+        return _read_only(_masks(trip) != self.masks)
 
     @functools.cached_property
     def definable(self):
@@ -231,55 +236,56 @@ def _pair_rows(rows):
     return rows[np.repeat(pick, len(rows))], rows[np.tile(pick, len(rows))]
 
 
-def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
-    """Check the five revision postulates at the model-set level.
-
-    Invariance under re-presentation and deductive closure are exhaustive
-    over all consistent pairs, revised in one ``revise_rows`` batch; the
-    composite postulate about conjoining extra information is sampled over
-    triples with a fixed seed, and only the samples it constrains are
-    revised again, in a second batch.  The model sets, their rows and their
-    round trips come from the model-set space of (signature, matrix),
-    built once and kept in a cache of 8 spaces.  Raises
-    ``BoundExceededError`` before it builds the sets when the V and W rows
-    of every pair and their index would take over ``SWEEP_MAX_BYTES``.
-    """
-    space = _model_set_space(op.signature, matrix)
+def _revision_table(op, space, what, per_key=0):
+    """T[v, w]: ``op``'s answer for every ordered pair of masks over the w
+    valuations of ``space.order``, the empty mask too (a function operator
+    is asked about it wherever a result is empty), in one ``revise_rows``
+    batch.  First, raises ``BoundExceededError`` if the ``what`` check would
+    hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows, two
+    masks and for a function operator four sets' worth of Python objects;
+    ``per_key`` bytes per key of 3w bits; and 64 bytes a chunk cell."""
     width = len(space.order)
-    need = (2 ** width - 1) ** 2 * (2 * width + 8)  # V and W rows, and an index
+    per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize \
+        + (op.fn is not None) * 4 * sys.getsizeof(frozenset(range(width)))
+    need = (per_pair << 2 * width) + (per_key << 3 * width) + 64 * APPLY_CHUNK_CELLS
     if need > SWEEP_MAX_BYTES:
-        raise BoundExceededError(
-            f"the postulate sweep over {width} valuations needs at least "
-            f"2^{need.bit_length() - 1} bytes of pair rows, over the "
-            f"{SWEEP_MAX_BYTES >> 20} MiB cap"
-        )
-    sets, order, rows = space.sets, space.order, space.rows
-    n = len(sets)
-    vrows, wrows = _pair_rows(rows)
-    result = op.revise_rows(vrows, wrows, order)
-    # invariance: rebuilding the arguments from their canonical formulas
-    # must not change the outcome; each set makes the round trip once per
-    # signature.  A pair that comes back unchanged is the same question
-    # again, so only a pair with a moved set can fail it.
-    moved = space.moved
-    both = vrows & wrows
-    failed = {
-        "star0": (moved[:, None] | moved[None, :]).ravel(),
-        "star1": ~result.any(axis=1),
-        "star2": (result & ~wrows).any(axis=1),
-        "star3": both.any(axis=1) & (result != both).any(axis=1),
-    }
+        raise BoundExceededError(f"the {what} over {width} valuations needs about "
+                                 f"{need >> 20} MiB, over the {SWEEP_MAX_BYTES >> 20} MiB cap")
+    rows = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
+    return _masks(op.revise_rows(*_pair_rows(rows), space.order)).reshape(len(rows), -1)
+
+
+def _tuple_labels(sets, arity):
+    """The witness of tuple t, t numbering the tuples of ``sets`` in order."""
+    return lambda t: _labels(*(sets[j] for j in np.unravel_index(t, (len(sets),) * arity)))
+
+
+def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
+    """The five revision postulates at the model-set level, over every pair
+    and triple of consistent theories in the order of the model-set space
+    of (signature, matrix), which is kept in a cache of 8 spaces.  All read
+    one revision table (``_revision_table``); the composite postulate fails
+    on (V, W, X) where T[V, W & X] is not T[V, W] & X and the latter is
+    non-empty.  ``samples`` and ``seed`` are unused: they stay for the
+    benchmark's postulate job until ROADMAP item 1a."""
+    space = _model_set_space(op.signature, matrix)
+    T = _revision_table(op, space, "postulate check")
+    sets, masks, n = space.sets, space.masks, len(space.sets)
+    result, both = T[masks[:, None], masks], masks[:, None] & masks  # [V, W]
+    # star0: a pair whose sets come back from their canonical formulas
+    # unchanged asks the same question again; only a moved set can fail it
+    failed = {"star0": space.moved[:, None] | space.moved, "star1": result == 0,
+              "star2": (result & ~masks) != 0, "star3": (both != 0) & (result != both)}
     reports = {name: PropertyReport.of(name, np.flatnonzero(bad), witness_cap,
-                                       lambda p: _labels(sets[p // n], sets[p % n]))
+                                       _tuple_labels(sets, 2))
                for name, bad in failed.items()}
-    draws = _draws(random.Random(seed), n, 3 * samples).reshape(samples, 3)
-    first = result.reshape(n, n, -1)[draws[:, 0], draws[:, 1]] & rows[draws[:, 2]]
-    live = np.flatnonzero(first.any(axis=1))
-    again = op.revise_rows(rows[draws[live, 0]],
-                           rows[draws[live, 1]] & rows[draws[live, 2]], order)
-    reports["star4"] = PropertyReport.of(
-        "star4", live[(again != first[live]).any(axis=1)], witness_cap,
-        lambda i: _labels(*(sets[j] for j in draws[i])))
+    total, kept, step = 0, [], max(1, APPLY_CHUNK_CELLS // n ** 2)
+    for lo in range(0, n, step):  # [V, W, X] for a chunk of V's
+        conjoined = result[lo:lo + step, :, None] & masks
+        bad = np.flatnonzero((conjoined != 0) & (T[masks[lo:lo + step]][:, both] != conjoined))
+        total += len(bad)
+        kept += (bad[:witness_cap - len(kept)] + lo * n * n).tolist()
+    reports["star4"] = PropertyReport("star4", list(map(_tuple_labels(sets, 3), kept)), total)
     return reports
 
 
@@ -312,31 +318,49 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
                                 witness_cap=16):
-    """The two iterated-revision properties for disjunctive information.
+    """The two iterated-revision properties for disjunctive information,
+    over every tuple (G, A, B, D) of consistent theories, in order.
 
     With theories as model sets, "every conclusion reached after both
     branches survives the disjunctive branch" is containment of the
     disjunctive outcome in the union of the branch outcomes, and the
     converse property is containment of some branch outcome in the
-    disjunctive outcome.
-    """
+    disjunctive outcome.  Both depend on (G, A, B) only through the key of
+    its outcome triple (T[G, A], T[G, B], T[G, A | B]): each key is tested
+    against every D once, and its counts of failing D's are kept.
+    ``samples`` and ``seed`` are unused, as in ``check_agm``."""
     space = _model_set_space(op.signature, matrix)
-    sets, order, rows = space.sets, space.order, space.rows
-    draws = _draws(random.Random(seed), len(sets), 4 * samples).reshape(samples, 4)
-    gamma, alpha, beta, delta = (rows[draws[:, i]] for i in range(4))
-    # per sample the three branches alpha, beta and alpha v beta: revise
-    # gamma by each in one batch, then each outcome by delta in another
-    branches = np.stack([alpha, beta, alpha | beta], axis=1).reshape(3 * samples, -1)
-    first = op.revise_rows(np.repeat(gamma, 3, axis=0), branches, order)
-    second = op.revise_rows(first, np.repeat(delta, 3, axis=0), order)
-    r_a, r_b, r_or = second.reshape(samples, 3, -1).transpose(1, 0, 2)
-    failed = {
-        "disjunction_iteration_1": (r_or & ~(r_a | r_b)).any(axis=1),
-        "disjunction_iteration_2": (r_a & ~r_or).any(axis=1) & (r_b & ~r_or).any(axis=1),
-    }
-    return {name: PropertyReport.of(name, np.flatnonzero(bad), witness_cap,
-                                    lambda i: _labels(*(sets[j] for j in draws[i])))
-            for name, bad in failed.items()}
+    width = len(space.order)
+    count_t, key_t = _mask_dtype(width), _mask_dtype(3 * width)  # count_t holds n
+    T = _revision_table(op, space, "disjunction check", 1 + 2 * count_t.itemsize)
+    sets, masks, n, low = space.sets, space.masks, len(space.sets), (1 << width) - 1
+    revised, union = T[:, masks], masks[:, None] | masks  # [mask, D], [A, B]
+
+    def fails(keys):  # [property, key, D]
+        r_a, r_b, r_or = (revised[keys >> shift & low] for shift in (2 * width, width, 0))
+        return np.stack([(r_or & ~(r_a | r_b)) != 0, ((r_a & ~r_or) != 0) & ((r_b & ~r_or) != 0)])
+
+    tested = np.zeros(1 << 3 * width, bool)
+    counts = np.zeros((2, 1 << 3 * width), count_t)
+    totals, kept, failing = [0, 0], [[], []], False
+    step, part = max(1, APPLY_CHUNK_CELLS // n ** 2), max(1, APPLY_CHUNK_CELLS // n)
+    for lo in range(0, n, step):  # [G, A, B] for a chunk of G's
+        first = revised[masks[lo:lo + step]].astype(key_t)
+        keys = first[:, :, None] << 2 * width | first[:, None, :] << width \
+            | T[masks[lo:lo + step]][:, union]
+        fresh = np.unique(keys[~tested[keys]])
+        for at in range(0, len(fresh), part):
+            counts[:, fresh[at:at + part]] = fails(fresh[at:at + part]).sum(axis=2)
+        tested[fresh] = True
+        failing = failing or bool(counts[:, fresh].any())  # else every count is 0
+        for i, found in enumerate(counts[:, keys] if failing else ()):
+            totals[i] += int(found.sum())
+            head = np.flatnonzero(found)[:witness_cap - len(kept[i])]  # each fails a D
+            pick, d = np.nonzero(fails(keys.flat[head])[i])  # their failing D's
+            kept[i] += ((lo * n * n + head[pick]) * n + d)[:witness_cap - len(kept[i])].tolist()
+    return {name: PropertyReport(name, list(map(_tuple_labels(sets, 4), found)), total)
+            for name, found, total in zip(
+                ("disjunction_iteration_1", "disjunction_iteration_2"), kept, totals)}
 
 
 def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):

@@ -262,18 +262,16 @@ def _row_flags(size, n, bad):
 
 
 def _witnesses(vmasks, order, cap, differ):
-    """The first ``cap`` (V, W) label pairs, W ascending then V, where
+    """The first ``cap`` (V, W) label pairs, V ascending then W, where
     ``differ(vm)`` [k, 2^n] holds, read in chunks of the ascending V masks
-    ``vmasks`` of about ``APPLY_CHUNK_CELLS`` cells."""
-    n = len(order)
-    step = max(1, APPLY_CHUNK_CELLS >> n)
-    keys = [np.empty(0, np.int64)]
+    ``vmasks`` of about ``APPLY_CHUNK_CELLS`` cells until ``cap`` are held."""
+    step, found = max(1, APPLY_CHUNK_CELLS >> len(order)), []
     for lo in range(0, len(vmasks), step):
-        vm = vmasks[lo:lo + step]
-        rows, wm = np.nonzero(differ(vm))
-        keys.append(np.sort(wm.astype(np.int64) << n | vm[rows])[:cap])
-    return [(_labels_of(key & (1 << n) - 1, order), _labels_of(key >> n, order))
-            for key in np.sort(np.concatenate(keys))[:cap].tolist()]
+        if len(found) >= cap:
+            break
+        rows, wm = (ix[:cap - len(found)] for ix in np.nonzero(differ(vmasks[lo:lo + step])))
+        found += zip(vmasks[lo + rows].tolist(), wm.tolist())
+    return [(_labels_of(v, order), _labels_of(w, order)) for v, w in found]
 
 
 def _labels_of(mask, order):
@@ -282,6 +280,8 @@ def _labels_of(mask, order):
 
 @dataclass
 class EqualityReport:
+    """A sweep's pair count and first mismatches, V's mask ascending, then W's."""
+
     pairs_checked: int
     mismatches: list
 
@@ -376,11 +376,12 @@ def sweep_bytes(table, dist):
 
 def wheel_equality_sweep(table, dist, witness_cap=16):
     """The (V, W) pairs, over every subset pair of ``dist``'s universe, on
-    which ``table`` and the minimization of ``dist`` differ, the first
-    ``witness_cap`` of them.  ``table`` and its backing must be on
-    ``dist``'s points, as ``sweep_bytes`` checks first; the sweep raises
-    ``BoundExceededError`` before it allocates when ``sweep_bytes`` is over
-    ``SWEEP_MAX_BYTES``."""
+    which ``table`` and the minimization of ``dist`` differ: the first
+    ``witness_cap`` of them, V's mask ascending, then W's; folding the
+    flagged V's into W rows stops once it holds them.  ``table`` and its
+    backing must be on ``dist``'s points, as ``sweep_bytes`` checks first;
+    the sweep raises ``BoundExceededError`` before it allocates when
+    ``sweep_bytes`` is over ``SWEEP_MAX_BYTES``."""
     need = sweep_bytes(table, dist)
     order = list(dist.universe)
     n = len(order)

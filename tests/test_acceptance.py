@@ -218,8 +218,8 @@ def _random_ir_positive_distance(rng, signature):
 def test_criterion_6_revision_postulates(announce):
     """20 random identity-respecting positive distances on 2 atoms: the
     five revision postulates hold (first four exhaustive over all 225
-    consistent pairs, the composite one on 1e4 sampled triples) and both
-    iterated-disjunction properties hold on 1e4 sampled tuples."""
+    consistent pairs, the composite one over all 3,375 triples) and both
+    iterated-disjunction properties hold over all 50,625 tuples."""
     sig = ("p", "q")
     rng = random.Random(5)
     postulate_failures = 0

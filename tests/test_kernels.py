@@ -287,29 +287,6 @@ def test_lookup_rows_matches_row_by_row_lookup(data):
         assert [frozenset(itertools.compress(order, row)) for row in got] == expected
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 255, 256])
-def test_draws_replay_the_choice_stream(n):
-    # each seed's first bulk draw yields about as many kept words as were
-    # asked for, so some seeds fall short and top up
-    topped_up = 0
-    for seed in range(20):
-        rng, words = random.Random(seed), []
-        draw = rng.getrandbits
-        rng.getrandbits = lambda bits: words.append(bits) or draw(bits)
-        count = 40 * n + 7 + seed
-        got = distops._draws(rng, n, count)
-        choice = random.Random(seed).choice
-        assert got.tolist() == [choice(range(n)) for _ in range(count)]
-        topped_up += len(words) > 1
-    assert topped_up
-    assert distops._draws(random.Random(0), n, 0).tolist() == []
-
-
-def test_draws_refuse_an_empty_range():
-    with pytest.raises(ValueError):
-        distops._draws(random.Random(0), 0, 1)
-
-
 @pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
 def test_row_packers_match_packbits(cells):
     # 0 rows, 1 row and several chunks' worth; a key is np.packbits's bytes

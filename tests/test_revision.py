@@ -1,11 +1,7 @@
-import contextlib
-import functools
 import random
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -90,13 +86,13 @@ def test_revise_rejects_inconsistency():
 
 
 def test_agm_pass_for_hamming():
-    reports = check_agm(_hamming_op(), samples=2000, seed=0)
+    reports = check_agm(_hamming_op())
     assert all(r.passed for r in reports.values())
 
 
 def test_agm_star2_fails_for_input_ignoring_op():
     op = RevisionOperator.from_function(lambda v, w: v, SIG)
-    reports = check_agm(op, samples=500, seed=0)
+    reports = check_agm(op)
     assert not reports["star2"].passed
 
 
@@ -108,28 +104,30 @@ def test_agm_star3_fails_for_non_ir_distance():
         universe, OrderMode.REAL,
         lambda v, w: F(1) if v == w else F(1, 2),
     )
-    reports = check_agm(RevisionOperator.from_distance(dist, sig), samples=200)
+    reports = check_agm(RevisionOperator.from_distance(dist, sig))
     assert not reports["star3"].passed
 
 
 def test_agm_star1_fails_for_empty_returning_op():
     op = RevisionOperator.from_function(lambda v, w: frozenset(), SIG)
-    reports = check_agm(op, samples=100, seed=0)
+    reports = check_agm(op)
     assert not reports["star1"].passed
 
 
 def test_agm_refuses_four_atoms_before_allocating():
-    # 65,535 model sets, so about 160 GiB of rows for their ordered pairs
+    # 16 valuations: a revision table of 2^32 pairs, about 272 GiB with its
+    # batch, and for the disjunction check 2^48 outcome-triple keys
     sig = ("p", "q", "r", "s")
     op = RevisionOperator.from_distance(hamming_pseudo_distance(sig), sig)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BoundExceededError, match="1024 MiB cap"):
-            check_agm(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    for check in (check_agm, check_disjunction_iteration):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError, match="1024 MiB cap"):
+                check(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, check
 
 
 def test_star_loop_passes_for_hamming():
@@ -194,18 +192,17 @@ def test_per_source_answers_do_not_depend_on_query_order():
     fresh = per_source_order_operator(SIG, seed=0)
     used = per_source_order_operator(SIG, seed=0)
     check_star_loop(used, k_max=3)
-    assert check_disjunction_iteration(used, samples=500, seed=0) == \
-        check_disjunction_iteration(fresh, samples=500, seed=0)
+    assert check_disjunction_iteration(used) == check_disjunction_iteration(fresh)
 
 
 def test_disjunction_iteration_passes_for_hamming():
-    reports = check_disjunction_iteration(_hamming_op(), samples=3000, seed=1)
+    reports = check_disjunction_iteration(_hamming_op())
     assert all(r.passed for r in reports.values())
 
 
 def test_disjunction_iteration_violated_by_per_source_orders():
     op = per_source_order_operator(SIG, seed=0)
-    reports = check_disjunction_iteration(op, samples=2000, seed=0)
+    reports = check_disjunction_iteration(op)
     assert not all(r.passed for r in reports.values())
 
 
@@ -283,46 +280,65 @@ def _scalar_dp_cp(dist, sig, matrix=CLASSICAL, pairs=None, cap=16):
     return {"dp": dp, "cp": cp}
 
 
-def _scalar_agm(op, matrix=CLASSICAL, samples=0, seed=0):
+def _scalar_answers(op, matrix):
+    """The non-empty model sets, and ``answer[v][w]``: the mask of op's
+    revision of the set of mask v by that of mask w, for every pair of
+    subsets, the empty one included, each pair revised once.  Point i of
+    the valuation universe is bit i of a mask."""
+    universe = valuation_universe(op.signature, matrix)
+    subsets = [frozenset(), *nonempty_model_sets(op.signature, matrix)]
+    mask = {s: sum(1 << i for i, v in enumerate(universe) if v in s) for s in subsets}
+    answer = {mask[v]: {mask[w]: mask[op.revise_models(v, w)] for w in subsets}
+              for v in subsets}
+    return subsets[1:], mask, answer
+
+
+def _scalar_agm(op, matrix=CLASSICAL):
     sig = op.signature
-    sets = nonempty_model_sets(sig, matrix)
+    sets, mask, answer = _scalar_answers(op, matrix)
     found = {name: [] for name in ("star0", "star1", "star2", "star3", "star4")}
     trip = {s: frozenset(models([canonical_dnf(s, sig)], sig, matrix)) for s in sets}
     for vset in sets:
         for wset in sets:
-            result = op.revise_models(vset, wset)
-            v2, w2 = trip[vset], trip[wset]
-            if (v2, w2) != (vset, wset) or op.revise_models(v2, w2) != result:
+            v, w = mask[vset], mask[wset]
+            result = answer[v][w]
+            v2, w2 = mask[trip[vset]], mask[trip[wset]]
+            if (v2, w2) != (v, w) or answer[v2][w2] != result:
                 found["star0"].append((_labels(vset), _labels(wset)))
             if not result:
                 found["star1"].append((_labels(vset), _labels(wset)))
-            if not result <= wset:
+            if result & ~w:
                 found["star2"].append((_labels(vset), _labels(wset)))
-            if vset & wset and result != vset & wset:
+            if v & w and result != v & w:
                 found["star3"].append((_labels(vset), _labels(wset)))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        vset, wset, w2 = rng.choice(sets), rng.choice(sets), rng.choice(sets)
-        result = op.revise_models(vset, wset)
-        if result & w2 and op.revise_models(vset, wset & w2) != result & w2:
-            found["star4"].append((_labels(vset), _labels(wset), _labels(w2)))
+    for vset in sets:
+        row = answer[mask[vset]]
+        for wset in sets:
+            w = mask[wset]
+            for xset in sets:
+                conjoined = row[w] & mask[xset]
+                if conjoined and row[w & mask[xset]] != conjoined:
+                    found["star4"].append((_labels(vset), _labels(wset), _labels(xset)))
     return found
 
 
-def _scalar_disjunction(op, matrix=CLASSICAL, samples=0, seed=0):
-    sets = nonempty_model_sets(op.signature, matrix)
+def _scalar_disjunction(op, matrix=CLASSICAL):
+    sets, mask, answer = _scalar_answers(op, matrix)
     found = {"disjunction_iteration_1": [], "disjunction_iteration_2": []}
-    rng = random.Random(seed)
-    for _ in range(samples):
-        gamma, alpha, beta, delta = (rng.choice(sets) for _ in range(4))
-        r_a = op.revise_models(op.revise_models(gamma, alpha), delta)
-        r_b = op.revise_models(op.revise_models(gamma, beta), delta)
-        r_or = op.revise_models(op.revise_models(gamma, alpha | beta), delta)
-        witness = tuple(_labels(s) for s in (gamma, alpha, beta, delta))
-        if not r_or <= (r_a | r_b):
-            found["disjunction_iteration_1"].append(witness)
-        if not (r_a <= r_or or r_b <= r_or):
-            found["disjunction_iteration_2"].append(witness)
+    for gamma in sets:
+        row = answer[mask[gamma]]
+        for alpha in sets:
+            for beta in sets:
+                a, b = mask[alpha], mask[beta]
+                by_a, by_b, by_or = answer[row[a]], answer[row[b]], answer[row[a | b]]
+                for delta in sets:
+                    d = mask[delta]
+                    r_a, r_b, r_or = by_a[d], by_b[d], by_or[d]
+                    fails = (r_or & ~(r_a | r_b), r_a & ~r_or and r_b & ~r_or)
+                    for name, failed in zip(found, fails):
+                        if failed:
+                            found[name].append(
+                                tuple(_labels(s) for s in (gamma, alpha, beta, delta)))
     return found
 
 
@@ -392,9 +408,9 @@ def test_agm_report_matches_scalar_loop_on_non_ir_distance():
         universe, OrderMode.REAL,
         lambda v, w: F(1) if v == w else F(1, 2),
     )
-    reports = check_agm(RevisionOperator.from_distance(dist, sig), samples=300, seed=4)
+    reports = check_agm(RevisionOperator.from_distance(dist, sig))
     assert not reports["star3"].passed
-    reference = _scalar_agm(RevisionOperator.from_distance(dist, sig), samples=300, seed=4)
+    reference = _scalar_agm(RevisionOperator.from_distance(dist, sig))
     _assert_reports_equal(reports, reference)
 
 
@@ -404,11 +420,10 @@ def test_agm_report_matches_scalar_loop_on_fn_operator():
     sig = ("p",)
     matrix = _identity_matrix()
     op = RevisionOperator.from_function(lambda v, w: v, sig)
-    reports = check_agm(op, matrix=matrix, samples=200, seed=1, witness_cap=3)
+    reports = check_agm(op, matrix=matrix, witness_cap=3)
     assert not reports["star0"].passed
     assert not reports["star2"].passed
-    reference = _scalar_agm(op, matrix=matrix, samples=200, seed=1)
-    _assert_reports_equal(reports, reference, cap=3)
+    _assert_reports_equal(reports, _scalar_agm(op, matrix=matrix), cap=3)
 
 
 def test_agm_builds_only_the_witnesses_it_keeps(monkeypatch):
@@ -427,12 +442,12 @@ def test_agm_builds_only_the_witnesses_it_keeps(monkeypatch):
 
     labels = revision._labels
     monkeypatch.setattr(revision, "_labels", spy)
-    reports = check_agm(op, samples=500, seed=2)
+    reports = check_agm(op)
     assert reports["star3"].total_violations > 50_000
     assert all(len(rep.witnesses) <= 16 for rep in reports.values())
     assert len(built) == sum(len(rep.witnesses) for rep in reports.values())
     monkeypatch.undo()
-    _assert_reports_equal(reports, _scalar_agm(op, samples=500, seed=2))
+    _assert_reports_equal(reports, _scalar_agm(op))
 
 
 def _asymmetric_op(sig, seed):
@@ -442,19 +457,110 @@ def _asymmetric_op(sig, seed):
     return RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (_asymmetric_op(SIG, 3), CLASSICAL),
-    lambda: (per_source_order_operator(SIG, seed=0), CLASSICAL),
-    lambda: (per_source_order_operator(("p",), matrix=_identity_matrix(), seed=2),
-             _identity_matrix()),
-], ids=["distance", "per_source", "identity_matrix"])
-def test_disjunction_report_matches_scalar_loop(make):
-    op, matrix = make()
-    reports = check_disjunction_iteration(op, matrix=matrix, samples=400, seed=5,
-                                          witness_cap=3)
-    reference_op, _ = make()
-    reference = _scalar_disjunction(reference_op, matrix=matrix, samples=400, seed=5)
-    _assert_reports_equal(reports, reference, cap=3)
+def _hamming_one_off_op():
+    """The 2-atom Hamming operator with one answer changed: revising {00}
+    by {01, 10} gives {01}, not both."""
+    hamming = _hamming_op()
+    u = valuation_universe(SIG)
+
+    def fn(vset, wset):
+        if (vset, wset) == ({u[0]}, {u[1], u[2]}):
+            return frozenset({u[1]})
+        return hamming.revise_models(vset, wset)
+
+    return RevisionOperator.from_function(fn, SIG)
+
+
+# operator makers for the comparisons with the scalar loops: each call
+# builds a fresh operator and gives its matrix
+SCALAR_CASES = {
+    "distance": lambda: (_asymmetric_op(SIG, 3), CLASSICAL),
+    "per_source": lambda: (per_source_order_operator(SIG, seed=0), CLASSICAL),
+    "identity_matrix": lambda: (
+        per_source_order_operator(("p",), matrix=_identity_matrix(), seed=2), _identity_matrix()),
+    "input_ignoring": lambda: (RevisionOperator.from_function(lambda v, w: v, SIG), CLASSICAL),
+    "empty_returning": lambda: (
+        RevisionOperator.from_function(lambda v, w: frozenset(), SIG), CLASSICAL),
+    "hamming_one_off": lambda: (_hamming_one_off_op(), CLASSICAL),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_agm_report_matches_scalar_loop(case):
+    op, matrix = SCALAR_CASES[case]()
+    reports = check_agm(op, matrix=matrix)
+    reference_op, _ = SCALAR_CASES[case]()
+    _assert_reports_equal(reports, _scalar_agm(reference_op, matrix=matrix))
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_disjunction_report_matches_scalar_loop(case):
+    op, matrix = SCALAR_CASES[case]()
+    reports = check_disjunction_iteration(op, matrix=matrix, witness_cap=3)
+    reference_op, _ = SCALAR_CASES[case]()
+    _assert_reports_equal(reports, _scalar_disjunction(reference_op, matrix=matrix), cap=3)
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # one first member per chunk and one outcome triple per test, so every
+    # witness but the first chunk's is placed by its chunk's offset
+    expected = {}
+    for case, make in SCALAR_CASES.items():
+        op, matrix = make()
+        expected[case] = (check_agm(op, matrix=matrix),
+                          check_disjunction_iteration(op, matrix=matrix))
+    monkeypatch.setattr(revision, "APPLY_CHUNK_CELLS", 1)
+    for case, make in SCALAR_CASES.items():
+        op, matrix = make()
+        assert (check_agm(op, matrix=matrix),
+                check_disjunction_iteration(op, matrix=matrix)) == expected[case], case
+
+
+def test_one_entry_off_hamming_breaks_star4_and_both_disjunction_properties():
+    # of 3,375 triples, 2 fail star4, and of 50,625 tuples 22 and 10 fail
+    # the disjunction properties; a sample of triples drawn with
+    # replacement counts each failing one as often as it is drawn
+    op = _hamming_one_off_op()
+    agm, disjunction = check_agm(op), check_disjunction_iteration(op)
+    assert {name: rep.total_violations for name, rep in {**agm, **disjunction}.items()} == {
+        "star0": 0, "star1": 0, "star2": 0, "star3": 0, "star4": 2,
+        "disjunction_iteration_1": 22, "disjunction_iteration_2": 10}
+    assert agm["star4"].witnesses == [(["00"], ["01", "10", "11"], ["01", "10"]),
+                                      (["00"], ["01", "10", "11"], ["00", "01", "10"])]
+    assert disjunction["disjunction_iteration_1"].witnesses[:1] == [
+        (["00"], ["11"], ["01", "10"], ["10", "11"])]
+    assert disjunction["disjunction_iteration_2"].witnesses[:2] == [
+        (["00"], ["11"], ["01", "10"], ["10", "11"]),
+        (["00"], ["11"], ["01", "10"], ["00", "10", "11"])]
+    _assert_reports_equal(agm, _scalar_agm(_hamming_one_off_op()))
+    _assert_reports_equal(disjunction, _scalar_disjunction(_hamming_one_off_op()))
+
+
+def _rechecked_disjunction(op, reports, matrix=CLASSICAL):
+    """The properties each kept witness (G, A, B, D) fails when its four
+    theories are revised again one pair at a time by ``revise_models``."""
+    by_label = {v.label(): v for v in valuation_universe(op.signature, matrix)}
+    out = {}
+    for name, rep in reports.items():
+        out[name] = []
+        for witness in rep.witnesses:
+            gamma, alpha, beta, delta = (frozenset(by_label[x] for x in s) for s in witness)
+            r_a, r_b, r_or = (op.revise_models(op.revise_models(gamma, x), delta)
+                              for x in (alpha, beta, alpha | beta))
+            out[name].append((not r_or <= r_a | r_b, not (r_a <= r_or or r_b <= r_or)))
+    return out
+
+
+def test_disjunction_witnesses_at_three_atoms_fail_when_revised_again():
+    # 4.2e9 tuples, too many for the scalar loop: each kept witness of the
+    # per-source operator fails its property when revised pair by pair
+    sig = ("p", "q", "r")
+    op = per_source_order_operator(sig, seed=0)
+    reports = check_disjunction_iteration(op)
+    rechecked = _rechecked_disjunction(op, reports)
+    for i, name in enumerate(("disjunction_iteration_1", "disjunction_iteration_2")):
+        assert reports[name].total_violations > 10 ** 8
+        assert len(rechecked[name]) == 16 and all(fails[i] for fails in rechecked[name])
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +576,6 @@ def _space_case(case):
     return _asymmetric_op(sig, 3).dist, sig, CLASSICAL
 
 
-@contextlib.contextmanager
-def _memoized_round_trips():
-    """``_scalar_agm`` with each set's round trip computed once: the same
-    pure functions, patched into this module, so the 3-atom loop's 130,050
-    round trips take seconds, not half a minute."""
-    trip = functools.lru_cache(maxsize=None)(models)
-    module = sys.modules[__name__]
-    with mock.patch.object(module, "canonical_dnf",
-                           functools.lru_cache(maxsize=None)(canonical_dnf)), \
-            mock.patch.object(module, "models",
-                              lambda gamma, sig, matrix: trip(tuple(gamma), sig, matrix)):
-        yield
-
-
 @pytest.mark.parametrize("case", ["1_atom", "2_atoms", "3_atoms", "identity_matrix"])
 def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
     # every run builds its own distance and operator, so the runs share the
@@ -494,8 +586,8 @@ def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
     def run():
         dist, sig, matrix = _space_case(case)
         op = RevisionOperator.from_distance(dist, sig)
-        return (check_agm(op, matrix=matrix, samples=300, seed=4),
-                check_disjunction_iteration(op, matrix=matrix, samples=300, seed=5),
+        return (check_agm(op, matrix=matrix),
+                check_disjunction_iteration(op, matrix=matrix),
                 check_star_loop(op, k_max=k_max, matrix=matrix),
                 check_dp_cp(dist, sig, matrix=matrix))
 
@@ -506,13 +598,16 @@ def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
     assert revision._model_set_space.cache_info().hits > hits
     agm, disjunction, _, dp_cp = cold
     dist, sig, matrix = _space_case(case)
-    with _memoized_round_trips():
-        reference = _scalar_agm(RevisionOperator.from_distance(dist, sig), matrix,
-                                samples=300, seed=4)
-    _assert_reports_equal(agm, reference)
-    reference = _scalar_disjunction(RevisionOperator.from_distance(dist, sig), matrix,
-                                    samples=300, seed=5)
-    _assert_reports_equal(disjunction, reference)
+    op = RevisionOperator.from_distance(dist, sig)
+    _assert_reports_equal(agm, _scalar_agm(op, matrix))
+    if case == "3_atoms":
+        # 4.2e9 tuples, too many for the scalar loop; a distance operator
+        # keeps both properties, so no witness may be kept
+        assert _rechecked_disjunction(op, disjunction, matrix) == {
+            name: [] for name in disjunction}
+        assert not any(rep.total_violations for rep in disjunction.values())
+    else:
+        _assert_reports_equal(disjunction, _scalar_disjunction(op, matrix))
     _assert_reports_equal(dp_cp, _scalar_dp_cp(dist, sig, matrix))
     definable = definable_model_sets(sig, matrix)
     assert type(definable) is frozenset

@@ -11,7 +11,12 @@ from pathlib import Path
 from distrev import cli, wheel
 from distrev.distops import LoopVerdict, OperatorTable, check_loop
 from distrev.realizability import compile_constraints
-from distrev.revision import RevisionOperator
+from distrev.revision import (
+    RevisionOperator,
+    check_agm,
+    check_disjunction_iteration,
+    hamming_pseudo_distance,
+)
 from distrev.wheel import ClaimsReport, EqualityReport
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,6 +83,16 @@ def test_loop_contract_of_the_benchmark():
     # the checkers jobs pass these keywords
     assert {"checked", "sampled"} <= {f.name for f in dataclasses.fields(LoopVerdict)}
     assert {"budget", "samples"} <= set(inspect.signature(check_loop).parameters)
+
+
+def test_revision_contract_of_the_benchmark():
+    # the checkers jobs pass samples= and seed= to both exhaustive checks,
+    # which accept and ignore them
+    sig = ("p", "q")
+    op = RevisionOperator.from_distance(hamming_pseudo_distance(sig), sig)
+    for check in (check_agm, check_disjunction_iteration):
+        assert {"samples", "seed"} <= set(inspect.signature(check).parameters)
+        assert check(op, samples=2_000, seed=7) == check(op)
 
 
 def test_atom_count_of_the_benchmark():

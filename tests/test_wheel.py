@@ -258,7 +258,7 @@ def _random_distance(rng, order, liberal, far=()):
 def _direct_sweeps(a, b, entries, near, nx):
     # both sweeps by direct enumeration of every (W, V) cell of the dense
     # columns a (the backing, with ``entries`` over it) and b: the
-    # equality's mismatching (V, W) masks, W ascending then V, the
+    # equality's mismatching (V, W) masks, V ascending then W, the
     # reduction's scope count and its mismatching masks
     size, xmask = len(a), (1 << nx) - 1
     near_of = [0] * size  # the points that some member of V is near
@@ -277,7 +277,7 @@ def _direct_sweeps(a, b, entries, near, nx):
         pairs += int(scope.sum())
         differ = a[wm] != a[wm & xmask][vm & xmask]
         reduction += [(v, wm) for v in np.flatnonzero(scope & differ).tolist()]
-    return equal, pairs, reduction
+    return sorted(equal), pairs, sorted(reduction)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -414,8 +414,8 @@ def test_no_k1_loop_violation_over_every_set():
 
 
 # The mismatches of the m=4 mutation checks below as {W mask: V masks},
-# over each gadget's universe order, W ascending, then V: frozen from the
-# blocked W-column sweep that the row-wise sweep replaced.
+# over each gadget's universe order: frozen from the blocked W-column sweep
+# that the row-wise sweep replaced.
 ABSTRACT_RUNG3 = {
     6: (64, 96), 12: (64, 192), 14: (64,), 96: (4, 6), 192: (4, 12), 224: (4,),
 }
@@ -461,9 +461,10 @@ UNGUARDED = {
 
 
 def _frozen(by_w, order, cap=None):
-    # the (V, W) label pairs of a frozen mismatch list, in the sweep's order
+    # the (V, W) label pairs of a frozen mismatch list, in the sweep's
+    # order: V ascending, then W
     return [(_labels_of(v, order), _labels_of(w, order))
-            for w, vs in by_w.items() for v in vs][:cap]
+            for v, w in sorted((v, w) for w, vs in by_w.items() for v in vs)][:cap]
 
 
 def test_corrupted_patched_rung_breaks_equality():
@@ -546,13 +547,47 @@ def test_exhaustive_sweep_passes_m6():
 
 
 def test_exhaustive_sweep_catches_corrupted_rung_m6():
-    # rung 3 made cheaper than every other cost between distinct points
     patched_op, patched_dist = build_wheel_gadget(n=3).patch(1)
-    corrupted = patched_dist.replaced({("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)})
+    corrupted = _corrupt_rung3_below_all(patched_dist)
     report = wheel_equality_sweep(patched_op, corrupted)
     # the first 16 of many pairs, each a true mismatch
     assert len(report.mismatches) == 16
     assert all(patched_op.lookup(v, w) != apply(corrupted, v, w) for v, w in report.mismatches)
+
+
+def _corrupt_rung3_below_all(dist):
+    # rung 3 made cheaper than every other cost between distinct points:
+    # about half of all V masks fail the order check
+    return dist.replaced({("v3", "w3"): F(1, 2), ("w3", "v3"): F(1, 2)})
+
+
+def test_failing_sweep_stops_at_its_witness_cap(monkeypatch):
+    # m=7: 16 points, so a chunk holds 4 flagged V's, whose W rows already
+    # hold 16 mismatches; folding every flagged V took about 30 s
+    patched_op, patched_dist = build_wheel_gadget(m=7).patch(1)
+    corrupted = _corrupt_rung3_below_all(patched_dist)
+    chunks, real = [], wheel._witnesses
+
+    def spy(vmasks, order, cap, differ):
+        def counted(vm):
+            chunks.append(len(vm))
+            return differ(vm)
+        return real(vmasks, order, cap, counted)
+
+    monkeypatch.setattr(wheel, "_witnesses", spy)
+    report = wheel_equality_sweep(patched_op, corrupted)
+    assert chunks == [wheel.APPLY_CHUNK_CELLS >> 16]
+    assert len(report.mismatches) == 16
+    assert all(patched_op.lookup(v, w) != apply(corrupted, v, w) for v, w in report.mismatches)
+
+
+def test_capped_mismatches_head_the_uncapped_list():
+    # m=5: the uncapped list holds 116,036 pairs, the capped one its first 16
+    patched_op, patched_dist = build_wheel_gadget(m=5).patch(1)
+    corrupted = _corrupt_rung3_below_all(patched_dist)
+    listed = wheel_equality_sweep(patched_op, corrupted, witness_cap=1 << 30).mismatches
+    assert len(listed) == 116_036
+    assert wheel_equality_sweep(patched_op, corrupted).mismatches == listed[:16]
 
 
 def test_exhaustive_sweep_catches_corrupted_entry_m6():

@@ -171,18 +171,20 @@ def _row_sets(rows, order):
 def _packed_rows(rows, unit):
     """Each boolean row packed into whole units of ``unit`` bytes, at least
     one: an array [row, byte], point i at bit i % 8 of byte i // 8, spare
-    bits 0.  Rows are padded and packed flat in chunks of about
-    ``APPLY_CHUNK_CELLS`` bits, faster than packing along short rows."""
+    bits 0.  Rows are padded to whole bytes and packed flat in chunks of
+    about ``APPLY_CHUNK_CELLS`` bits, faster than packing along short rows;
+    the bytes past the last point stay 0."""
     rows = np.asarray(rows, dtype=bool)
     count, points = rows.shape
-    width = 8 * unit * max(1, -(-points // (8 * unit)))
-    out = np.empty((count, width // 8), dtype=np.uint8)
-    step = max(1, APPLY_CHUNK_CELLS // width)
-    padded = np.zeros((min(step, count), width), dtype=bool)
+    size = -(-points // 8)
+    out = np.zeros((count, unit * max(1, -(-size // unit))), dtype=np.uint8)
+    step = max(1, APPLY_CHUNK_CELLS // max(8 * size, 1))
+    padded = np.zeros((min(step, count), 8 * size), dtype=bool)
     for lo in range(0, count, step):
         chunk = padded[:min(step, count - lo)]
         chunk[:, :points] = rows[lo:lo + step]
-        out[lo:lo + len(chunk)] = np.packbits(chunk, bitorder="little").reshape(len(chunk), -1)
+        packed = np.packbits(chunk, bitorder="little")
+        out[lo:lo + len(chunk), :size] = packed.reshape(len(chunk), size)
     return out
 
 
@@ -195,6 +197,46 @@ def _row_keys(rows):
     """One packed byte-string key per row, comparing as its set's bits."""
     packed = _packed_rows(rows, 1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _row_index(table):
+    """``find(words)``: for each row of ``words`` [row, word], the index of
+    the equal row of ``table`` [row, word], distinct rows of one width, and
+    whether there is one.  Word column j is ranked among the table's values
+    there by one ``searchsorted``; past the first column a row's rank so
+    far and its rank there make one number, ranked in turn among the table
+    rows' numbers, so each rank stays below the table's row count.  The
+    table side sorts in Python: the table is small, and numpy's integer
+    sorts would map about 0.3 MB more of its code into the process."""
+    def distinct(column):  # sorted, and each entry's rank
+        values = np.array(sorted(set(column.tolist())), dtype=column.dtype)
+        return values, np.searchsorted(values, column)
+
+    steps, known = [], None
+    for column in table.T:
+        values, rank = distinct(column)
+        pairs, known = (None, rank) if known is None else distinct(known * len(values) + rank)
+        steps.append((values, pairs))
+    owner = np.empty(len(table), dtype=np.intp)
+    owner[known] = np.arange(len(table))
+
+    def find(words):
+        found, known = np.ones(len(words), dtype=bool), None
+        for (values, pairs), column in zip(steps, words.T):
+            at = _rank_in(values, column, found)
+            known = at if pairs is None else _rank_in(pairs, known * len(values) + at, found)
+        return owner[known], found
+
+    return find
+
+
+def _rank_in(values, keys, found):
+    """Each key's index in the sorted ``values``, clipped to the last;
+    ``found`` is cleared where the key is absent."""
+    at = np.searchsorted(values, keys)
+    np.minimum(at, len(values) - 1, out=at)
+    found &= values[at] == keys
+    return at
 
 
 @dataclass
@@ -234,9 +276,9 @@ class OperatorTable:
     def lookup_rows(self, vrows, wrows, order):
         """Batch form of ``lookup`` over P pairs given as boolean membership
         rows, their columns in ``order``: the backing's ``apply_rows``, with
-        each explicit entry over the rows of its pair, matched by packed row
-        keys.  Without a backing an unmatched pair raises
-        ``UndefinedPairError``, the first one in row order."""
+        each explicit entry over the rows of its pair, found by the packed
+        words of (V, W) (``_row_index``).  Without a backing an unmatched
+        pair raises ``UndefinedPairError``, the first one in row order."""
         vrows = np.asarray(vrows, dtype=bool)
         wrows = np.asarray(wrows, dtype=bool)
         if self.backing is not None:
@@ -247,17 +289,11 @@ class OperatorTable:
         keys = [key for key in self.entries if key[0] <= inside and key[1] <= inside]
         hit = np.zeros(len(out), dtype=bool)
         if keys and len(out):
-            entry_keys = _row_keys(np.hstack([
+            find = _row_index(_row_words(np.hstack([
                 _membership_rows([v for v, _ in keys], order),
-                _membership_rows([w for _, w in keys], order),
-            ]))
-            by_key = np.argsort(entry_keys)
-            entry_keys = entry_keys[by_key]
-            pair_keys = _row_keys(np.hstack([vrows, wrows]))
-            at = np.minimum(np.searchsorted(entry_keys, pair_keys), len(keys) - 1)
-            hit = entry_keys[at] == pair_keys
-            results = _membership_rows([self.entries[keys[i]] for i in by_key], order)
-            out[hit] = results[at[hit]]
+                _membership_rows([w for _, w in keys], order)])))
+            at, hit = find(_row_words(np.hstack([vrows, wrows])))
+            out[hit] = _membership_rows([self.entries[key] for key in keys], order)[at[hit]]
         if self.backing is None and not hit.all():
             p = int(np.argmin(hit))
             (v,), (w,) = _row_sets(vrows[p:p + 1], order), _row_sets(wrows[p:p + 1], order)
@@ -345,8 +381,8 @@ class LoopVerdict:
     chain: tuple = ()
     checked: int = 0
     sampled: bool = False
-    states: int = 0  # distinct (start, state) pairs the walk reached
-    fixpoint: int | None = None  # the walk's depth when it ran out of states
+    states: int = 0  # the n^2 starts and the states the live starts reached
+    fixpoint: int | None = None  # the last depth where a live start reached a new state
 
 
 def _premise(op, a, b, c):
@@ -436,9 +472,10 @@ def _walk(premises, n, k_max):
     """The index chain of least k whose premises hold and whose conclusion
     fails, lexicographically first at that k, or None; the number of
     distinct (start, state) pairs reached; and the fixpoint, the deepest
-    layer that reached a new state, or None when the walk found a chain or
-    was cut off at ``k_max``.  With ``k_max`` None the walk runs until no
-    start reaches a new state.  ``premises`` is a ``_premise_reader``.
+    layer at which a live start reached a new state, or None when the walk
+    found a chain or was cut off at ``k_max``.  With ``k_max`` None the walk
+    runs until no live start reaches a new state.  ``premises`` is a
+    ``_premise_reader``.
 
     Layer j holds, for every start (V_0, V_1), the premise states
     (V_{j-1}, V_j) first reached through premises 1..j-1: whether a state
@@ -446,10 +483,13 @@ def _walk(premises, n, k_max):
     is read off ``q[a, b]``, which is premise(a, b, a): premise 1 is
     q[i0, i1] and the conclusion q[i1, i0].  Only a walk past k = 1 reads
     the premise tensor ``P[a, b, c]`` (``premises.tensor()``), and takes
-    ``q`` from it.  From layer 2 on, a block of ``_walk_block`` holds
-    max(1, ``APPLY_CHUNK_CELLS`` // n^3) first sets V_0 with n^3 cells
-    each, so above 64 sets one V_0 of more than ``APPLY_CHUNK_CELLS``
-    cells; each block searches only for a k below the best one found.
+    ``q`` from it.  Past k = 1 a start is walked only when it is live, its
+    conclusion P[i1, i0, V_k] failing for some V_k; the others can never
+    close a ring, so ``states`` counts the n^2 starts and the states the
+    live starts reach.  From layer 2 on, a block of ``_walk_block`` holds
+    max(1, ``APPLY_CHUNK_CELLS`` // n^2) live starts in ascending order,
+    with n^2 cells each; each block searches only for a k below the best
+    one found.
     """
     if k_max is not None and k_max < 1:
         return None, 0, None
@@ -463,17 +503,18 @@ def _walk(premises, n, k_max):
         return tuple(int(i) for i in divmod(hits[0], n)), states, None
     if P is None:
         return None, states, None
+    live = np.flatnonzero(~P.all(axis=2).T)  # start i0 * n + i1
     step = np.ascontiguousarray(P.transpose(1, 0, 2), dtype=np.float32)  # [b, a, c]
-    block = max(1, APPLY_CHUNK_CELLS // n ** 3)
+    block = max(1, APPLY_CHUNK_CELLS // n ** 2)
     best, fixpoint = None, 1
-    for lo in range(0, n, block):
+    for lo in range(0, len(live), block):
         k_top = k_max if best is None else best[0] - 1
         if k_top is not None and k_top < 2:
             break
-        count, k, x = _walk_block(P, step, lo, min(block, n - lo), k_top)
+        count, k, x = _walk_block(P, step, live[lo:lo + block], k_top)
         states += count
         if x is not None:
-            best = (k, *divmod(lo * n + x, n))
+            best = (k, *divmod(int(live[lo + x]), n))
         fixpoint = fixpoint and k and max(fixpoint, k)  # None once a block is cut off
     if best is None:
         return None, states, fixpoint
@@ -481,29 +522,29 @@ def _walk(premises, n, k_max):
     return _chain(P, i0, i1, k), states, None
 
 
-def _walk_block(P, step, lo, s, k_top):
-    """The number of states first reached from the starts whose V_0 is one
-    of the s sets from ``lo`` on, and the depth k and the first start x,
-    numbered ``(i0 - lo) * n + i1``, at which one closes a counterexample;
-    with x None, k is the deepest layer before the block ran dry, or None
-    when it was cut off at ``k_top``.  Each layer is a batched float32
-    matmul of the last with the premises, read as ``> 0`` (its sums of 0/1
-    values are exact), less the states reached before.  A block holds 10
-    bytes a cell: the float32 layer multiplied and its product, the layer
-    read and the states not yet reached, all freed when it returns."""
-    n = len(P)
-    x = np.arange(s * n)
-    # reached[b, x, c]: state (b, c) first reached from start x = (i0, i1);
-    # layer 2 is (i1, c) for every c with premise 1, less the start
-    unseen = np.ones((n, s * n, n), dtype=bool)
-    unseen[lo + x // n, x, x % n] = False
+def _walk_block(P, step, starts, k_top):
+    """The number of states first reached from the s starts ``starts``,
+    numbered i0 * n + i1, and the depth k and the first x at which
+    ``starts[x]`` closes a counterexample; with x None, k is the deepest
+    layer before the block ran dry, or None when it was cut off at
+    ``k_top``.  Each layer is a batched float32 matmul of the last with the
+    premises, read as ``> 0`` (its sums of 0/1 values are exact), less the
+    states reached before.  The same product, read at column V_0, tells
+    which states of the last layer close the ring.  A block holds 10 bytes
+    a cell: the float32 layer multiplied and its product, the layer read
+    and the states not yet reached, all freed when it returns."""
+    n, s = len(P), len(starts)
+    i0, i1 = np.divmod(starts, n)
+    x = np.arange(s)
+    # reached[b, x, c]: state (b, c) first reached from start x; layer 2 is
+    # (i1, c) for every c with premise 1, less the start
+    unseen = np.ones((n, s, n), dtype=bool)
+    unseen[i0, x, i1] = False
     reached = np.zeros_like(unseen)
-    reached[x % n, x] = P[lo:lo + s].reshape(s * n, n)
-    # state (b, c) at depth k closes a counterexample when premise k holds,
-    # close[b, i0, 0, c] = P[b, c, i0], and the conclusion fails[i0, i1, c]
-    close = np.ascontiguousarray(P[:, :, lo:lo + s].transpose(0, 2, 1))[:, :, None, :]
-    fails = ~P[:, lo:lo + s].transpose(1, 0, 2)
+    reached[i1, x] = P[i0, i1]
+    fails = ~P[i1, i0]  # [x, c]: the conclusion fails at V_k = c
     layer = np.empty(unseen.shape, dtype=np.float32)
+    product = np.empty_like(layer)
     states = 0
     for k in itertools.count(2):
         reached &= unseen
@@ -512,15 +553,18 @@ def _walk_block(P, step, lo, s, k_top):
             return states, k - 1, None
         states += count
         unseen ^= reached  # reached lies within unseen, so this clears just it
-        hit = ((reached.reshape(n, s, n, n) & close).any(axis=0) & fails).any(axis=2).ravel()
+        # transposed and widened in one pass, read as bytes: a cast from
+        # bool is about twice as slow
+        np.copyto(layer, reached.view(np.uint8).transpose(2, 1, 0))
+        # product[c, x, d]: the states (b, c) of layer k with premise
+        # (b, c, d); at d = V_0 that premise closes the ring
+        np.matmul(layer, step, out=product)
+        hit = ((product[:, x, i0] > 0).T & fails).any(axis=1)
         if hit.any():
             return states, k, int(np.argmax(hit))
         if k == k_top:
             return states, None, None
-        # transposed and widened in one pass, read as bytes: a cast from
-        # bool is about twice as slow
-        np.copyto(layer, reached.view(np.uint8).transpose(2, 1, 0))
-        np.greater(np.matmul(layer, step), 0, out=reached)
+        np.greater(product, 0, out=reached)
 
 
 def _chain(P, i0, i1, k):
@@ -563,24 +607,18 @@ def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
 
 
 def _verdict(op, sets, k_max):
-    """The walk's verdict over ``sets``, its chain re-verified; ``checked``
-    counts the chains up to the violation's k, the cut-off or the fixpoint."""
+    """The walk's verdict over ``sets``, its chain re-verified explicitly;
+    ``checked`` counts the chains up to the violation's k, the cut-off or
+    the fixpoint."""
     found, states, fixpoint = _walk(_premise_reader(op, sets), len(sets), k_max)
     k = len(found) - 1 if found else fixpoint if k_max is None else k_max
     checked = sum(len(sets) ** (j + 1) for j in range(1, k + 1))
     if found is None:
         return LoopVerdict(True, k, (), checked, states=states, fixpoint=fixpoint)
-    return LoopVerdict(False, k, _rechecked(op, sets, found), checked, states=states)
-
-
-def _rechecked(op, sets, found):
-    """The chain of sets at the indices ``found``, re-verified explicitly."""
     chain = tuple(sets[i] for i in found)
     if not recheck_chain(op, chain):
-        raise WitnessError(
-            f"loop chain {[sorted(s) for s in chain]} fails its recheck"
-        )
-    return chain
+        raise WitnessError(f"loop chain {[sorted(s) for s in chain]} fails its recheck")
+    return LoopVerdict(False, k, chain, checked, states=states)
 
 
 def find_loop_violation(op, sets, k_max=None):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,8 +23,9 @@ from .distops import (
     _mask_dtype,
     _membership_rows,
     _packed_rows,
-    _row_keys,
+    _row_index,
     _row_sets,
+    _row_words,
     apply,
     apply_rows,
     check_loop,
@@ -101,11 +101,22 @@ class RevisionOperator:
     def revise_rows(self, vrows, wrows, order):
         """Batch form of ``revise_models`` over P pairs given as boolean
         membership rows, their columns in ``order``: one ``apply_rows`` for
-        a distance, else ``revise_models`` once per row, in row order."""
+        a distance, else ``revise_models`` once per row, in row order, in
+        chunks of about ``APPLY_CHUNK_CELLS`` (pair, column) cells written
+        into one result.  A chunk makes one set per distinct row, so it
+        holds little more than its answers."""
         if self.dist is not None:
             return apply_rows(self.dist, vrows, wrows, order)
-        pairs = zip(_row_sets(vrows, order), _row_sets(wrows, order))
-        return _membership_rows([self.revise_models(v, w) for v, w in pairs], order)
+        out = np.zeros(np.shape(wrows), dtype=bool)
+        step = max(1, APPLY_CHUNK_CELLS // max(len(order), 1))
+        for lo in range(0, len(out), step):
+            (v, v_at), (w, w_at) = (np.unique(rows[lo:lo + step], axis=0, return_inverse=True)
+                                    for rows in (vrows, wrows))
+            vsets, wsets = _row_sets(v, order), _row_sets(w, order)
+            answers = [self.revise_models(vsets[i], wsets[j])
+                       for i, j in zip(v_at.ravel().tolist(), w_at.ravel().tolist())]
+            out[lo:lo + step] = _membership_rows(answers, order)
+        return out
 
     @classmethod
     def from_distance(cls, dist, signature):
@@ -182,8 +193,8 @@ class _ModelSetSpace:
     built on first use: the valuation ``order``; the non-empty model
     ``sets`` and their integer ``masks``; the ``moved`` mask of the
     canonical-formula round trip; and the definable sets sorted by
-    ``_label``, with their rows and packed row keys.  Masks and rows have
-    their columns in ``order`` and are read-only."""
+    ``_label``, with their rows and the ``_row_index`` of their words.
+    Masks and rows have their columns in ``order`` and are read-only."""
 
     def __init__(self, signature, matrix):
         self.signature, self.matrix = signature, matrix
@@ -214,8 +225,8 @@ class _ModelSetSpace:
         return _read_only(_membership_rows(self.definable, self.order))
 
     @functools.cached_property
-    def definable_keys(self):
-        return frozenset(_row_keys(self.definable_rows).tolist())
+    def definable_index(self):
+        return _row_index(_row_words(self.definable_rows))
 
 
 # Every checker call on one signature and matrix reads the same tables.  The
@@ -232,8 +243,7 @@ def _labels(*model_sets):
 
 def _pair_rows(rows):
     """Every ordered pair of ``rows``, the first member the outer order."""
-    pick = np.arange(len(rows))
-    return rows[np.repeat(pick, len(rows))], rows[np.tile(pick, len(rows))]
+    return np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
 
 
 def _revision_table(op, space, what, per_key=0):
@@ -241,12 +251,12 @@ def _revision_table(op, space, what, per_key=0):
     valuations of ``space.order``, the empty mask too (a function operator
     is asked about it wherever a result is empty), in one ``revise_rows``
     batch.  First, raises ``BoundExceededError`` if the ``what`` check would
-    hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows, two
-    masks and for a function operator four sets' worth of Python objects;
-    ``per_key`` bytes per key of 3w bits; and 64 bytes a chunk cell."""
+    hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows and two
+    masks; ``per_key`` bytes per key of 3w bits; and 64 bytes a chunk
+    cell.  A function operator's sets are held one chunk at a time
+    (``revise_rows``)."""
     width = len(space.order)
-    per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize \
-        + (op.fn is not None) * 4 * sys.getsizeof(frozenset(range(width)))
+    per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize
     need = (per_pair << 2 * width) + (per_key << 3 * width) + 64 * APPLY_CHUNK_CELLS
     if need > SWEEP_MAX_BYTES:
         raise BoundExceededError(f"the {what} over {width} valuations needs about "
@@ -370,9 +380,11 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
     All pairs, by default every pair of definable sets, are minimized in
     one ``apply_rows`` batch over membership rows in valuation order;
     witnesses follow the pair order, and a valuation outside the signature
-    raises ``UnknownAtomError``.  The definable sets, sorted by label, their
-    rows and their packed keys come from the model-set space of
-    (signature, matrix), built once and kept in a cache of 8 spaces."""
+    raises ``UnknownAtomError``.  The results are packed once into words:
+    dp looks them up among the definable sets' words (``_row_index``), and
+    cp reads an empty result as a row of zero words.  The definable sets,
+    sorted by label, their rows and their index come from the model-set
+    space of (signature, matrix), built once and kept in a cache of 8."""
     space = _model_set_space(tuple(signature), matrix)
     order = space.order
     if set(dist.universe) != set(order):
@@ -381,6 +393,8 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
         defs = space.definable
         count = len(defs)
         vrows, wrows = _pair_rows(space.definable_rows)
+        filled = space.definable_rows.any(axis=1)
+        both = (filled[:, None] & filled).ravel()
 
         def pair_at(p):
             return defs[p // count], defs[p % count]
@@ -393,11 +407,13 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
                                        f"valuation outside the signature {tuple(signature)}")
         vrows = _membership_rows([v for v, _ in pairs], order)
         wrows = _membership_rows([w for _, w in pairs], order)
+        both = np.array([bool(v) and bool(w) for v, w in pairs], dtype=bool)
         pair_at = pairs.__getitem__
     result = apply_rows(dist, vrows, wrows, order)
-    defined = space.definable_keys
-    bad = [p for p, key in enumerate(_row_keys(result).tolist()) if key not in defined]
-    empty = vrows.any(axis=1) & wrows.any(axis=1) & ~result.any(axis=1)
+    del vrows, wrows  # the lookups below need only the results
+    words = _row_words(result)
+    bad = np.flatnonzero(~space.definable_index(words)[1])
+    empty = both & ~words.any(axis=1)
     return {
         "dp": PropertyReport.of("dp", bad, witness_cap, lambda p: _labels(
             *pair_at(p), *_row_sets(result[p:p + 1], order))),

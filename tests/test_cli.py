@@ -209,12 +209,15 @@ def test_loop_with_family(workdir, hamming_file, capsys):
     out = capsys.readouterr().out
     assert "result: pass" in out
     assert "checked: 36\n" in out  # 3^2 + 3^3 chains
-    assert "states: 29\n" in out  # 9 starts, then 20 new states at depth 2
-    assert "fixpoint: -\n" in out  # cut off with new states left
-    # with no cut-off the walk runs dry at depth 4: a pass for every k
+    # 9 starts; only ({00}, {01}) and ({01}, {00}) can fail their
+    # conclusion, and each reaches 1 new state at depth 2
+    assert "states: 11\n" in out
+    assert "fixpoint: -\n" in out  # cut off before the walk could run dry
+    # with no cut-off no live start reaches a new state at depth 3: a pass
+    # for every k, at fixpoint 2
     assert main(["loop", str(op_path), "--family", fam]) == 0
     out = capsys.readouterr().out
-    assert "\nk_max: -\nchecked: 360\nstates: 67\nfixpoint: 4\nresult: pass\n" in out
+    assert "\nk_max: -\nchecked: 36\nstates: 11\nfixpoint: 2\nresult: pass\n" in out
 
 
 def test_loop_malformed_family_exits_2(workdir, hamming_file):

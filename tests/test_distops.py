@@ -189,6 +189,22 @@ def test_loop_refuses_an_oversized_walk_before_reading_a_premise():
         check_loop(op, family, 1, budget=225)
 
 
+def test_loop_walk_skips_starts_that_can_never_close(monkeypatch):
+    # every cost 0: the operator answers all of W, so every conclusion
+    # holds and no start can close a ring.  The walk passes at fixpoint 1
+    # on the n^2 starts alone and never walks a block.
+    def no_block(*args):
+        raise AssertionError("a block of starts was walked")
+
+    op = OperatorTable(U, {}, backing=_dist(lambda v, w: F(0)))
+    family = _all_nonempty_subsets(U)
+    monkeypatch.setattr(distops, "_walk_block", no_block)
+    for k_max in (None, 3):
+        for verdict in (check_loop(op, family, k_max), find_loop_violation(op, family, k_max)):
+            assert verdict.passed and (verdict.fixpoint, verdict.states) == (1, 15 ** 2)
+            assert verdict.k == (k_max or 1)
+
+
 def _cyclic_override_op():
     # singleton sources pick their cyclic successor out of the other two:
     # b keeps a, c keeps b, but a drops b -- so the k=2 chain a,b,c has all

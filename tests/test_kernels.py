@@ -308,6 +308,18 @@ def test_row_packers_match_packbits(cells):
                 assert np.array_equal(words, padded.view("<u8"))
 
 
+@pytest.mark.parametrize("points", (0, 1, 8, 63, 64, 65, 130))
+def test_row_index_matches_a_dict_of_rows(points):
+    # distinct table rows; half the queries are table rows, half random
+    rng = np.random.default_rng(points)
+    table = np.unique(rng.random((40, points)) < 0.5, axis=0)
+    rows = np.vstack([table[rng.integers(0, len(table), 30)], rng.random((30, points)) < 0.5])
+    index = {row.tobytes(): i for i, row in enumerate(table)}
+    at, found = distops._row_index(distops._row_words(table))(distops._row_words(rows))
+    assert found.tolist() == [row.tobytes() in index for row in rows]
+    assert at[found].tolist() == [index[row.tobytes()] for row in rows[found]]
+
+
 def _first_chain_brute_force(op, family, k_max):
     """Lexicographic enumeration of every chain; the first counterexample
     with its k and the number of chains counted up to and including its k."""
@@ -444,11 +456,14 @@ class _CachedLookups:
 
 def _reached_states(op, sets, k):
     """Distinct (start, state) pairs first reached at depths 1..k: a state
-    (V_{j-1}, V_j) at depth j has premises 1..j-1 holding."""
+    (V_{j-1}, V_j) at depth j has premises 1..j-1 holding.  Past depth 1
+    only the live starts count, those whose conclusion (V_1, V_0, V_k)
+    fails for some V_k."""
     total = 0
     for v0, v1 in itertools.product(sets, repeat=2):
+        live = any(not op.lookup(v0, v1 | c) & v1 for c in sets)
         seen = layer = {(v0, v1)}
-        for _ in range(k):
+        for _ in range(k if live else min(k, 1)):
             total += len(layer)
             layer = {(b, c) for a, b in layer for c in sets
                      if op.lookup(b, a | c) & a} - seen

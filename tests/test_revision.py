@@ -2,11 +2,13 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from distrev import revision
-from distrev.costs import OrderMode, PseudoDistance
+from distrev.costs import OrderMode, PseudoDistance, check_property
 from distrev.errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from distrev.distops import apply
 from distrev.logic import (
@@ -195,6 +197,31 @@ def test_per_source_answers_do_not_depend_on_query_order():
     assert check_disjunction_iteration(used) == check_disjunction_iteration(fresh)
 
 
+def test_function_operator_table_is_answered_in_chunks():
+    # the 65,536 pairs of 3 atoms: asked all at once, their sets and
+    # answers peaked at 65 MiB.  Here T[v, w] is v.
+    sig = ("p", "q", "r")
+    op = RevisionOperator.from_function(lambda v, w: v, sig)
+    space = revision._model_set_space(sig, CLASSICAL)
+    tracemalloc.start()
+    try:
+        table = revision._revision_table(op, space, "postulate check")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert np.array_equal(table, np.repeat(np.arange(256)[:, None], 256, axis=1))
+    # one chunk, two and many give the answers of revise_models pair by pair
+    op = per_source_order_operator(SIG, seed=3)
+    space = revision._model_set_space(SIG, CLASSICAL)
+    _, _, answer = _scalar_answers(op, CLASSICAL)
+    expected = np.array([[answer[v][w] for w in range(16)] for v in range(16)])
+    for cells in (revision.APPLY_CHUNK_CELLS, 1000, 40):
+        with mock.patch.object(revision, "APPLY_CHUNK_CELLS", cells):
+            assert np.array_equal(revision._revision_table(op, space, "postulate check"),
+                                  expected), cells
+
+
 def test_disjunction_iteration_passes_for_hamming():
     reports = check_disjunction_iteration(_hamming_op())
     assert all(r.passed for r in reports.values())
@@ -378,6 +405,54 @@ def test_dp_cp_report_matches_scalar_loop_on_explicit_pairs():
     reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs)
     assert not reports["dp"].passed
     _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs))
+
+
+def _seeded_distance(universe, seed):
+    """Costs drawn per ordered pair from (0, 4]: asymmetric, and not
+    identity-respecting, as d(v, v) is drawn like any other cost."""
+    rng = random.Random(seed)
+    return PseudoDistance(universe, OrderMode.REAL, {
+        (v, w): F(rng.randrange(1, 5), rng.randrange(1, 3)) for v in universe for w in universe})
+
+
+def test_dp_cp_report_matches_scalar_loop_on_a_seeded_distance_at_three_atoms():
+    sig = ("p", "q", "r")
+    dist = _seeded_distance(valuation_universe(sig), 3)
+    assert not any(check_property(dist, prop).passed for prop in ("symmetric", "ir"))
+    reports = check_dp_cp(dist, sig)
+    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig))
+    # every classical model set is definable, and a minimum always exists
+    assert (reports["dp"].total_violations, reports["cp"].total_violations) == (0, 0)
+
+
+def test_dp_cp_report_matches_scalar_loop_beyond_one_word():
+    # the identity matrix over 4 atoms: 81 valuations, two 64-bit words a
+    # row, and 17 definable sets, so 289 default pairs
+    sig = ("p", "q", "r", "s")
+    matrix = _identity_matrix()
+    dist = _seeded_distance(valuation_universe(sig, matrix), 4)
+    reports = check_dp_cp(dist, sig, matrix=matrix, witness_cap=3)
+    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix), cap=3)
+    assert (reports["dp"].total_violations, reports["cp"].total_violations) == (180, 0)
+    # witnesses in pair order: (V, W, result) sizes
+    assert [[len(s) for s in w] for w in reports["dp"].witnesses] == [
+        [27, 81, 78], [27, 27, 25], [27, 27, 26]]
+
+
+def test_dp_cp_on_explicit_pairs_with_an_empty_argument():
+    # an empty V or W gives an empty result: definable, and no cp failure
+    sig = ("p",)
+    matrix = _identity_matrix()
+    universe = valuation_universe(sig, matrix)
+    dist = _seeded_distance(universe, 1)
+    empty, full = frozenset(), frozenset(universe)
+    sets = nonempty_model_sets(sig, matrix)
+    pairs = [(empty, empty), (empty, full), (full, empty)] \
+        + [(v, w) for v in sets for w in sets][:20] + [(sets[0], empty), (empty, sets[0])]
+    reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs, witness_cap=2)
+    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs), cap=2)
+    assert (reports["dp"].total_violations, reports["cp"].total_violations) == (14, 0)
+    assert reports["dp"].witnesses == [(["0"], ["0"], ["0"]), (["0"], ["2"], ["2"])]
 
 
 def test_dp_cp_refuses_pairs_outside_the_signature():

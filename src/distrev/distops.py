@@ -4,7 +4,6 @@ and loop condition checkers."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from .errors import (
     UnknownAtomError,
     WitnessError,
 )
+from .logic import _distinct_rows
 
 
 def apply(dist, vset, wset):
@@ -193,39 +193,18 @@ def _row_words(rows):
     return _packed_rows(rows, 8).view("<u8")
 
 
-def _row_keys(rows):
-    """One packed byte-string key per row, comparing as its set's bits."""
-    packed = _packed_rows(rows, 1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
 def _row_index(table):
     """``find(words)``: for each row of ``words`` [row, word], the index of
-    the equal row of ``table`` [row, word], distinct rows of one width, and
-    whether there is one.  Word column j is ranked among the table's values
-    there by one ``searchsorted``; past the first column a row's rank so
-    far and its rank there make one number, ranked in turn among the table
-    rows' numbers, so each rank stays below the table's row count.  The
-    table side sorts in Python: the table is small, and numpy's integer
-    sorts would map about 0.3 MB more of its code into the process."""
-    def distinct(column):  # sorted, and each entry's rank
-        values = np.array(sorted(set(column.tolist())), dtype=column.dtype)
-        return values, np.searchsorted(values, column)
-
-    steps, known = [], None
-    for column in table.T:
-        values, rank = distinct(column)
-        pairs, known = (None, rank) if known is None else distinct(known * len(values) + rank)
-        steps.append((values, pairs))
-    owner = np.empty(len(table), dtype=np.intp)
-    owner[known] = np.arange(len(table))
+    an equal row of ``table`` [row, word] and whether there is one: a row is
+    ranked along the table's ``_distinct_rows`` steps by ``searchsorted``."""
+    first, _, steps = _distinct_rows(table)
 
     def find(words):
         found, known = np.ones(len(words), dtype=bool), None
         for (values, pairs), column in zip(steps, words.T):
             at = _rank_in(values, column, found)
             known = at if pairs is None else _rank_in(pairs, known * len(values) + at, found)
-        return owner[known], found
+        return first[known], found
 
     return find
 
@@ -402,19 +381,15 @@ def recheck_chain(op, chain):
 
 
 def _premise_reader(op, sets):
-    """``premises(a, b, c)``: premise(a, b, c) over index arrays into
-    ``sets``, all of one shape, as a boolean array of that shape; and
-    ``premises.tensor()``: the whole tensor P[a, b, c] over the n sets.
-
-    Both read alike.  The unions V_a u V_c of the (a, c) pairs in play are
-    numbered in the order of their packed row keys (``_row_keys``).  One
-    ``lookup_rows`` batch asks the operator about each (V_b, union) pair in
-    play, V_b the outer order, and packs its answers into words
-    (``_row_words``).  Premise (a, b, c) holds when the packed answer for
-    (V_b, V_a u V_c) shares a bit with V_a's packed row.  ``premises``
-    numbers only the distinct (a, c) pairs its arrays name and asks only
-    about the distinct (V_b, union) pairs they name; ``tensor`` asks about
-    every V_b with every union.  The bit tests go in chunks of about
+    """``premises(a, c)``: out[x, b] = premise(a[x], b, c[x]) for the pairs
+    of index arrays ``a`` and ``c`` into ``sets`` and every b, as a boolean
+    array.  The distinct unions V_a u V_c of the pairs are numbered by
+    ``_distinct_rows`` over their packed words (``_row_words``) read
+    big-endian, so in byte order; equal unions share a number.  One
+    ``lookup_rows`` batch asks the operator about every V_b with every
+    union, V_b the outer order, and packs its answers into words.  Premise
+    (a, b, c) holds when the packed answer for (V_b, V_a u V_c) shares a
+    bit with V_a's packed row.  The bit tests go in chunks of about
     ``APPLY_CHUNK_CELLS`` (premise, point) cells.  The columns are the
     points of ``sets`` in ``op.universe`` order."""
     n = len(sets)
@@ -423,48 +398,20 @@ def _premise_reader(op, sets):
     member = _membership_rows(sets, order)
     bits = _row_words(member)
 
-    def unions(a, c):
-        # the distinct rows V_a u V_c in key order, and each pair's number
-        rows = member[a] | member[c]
-        _, first, number = np.unique(_row_keys(rows), return_index=True,
-                                     return_inverse=True)
-        return rows[first], number
-
-    def read(pairs, union_rows):
-        # pair b * m + u is (V_b, union u), m the number of unions
-        m = len(union_rows)
-        return _row_words(op.lookup_rows(member[pairs // m], union_rows[pairs % m], order))
-
-    def shares(looked, at, a):
-        # (looked[at] & bits[a]).any(-1), ``a`` broadcast against ``at``,
-        # in chunks along the first axis
-        out = np.empty(np.shape(at), dtype=bool)
-        step = max(1, APPLY_CHUNK_CELLS // max(math.prod(out.shape[1:]) * len(order), 1))
+    def premises(a, c):
+        first, number, _ = _distinct_rows((bits[a] | bits[c]).view(">u8"))
+        m = len(first)
+        unions = member[a[first]] | member[c[first]]
+        looked = _row_words(op.lookup_rows(np.repeat(member, m, axis=0),
+                                           np.tile(unions, (n, 1)), order))
+        at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
+        out = np.empty((len(a), n), dtype=bool)
+        step = max(1, APPLY_CHUNK_CELLS // max(n * len(order), 1))
         for lo in range(0, len(out), step):
-            rows = slice(lo, lo + step)
-            out[rows] = (looked[at[rows]] & bits[a[rows]]).any(axis=-1)
+            x = slice(lo, lo + step)
+            out[x] = (looked[number[x, None] + at] & bits[a[x], None]).any(axis=-1)
         return out
 
-    def premises(a, b, c):
-        shape = np.shape(a)
-        a, b, c = (np.ravel(x) for x in (a, b, c))
-        ac, ac_at = np.unique(a * n + c, return_inverse=True)
-        union_rows, union_of = unions(ac // n, ac % n)
-        m = len(union_rows)
-        pairs, at = np.unique(b * m + union_of[ac_at], return_inverse=True)
-        looked = read(pairs, union_rows)
-        return shares(looked, at, a).reshape(shape)
-
-    def tensor():
-        a, c = np.divmod(np.arange(n * n), n)
-        union_rows, union_of = unions(a, c)
-        m = len(union_rows)
-        looked = read(np.arange(n * m), union_rows)
-        # at[a, b, c]: the row of looked for (V_b, V_a u V_c)
-        at = np.arange(0, n * m, m)[:, None] + union_of.reshape(n, 1, n)
-        return shares(looked, at, np.arange(n)[:, None, None])
-
-    premises.tensor = tensor
     return premises
 
 
@@ -475,15 +422,16 @@ def _walk(premises, n, k_max):
     layer at which a live start reached a new state, or None when the walk
     found a chain or was cut off at ``k_max``.  With ``k_max`` None the walk
     runs until no live start reaches a new state.  ``premises`` is a
-    ``_premise_reader``.
+    ``_premise_reader``, read once.
 
     Layer j holds, for every start (V_0, V_1), the premise states
     (V_{j-1}, V_j) first reached through premises 1..j-1: whether a state
     closes the ring depends only on it and its start.  Layer 1, the starts,
     is read off ``q[a, b]``, which is premise(a, b, a): premise 1 is
-    q[i0, i1] and the conclusion q[i1, i0].  Only a walk past k = 1 reads
-    the premise tensor ``P[a, b, c]`` (``premises.tensor()``), and takes
-    ``q`` from it.  Past k = 1 a start is walked only when it is live, its
+    q[i0, i1] and the conclusion q[i1, i0].  A walk cut off at k = 1 reads
+    just ``q``, from the n pairs (a, a); any other reads the premise tensor
+    ``P[a, b, c]`` from all n^2 pairs (a, c), and takes ``q`` from it.
+    Past k = 1 a start is walked only when it is live, its
     conclusion P[i1, i0, V_k] failing for some V_k; the others can never
     close a ring, so ``states`` counts the n^2 starts and the states the
     live starts reach.  From layer 2 on, a block of ``_walk_block`` holds
@@ -495,9 +443,10 @@ def _walk(premises, n, k_max):
         return None, 0, None
     if n == 0:
         return None, 0, 0
-    a, b = np.indices((n, n))
-    P = premises.tensor() if k_max != 1 else None
-    q = premises(a, b, a) if P is None else P[a, b, a]
+    a, c = (np.arange(n),) * 2 if k_max == 1 else np.divmod(np.arange(n * n), n)
+    read = premises(a, c)
+    q = read[a == c]  # q[a, b] = premise(a, b, a)
+    P = read.reshape(n, n, n).transpose(0, 2, 1) if k_max != 1 else None  # P[a, b, c]
     hits, states = np.flatnonzero(q & ~q.T), n * n
     if len(hits):
         return tuple(int(i) for i in divmod(hits[0], n)), states, None
@@ -586,12 +535,14 @@ def _chain(P, i0, i1, k):
 def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
     """Check the loop condition for chains from ``family``, for every k or
     for k <= the cut-off ``k_max``, by one walk over indices into the sorted
-    family (``_walk``); an empty family raises ``FamilyError``.  Before it
-    reads a premise, a walk over n sets of more than ``budget`` cells per
-    layer raises ``BoundExceededError``: n^2 for a walk cut off at k = 1,
-    else n^5 (n^2 starts by n^2 states by n successors).  ``samples`` is
-    accepted and unused, and ``LoopVerdict.sampled`` is always False: both
-    stay for the benchmark's loop job until ROADMAP item 1a.
+    family (``_walk``), which reads its premises in one batch, n^2 of them
+    for a walk cut off at k = 1, else n^3; an empty family raises
+    ``FamilyError``.  Before it reads a premise, a walk over n sets of more
+    than ``budget`` cells per layer raises ``BoundExceededError``: n^2 for
+    a walk cut off at k = 1, else n^5 (n^2 starts by n^2 states by n
+    successors).  ``samples`` is accepted and unused, and
+    ``LoopVerdict.sampled`` is always False: both stay for the benchmark's
+    loop job until ROADMAP item 1a.
     """
     sets = sorted(validate_family(op.universe, family), key=sorted)
     if not sets:

@@ -112,6 +112,8 @@ def parse_operator_table(text):
     if not lines:
         raise FileFormatError("empty operator file")
     universe = _labels(_header(lines[0][1], "universe", lines[0][0]))
+    if "-" in universe:
+        raise FileFormatError(f"line {lines[0][0]}: '-' is the empty set, not a point label")
     ref = None
     if len(lines) > 1 and lines[1][1].startswith("backing:"):
         ref = _header(lines[1][1], "backing", lines[1][0])
@@ -133,6 +135,8 @@ def parse_operator_table(text):
 
 
 def format_operator_table(op, backing_ref=None):
+    if "-" in op.universe:
+        raise FileFormatError("a point labelled '-' would read back as the empty set")
     out = ["universe: " + " ".join(op.universe)]
     if backing_ref is not None:
         out.append(f"backing: {backing_ref}")
@@ -152,8 +156,9 @@ def load_operator_table(path):
 
 
 def save_operator_table(op, path, backing_ref=None):
+    text = format_operator_table(op, backing_ref)  # refused before the file opens
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_operator_table(op, backing_ref))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

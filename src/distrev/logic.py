@@ -384,21 +384,30 @@ def canonical_dnf(model_set, signature):
 _BLOCK_PAIRS = 1 << 14  # (f, g) pairs per vectorized closure step
 
 
-def _unique_rows(rows):
-    """The distinct rows of a 2-D code array, as their bytes, in byte order.
-    A row of at most 8 bytes, zero-padded on the right, sorts as one
-    big-endian unsigned integer, which orders rows as their bytes do; a
-    wider row sorts as one opaque byte string, so no width overflows a key."""
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1] * rows.itemsize
-    if width > 8:
-        keys = rows.view(np.dtype((np.void, width))).ravel()
-        return [key.tobytes() for key in np.unique(keys)]
-    padded = np.zeros((len(rows), 8), np.uint8)
-    padded[:, :width] = rows.view(np.uint8).reshape(len(rows), width)
-    keys = np.unique(padded.view(">u8").ravel()).astype(">u8")
-    data = keys.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
-    return [data[i:i + width] for i in range(0, len(data), width)]
+def _distinct_rows(words):
+    """The distinct rows of ``words`` [row, word], numbered in ascending
+    order of their word tuples: a representative row index per number, each
+    row's number, and the ranking's steps, which ``distops._row_index``
+    reads to number other rows alike.  Word column j is ranked among its
+    distinct values, and the step keeps those values; past the first column
+    a row's number so far and its rank there make one number, ranked in
+    turn among the rows' numbers, and the step keeps those numbers too, so
+    each number stays below the row count.  The values sort in Python:
+    numpy's integer sorts would map about 0.3 MB more of its code into the
+    process."""
+    def distinct(column):  # sorted, and each entry's rank
+        # the set takes one value at a time: a list would hold an int object per row
+        values = np.array(sorted(set(memoryview(column.astype(np.uint64)))), column.dtype)
+        return values, np.searchsorted(values, column)
+
+    steps, number = [], None
+    for column in words.T:
+        values, rank = distinct(column)
+        pairs, number = (None, rank) if number is None else distinct(number * len(values) + rank)
+        steps.append((values, pairs))
+    first = np.empty(len(values if pairs is None else pairs), dtype=np.intp)
+    first[number] = np.arange(len(words))
+    return first, number, steps
 
 
 def formula_extensions(signature, matrix, bound=200_000):
@@ -428,10 +437,16 @@ def formula_extensions(signature, matrix, bound=200_000):
         for row in _BINARY if row.table in matrix.tables
     ]
     width = len(vals)
+    size = width * dtype.itemsize
     seen = set()
 
     def fresh(candidates):
-        out = [key for key in _unique_rows(candidates) if key not in seen]
+        # the distinct rows in byte order: their bytes, zero-padded to whole
+        # big-endian words, compare as the bytes do
+        padded = np.zeros((len(candidates), -(-size // 8) * 8), np.uint8)
+        padded[:, :size] = candidates.view(np.uint8)
+        first, _, _ = _distinct_rows(padded.view(">u8"))
+        out = [key for key in map(bytes, candidates[first]) if key not in seen]
         seen.update(out)
         return out
 

@@ -33,6 +33,7 @@ from .distops import (
 from .errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
+    _distinct_rows,
     canonical_dnf,
     definable_model_sets,
     enumerate_valuations,
@@ -103,18 +104,19 @@ class RevisionOperator:
         membership rows, their columns in ``order``: one ``apply_rows`` for
         a distance, else ``revise_models`` once per row, in row order, in
         chunks of about ``APPLY_CHUNK_CELLS`` (pair, column) cells written
-        into one result.  A chunk makes one set per distinct row, so it
-        holds little more than its answers."""
+        into one result.  A chunk makes one set per distinct row
+        (``_distinct_rows`` of its packed words), so it holds little more
+        than its answers."""
         if self.dist is not None:
             return apply_rows(self.dist, vrows, wrows, order)
         out = np.zeros(np.shape(wrows), dtype=bool)
         step = max(1, APPLY_CHUNK_CELLS // max(len(order), 1))
         for lo in range(0, len(out), step):
-            (v, v_at), (w, w_at) = (np.unique(rows[lo:lo + step], axis=0, return_inverse=True)
-                                    for rows in (vrows, wrows))
-            vsets, wsets = _row_sets(v, order), _row_sets(w, order)
+            v, w = vrows[lo:lo + step], wrows[lo:lo + step]
+            (v_first, v_at, _), (w_first, w_at, _) = map(_distinct_rows, map(_row_words, (v, w)))
+            vsets, wsets = _row_sets(v[v_first], order), _row_sets(w[w_first], order)
             answers = [self.revise_models(vsets[i], wsets[j])
-                       for i, j in zip(v_at.ravel().tolist(), w_at.ravel().tolist())]
+                       for i, j in zip(v_at.tolist(), w_at.tolist())]
             out[lo:lo + step] = _membership_rows(answers, order)
         return out
 

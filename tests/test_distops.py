@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,18 @@ def test_loop_refuses_an_oversized_walk_before_reading_a_premise():
         check_loop(op, family, 1, budget=224)
     with pytest.raises(UndefinedPairError):
         check_loop(op, family, 1, budget=225)
+
+
+def test_loop_asks_about_unions_in_byte_order():
+    # the sets cover 9 points, so packed rows span two bytes, point i at bit
+    # i % 8 of byte i // 8.  The unions number in byte order: {p8} (00 01)
+    # before {p1} (02 00), so the first pair asked about, and undefined, is
+    # the first set with {p8}
+    first = frozenset({"p0", "p2", "p3", "p4", "p5", "p6", "p7"})
+    op = OperatorTable(tuple(f"p{i}" for i in range(9)))
+    for k_max in (1, None):
+        with pytest.raises(UndefinedPairError, match=re.escape(f"{sorted(first)}|['p8']")):
+            find_loop_violation(op, [{"p1"}, {"p8"}, first], k_max)
 
 
 def test_loop_walk_skips_starts_that_can_never_close(monkeypatch):

@@ -123,6 +123,18 @@ def test_operator_table_parse_errors():
         )  # duplicate
 
 
+def test_operator_table_refuses_a_point_labelled_dash(tmp_path):
+    # '-' is the empty set in entries, so {'-'} would read back as {}
+    with pytest.raises(FileFormatError, match="line 2: '-' is the empty set"):
+        parse_operator_table("# a dash point\nuniverse: - a\nentry: a | - a -> -")
+    op = OperatorTable(("-", "a"), {(frozenset("a"), frozenset({"-", "a"})): frozenset("-")})
+    with pytest.raises(FileFormatError, match="'-' would read back as the empty set"):
+        format_operator_table(op)
+    with pytest.raises(FileFormatError):
+        save_operator_table(op, tmp_path / "op.txt")
+    assert not (tmp_path / "op.txt").exists()
+
+
 def test_family_roundtrip():
     sets = [frozenset({"a"}), frozenset({"a", "b"})]
     assert parse_family("a\na b\n") == sets

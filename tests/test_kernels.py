@@ -289,9 +289,9 @@ def test_lookup_rows_matches_row_by_row_lookup(data):
 
 @pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
 def test_row_packers_match_packbits(cells):
-    # 0 rows, 1 row and several chunks' worth; a key is np.packbits's bytes
-    # of its row, one zero byte for a row of no points, and the words are
-    # those bytes zero-padded to whole words
+    # 0 rows, 1 row and several chunks' worth; the words are np.packbits's
+    # bytes of each row, one zero byte for a row of no points, zero-padded
+    # to whole words
     rng = np.random.default_rng(7)
     with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
         for points in (0, 1, 7, 8, 9, 63, 64, 65, 130):
@@ -300,8 +300,7 @@ def test_row_packers_match_packbits(cells):
                 packed = np.packbits(rows, axis=1, bitorder="little")
                 if not points:
                     packed = np.zeros((count, 1), dtype=np.uint8)
-                keys, words = distops._row_keys(rows), distops._row_words(rows)
-                assert keys.tolist() == [row.tobytes() for row in packed]
+                words = distops._row_words(rows)
                 padded = np.zeros((count, 8 * -(-packed.shape[1] // 8)), dtype=np.uint8)
                 padded[:, :packed.shape[1]] = packed
                 assert words.dtype == np.dtype("<u8")
@@ -318,6 +317,24 @@ def test_row_index_matches_a_dict_of_rows(points):
     at, found = distops._row_index(distops._row_words(table))(distops._row_words(rows))
     assert found.tolist() == [row.tobytes() in index for row in rows]
     assert at[found].tolist() == [index[row.tobytes()] for row in rows[found]]
+
+
+@pytest.mark.parametrize("points", (0, 1, 8, 63, 64, 65, 130))
+def test_distinct_rows_match_a_dict_of_rows(points):
+    # rows drawn with repeats from a pool in which each row has a twin that
+    # differs only at the last point, so past 64 points twins share all
+    # words but the last
+    rng = np.random.default_rng(points)
+    pool = np.repeat(rng.random((6, points)) < 0.5, 2, axis=0)
+    pool[::2, -1:] ^= True
+    for count in (0, 1, 200):
+        words = distops._row_words(pool[rng.integers(0, len(pool), count)])
+        first, number, _ = logic._distinct_rows(words)
+        # numbers run 0..count-1 in ascending order of the rows' word tuples
+        rank = {row: i for i, row in enumerate(sorted(set(map(tuple, words.tolist()))))}
+        assert number.tolist() == [rank[row] for row in map(tuple, words.tolist())]
+        assert len(first) == len(rank)
+        assert np.array_equal(words[first[number]], words)  # representatives
 
 
 def _first_chain_brute_force(op, family, k_max):
@@ -558,12 +575,10 @@ def test_premise_reads_match_the_scalar_premise(case, cells):
     # a chunk size of 40 splits every read and bit test into many chunks
     with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
         premises = distops._premise_reader(op, sets)
-        assert (premises.tensor() == expected).all()
-        assert (premises(*np.indices((n, n, n))) == expected).all()
-        # a flat read in shuffled order names only some of the (a, c) pairs
-        a, b, c = np.unravel_index(np.random.default_rng(0).permutation(n ** 3)[:n * n],
-                                   (n, n, n))
-        assert (premises(a, b, c) == expected[a, b, c]).all()
+        a, c = np.divmod(np.arange(n * n), n)
+        assert (premises(a, c) == expected.transpose(0, 2, 1).reshape(n * n, n)).all()
+        same = np.arange(n)
+        assert (premises(same, same) == expected[same, :, same]).all()
 
 
 def _naive_extensions(signature, matrix):
@@ -629,16 +644,16 @@ _EXTENSION_DIGESTS = {
 def test_formula_extensions_stop_at_saturation(name, atoms):
     matrix = {"classical": CLASSICAL, "identity": _identity_matrix(), "kleene": _kleene()}[name]
     sig = ("p", "q", "r")[:atoms]
-    known, unique_rows = set(), logic._unique_rows
+    known, distinct_rows = set(), logic._distinct_rows
     before = []  # functions known when each batch of candidates is deduplicated
 
-    def spy(rows):
+    def spy(words):
         before.append(len(known))
-        out = unique_rows(rows)
-        known.update(out)
+        out = distinct_rows(words)
+        known.update(row.tobytes() for row in words[out[0]])
         return out
 
-    with mock.patch.object(logic, "_unique_rows", spy):
+    with mock.patch.object(logic, "_distinct_rows", spy):
         vals, codes = formula_extensions(sig, matrix)
     assert hashlib.sha256(codes.tobytes()).hexdigest() == _EXTENSION_DIGESTS[name, atoms]
     assert len(known) == len(codes)

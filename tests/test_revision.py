@@ -222,6 +222,24 @@ def test_function_operator_table_is_answered_in_chunks():
                                   expected), cells
 
 
+@pytest.mark.parametrize("cells", [revision.APPLY_CHUNK_CELLS, 40])
+def test_revise_rows_of_a_function_operator_match_revise_models(cells):
+    # repeated rows and empty rows, in one chunk and, at 40 cells, in
+    # chunks of 5 rows of 8 points
+    sig = ("p", "q", "r")
+    op = per_source_order_operator(sig, seed=4)
+    order = valuation_universe(sig)
+    rng = np.random.default_rng(4)
+    pool = rng.random((7, len(order))) < 0.5
+    pool[0] = False
+    vrows, wrows = (pool[rng.integers(0, len(pool), 64)] for _ in range(2))
+    with mock.patch.object(revision, "APPLY_CHUNK_CELLS", cells):
+        got = op.revise_rows(vrows, wrows, order)
+    sets = [revision._row_sets(rows, order) for rows in (vrows, wrows, got)]
+    assert sets[2] == [op.revise_models(v, w) for v, w in zip(sets[0], sets[1])]
+    assert any(sets[2]) and not all(sets[2])
+
+
 def test_disjunction_iteration_passes_for_hamming():
     reports = check_disjunction_iteration(_hamming_op())
     assert all(r.passed for r in reports.values())

@@ -547,21 +547,24 @@ def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
     sets = sorted(validate_family(op.universe, family), key=sorted)
     if not sets:
         raise FamilyError("the family has no set to chain")
-    n = len(sets)
+    _walk_budget(len(sets), k_max, budget)
+    return _verdict(op, sets, k_max)
+
+
+def _walk_budget(n, k_max, budget):
     cells = n ** 2 if k_max == 1 else n ** 5
     if cells > budget:
         raise BoundExceededError(
             f"the loop walk over {n} sets needs {cells} cells per layer, "
             f"over the budget of {budget}"
         )
-    return _verdict(op, sets, k_max)
 
 
-def _verdict(op, sets, k_max):
-    """The walk's verdict over ``sets``, its chain re-verified explicitly;
-    ``checked`` counts the chains up to the violation's k, the cut-off or
-    the fixpoint."""
-    found, states, fixpoint = _walk(_premise_reader(op, sets), len(sets), k_max)
+def _verdict(op, sets, k_max, premises=None):
+    """The walk's verdict over ``sets`` off ``premises``, by default
+    ``_premise_reader(op, sets)``, its chain re-verified through ``op``;
+    ``checked`` counts the chains up to the violation's k, the cut-off or the fixpoint."""
+    found, states, fixpoint = _walk(premises or _premise_reader(op, sets), len(sets), k_max)
     k = len(found) - 1 if found else fixpoint if k_max is None else k_max
     checked = sum(len(sets) ** (j + 1) for j in range(1, k + 1))
     if found is None:

@@ -8,6 +8,7 @@ ignored.  The empty set is written ``-``.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 from .costs import OrderMode, PseudoDistance, format_cost, parse_cost
 from .distops import OperatorTable
@@ -48,6 +49,16 @@ def _set_labels(text, lineno):
     return frozenset(_distinct(text.split(), lineno, "labels in one set"))
 
 
+def _writable(labels, marks, empty=None):
+    """``labels``, refused naming the first that would not read back as
+    itself: not one word, holding one of ``marks`` or the ``empty`` set's mark."""
+    for label in labels:
+        if label.split() != [label] or label == empty or any(m in label for m in marks):
+            raise FileFormatError(f"a point labelled {label!r} would read back as " + (
+                "the empty set" if label == empty else "other points or not at all"))
+    return labels
+
+
 def _format_set(labels):
     return " ".join(sorted(labels)) if labels else "-"
 
@@ -84,20 +95,18 @@ def parse_distance(text):
 
 
 def format_distance(dist):
-    out = [f"mode: {dist.mode.value}", "points: " + " ".join(dist.universe)]
+    out = [f"mode: {dist.mode.value}", "points: " + " ".join(_writable(dist.universe, ("#",)))]
     for v in dist.universe:
         out.append(" ".join(format_cost(dist.d(v, w)) for w in dist.universe))
     return "\n".join(out) + "\n"
 
 
 def load_distance(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_distance(fh.read())
+    return parse_distance(Path(path).read_text(encoding="utf-8"))
 
 
 def save_distance(dist, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_distance(dist))
+    Path(path).write_text(format_distance(dist), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +144,7 @@ def parse_operator_table(text):
 
 
 def format_operator_table(op, backing_ref=None):
-    if "-" in op.universe:
-        raise FileFormatError("a point labelled '-' would read back as the empty set")
-    out = ["universe: " + " ".join(op.universe)]
+    out = ["universe: " + " ".join(_writable(op.universe, ("#", "|", "->"), "-"))]
     if backing_ref is not None:
         out.append(f"backing: {backing_ref}")
     for (vset, wset), xset in op.sorted_entries():
@@ -150,15 +157,12 @@ def format_operator_table(op, backing_ref=None):
 def load_operator_table(path):
     """The entries' table of the operator file at ``path`` and its backing's
     path, resolved against that file's directory, or None; the backing is not read."""
-    with open(path, encoding="utf-8") as fh:
-        table, ref = parse_operator_table(fh.read())
+    table, ref = parse_operator_table(Path(path).read_text(encoding="utf-8"))
     return table, None if ref is None else os.path.join(os.path.dirname(path) or ".", ref)
 
 
 def save_operator_table(op, path, backing_ref=None):
-    text = format_operator_table(op, backing_ref)  # refused before the file opens
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(path).write_text(format_operator_table(op, backing_ref), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +181,7 @@ def parse_family(text):
 
 
 def load_family(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_family(fh.read())
+    return parse_family(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,5 +205,4 @@ def parse_theory_file(text):
 
 
 def load_theory_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_theory_file(fh.read())
+    return parse_theory_file(Path(path).read_text(encoding="utf-8"))

@@ -3,7 +3,7 @@
 Theories are represented by their canonical model set; deductive closure and
 presentation invariance are thereby structural, and the remaining postulate
 content is checked exhaustively: every pair, triple and 4-tuple of consistent
-theories, read off one revision table per check, for 1 to 3 classical atoms.
+theories, read off one revision table per operator, for 1 to 3 classical atoms.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .distops import (
     _row_index,
     _row_sets,
     _row_words,
+    _verdict,
+    _walk_budget,
     apply,
     apply_rows,
-    check_loop,
 )
 from .errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from .logic import (
@@ -193,9 +194,9 @@ def _masks(rows):
 class _ModelSetSpace:
     """The tables the checkers read for one signature and matrix, each
     built on first use: the valuation ``order``; the non-empty model
-    ``sets`` and their integer ``masks``; the ``moved`` mask of the
-    canonical-formula round trip; and the definable sets sorted by
-    ``_label``, with their rows and the ``_row_index`` of their words.
+    ``sets`` and their integer ``masks``, also in ``check_loop``'s order
+    (``loop``); the ``moved`` mask of the canonical-formula round trip;
+    the definable sets by ``_label``, their rows and their words' ``_row_index``.
     Masks and rows have their columns in ``order`` and are read-only."""
 
     def __init__(self, signature, matrix):
@@ -209,6 +210,11 @@ class _ModelSetSpace:
     @functools.cached_property
     def masks(self):
         return _read_only(_masks(_membership_rows(self.sets, self.order)))
+
+    @functools.cached_property
+    def loop(self):
+        sets = tuple(sorted(self.sets, key=sorted))
+        return sets, _read_only(_masks(_membership_rows(sets, self.order)))
 
     @functools.cached_property
     def moved(self):
@@ -251,20 +257,26 @@ def _pair_rows(rows):
 def _revision_table(op, space, what, per_key=0):
     """T[v, w]: ``op``'s answer for every ordered pair of masks over the w
     valuations of ``space.order``, the empty mask too (a function operator
-    is asked about it wherever a result is empty), in one ``revise_rows``
-    batch.  First, raises ``BoundExceededError`` if the ``what`` check would
+    is asked about it wherever a result is empty), read-only.  First, on
+    every call, raises ``BoundExceededError`` if the ``what`` check would
     hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows and two
     masks; ``per_key`` bytes per key of 3w bits; and 64 bytes a chunk
-    cell.  A function operator's sets are held one chunk at a time
-    (``revise_rows``)."""
+    cell.  Built by one ``revise_rows`` batch (a function operator's sets
+    held one chunk at a time), it is kept on ``op`` for the last order, no
+    field, so every check of ``op`` reads one table and ``==`` ignores it."""
     width = len(space.order)
     per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize
     need = (per_pair << 2 * width) + (per_key << 3 * width) + 64 * APPLY_CHUNK_CELLS
     if need > SWEEP_MAX_BYTES:
         raise BoundExceededError(f"the {what} over {width} valuations needs about "
                                  f"{need >> 20} MiB, over the {SWEEP_MAX_BYTES >> 20} MiB cap")
-    rows = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
-    return _masks(op.revise_rows(*_pair_rows(rows), space.order)).reshape(len(rows), -1)
+    cached = vars(op).get("_revision_table", (None,))
+    if cached[0] != space.order:
+        rows = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
+        T = _masks(op.revise_rows(*_pair_rows(rows), space.order)).reshape(len(rows), -1)
+        cached = space.order, _read_only(T)
+        object.__setattr__(op, "_revision_table", cached)
+    return cached[1]
 
 
 def _tuple_labels(sets, arity):
@@ -304,7 +316,7 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
 @dataclass(frozen=True)
 class _ModelSetOperator:
     """Adapter presenting a revision operator as a set operator, so the loop
-    checker applies unchanged."""
+    checker's recheck and its generic premise reader apply unchanged."""
 
     universe: tuple
     op: object
@@ -321,11 +333,23 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     source stays compatible with its revised neighbor disjunction, the
     conclusion closes the cycle.  Union of model sets realizes the
     disjunction of theories; non-empty intersection realizes consistency
-    of a union of theories.  ``check_loop`` walks the consistent theories,
-    to its fixpoint or to the cut-off ``k_max``, under ``budget``."""
+    of a union of theories.  ``check_loop``'s walk runs over the consistent
+    theories under ``budget``, to its fixpoint or to the cut-off ``k_max``.
+    It reads premise (a, b, c) off ``op``'s revision table: T[V_b, V_a | V_c] &
+    V_a != 0, in chunks of about ``APPLY_CHUNK_CELLS`` (premise, b) cells."""
     space = _model_set_space(op.signature, matrix)
-    adapter = _ModelSetOperator(space.order, op)
-    return check_loop(adapter, space.sets, k_max, budget=budget)
+    (sets, masks), adapter = space.loop, _ModelSetOperator(space.order, op)
+    _walk_budget(len(sets), k_max, budget)
+    T = _revision_table(op, space, "star loop")
+
+    def premises(a, c):  # out[x, b] = premise(a[x], b, c[x]), as _premise_reader
+        out, step = np.empty((len(a), len(masks)), bool), max(1, APPLY_CHUNK_CELLS // len(masks))
+        for lo in range(0, len(a), step):
+            v_a = masks[a[lo:lo + step], None]
+            out[lo:lo + step] = T[masks, v_a | masks[c[lo:lo + step], None]] & v_a != 0
+        return out
+
+    return _verdict(adapter, sets, k_max, premises)
 
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,47 @@ def test_operator_table_refuses_a_point_labelled_dash(tmp_path):
     with pytest.raises(FileFormatError):
         save_operator_table(op, tmp_path / "op.txt")
     assert not (tmp_path / "op.txt").exists()
+
+
+@pytest.mark.parametrize("label", ["a#b", "x|y", "a->b", "p q", "p\tq", "", "-"])
+def test_operator_table_refuses_a_label_that_does_not_read_back(tmp_path, label):
+    # a '#' starts a comment, '|' and '->' split an entry, whitespace splits
+    # a label, and '-' is the empty set: such a table would load as another
+    # table or not at all
+    op = OperatorTable(("a", label), {(frozenset("a"), frozenset({"a", label})): frozenset({label})})
+    with pytest.raises(FileFormatError, match=f"labelled {re.escape(repr(label))}"):
+        format_operator_table(op)
+    with pytest.raises(FileFormatError):
+        save_operator_table(op, tmp_path / "op.txt")
+    assert not (tmp_path / "op.txt").exists()
+
+
+@pytest.mark.parametrize("label", ["a#b", "p q", "p\nq", ""])
+def test_distance_refuses_a_label_that_does_not_read_back(tmp_path, label):
+    dist = PseudoDistance.from_function(("a", label), OrderMode.REAL, lambda v, w: F(v != w))
+    with pytest.raises(FileFormatError, match=f"labelled {re.escape(repr(label))}"):
+        format_distance(dist)
+    with pytest.raises(FileFormatError):
+        save_distance(dist, tmp_path / "d.txt")
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_labels_with_marks_inside_a_word_round_trip(tmp_path):
+    # '-' and '>' inside a label are no syntax of the operator format, and
+    # '|', '->' and '-' none of the distance format
+    labels = ("a-", "-b", "c>", "x:y", "entry:", "é")
+    entries = {(frozenset(labels[:2]), frozenset(labels[2:])): frozenset(labels[3:5]),
+               (frozenset(), frozenset(labels[5:])): frozenset()}
+    op = OperatorTable(labels, entries)
+    save_operator_table(op, tmp_path / "op.txt")
+    loaded, _ = load_operator_table(tmp_path / "op.txt")
+    assert (loaded.universe, loaded.entries) == (op.universe, op.entries)
+    points = ("x|y", "a->b", "-", "c")
+    dist = PseudoDistance.from_function(points, OrderMode.REAL,
+                                        lambda v, w: F(points.index(v) + 2 * points.index(w)))
+    save_distance(dist, tmp_path / "d.txt")
+    loaded = load_distance(tmp_path / "d.txt")
+    assert (loaded.universe, loaded.table) == (dist.universe, dist.table)
 
 
 def test_family_roundtrip():

@@ -7,10 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from distrev import revision
+from distrev import distops, revision
 from distrev.costs import OrderMode, PseudoDistance, check_property
 from distrev.errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
-from distrev.distops import apply
+from distrev.distops import apply, check_loop
 from distrev.logic import (
     CLASSICAL,
     Matrix,
@@ -217,6 +217,7 @@ def test_function_operator_table_is_answered_in_chunks():
     _, _, answer = _scalar_answers(op, CLASSICAL)
     expected = np.array([[answer[v][w] for w in range(16)] for v in range(16)])
     for cells in (revision.APPLY_CHUNK_CELLS, 1000, 40):
+        op = per_source_order_operator(SIG, seed=3)  # each keeps the table it builds
         with mock.patch.object(revision, "APPLY_CHUNK_CELLS", cells):
             assert np.array_equal(revision._revision_table(op, space, "postulate check"),
                                   expected), cells
@@ -705,3 +706,99 @@ def test_warm_model_set_space_gives_the_reports_of_a_fresh_build(case):
     definable = definable_model_sets(sig, matrix)
     assert type(definable) is frozenset
     assert all(type(s) is frozenset for s in definable)
+
+
+# ---------------------------------------------------------------------------
+# One revision table per operator: agm, the disjunction check and the star
+# loop read the table the operator built on first use.
+
+
+def _symmetric_op(sig, seed):
+    universe = valuation_universe(sig)
+    rng = random.Random(seed)
+    table = {}
+    for i, v in enumerate(universe):
+        for w in universe[i:]:
+            table[v, w] = table[w, v] = F(0) if v == w else F(rng.randrange(1, 7))
+    return RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
+
+
+def _erratic_op(sig, seed):
+    """A subset of the input drawn for each pair, the empty one too: with
+    no postulate to keep, the loop fails at k = 1 as well."""
+
+    def fn(vset, wset):
+        rng = random.Random(f"{seed}:{_labels(vset)}:{_labels(wset)}")
+        return frozenset(w for w in sorted(wset) if rng.random() < 0.5)  # not in hash order
+
+    return RevisionOperator.from_function(fn, sig)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, None])
+def test_star_loop_off_the_table_matches_the_generic_loop_check(k_max):
+    # the generic check asks the operator through lookup_rows, the
+    # table-backed one reads the premises off the revision table
+    failed = passed = 0
+    for sig in (("p",), SIG):
+        space = revision._model_set_space(sig, CLASSICAL)
+        for seed in range(8):
+            for op in (_symmetric_op(sig, seed), _asymmetric_op(sig, seed),
+                       per_source_order_operator(sig, seed=seed), _erratic_op(sig, seed)):
+                verdict = check_star_loop(op, k_max=k_max)
+                adapter = revision._ModelSetOperator(space.order, op)
+                assert verdict == check_loop(adapter, space.sets, k_max), (sig, seed, op)
+                failed += not verdict.passed
+                passed += verdict.passed
+    assert failed >= 10 and passed >= 10
+
+
+def test_one_revision_table_per_operator(monkeypatch):
+    built = []
+    revise_rows = RevisionOperator.revise_rows
+
+    def spy(self, *args):
+        built.append(self)
+        return revise_rows(self, *args)
+
+    monkeypatch.setattr(RevisionOperator, "revise_rows", spy)
+    op, other = (per_source_order_operator(SIG, seed=5) for _ in range(2))
+    check_agm(op)
+    check_disjunction_iteration(op)
+    check_star_loop(op, k_max=3)
+    assert built == [op] and built[0] is op
+    check_star_loop(other, k_max=3)
+    assert len(built) == 2 and built[1] is other
+    table = revision._revision_table(op, revision._model_set_space(SIG, CLASSICAL), "star loop")
+    assert len(built) == 2 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    # the table is no field: equality and repr do not see it
+    dist = hamming_pseudo_distance(SIG)
+    used, fresh = (RevisionOperator.from_distance(dist, SIG) for _ in range(2))
+    check_agm(used)
+    assert used == fresh and repr(used) == repr(fresh)
+
+
+def test_star_loop_premises_at_three_atoms_match_the_generic_reader():
+    # n = 255 theories: the n^3 premises are a 16.6 MB tensor, read in
+    # chunks; read at once, the gather and its mask would add about 33 MB.
+    # The walk is stubbed out, so check_star_loop hands back its premises
+    sig = ("p", "q", "r")
+    space = revision._model_set_space(sig, CLASSICAL)
+    n = len(space.loop[0])
+    a, c = np.divmod(np.arange(n * n), n)
+    rows = np.random.default_rng(9).choice(n * n, 2000, replace=False)
+    for op in (_asymmetric_op(sig, 9), per_source_order_operator(sig, seed=9)):
+        with mock.patch.object(revision, "_verdict", lambda op, sets, k_max, read: read):
+            premises = check_star_loop(op, budget=10**13)
+        tracemalloc.start()
+        try:
+            every = premises(a, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+        generic = distops._premise_reader(revision._ModelSetOperator(space.order, op),
+                                          space.loop[0])
+        assert (every[rows] == generic(a[rows], c[rows])).all()
+        assert 0 < every.sum() < every.size

@@ -37,10 +37,13 @@ table = OperatorTable(U, entries)
 system = compile_constraints(table)
 print("pair variables:", list(system.variables))
 print("entry minima:", [tag for (tag,) in system.minima])
-print("unit atoms:", sum(len(c.disjuncts) == 1 for c in system.clauses))
-for c in system.clauses:
-    if len(c.disjuncts) > 1:
-        print("choice:", " or ".join(repr(atom) for (atom,) in c.disjuncts))
+# each clause is (entry tag, atoms); an atom (a, b, strict) indexes the names
+names = system.variables + system.minima
+print("unit atoms:", sum(len(atoms) == 1 for _tag, atoms in system.encoded))
+for _tag, atoms in system.encoded:
+    if len(atoms) > 1:
+        print("choice:", " or ".join(
+            f"{names[a]}{'<' if strict else '<='}{names[b]}" for a, b, strict in atoms))
 
 verdict = solve_table(table)
 print("verdict:", verdict.status, "in", verdict.nodes, "node(s)")

@@ -112,20 +112,25 @@ def compile_constraints(table, symmetric=False):
                 f"entry {tag}: empty result on non-empty arguments "
                 "(finite minimization is never empty)"
             )
-        # for a fixed w, pair_var is injective in v
-        pairs = [[pair_var(v, w, symmetric) for v in vs] for w in ws]
-        strict = {}  # pair -> whether mu lies strictly below it
-        for w, ps in zip(ws, pairs):
-            for p in ps:
-                strict[p] = strict.get(p, False) or w not in xset
+        strict = {}  # pair -> whether mu lies strictly below it; strict wins
+        kept = []  # the pairs of each w in X
+        for w in ws:
+            # pair_var inlined; for a fixed w it is injective in v
+            ps = [(w, v) if w < v else (v, w) for v in vs] if symmetric else [(v, w) for v in vs]
+            if w in xset:
+                kept.append(ps)
+                for p in ps:
+                    strict.setdefault(p, False)
+            else:
+                strict.update(dict.fromkeys(ps, True))
         variables.update(strict)
-        entries.append((tag, strict, [ps for w, ps in zip(ws, pairs) if w in xset]))
+        entries.append((tag, strict, kept))
     variables = tuple(sorted(variables))
     index = {var: i for i, var in enumerate(variables)}
     encoded = []
     for mu, (tag, strict, kept) in enumerate(entries, len(variables)):
         encoded += [(tag, ((mu, index[p], s),)) for p, s in strict.items()]
-        encoded += [(tag, tuple((index[p], mu, False) for p in ps)) for ps in kept]
+        encoded += [(tag, tuple([(index[p], mu, False) for p in ps])) for ps in kept]
     return ConstraintSystem(variables, tuple((tag,) for tag, _s, _k in entries), encoded)
 
 
@@ -156,6 +161,9 @@ def solve(system, budget=200_000):
         above = up[b] | 1 << b
         below = down[a] | 1 << a
         sabove = above if strict else sup[b]
+        # a q already above a holds below in down[q]; taken before the loop
+        # below widens up[a]
+        fresh = above & ~(up[a] | 1 << a)
         m = below
         while m:
             low = m & -m
@@ -163,7 +171,7 @@ def solve(system, budget=200_000):
             p = low.bit_length() - 1
             up[p] |= above
             sup[p] |= above if sup[p] >> a & 1 else sabove
-        m = above
+        m = fresh
         while m:
             low = m & -m
             m ^= low

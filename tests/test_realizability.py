@@ -7,8 +7,9 @@ import pytest
 import distrev.realizability as realizability
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.distops import OperatorTable, apply
-from distrev.errors import BoundExceededError, DistrevError, WitnessError
+from distrev.errors import BoundExceededError, DistrevError, UnrealizableError, WitnessError
 from distrev.realizability import (
+    ConstraintSystem,
     Verdict,
     brute_force_realizable,
     compile_constraints,
@@ -334,3 +335,203 @@ def test_bogus_sat_witness_raises(monkeypatch):
     with pytest.raises(WitnessError) as exc:
         solve_table(t)
     assert isinstance(exc.value, DistrevError)
+
+
+# ---------------------------------------------------------------------------
+# The closure update, seen only through verdicts
+
+
+def _reference_order(n, atoms):
+    """The transitive closure of ``atoms`` = (a, b, strict) over n
+    variables, by a search from each variable over states (variable,
+    whether a strict atom was crossed): returns ``le`` and ``lt`` with
+    ``le[x][y]`` when x <= y is entailed and ``lt[x][y]`` when x < y is."""
+    edges = [[] for _ in range(n)]
+    for a, b, strict in atoms:
+        edges[a].append((b, strict))
+    le = [[False] * n for _ in range(n)]
+    lt = [[False] * n for _ in range(n)]
+    for x in range(n):
+        seen = {(x, False)}
+        stack = [(x, False)]
+        while stack:
+            y, crossed = stack.pop()
+            le[x][y] = True
+            lt[x][y] = lt[x][y] or crossed
+            for z, strict in edges[y]:
+                state = (z, crossed or strict)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return le, lt
+
+
+def _reference_ranks(n, le, lt):
+    """Each variable's rank: the number of its equivalence classes (x <= y
+    and y <= x) lying strictly below it."""
+    classes = [frozenset(y for y in range(n) if le[x][y] and le[y][x]) for x in range(n)]
+    return [len({classes[y] for y in range(n) if lt[y][x]}) for x in range(n)]
+
+
+def _unit_sequence(rng):
+    """6 to 12 variables and a shuffled sequence of unit atoms that agree
+    with a hidden weak order (equal levels give non-strict cycles), with an
+    atom against it now and then."""
+    n = rng.randint(6, 12)
+    level = [rng.randrange(4) for _ in range(n)]
+    atoms = []
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        if level[a] > level[b]:
+            a, b = b, a
+        atoms.append((a, b, level[a] < level[b] and rng.random() < 0.5))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        a, b = rng.sample(range(n), 2)
+        atoms.append((a, b, rng.random() < 0.5))
+    rng.shuffle(atoms)
+    return n, atoms
+
+
+def test_closure_of_unit_atoms_matches_a_reference_closure():
+    # unit clauses are asserted one by one in order, so the verdict reads
+    # the solver's closure: a sat witness gives its ranks, and a strict
+    # cycle anywhere in the closure must make the sequence unsat
+    rng = random.Random(21)
+    tally = {"sat": 0, "unsat": 0}
+    widest = 0  # the largest min(|below a|, |above b|) met by an atom
+    for _ in range(300):
+        n, atoms = _unit_sequence(rng)
+        for k, (a, b, _strict) in enumerate(atoms):
+            le, _lt = _reference_order(n, atoms[:k])
+            widest = max(widest, min(sum(le[x][a] for x in range(n)),
+                                     sum(le[b][y] for y in range(n))))
+        system = ConstraintSystem(
+            tuple(f"x{i}" for i in range(n)), (),
+            [(f"u{k}", (atom,)) for k, atom in enumerate(atoms)])
+        verdict = solve(system)
+        le, lt = _reference_order(n, atoms)
+        cyclic = any(lt[x][x] for x in range(n))
+        assert verdict.status == ("unsat" if cyclic else "sat"), atoms
+        tally[verdict.status] += 1
+        if cyclic:
+            core = [atoms[int(tag[1:])] for tag in verdict.conflict]
+            _le, core_lt = _reference_order(n, core)
+            assert any(core_lt[x][x] for x in range(n)), (atoms, verdict.conflict)
+        else:
+            ranks = _reference_ranks(n, le, lt)
+            assert verdict.witness == {f"x{i}": ranks[i] for i in range(n)}, atoms
+    assert tally["sat"] >= 100 and tally["unsat"] >= 30, tally
+    assert widest >= 4
+
+
+# ---------------------------------------------------------------------------
+# The encoding, against an encoder written from its spec
+
+
+def _reference_encoding(table, symmetric):
+    """Per entry (V, W) -> X, in order of sorted V then sorted W, with
+    minimum mu: a unit mu <= d(v, w) per pair, mu < d(v, w) where some w of
+    the pair lies outside X (strict wins), in order of first appearance
+    over w then v; then per w in X, in order, the clause that some
+    d(v, w) <= mu.  An entry with an empty argument and empty result has
+    no minimum.  Returns the system's three fields or the error text."""
+    def var(v, w):
+        return tuple(sorted((v, w))) if symmetric else (v, w)
+
+    rows = []
+    for (vset, wset), xset in table.entries.items():
+        vs, ws = sorted(vset), sorted(wset)
+        rows.append(((vs, ws), f"{vs}|{ws}", xset))
+    rows.sort(key=lambda row: row[0])
+    kept_rows = []
+    for (vs, ws), tag, xset in rows:
+        if xset - set(ws):
+            return f"entry {tag}: result not within W"
+        if not vs or not ws:
+            if xset:
+                return f"entry {tag}: empty argument with non-empty result"
+            continue
+        if not xset:
+            return (f"entry {tag}: empty result on non-empty arguments "
+                    "(finite minimization is never empty)")
+        kept_rows.append((tag, vs, ws, xset))
+    names = sorted({var(v, w) for _tag, vs, ws, _x in kept_rows for v in vs for w in ws})
+    variables = tuple(names)
+    minima = tuple((tag,) for tag, _vs, _ws, _x in kept_rows)
+    encoded = []
+    for k, (tag, vs, ws, xset) in enumerate(kept_rows):
+        mu = len(names) + k
+        order = []
+        for w in ws:
+            for v in vs:
+                if var(v, w) not in order:
+                    order.append(var(v, w))
+        for p in order:
+            strict = any(w not in xset for v in vs for w in ws if var(v, w) == p)
+            encoded.append((tag, ((mu, names.index(p), strict),)))
+        for w in ws:
+            if w in xset:
+                encoded.append((tag, tuple((names.index(var(v, w)), mu, False) for v in vs)))
+    return variables, minima, encoded
+
+
+def _random_encoding_table(rng):
+    """A table whose V and W overlap often, so symmetric pairs coincide;
+    some entries have empty arguments, X outside W or an empty X."""
+    universe = tuple("abcde"[:rng.randint(1, 5)])
+    subsets = [frozenset(c) for r in range(len(universe) + 1)
+               for c in itertools.combinations(universe, r)]
+    entries = {}
+    for _ in range(rng.randint(1, 6)):
+        v = rng.choice(subsets)
+        w = rng.choice([v, v | rng.choice(subsets), rng.choice(subsets)])
+        roll = rng.random()
+        if roll < 0.04:
+            x = frozenset(rng.sample(universe, 1)) | w
+        elif roll < 0.08 or not w:
+            x = frozenset()
+        else:
+            x = frozenset(rng.sample(sorted(w), rng.randint(1, len(w))))
+        entries[v, w] = x
+    return OperatorTable(universe, entries)
+
+
+def test_compile_matches_a_reference_encoder():
+    rng = random.Random(33)
+    outcomes = set()
+    for i in range(600):
+        t = _random_encoding_table(rng)
+        for symmetric in (False, True):
+            expected = _reference_encoding(t, symmetric)
+            try:
+                s = compile_constraints(t, symmetric)
+            except UnrealizableError as exc:
+                assert str(exc) == expected, (i, t.entries)
+                outcomes.add(str(exc).split(": ", 1)[1][:12])
+                continue
+            assert (s.variables, s.minima, s.encoded) == expected, (i, symmetric, t.entries)
+            outcomes.add("ok")
+    assert outcomes == {"ok", "result not w", "empty argume", "empty result"}, outcomes
+
+
+def test_compile_edge_cases_match_the_reference_encoder():
+    # an empty argument with an empty result is dropped; on a pair met
+    # twice in a symmetric entry, a strict second occurrence wins
+    for entries, symmetric in [
+        ({("", "ab"): "", ("a", ""): "", ("a", "b"): "b"}, False),
+        ({("", ""): ""}, True),
+        ({("ab", "ab"): "a"}, True),
+        ({("ab", "ab"): "b"}, True),
+        ({("a", "b"): "ab"}, False),
+        ({("a", ""): "a"}, False),
+        ({("a", "ab"): ""}, True),
+    ]:
+        t = OperatorTable(("a", "b"), {
+            (frozenset(v), frozenset(w)): frozenset(x) for (v, w), x in entries.items()})
+        expected = _reference_encoding(t, symmetric)
+        try:
+            s = compile_constraints(t, symmetric)
+        except UnrealizableError as exc:
+            assert str(exc) == expected
+        else:
+            assert (s.variables, s.minima, s.encoded) == expected

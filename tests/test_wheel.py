@@ -115,6 +115,27 @@ def test_fragment_is_unrealizable_for_all_small_m():
             assert verify_witness(verdict.witness, rest)
 
 
+def test_full_rung_fragment_is_refuted_at_the_root():
+    # the 3m-entry fragment the solver benchmark solves: each rung doubleton
+    # with both of its singletons; the conflict is the 2m-entry core alone
+    for m in range(4, 25):
+        gadget = build_wheel_gadget(m=m)
+        entries = {}
+        for i in range(1, m + 1):
+            j = i % m + 1
+            vv, ww = wheel._rung(i, m)
+            expected = [(vv, frozenset({f"w{m}"}) if i == m else ww),
+                        (frozenset({f"v{i}"}), frozenset({f"w{i}"})),
+                        (frozenset({f"v{j}"}), frozenset({f"w{j}"}))]
+            for vset, xset in expected:
+                entries[vset, ww] = gadget.op.lookup(vset, ww)
+                assert entries[vset, ww] == xset, (m, i, vset)
+        assert len(entries) == 3 * m
+        verdict = solve_table(OperatorTable(gadget.universe, entries))
+        assert (verdict.status, verdict.nodes) == ("unsat", 1), m
+        assert verdict.conflict == sorted(_tag(sorted(v), sorted(w)) for v, w in _core_keys(m))
+
+
 def test_unmodified_operator_fragment_is_sat():
     gadget = build_wheel_gadget(m=4)
     d = gadget.dist

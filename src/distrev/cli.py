@@ -322,7 +322,7 @@ def build_parser():
 
     p = sub.add_parser("wheel", help="build and verify a cycle gadget")
     p.add_argument("--variant", choices=("abstract", "hamming"), default="abstract")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--dir", default="wheel-artifacts")
     p.add_argument("--seed", type=int, default=0,
                    help="echoed in the report; the sweeps are exhaustive and draw nothing")

@@ -108,13 +108,16 @@ class PseudoDistance:
         among the distinct costs.  The infinite cost, admitted only under
         the liberal order, ranks above every finite one.  Ranks keep
         the order and the ties of the costs, which is all minimization
-        needs.  The cache is not a field, so it stays out of equality, repr
-        and ``replaced()`` copies."""
-        distinct = sorted(set(self.table.values()))
-        rank = dict(zip(distinct, range(len(distinct))))
+        needs.  Costs are keyed by ``as_integer_ratio()``, INF by itself, so
+        no Fraction is hashed.  The cache is not a field, so it stays out
+        of equality, repr and ``replaced()`` copies."""
         pts = self.universe
-        index = {p: i for i, p in enumerate(pts)}
-        return index, [[rank[self.table[v, w]] for w in pts] for v in pts]
+        costs = [self.table[v, w] for v in pts for w in pts]
+        keys = [c if c is INF else c.as_integer_ratio() for c in costs]
+        distinct = dict(zip(keys, costs))
+        rank = {key: i for i, key in enumerate(sorted(distinct, key=distinct.__getitem__))}
+        flat, n = [rank[key] for key in keys], len(pts)
+        return {p: i for i, p in enumerate(pts)}, [flat[i * n:i * n + n] for i in range(n)]
 
     @classmethod
     def from_function(cls, universe, mode, fn):

@@ -383,19 +383,30 @@ def recheck_chain(op, chain):
 def _premise_reader(op, sets):
     """``premises(a, c)``: out[x, b] = premise(a[x], b, c[x]) for the pairs
     of index arrays ``a`` and ``c`` into ``sets`` and every b, as a boolean
-    array.  The distinct unions V_a u V_c of the pairs are numbered by
-    ``_distinct_rows`` over their packed words (``_row_words``) read
-    big-endian, so in byte order; equal unions share a number.  One
-    ``lookup_rows`` batch asks the operator about every V_b with every
-    union, V_b the outer order, and packs its answers into words.  Premise
-    (a, b, c) holds when the packed answer for (V_b, V_a u V_c) shares a
-    bit with V_a's packed row.  The bit tests go in chunks of about
-    ``APPLY_CHUNK_CELLS`` (premise, point) cells.  The columns are the
-    points of ``sets`` in ``op.universe`` order."""
-    n = len(sets)
+    array.  The columns are the points of ``sets`` in ``op.universe`` order.
+    An ``OperatorTable`` with a backing distance and no entries keeps the
+    points of W closest to V, so V_b | (V_a u V_c) meets V_a exactly when
+    near[a, b] <= near[c, b], near[a, b] the least rank from V_b to V_a,
+    built once by masked minima over broadcast views, which copy nothing.
+    Any other operator is asked: the distinct unions V_a u V_c of the pairs
+    are numbered by ``_distinct_rows`` over their packed words
+    (``_row_words``) read big-endian, so in byte order; equal unions share
+    a number.  One ``lookup_rows`` batch asks the operator about every V_b
+    with every union, V_b the outer order, and packs its answers into
+    words.  Premise (a, b, c) holds when the packed answer for (V_b, V_a u
+    V_c) shares a bit with V_a's packed row.  The bit tests go in chunks
+    of about ``APPLY_CHUNK_CELLS`` (premise, point) cells."""
     points = set().union(*sets)
     order = tuple(p for p in op.universe if p in points)
     member = _membership_rows(sets, order)
+    n, width = member.shape
+    if isinstance(op, OperatorTable) and op.backing is not None and not op.entries:
+        ranks, top = narrow_ranks(op.backing, order)  # to[a, v]: the least rank from v to V_a
+        to = np.min(np.broadcast_to(ranks, (n,) + ranks.shape), axis=2, where=member[:, None],
+                    initial=top)
+        near = np.min(np.broadcast_to(to[:, None], (n, n, width)), axis=2, where=member,
+                      initial=top)
+        return lambda a, c: near[a] <= near[c]
     bits = _row_words(member)
 
     def premises(a, c):
@@ -406,7 +417,7 @@ def _premise_reader(op, sets):
                                            np.tile(unions, (n, 1)), order))
         at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
         out = np.empty((len(a), n), dtype=bool)
-        step = max(1, APPLY_CHUNK_CELLS // max(n * len(order), 1))
+        step = max(1, APPLY_CHUNK_CELLS // max(n * width, 1))
         for lo in range(0, len(out), step):
             x = slice(lo, lo + step)
             out[x] = (looked[number[x, None] + at] & bits[a[x], None]).any(axis=-1)
@@ -536,7 +547,8 @@ def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
     """Check the loop condition for chains from ``family``, for every k or
     for k <= the cut-off ``k_max``, by one walk over indices into the sorted
     family (``_walk``), which reads its premises in one batch, n^2 of them
-    for a walk cut off at k = 1, else n^3; an empty family raises
+    for a walk cut off at k = 1, else n^3, off the set distances of an
+    entry-free backed table or by ``lookup_rows``; an empty family raises
     ``FamilyError``.  Before it reads a premise, a walk over n sets of more
     than ``budget`` cells per layer raises ``BoundExceededError``: n^2 for
     a walk cut off at k = 1, else n^5 (n^2 starts by n^2 states by n

@@ -300,6 +300,8 @@ def test_agm_sweep(workdir, hamming_file, capsys):
 VACUOUS = {
     "wheel-samples-negative": ["wheel", "--n", "1", "--samples", "-5"],
     "wheel-samples-0": ["wheel", "--samples", "0"],
+    "wheel-n-0": ["wheel", "--n", "0"],
+    "wheel-n-negative": ["wheel", "--n", "-3"],
     "agm-samples-0": ["agm", "hamming.txt", "--atoms", "p,q", "--samples", "0"],
     "loop-samples-negative": ["loop", "op.txt", "--k", "3", "--samples", "-1", "--budget", "1"],
     "loop-k-0": ["loop", "op.txt", "--k", "0"],
@@ -315,11 +317,13 @@ def test_counts_below_one_and_empty_property_lists_exit_2(workdir, hamming_file,
                                                           argv):
     # each would otherwise check nothing and report a pass, or for realize
     # give up at once as unknown; wheel, agm and loop, which no longer
-    # sample, refuse --samples whatever its count
+    # sample, refuse --samples whatever its count; wheel refuses --n below 1
+    # as a count, not as a wheel of too few points
     _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
     _write(workdir / "fam.txt", "00\n01\n00 01\n")
     assert main(argv) == 2
-    assert "result" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "result" not in out and "wheel needs" not in err
 
 
 MALFORMED = {

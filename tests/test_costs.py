@@ -95,6 +95,36 @@ def test_table_must_be_total():
         PseudoDistance(("a", "b"), OrderMode.REAL, {("a", "a"): F(0)})
 
 
+def _dense_ranks(dist):
+    """Each cost's index among the sorted distinct costs, INF on top."""
+    def key(c):
+        return (1, 0) if c is INF else (0, c)
+
+    distinct = sorted({key(c) for c in dist.table.values()})
+    return [[distinct.index(key(dist.d(v, w))) for w in dist.universe] for v in dist.universe]
+
+
+@pytest.mark.parametrize("table, mode, expected", [
+    # equal Fractions that are distinct objects share a rank
+    ({("a", "a"): F(0), ("a", "b"): F(1, 2), ("b", "a"): F(2, 4), ("b", "b"): F(1, 3)},
+     OrderMode.REAL, [[0, 2], [2, 1]]),
+    # int costs, as witness_distance builds them, tie with equal Fractions
+    ({("a", "a"): 0, ("a", "b"): 3, ("b", "a"): F(3), ("b", "b"): 1},
+     OrderMode.REAL, [[0, 2], [2, 1]]),
+    # INF ranks above every finite cost
+    ({("a", "a"): F(0), ("a", "b"): INF, ("b", "a"): F(5), ("b", "b"): INF},
+     OrderMode.LIBERAL, [[0, 2], [1, 2]]),
+    ({("a", "a"): F(7, 3)}, OrderMode.REAL, [[0]]),
+    ({}, OrderMode.REAL, []),
+])
+def test_kernel_ranks_are_the_dense_ranks_of_the_distinct_costs(table, mode, expected):
+    dist = _dist(table, mode)
+    index, ranks = dist.kernel
+    assert index == {p: i for i, p in enumerate(dist.universe)}
+    assert ranks == _dense_ranks(dist) == expected
+    assert dist.kernel is dist.kernel
+
+
 def test_real_mode_rejects_inf_entries():
     with pytest.raises(ModeMismatchError):
         _full(("a", "b"), lambda v, w: INF if v != w else F(0))

@@ -564,16 +564,43 @@ def _wide_premise_case():
     return OperatorTable(universe, entries, backing=dist), sets
 
 
+def _entry_free_premise_case(size, costs, mode, seed):
+    # an asymmetric backing and no entries: the premises are read off the
+    # set distances, where ties between V_a and V_c decide many of them
+    rng = random.Random(seed)
+    universe = tuple(f"p{i:02}" for i in range(size))
+    table = {(v, w): rng.choice(costs) for v in universe for w in universe}
+    sets = list(dict.fromkeys(frozenset(rng.sample(universe, rng.randint(1, 3)))
+                              for _ in range(12)))
+    return OperatorTable(universe, {}, backing=PseudoDistance(universe, mode, table)), sets
+
+
+def _tied_premise_case():
+    return _entry_free_premise_case(6, (F(0), F(1), F(1), F(2)), OrderMode.REAL, 11)
+
+
+def _liberal_premise_case():
+    return _entry_free_premise_case(6, (F(0), F(1, 2), INF, INF), OrderMode.LIBERAL, 12)
+
+
+def _many_point_premise_case():
+    return _entry_free_premise_case(24, COSTS, OrderMode.REAL, 13)
+
+
 @pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
 @pytest.mark.parametrize("case", [_wheel_premise_case, _model_set_premise_case,
-                                  _wide_premise_case])
+                                  _wide_premise_case, _tied_premise_case,
+                                  _liberal_premise_case, _many_point_premise_case])
 def test_premise_reads_match_the_scalar_premise(case, cells):
     op, sets = case()
     n = len(sets)
     expected = np.array([distops._premise(op, a, b, c)
                          for a, b, c in itertools.product(sets, repeat=3)]).reshape(n, n, n)
+    # an entry-free table reads no lookup_rows batch
+    batch = OperatorTable.lookup_rows if getattr(op, "entries", True) else None
     # a chunk size of 40 splits every read and bit test into many chunks
-    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
+    with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells), \
+            mock.patch.object(OperatorTable, "lookup_rows", batch):
         premises = distops._premise_reader(op, sets)
         a, c = np.divmod(np.arange(n * n), n)
         assert (premises(a, c) == expected.transpose(0, 2, 1).reshape(n * n, n)).all()

@@ -304,8 +304,8 @@ def validate_family(universe, family):
             sets.append(s)
     masks = [sum(1 << index[p] for p in s) for s in sets]
     present = set(masks)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
+    for i, a in enumerate(masks):  # both tests are symmetric: each pair once
+        for j, b in enumerate(masks[i:], i):
             if a | b not in present:
                 raise FamilyError(
                     f"family not closed under union: {sorted(sets[i])} | {sorted(sets[j])}"
@@ -590,5 +590,9 @@ def _verdict(op, sets, k_max, premises=None):
 def find_loop_violation(op, sets, k_max=None):
     """Directed search for a loop counterexample over the given candidate
     sets: no closure requirement and no budget, the walk of ``check_loop``
-    to its fixpoint or to the cut-off ``k_max``."""
-    return _verdict(op, sorted({frozenset(s) for s in sets if s}, key=sorted), k_max)
+    to its fixpoint or to the cut-off ``k_max``.  A set with a point outside
+    ``op.universe`` raises ``FamilyError``, as in ``validate_family``."""
+    sets = sorted({frozenset(s) for s in sets if s}, key=sorted)
+    if not set().union(*sets) <= set(op.universe):
+        raise FamilyError("family member outside the universe")
+    return _verdict(op, sets, k_max)

@@ -34,7 +34,6 @@ from .distops import (
 from .errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
 from .logic import (
     CLASSICAL,
-    _distinct_rows,
     canonical_dnf,
     definable_model_sets,
     enumerate_valuations,
@@ -100,26 +99,8 @@ class RevisionOperator:
             return apply(self.dist, vset, wset)
         return frozenset(self.fn(frozenset(vset), frozenset(wset)))
 
-    def revise_rows(self, vrows, wrows, order):
-        """Batch form of ``revise_models`` over P pairs given as boolean
-        membership rows, their columns in ``order``: one ``apply_rows`` for
-        a distance, else ``revise_models`` once per row, in row order, in
-        chunks of about ``APPLY_CHUNK_CELLS`` (pair, column) cells written
-        into one result.  A chunk makes one set per distinct row
-        (``_distinct_rows`` of its packed words), so it holds little more
-        than its answers."""
-        if self.dist is not None:
-            return apply_rows(self.dist, vrows, wrows, order)
-        out = np.zeros(np.shape(wrows), dtype=bool)
-        step = max(1, APPLY_CHUNK_CELLS // max(len(order), 1))
-        for lo in range(0, len(out), step):
-            v, w = vrows[lo:lo + step], wrows[lo:lo + step]
-            (v_first, v_at, _), (w_first, w_at, _) = map(_distinct_rows, map(_row_words, (v, w)))
-            vsets, wsets = _row_sets(v[v_first], order), _row_sets(w[w_first], order)
-            answers = [self.revise_models(vsets[i], wsets[j])
-                       for i, j in zip(v_at.tolist(), w_at.tolist())]
-            out[lo:lo + step] = _membership_rows(answers, order)
-        return out
+    def lookup(self, vset, wset):
+        return self.revise_models(vset, wset)
 
     @classmethod
     def from_distance(cls, dist, signature):
@@ -260,10 +241,11 @@ def _revision_table(op, space, what, per_key=0):
     is asked about it wherever a result is empty), read-only.  First, on
     every call, raises ``BoundExceededError`` if the ``what`` check would
     hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows and two
-    masks; ``per_key`` bytes per key of 3w bits; and 64 bytes a chunk
-    cell.  Built by one ``revise_rows`` batch (a function operator's sets
-    held one chunk at a time), it is kept on ``op`` for the last order, no
-    field, so every check of ``op`` reads one table and ``==`` ignores it."""
+    masks; ``per_key`` bytes per key of 3w bits; and 64 bytes an ``apply_rows``
+    chunk cell.  One ``apply_rows`` batch for a distance, else ``revise_models``
+    once per pair of the 2^w model sets, each answer kept as its mask; kept on
+    ``op`` for the last order, no field, so every check of ``op`` reads one
+    table and ``==`` ignores it."""
     width = len(space.order)
     per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize
     need = (per_pair << 2 * width) + (per_key << 3 * width) + 64 * APPLY_CHUNK_CELLS
@@ -273,8 +255,14 @@ def _revision_table(op, space, what, per_key=0):
     cached = vars(op).get("_revision_table", (None,))
     if cached[0] != space.order:
         rows = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
-        T = _masks(op.revise_rows(*_pair_rows(rows), space.order)).reshape(len(rows), -1)
-        cached = space.order, _read_only(T)
+        if op.dist is not None:
+            T = _masks(apply_rows(op.dist, *_pair_rows(rows), space.order))
+        else:  # a member outside the order is dropped, as by _membership_rows
+            bit = {p: 1 << i for i, p in enumerate(space.order)}
+            T = np.fromiter((sum(bit.get(p, 0) for p in op.revise_models(v, w)) for v, w in
+                             itertools.product(_row_sets(rows, space.order), repeat=2)),
+                            _mask_dtype(width), 1 << 2 * width)
+        cached = space.order, _read_only(T.reshape(len(rows), -1))
         object.__setattr__(op, "_revision_table", cached)
     return cached[1]
 
@@ -313,21 +301,6 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     return reports
 
 
-@dataclass(frozen=True)
-class _ModelSetOperator:
-    """Adapter presenting a revision operator as a set operator, so the loop
-    checker's recheck and its generic premise reader apply unchanged."""
-
-    universe: tuple
-    op: object
-
-    def lookup(self, vset, wset):
-        return self.op.revise_models(vset, wset)
-
-    def lookup_rows(self, vrows, wrows, order):
-        return self.op.revise_rows(vrows, wrows, order)
-
-
 def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     """The cyclic chain condition at the theory level: premises say each
     source stays compatible with its revised neighbor disjunction, the
@@ -336,9 +309,10 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     of a union of theories.  ``check_loop``'s walk runs over the consistent
     theories under ``budget``, to its fixpoint or to the cut-off ``k_max``.
     It reads premise (a, b, c) off ``op``'s revision table: T[V_b, V_a | V_c] &
-    V_a != 0, in chunks of about ``APPLY_CHUNK_CELLS`` (premise, b) cells."""
+    V_a != 0, in chunks of about ``APPLY_CHUNK_CELLS`` (premise, b) cells,
+    and rechecks a chain through ``op.lookup``, that is ``revise_models``."""
     space = _model_set_space(op.signature, matrix)
-    (sets, masks), adapter = space.loop, _ModelSetOperator(space.order, op)
+    sets, masks = space.loop
     _walk_budget(len(sets), k_max, budget)
     T = _revision_table(op, space, "star loop")
 
@@ -349,7 +323,7 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
             out[lo:lo + step] = T[masks, v_a | masks[c[lo:lo + step], None]] & v_a != 0
         return out
 
-    return _verdict(adapter, sets, k_max, premises)
+    return _verdict(op, sets, k_max, premises)
 
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,

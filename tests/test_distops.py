@@ -257,6 +257,15 @@ def test_find_loop_violation_agrees_with_recheck():
     assert recheck_chain(op, verdict.chain)
 
 
+def test_find_loop_violation_refuses_sets_outside_the_universe():
+    # the backing reaches c, the universe does not: both checks refuse
+    op = OperatorTable(("a", "b"), {}, backing=_dist(lambda v, w: F(v != w), ("a", "b", "c")))
+    sets = [{"a"}, {"b"}, {"c"}, {"a", "c"}, {"b", "c"}]
+    for check in (check_loop, find_loop_violation):
+        with pytest.raises(FamilyError, match="^family member outside the universe$"):
+            check(op, sets)
+
+
 def _returning_chain_op():
     # the only violation is a = V_0 = V_1 = V_3: the walk returns to its
     # start state (a, a) after three premises

@@ -27,7 +27,6 @@ from distrev.distops import (
 from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
 from distrev.revision import (
-    _ModelSetOperator,
     nonempty_model_sets,
     per_source_order_operator,
     valuation_universe,
@@ -540,10 +539,14 @@ def _wheel_premise_case():
 
 
 def _model_set_premise_case():
+    # a function operator over the valuations of 3 atoms, its answers on
+    # every pair the premises ask about held as explicit entries
     sig = ("p", "q", "r")
     sets = random.Random(5).sample(nonempty_model_sets(sig), 12)
     op = per_source_order_operator(sig, seed=2)
-    return _ModelSetOperator(valuation_universe(sig), op), sets
+    entries = {(b, a | c): op.revise_models(b, a | c)
+               for a, b, c in itertools.product(sets, repeat=3)}
+    return OperatorTable(valuation_universe(sig), entries), sets
 
 
 def _wide_premise_case():

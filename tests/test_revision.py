@@ -10,7 +10,7 @@ import pytest
 from distrev import distops, revision
 from distrev.costs import OrderMode, PseudoDistance, check_property
 from distrev.errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
-from distrev.distops import apply, check_loop
+from distrev.distops import OperatorTable, apply, check_loop
 from distrev.logic import (
     CLASSICAL,
     Matrix,
@@ -197,9 +197,9 @@ def test_per_source_answers_do_not_depend_on_query_order():
     assert check_disjunction_iteration(used) == check_disjunction_iteration(fresh)
 
 
-def test_function_operator_table_is_answered_in_chunks():
-    # the 65,536 pairs of 3 atoms: asked all at once, their sets and
-    # answers peaked at 65 MiB.  Here T[v, w] is v.
+def test_revision_table_matches_the_scalar_answers():
+    # the 65,536 pairs of 3 atoms, each answer kept as its mask alone, so
+    # the build holds well under 16 MiB.  Here T[v, w] is v.
     sig = ("p", "q", "r")
     op = RevisionOperator.from_function(lambda v, w: v, sig)
     space = revision._model_set_space(sig, CLASSICAL)
@@ -211,34 +211,17 @@ def test_function_operator_table_is_answered_in_chunks():
         tracemalloc.stop()
     assert peak < 16 << 20
     assert np.array_equal(table, np.repeat(np.arange(256)[:, None], 256, axis=1))
-    # one chunk, two and many give the answers of revise_models pair by pair
-    op = per_source_order_operator(SIG, seed=3)
-    space = revision._model_set_space(SIG, CLASSICAL)
-    _, _, answer = _scalar_answers(op, CLASSICAL)
-    expected = np.array([[answer[v][w] for w in range(16)] for v in range(16)])
-    for cells in (revision.APPLY_CHUNK_CELLS, 1000, 40):
-        op = per_source_order_operator(SIG, seed=3)  # each keeps the table it builds
-        with mock.patch.object(revision, "APPLY_CHUNK_CELLS", cells):
-            assert np.array_equal(revision._revision_table(op, space, "postulate check"),
-                                  expected), cells
-
-
-@pytest.mark.parametrize("cells", [revision.APPLY_CHUNK_CELLS, 40])
-def test_revise_rows_of_a_function_operator_match_revise_models(cells):
-    # repeated rows and empty rows, in one chunk and, at 40 cells, in
-    # chunks of 5 rows of 8 points
-    sig = ("p", "q", "r")
-    op = per_source_order_operator(sig, seed=4)
-    order = valuation_universe(sig)
-    rng = np.random.default_rng(4)
-    pool = rng.random((7, len(order))) < 0.5
-    pool[0] = False
-    vrows, wrows = (pool[rng.integers(0, len(pool), 64)] for _ in range(2))
-    with mock.patch.object(revision, "APPLY_CHUNK_CELLS", cells):
-        got = op.revise_rows(vrows, wrows, order)
-    sets = [revision._row_sets(rows, order) for rows in (vrows, wrows, got)]
-    assert sets[2] == [op.revise_models(v, w) for v, w in zip(sets[0], sets[1])]
-    assert any(sets[2]) and not all(sets[2])
+    # a function operator and, at 1 to 3 atoms, a distance one give the
+    # answers of revise_models pair by pair, the empty row and column too
+    cases = [per_source_order_operator(SIG, seed=3)]
+    cases += [_asymmetric_op(("p", "q", "r")[:atoms], 4) for atoms in (1, 2, 3)]
+    for op in cases:
+        space = revision._model_set_space(op.signature, CLASSICAL)
+        _, _, answer = _scalar_answers(op, CLASSICAL)
+        masks = range(1 << len(space.order))
+        expected = np.array([[answer[v][w] for w in masks] for v in masks])
+        table = revision._revision_table(op, space, "postulate check")
+        assert np.array_equal(table, expected), op.signature
 
 
 def test_disjunction_iteration_passes_for_hamming():
@@ -734,10 +717,19 @@ def _erratic_op(sig, seed):
     return RevisionOperator.from_function(fn, sig)
 
 
+def _answer_table(op, space):
+    """``op``'s answers on every pair of consistent theories, as the
+    explicit entries of a set operator over the valuations: no revision
+    table is read to build it."""
+    return OperatorTable(space.order, {(v, w): op.revise_models(v, w)
+                                       for v in space.sets for w in space.sets})
+
+
 @pytest.mark.parametrize("k_max", [1, 2, 3, None])
 def test_star_loop_off_the_table_matches_the_generic_loop_check(k_max):
-    # the generic check asks the operator through lookup_rows, the
-    # table-backed one reads the premises off the revision table
+    # the generic check asks an explicit table of the operator's answers
+    # through lookup_rows, the star loop reads the premises off the
+    # revision table
     failed = passed = 0
     for sig in (("p",), SIG):
         space = revision._model_set_space(sig, CLASSICAL)
@@ -745,31 +737,37 @@ def test_star_loop_off_the_table_matches_the_generic_loop_check(k_max):
             for op in (_symmetric_op(sig, seed), _asymmetric_op(sig, seed),
                        per_source_order_operator(sig, seed=seed), _erratic_op(sig, seed)):
                 verdict = check_star_loop(op, k_max=k_max)
-                adapter = revision._ModelSetOperator(space.order, op)
-                assert verdict == check_loop(adapter, space.sets, k_max), (sig, seed, op)
+                assert verdict == check_loop(_answer_table(op, space), space.sets, k_max), (
+                    sig, seed, op)
                 failed += not verdict.passed
                 passed += verdict.passed
     assert failed >= 10 and passed >= 10
 
 
 def test_one_revision_table_per_operator(monkeypatch):
-    built = []
-    revise_rows = RevisionOperator.revise_rows
+    # a function operator is asked once per pair of the 2^4 masks of 2
+    # atoms, on its first check alone
+    asked = []
+    revise_models = RevisionOperator.revise_models
 
     def spy(self, *args):
-        built.append(self)
-        return revise_rows(self, *args)
+        asked.append(self)
+        return revise_models(self, *args)
 
-    monkeypatch.setattr(RevisionOperator, "revise_rows", spy)
+    monkeypatch.setattr(RevisionOperator, "revise_models", spy)
     op, other = (per_source_order_operator(SIG, seed=5) for _ in range(2))
     check_agm(op)
+    assert len(asked) == 4 ** 4 and all(x is op for x in asked)
     check_disjunction_iteration(op)
-    check_star_loop(op, k_max=3)
-    assert built == [op] and built[0] is op
+    assert len(asked) == 4 ** 4
+    # the star loop asks op only to recheck the chain it finds, once a link
+    chain = check_star_loop(op, k_max=3).chain
+    assert len(chain) == 3 and len(asked) == 4 ** 4 + len(chain)
+    asked.clear()
     check_star_loop(other, k_max=3)
-    assert len(built) == 2 and built[1] is other
+    assert len(asked) == 4 ** 4 + len(chain) and all(x is other for x in asked)
     table = revision._revision_table(op, revision._model_set_space(SIG, CLASSICAL), "star loop")
-    assert len(built) == 2 and not table.flags.writeable
+    assert len(asked) == 4 ** 4 + len(chain) and not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0
     # the table is no field: equality and repr do not see it
@@ -779,15 +777,17 @@ def test_one_revision_table_per_operator(monkeypatch):
     assert used == fresh and repr(used) == repr(fresh)
 
 
-def test_star_loop_premises_at_three_atoms_match_the_generic_reader():
+def test_star_loop_premises_at_three_atoms_match_the_scalar_premise():
     # n = 255 theories: the n^3 premises are a 16.6 MB tensor, read in
     # chunks; read at once, the gather and its mask would add about 33 MB.
-    # The walk is stubbed out, so check_star_loop hands back its premises
+    # The walk is stubbed out, so check_star_loop hands back its premises,
+    # checked on sampled triples by the scalar premise through op.lookup
     sig = ("p", "q", "r")
-    space = revision._model_set_space(sig, CLASSICAL)
-    n = len(space.loop[0])
+    sets = revision._model_set_space(sig, CLASSICAL).loop[0]
+    n = len(sets)
     a, c = np.divmod(np.arange(n * n), n)
-    rows = np.random.default_rng(9).choice(n * n, 2000, replace=False)
+    rng = np.random.default_rng(9)
+    rows, b = rng.choice(n * n, 4000, replace=False), rng.integers(0, n, 4000)
     for op in (_asymmetric_op(sig, 9), per_source_order_operator(sig, seed=9)):
         with mock.patch.object(revision, "_verdict", lambda op, sets, k_max, read: read):
             premises = check_star_loop(op, budget=10**13)
@@ -798,7 +798,7 @@ def test_star_loop_premises_at_three_atoms_match_the_generic_reader():
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20
-        generic = distops._premise_reader(revision._ModelSetOperator(space.order, op),
-                                          space.loop[0])
-        assert (every[rows] == generic(a[rows], c[rows])).all()
-        assert 0 < every.sum() < every.size
+        scalar = [distops._premise(op, sets[a[r]], sets[j], sets[c[r]])
+                  for r, j in zip(rows.tolist(), b.tolist())]
+        assert every[rows, b].tolist() == scalar
+        assert 0 < sum(scalar) < len(scalar) and 0 < every.sum() < every.size

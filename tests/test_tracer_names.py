@@ -125,3 +125,15 @@ def test_gadgets_command_lines_parse(tmp_path, monkeypatch):
     parser = cli.build_parser()
     for argv in argvs:
         assert parser.parse_args(argv).func is cli.cmd_wheel, argv
+
+
+def test_in_process_workloads_pass_their_gates(tmp_path):
+    # one pass of the checkers and solver jobs, in this process, gated as a
+    # benchmark run gates them
+    workloads = _perfbench("workloads")
+    for kind in (workloads.Checkers, workloads.Solver):
+        workload = kind(1, tmp_path / kind.name)
+        workload.write_files()
+        jobs = workload.jobs()
+        results = [job() for _, job in jobs]
+        assert workload.gate(jobs, results) == [], kind.name

@@ -350,8 +350,9 @@ def check_inclusion(op, family=None, witness_cap=16):
 
 @dataclass
 class LoopVerdict:
-    """Result of a loop-condition check.  On failure the witness chain
-    V_0..V_k is re-checkable against the operator.  A pass holds for every k
+    """Result of ``_verdict``, the one loop search of ``check_loop``,
+    ``find_loop_violation`` and ``check_star_loop``.  On failure the witness
+    chain V_0..V_k is re-checked through ``op.lookup``.  A pass holds for every k
     exactly when ``fixpoint`` is set; its ``k`` is the cut-off, if given, else
     the fixpoint.  ``sampled``, always False, goes with ROADMAP item 1a."""
 
@@ -380,47 +381,49 @@ def recheck_chain(op, chain):
     return not _premise(op, chain[1], chain[0], chain[k])
 
 
-def _premise_reader(op, sets):
+def _premise_reader(op, sets, universe):
     """``premises(a, c)``: out[x, b] = premise(a[x], b, c[x]) for the pairs
     of index arrays ``a`` and ``c`` into ``sets`` and every b, as a boolean
-    array.  The columns are the points of ``sets`` in ``op.universe`` order.
-    An ``OperatorTable`` with a backing distance and no entries keeps the
-    points of W closest to V, so V_b | (V_a u V_c) meets V_a exactly when
-    near[a, b] <= near[c, b], near[a, b] the least rank from V_b to V_a,
-    built once by masked minima over broadcast views, which copy nothing.
-    Any other operator is asked: the distinct unions V_a u V_c of the pairs
-    are numbered by ``_distinct_rows`` over their packed words
-    (``_row_words``) read big-endian, so in byte order; equal unions share
-    a number.  One ``lookup_rows`` batch asks the operator about every V_b
-    with every union, V_b the outer order, and packs its answers into
-    words.  Premise (a, b, c) holds when the packed answer for (V_b, V_a u
-    V_c) shares a bit with V_a's packed row.  The bit tests go in chunks
-    of about ``APPLY_CHUNK_CELLS`` (premise, point) cells."""
-    points = set().union(*sets)
-    order = tuple(p for p in op.universe if p in points)
-    member = _membership_rows(sets, order)
-    n, width = member.shape
-    if isinstance(op, OperatorTable) and op.backing is not None and not op.entries:
-        ranks, top = narrow_ranks(op.backing, order)  # to[a, v]: the least rank from v to V_a
-        to = np.min(np.broadcast_to(ranks, (n,) + ranks.shape), axis=2, where=member[:, None],
-                    initial=top)
-        near = np.min(np.broadcast_to(to[:, None], (n, n, width)), axis=2, where=member,
-                      initial=top)
-        return lambda a, c: near[a] <= near[c]
-    bits = _row_words(member)
+    array, filled in chunks of about ``APPLY_CHUNK_CELLS`` cells.  A plain
+    distance minimization (a ``RevisionOperator`` with ``dist``, or an
+    ``OperatorTable`` with a backing and no entries) keeps the points of W
+    closest to V, so the premise is near[a, b] <= near[c, b], near[a, b] the
+    least rank from V_b to V_a, read from ``dist.kernel`` in a narrow dtype
+    by two ``np.minimum.reduceat`` over the sets' member indices.  Any other
+    operator is asked through ``lookup_rows``, its columns the points of
+    ``sets`` in ``universe`` order, once for every V_b with every distinct
+    union V_a u V_c, numbered by ``_distinct_rows`` over the packed words
+    (``_row_words``) read big-endian, so in byte order; premise (a, b, c)
+    holds when the answer for (V_b, V_a u V_c) shares a bit with V_a."""
+    dist = getattr(op, "dist", None) if not isinstance(op, OperatorTable) \
+        else None if op.entries else op.backing
+    n = len(sets)
 
     def premises(a, c):
-        first, number, _ = _distinct_rows((bits[a] | bits[c]).view(">u8"))
-        m = len(first)
-        unions = member[a[first]] | member[c[first]]
-        looked = _row_words(op.lookup_rows(np.repeat(member, m, axis=0),
-                                           np.tile(unions, (n, 1)), order))
-        at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
+        if dist is not None:  # a row is n cells
+            index, ranks = dist.kernel
+            members = [index[p] for s in sets for p in s]
+            starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+            ranks = np.array(ranks, dtype=np.min_scalar_type(max(map(max, ranks))))
+            to = np.minimum.reduceat(ranks.T[members], starts)  # [a, v]: least rank v -> V_a
+            near, width = np.minimum.reduceat(to[:, members], starts, axis=1), 1  # [a, b]
+        else:  # a row is n times the point count cells
+            points = set().union(*sets)
+            order = tuple(p for p in universe if p in points)
+            member = _membership_rows(sets, order)
+            bits, width = _row_words(member), len(order)
+            first, number, _ = _distinct_rows((bits[a] | bits[c]).view(">u8"))
+            m = len(first)
+            unions = member[a[first]] | member[c[first]]
+            looked = _row_words(op.lookup_rows(np.repeat(member, m, axis=0),
+                                               np.tile(unions, (n, 1)), order))
+            at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
         out = np.empty((len(a), n), dtype=bool)
         step = max(1, APPLY_CHUNK_CELLS // max(n * width, 1))
         for lo in range(0, len(out), step):
             x = slice(lo, lo + step)
-            out[x] = (looked[number[x, None] + at] & bits[a[x], None]).any(axis=-1)
+            out[x] = near[a[x]] <= near[c[x]] if dist is not None else \
+                (looked[number[x, None] + at] & bits[a[x], None]).any(axis=-1)
         return out
 
     return premises
@@ -442,14 +445,12 @@ def _walk(premises, n, k_max):
     q[i0, i1] and the conclusion q[i1, i0].  A walk cut off at k = 1 reads
     just ``q``, from the n pairs (a, a); any other reads the premise tensor
     ``P[a, b, c]`` from all n^2 pairs (a, c), and takes ``q`` from it.
-    Past k = 1 a start is walked only when it is live, its
-    conclusion P[i1, i0, V_k] failing for some V_k; the others can never
-    close a ring, so ``states`` counts the n^2 starts and the states the
-    live starts reach.  From layer 2 on, a block of ``_walk_block`` holds
-    max(1, ``APPLY_CHUNK_CELLS`` // n^2) live starts in ascending order,
-    with n^2 cells each; each block searches only for a k below the best
-    one found.
-    """
+    Past k = 1 a start is walked only when it is live, its conclusion
+    P[i1, i0, V_k] failing for some V_k; the others can never close a ring,
+    so ``states`` counts the n^2 starts and the states the live starts
+    reach.  From layer 2 on, a block of ``_walk_block`` holds max(1,
+    ``APPLY_CHUNK_CELLS`` // n^2) live starts in ascending order, with n^2
+    cells each; each block searches only for a k below the best one found."""
     if k_max is not None and k_max < 1:
         return None, 0, None
     if n == 0:
@@ -545,40 +546,33 @@ def _chain(P, i0, i1, k):
 
 def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
     """Check the loop condition for chains from ``family``, for every k or
-    for k <= the cut-off ``k_max``, by one walk over indices into the sorted
-    family (``_walk``), which reads its premises in one batch, n^2 of them
-    for a walk cut off at k = 1, else n^3, off the set distances of an
-    entry-free backed table or by ``lookup_rows``; an empty family raises
-    ``FamilyError``.  Before it reads a premise, a walk over n sets of more
-    than ``budget`` cells per layer raises ``BoundExceededError``: n^2 for
-    a walk cut off at k = 1, else n^5 (n^2 starts by n^2 states by n
-    successors).  ``samples`` is accepted and unused, and
-    ``LoopVerdict.sampled`` is always False: both stay for the benchmark's
-    loop job until ROADMAP item 1a.
-    """
+    for k <= the cut-off ``k_max``: ``_verdict`` over the sorted family,
+    under ``budget``; an empty family raises ``FamilyError``.  ``samples``
+    is accepted and unused, and ``LoopVerdict.sampled`` is always False:
+    both stay for the benchmark's loop job until ROADMAP item 1a."""
     sets = sorted(validate_family(op.universe, family), key=sorted)
     if not sets:
         raise FamilyError("the family has no set to chain")
-    _walk_budget(len(sets), k_max, budget)
-    return _verdict(op, sets, k_max)
+    return _verdict(op, sets, op.universe, k_max, budget)
 
 
-def _walk_budget(n, k_max, budget):
-    cells = n ** 2 if k_max == 1 else n ** 5
-    if cells > budget:
+def _verdict(op, sets, universe, k_max, budget=None):
+    """The loop search: the verdict of one walk over the sorted ``sets``
+    (``_walk``) off ``_premise_reader(op, sets, universe)``, its chain
+    re-verified through ``op.lookup``.  Before it reads a premise, a walk of
+    more than ``budget`` (if given) cells per layer raises
+    ``BoundExceededError``: n^2 for a walk cut off at k = 1, else n^5 (n^2
+    starts by n^2 states by n successors).  ``checked`` counts the chains up
+    to the violation's k, the cut-off or the fixpoint."""
+    n = len(sets)
+    if budget is not None and (cells := n ** 2 if k_max == 1 else n ** 5) > budget:
         raise BoundExceededError(
             f"the loop walk over {n} sets needs {cells} cells per layer, "
             f"over the budget of {budget}"
         )
-
-
-def _verdict(op, sets, k_max, premises=None):
-    """The walk's verdict over ``sets`` off ``premises``, by default
-    ``_premise_reader(op, sets)``, its chain re-verified through ``op``;
-    ``checked`` counts the chains up to the violation's k, the cut-off or the fixpoint."""
-    found, states, fixpoint = _walk(premises or _premise_reader(op, sets), len(sets), k_max)
+    found, states, fixpoint = _walk(_premise_reader(op, sets, universe), n, k_max)
     k = len(found) - 1 if found else fixpoint if k_max is None else k_max
-    checked = sum(len(sets) ** (j + 1) for j in range(1, k + 1))
+    checked = sum(n ** (j + 1) for j in range(1, k + 1))
     if found is None:
         return LoopVerdict(True, k, (), checked, states=states, fixpoint=fixpoint)
     chain = tuple(sets[i] for i in found)
@@ -588,11 +582,10 @@ def _verdict(op, sets, k_max, premises=None):
 
 
 def find_loop_violation(op, sets, k_max=None):
-    """Directed search for a loop counterexample over the given candidate
-    sets: no closure requirement and no budget, the walk of ``check_loop``
-    to its fixpoint or to the cut-off ``k_max``.  A set with a point outside
-    ``op.universe`` raises ``FamilyError``, as in ``validate_family``."""
+    """Directed search for a loop counterexample over the candidate
+    ``sets``: ``_verdict`` with no closure requirement and no budget.  A set
+    with a point outside ``op.universe`` raises ``FamilyError``."""
     sets = sorted({frozenset(s) for s in sets if s}, key=sorted)
     if not set().union(*sets) <= set(op.universe):
         raise FamilyError("family member outside the universe")
-    return _verdict(op, sets, k_max)
+    return _verdict(op, sets, op.universe, k_max)

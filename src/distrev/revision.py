@@ -27,7 +27,6 @@ from .distops import (
     _row_sets,
     _row_words,
     _verdict,
-    _walk_budget,
     apply,
     apply_rows,
 )
@@ -102,6 +101,12 @@ class RevisionOperator:
     def lookup(self, vset, wset):
         return self.revise_models(vset, wset)
 
+    def lookup_rows(self, vrows, wrows, order):
+        """``lookup`` over P pairs of boolean membership rows, their columns
+        in ``order``: a read of the revision table over ``order``."""
+        T = _revision_table(self, tuple(order), "loop premise read")
+        return _bit_rows(T[_masks(vrows), _masks(wrows)], len(order))
+
     @classmethod
     def from_distance(cls, dist, signature):
         return cls(tuple(signature), dist=dist)
@@ -172,10 +177,15 @@ def _masks(rows):
     return _packed_rows(rows, unit).view(f"<u{unit}").ravel()
 
 
+def _bit_rows(masks, width):
+    """The boolean row of each integer mask over ``width`` columns."""
+    return (np.asarray(masks)[:, None] >> np.arange(width) & 1).astype(bool)
+
+
 class _ModelSetSpace:
     """The tables the checkers read for one signature and matrix, each
     built on first use: the valuation ``order``; the non-empty model
-    ``sets`` and their integer ``masks``, also in ``check_loop``'s order
+    ``sets`` and their integer ``masks``; the sets sorted for the loop walk
     (``loop``); the ``moved`` mask of the canonical-formula round trip;
     the definable sets by ``_label``, their rows and their words' ``_row_index``.
     Masks and rows have their columns in ``order`` and are read-only."""
@@ -194,8 +204,7 @@ class _ModelSetSpace:
 
     @functools.cached_property
     def loop(self):
-        sets = tuple(sorted(self.sets, key=sorted))
-        return sets, _read_only(_masks(_membership_rows(sets, self.order)))
+        return tuple(sorted(self.sets, key=sorted))
 
     @functools.cached_property
     def moved(self):
@@ -235,34 +244,42 @@ def _pair_rows(rows):
     return np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
 
 
-def _revision_table(op, space, what, per_key=0):
+def _revision_table(op, order, what, per_key=0):
     """T[v, w]: ``op``'s answer for every ordered pair of masks over the w
-    valuations of ``space.order``, the empty mask too (a function operator
-    is asked about it wherever a result is empty), read-only.  First, on
-    every call, raises ``BoundExceededError`` if the ``what`` check would
-    hold over ``SWEEP_MAX_BYTES``: per pair, two indices, three rows and two
-    masks; ``per_key`` bytes per key of 3w bits; and 64 bytes an ``apply_rows``
-    chunk cell.  One ``apply_rows`` batch for a distance, else ``revise_models``
-    once per pair of the 2^w model sets, each answer kept as its mask; kept on
-    ``op`` for the last order, no field, so every check of ``op`` reads one
-    table and ``==`` ignores it."""
-    width = len(space.order)
+    valuations ``order``, the empty mask too (a function operator is asked
+    about it wherever a result is empty), read-only.  First, on every call,
+    raises ``BoundExceededError`` if the ``what`` check would hold over
+    ``SWEEP_MAX_BYTES``: per pair, two indices, three rows and two masks;
+    ``per_key`` bytes per key of 3w bits; and 64 bytes an ``apply_rows``
+    chunk cell.  One ``apply_rows`` batch for a distance, else one
+    ``revise_models`` call per pair of the 2^w model sets, each answer kept
+    as its mask, or refused with ``UnknownAtomError`` if it holds a point
+    outside ``order``.  Kept on ``op`` for the last order, no field."""
+    width = len(order)
     per_pair = 16 + 3 * width + 2 * _mask_dtype(width).itemsize
     need = (per_pair << 2 * width) + (per_key << 3 * width) + 64 * APPLY_CHUNK_CELLS
     if need > SWEEP_MAX_BYTES:
         raise BoundExceededError(f"the {what} over {width} valuations needs about "
                                  f"{need >> 20} MiB, over the {SWEEP_MAX_BYTES >> 20} MiB cap")
     cached = vars(op).get("_revision_table", (None,))
-    if cached[0] != space.order:
-        rows = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
+    if cached[0] != order:
+        rows = _bit_rows(np.arange(1 << width), width)
         if op.dist is not None:
-            T = _masks(apply_rows(op.dist, *_pair_rows(rows), space.order))
-        else:  # a member outside the order is dropped, as by _membership_rows
-            bit = {p: 1 << i for i, p in enumerate(space.order)}
-            T = np.fromiter((sum(bit.get(p, 0) for p in op.revise_models(v, w)) for v, w in
-                             itertools.product(_row_sets(rows, space.order), repeat=2)),
-                            _mask_dtype(width), 1 << 2 * width)
-        cached = space.order, _read_only(T.reshape(len(rows), -1))
+            T = _masks(apply_rows(op.dist, *_pair_rows(rows), order))
+        else:
+            bit = {p: 1 << i for i, p in enumerate(order)}
+
+            def mask(v, w):
+                answer = op.revise_models(v, w)
+                try:
+                    return sum(bit[p] for p in answer)
+                except KeyError as point:
+                    raise UnknownAtomError(f"the answer for {_label(v)} | {_label(w)} holds "
+                                           f"{point.args[0]!r}, outside the valuations") from None
+
+            T = np.fromiter(itertools.starmap(mask, itertools.product(
+                _row_sets(rows, order), repeat=2)), _mask_dtype(width), 1 << 2 * width)
+        cached = order, _read_only(T.reshape(len(rows), -1))
         object.__setattr__(op, "_revision_table", cached)
     return cached[1]
 
@@ -281,7 +298,7 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     non-empty.  ``samples`` and ``seed`` are unused: they stay for the
     benchmark's postulate job until ROADMAP item 1a."""
     space = _model_set_space(op.signature, matrix)
-    T = _revision_table(op, space, "postulate check")
+    T = _revision_table(op, space.order, "postulate check")
     sets, masks, n = space.sets, space.masks, len(space.sets)
     result, both = T[masks[:, None], masks], masks[:, None] & masks  # [V, W]
     # star0: a pair whose sets come back from their canonical formulas
@@ -306,24 +323,12 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     source stays compatible with its revised neighbor disjunction, the
     conclusion closes the cycle.  Union of model sets realizes the
     disjunction of theories; non-empty intersection realizes consistency
-    of a union of theories.  ``check_loop``'s walk runs over the consistent
-    theories under ``budget``, to its fixpoint or to the cut-off ``k_max``.
-    It reads premise (a, b, c) off ``op``'s revision table: T[V_b, V_a | V_c] &
-    V_a != 0, in chunks of about ``APPLY_CHUNK_CELLS`` (premise, b) cells,
-    and rechecks a chain through ``op.lookup``, that is ``revise_models``."""
+    of a union of theories.  ``_verdict`` over the consistent theories
+    under ``budget``, to the fixpoint or the cut-off ``k_max``; a distance
+    operator's premises come from its set distances, a function operator's
+    from its revision table (``lookup_rows``)."""
     space = _model_set_space(op.signature, matrix)
-    sets, masks = space.loop
-    _walk_budget(len(sets), k_max, budget)
-    T = _revision_table(op, space, "star loop")
-
-    def premises(a, c):  # out[x, b] = premise(a[x], b, c[x]), as _premise_reader
-        out, step = np.empty((len(a), len(masks)), bool), max(1, APPLY_CHUNK_CELLS // len(masks))
-        for lo in range(0, len(a), step):
-            v_a = masks[a[lo:lo + step], None]
-            out[lo:lo + step] = T[masks, v_a | masks[c[lo:lo + step], None]] & v_a != 0
-        return out
-
-    return _verdict(op, sets, k_max, premises)
+    return _verdict(op, space.loop, space.order, k_max, budget)
 
 
 def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
@@ -342,7 +347,7 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     space = _model_set_space(op.signature, matrix)
     width = len(space.order)
     count_t, key_t = _mask_dtype(width), _mask_dtype(3 * width)  # count_t holds n
-    T = _revision_table(op, space, "disjunction check", 1 + 2 * count_t.itemsize)
+    T = _revision_table(op, space.order, "disjunction check", 1 + 2 * count_t.itemsize)
     sets, masks, n, low = space.sets, space.masks, len(space.sets), (1 << width) - 1
     revised, union = T[:, masks], masks[:, None] | masks  # [mask, D], [A, B]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from distrev import distops
 from distrev.costs import OrderMode, PseudoDistance
 from distrev.distops import (
+    LoopVerdict,
     OperatorTable,
     apply,
     check_inclusion,
@@ -264,6 +265,21 @@ def test_find_loop_violation_refuses_sets_outside_the_universe():
     for check in (check_loop, find_loop_violation):
         with pytest.raises(FamilyError, match="^family member outside the universe$"):
             check(op, sets)
+
+
+def test_find_loop_violation_passes_no_candidate():
+    # no set to chain: a pass at depth 0, or at the cut-off, with nothing
+    # checked or reached, whether the premises would come from the set
+    # distances or from lookup_rows; the empty set is no candidate
+    dist = _dist(lambda v, w: F(v != w), ("a", "b"))
+    a, ab = frozenset({"a"}), frozenset({"a", "b"})
+    for op in (OperatorTable(("a", "b"), {}, backing=dist),
+               OperatorTable(("a", "b"), {(a, ab): a}, backing=dist)):
+        for sets in ([], [frozenset()]):
+            assert find_loop_violation(op, sets) == LoopVerdict(
+                True, k=0, chain=(), checked=0, states=0, fixpoint=0)
+            assert find_loop_violation(op, sets, 3) == LoopVerdict(
+                True, k=3, chain=(), checked=0, states=0, fixpoint=0)
 
 
 def _returning_chain_op():

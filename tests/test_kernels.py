@@ -5,6 +5,7 @@ and the coded definability closure."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +28,7 @@ from distrev.distops import (
 from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
 from distrev.revision import (
+    RevisionOperator,
     nonempty_model_sets,
     per_source_order_operator,
     valuation_universe,
@@ -541,12 +543,32 @@ def _wheel_premise_case():
 def _model_set_premise_case():
     # a function operator over the valuations of 3 atoms, its answers on
     # every pair the premises ask about held as explicit entries
-    sig = ("p", "q", "r")
-    sets = random.Random(5).sample(nonempty_model_sets(sig), 12)
+    sig, sets = _sampled_model_sets()
     op = per_source_order_operator(sig, seed=2)
     entries = {(b, a | c): op.revise_models(b, a | c)
                for a, b, c in itertools.product(sets, repeat=3)}
     return OperatorTable(valuation_universe(sig), entries), sets
+
+
+def _sampled_model_sets():
+    sig = ("p", "q", "r")
+    return sig, random.Random(5).sample(nonempty_model_sets(sig), 12)
+
+
+def _function_revision_premise_case():
+    # the per-source operator itself, asked through its revision table
+    sig, sets = _sampled_model_sets()
+    return per_source_order_operator(sig, seed=2), sets
+
+
+def _distance_revision_premise_case():
+    # an asymmetric distance over the valuations of 3 atoms: a plain
+    # minimization, read off its set distances
+    sig, sets = _sampled_model_sets()
+    universe, rng = valuation_universe(sig), random.Random(6)
+    table = {(v, w): F(0) if v == w else rng.choice(COSTS[1:]) for v in universe for w in universe}
+    return RevisionOperator.from_distance(
+        PseudoDistance(universe, OrderMode.REAL, table), sig), sets
 
 
 def _wide_premise_case():
@@ -593,22 +615,56 @@ def _many_point_premise_case():
 @pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
 @pytest.mark.parametrize("case", [_wheel_premise_case, _model_set_premise_case,
                                   _wide_premise_case, _tied_premise_case,
-                                  _liberal_premise_case, _many_point_premise_case])
+                                  _liberal_premise_case, _many_point_premise_case,
+                                  _distance_revision_premise_case,
+                                  _function_revision_premise_case])
 def test_premise_reads_match_the_scalar_premise(case, cells):
     op, sets = case()
     n = len(sets)
     expected = np.array([distops._premise(op, a, b, c)
                          for a, b, c in itertools.product(sets, repeat=3)]).reshape(n, n, n)
-    # an entry-free table reads no lookup_rows batch
-    batch = OperatorTable.lookup_rows if getattr(op, "entries", True) else None
+    if isinstance(op, OperatorTable):
+        universe, plain = op.universe, not op.entries
+    else:
+        universe, plain = valuation_universe(op.signature), op.dist is not None
+    # a plain distance minimization reads no lookup_rows batch
+    batch = None if plain else type(op).lookup_rows
     # a chunk size of 40 splits every read and bit test into many chunks
     with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells), \
-            mock.patch.object(OperatorTable, "lookup_rows", batch):
-        premises = distops._premise_reader(op, sets)
+            mock.patch.object(type(op), "lookup_rows", batch):
+        premises = distops._premise_reader(op, sets, universe)
         a, c = np.divmod(np.arange(n * n), n)
         assert (premises(a, c) == expected.transpose(0, 2, 1).reshape(n * n, n)).all()
         same = np.arange(n)
         assert (premises(same, same) == expected[same, :, same]).all()
+    # nor does it build a revision table
+    assert not (plain and "_revision_table" in vars(op))
+
+
+def test_set_distance_premises_of_every_subset_read_in_chunks():
+    # an entry-free table over 8 points and its 255 non-empty subsets: the
+    # 255^2 premise rows are a 15.8 MiB result; the set distances and the
+    # chunks of the comparison add well under 8 MiB to it
+    rng = random.Random(8)
+    universe = tuple(f"p{i}" for i in range(8))
+    dist = PseudoDistance(universe, OrderMode.REAL, {
+        (v, w): rng.choice(COSTS) for v in universe for w in universe})
+    op = OperatorTable(universe, {}, backing=dist)
+    sets = sorted((frozenset(s) for r in range(1, 9)
+                   for s in itertools.combinations(universe, r)), key=sorted)
+    n = len(sets)
+    a, c = np.divmod(np.arange(n * n), n)
+    premises = distops._premise_reader(op, sets, universe)
+    tracemalloc.start()
+    try:
+        every = premises(a, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    picks = np.random.default_rng(8).choice(n * n * n, 2000, replace=False)
+    for x, b in zip(*np.divmod(picks, n)):
+        assert every[x, b] == distops._premise(op, sets[a[x]], sets[b], sets[c[x]])
 
 
 def _naive_extensions(signature, matrix):

@@ -2,7 +2,6 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +109,21 @@ def test_agm_star3_fails_for_non_ir_distance():
     assert not reports["star3"].passed
 
 
+def test_answers_outside_the_valuations_are_refused():
+    # the revision table has no bit for a point outside the valuations, so
+    # every check that reads it refuses the operator, naming the pair
+    # asked and the point; revise would hand the point back
+    for check in (check_agm, check_disjunction_iteration, check_star_loop):
+        op = RevisionOperator.from_function(lambda v, w: w | {"junk"}, SIG)
+        with pytest.raises(UnknownAtomError, match=r"^the answer for \[\] \| \[\] holds 'junk', "
+                                                   r"outside the valuations$"):
+            check(op)
+    # a point inside only some answers is found there
+    op = RevisionOperator.from_function(lambda v, w: w | {"junk"} if len(w) == 2 else w, SIG)
+    with pytest.raises(UnknownAtomError, match=r"for \[\] \| \['00', '01'\] holds 'junk'"):
+        check_star_loop(op)
+
+
 def test_agm_star1_fails_for_empty_returning_op():
     op = RevisionOperator.from_function(lambda v, w: frozenset(), SIG)
     reports = check_agm(op)
@@ -205,7 +219,7 @@ def test_revision_table_matches_the_scalar_answers():
     space = revision._model_set_space(sig, CLASSICAL)
     tracemalloc.start()
     try:
-        table = revision._revision_table(op, space, "postulate check")
+        table = revision._revision_table(op, space.order, "postulate check")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,7 +234,7 @@ def test_revision_table_matches_the_scalar_answers():
         _, _, answer = _scalar_answers(op, CLASSICAL)
         masks = range(1 << len(space.order))
         expected = np.array([[answer[v][w] for w in masks] for v in masks])
-        table = revision._revision_table(op, space, "postulate check")
+        table = revision._revision_table(op, space.order, "postulate check")
         assert np.array_equal(table, expected), op.signature
 
 
@@ -728,7 +742,8 @@ def _answer_table(op, space):
 @pytest.mark.parametrize("k_max", [1, 2, 3, None])
 def test_star_loop_off_the_table_matches_the_generic_loop_check(k_max):
     # the generic check asks an explicit table of the operator's answers
-    # through lookup_rows, the star loop reads the premises off the
+    # through lookup_rows; the star loop reads a distance operator's
+    # premises off its set distances and a function operator's off its
     # revision table
     failed = passed = 0
     for sig in (("p",), SIG):
@@ -766,7 +781,8 @@ def test_one_revision_table_per_operator(monkeypatch):
     asked.clear()
     check_star_loop(other, k_max=3)
     assert len(asked) == 4 ** 4 + len(chain) and all(x is other for x in asked)
-    table = revision._revision_table(op, revision._model_set_space(SIG, CLASSICAL), "star loop")
+    table = revision._revision_table(op, revision._model_set_space(SIG, CLASSICAL).order,
+                                     "star loop")
     assert len(asked) == 4 ** 4 + len(chain) and not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0
@@ -780,17 +796,17 @@ def test_one_revision_table_per_operator(monkeypatch):
 def test_star_loop_premises_at_three_atoms_match_the_scalar_premise():
     # n = 255 theories: the n^3 premises are a 16.6 MB tensor, read in
     # chunks; read at once, the gather and its mask would add about 33 MB.
-    # The walk is stubbed out, so check_star_loop hands back its premises,
-    # checked on sampled triples by the scalar premise through op.lookup
+    # The star loop's premise reader, checked on sampled triples by the
+    # scalar premise through op.lookup
     sig = ("p", "q", "r")
-    sets = revision._model_set_space(sig, CLASSICAL).loop[0]
+    space = revision._model_set_space(sig, CLASSICAL)
+    sets = space.loop
     n = len(sets)
     a, c = np.divmod(np.arange(n * n), n)
     rng = np.random.default_rng(9)
     rows, b = rng.choice(n * n, 4000, replace=False), rng.integers(0, n, 4000)
     for op in (_asymmetric_op(sig, 9), per_source_order_operator(sig, seed=9)):
-        with mock.patch.object(revision, "_verdict", lambda op, sets, k_max, read: read):
-            premises = check_star_loop(op, budget=10**13)
+        premises = distops._premise_reader(op, sets, space.order)
         tracemalloc.start()
         try:
             every = premises(a, c)

@@ -61,12 +61,14 @@ for i, vset in enumerate(report.loop.chain):
     print(f"  V_{i} = {{{', '.join(sorted(vset))}}}")
 
 # The other side: the patched distance's own minimization is a distance
-# operator, so the chain condition holds for it at every k.  Over the same
-# candidate sets the walk runs out of new premise states and stops there.
+# operator, so the chain condition holds for it at every k.  Its least costs
+# between the candidate sets are symmetric, so they rank the pairs of sets
+# (phi), and the premises of any chain add up to its conclusion: the pass
+# is certified, and no chain is walked.
 patched = OperatorTable(gadget.universe, backing=gadget.patch(report.rung)[1])
 holds = find_loop_violation(patched, loop_family_generators(gadget.m))
 print("patched distance's operator:",
-      f"passes for every k (fixpoint at depth {holds.fixpoint})"
-      if holds.fixpoint is not None else "FAILS")
+      f"passes for every k (certified by {holds.phi_classes} phi classes of pairs of sets)"
+      if holds.phi_classes is not None else "NOT CERTIFIED")
 
 print("\nall claims verified:", report.passed)

@@ -258,6 +258,7 @@ def cmd_loop(args):
     rep.add("checked", verdict.checked)
     rep.add("states", verdict.states)
     rep.add("fixpoint", "-" if verdict.fixpoint is None else verdict.fixpoint)
+    rep.add("phi_classes", "-" if verdict.phi_classes is None else verdict.phi_classes)
     rep.add("result", "pass" if verdict.passed else "fail")
     if not verdict.passed:
         rep.add("violation.k", verdict.k)

@@ -354,7 +354,10 @@ class LoopVerdict:
     ``find_loop_violation`` and ``check_star_loop``.  On failure the witness
     chain V_0..V_k is re-checked through ``op.lookup``.  A pass holds for every k
     exactly when ``fixpoint`` is set; its ``k`` is the cut-off, if given, else
-    the fixpoint.  ``sampled``, always False, goes with ROADMAP item 1a."""
+    the fixpoint.  A pass certified by symmetric set distances walks
+    nothing: ``states`` and ``fixpoint`` are 0, and ``phi_classes`` is None
+    only when the walk decided.  ``sampled``, always False, goes with
+    ROADMAP item 1a."""
 
     passed: bool
     k: int = 0
@@ -363,6 +366,7 @@ class LoopVerdict:
     sampled: bool = False
     states: int = 0  # the n^2 starts and the states the live starts reached
     fixpoint: int | None = None  # the last depth where a live start reached a new state
+    phi_classes: int | None = None  # distinct phi values of a certified pass
 
 
 def _premise(op, a, b, c):
@@ -389,43 +393,49 @@ def _premise_reader(op, sets, universe):
     ``OperatorTable`` with a backing and no entries) keeps the points of W
     closest to V, so the premise is near[a, b] <= near[c, b], near[a, b] the
     least rank from V_b to V_a, read from ``dist.kernel`` in a narrow dtype
-    by two ``np.minimum.reduceat`` over the sets' member indices.  Any other
-    operator is asked through ``lookup_rows``, its columns the points of
-    ``sets`` in ``universe`` order, once for every V_b with every distinct
-    union V_a u V_c, numbered by ``_distinct_rows`` over the packed words
-    (``_row_words``) read big-endian, so in byte order; premise (a, b, c)
-    holds when the answer for (V_b, V_a u V_c) shares a bit with V_a."""
+    by two ``np.minimum.reduceat`` over the sets' member indices, once; it
+    is ``premises.near``, None on the other read.  Any other operator is
+    asked through ``lookup_rows``, its columns the points of ``sets`` in
+    ``universe`` order, once for every V_b with every distinct union V_a u
+    V_c, numbered by ``_distinct_rows`` over the rows packed into the
+    narrowest unit that holds one (``_mask_dtype``), read big-endian, so in
+    byte order; premise (a, b, c) holds when the answer for (V_b, V_a u
+    V_c) shares a bit with V_a."""
     dist = getattr(op, "dist", None) if not isinstance(op, OperatorTable) \
         else None if op.entries else op.backing
-    n = len(sets)
+    n, near = len(sets), None
+    if dist is not None and n:  # a row is n cells
+        index, ranks = dist.kernel
+        members = [index[p] for s in sets for p in s]
+        starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+        ranks = np.array(ranks, dtype=np.min_scalar_type(max(map(max, ranks))))
+        to = np.minimum.reduceat(ranks.T[members], starts)  # [a, v]: least rank v -> V_a
+        near, width = np.minimum.reduceat(to[:, members], starts, axis=1), 1  # [a, b]
+    else:  # a row is n times the point count cells
+        points = set().union(*sets)
+        order = tuple(p for p in universe if p in points)
+        member, width = _membership_rows(sets, order), len(order)
+        unit = _mask_dtype(width).itemsize
+        bits = _packed_rows(member, unit).view(f"<u{unit}")
 
     def premises(a, c):
-        if dist is not None:  # a row is n cells
-            index, ranks = dist.kernel
-            members = [index[p] for s in sets for p in s]
-            starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-            ranks = np.array(ranks, dtype=np.min_scalar_type(max(map(max, ranks))))
-            to = np.minimum.reduceat(ranks.T[members], starts)  # [a, v]: least rank v -> V_a
-            near, width = np.minimum.reduceat(to[:, members], starts, axis=1), 1  # [a, b]
-        else:  # a row is n times the point count cells
-            points = set().union(*sets)
-            order = tuple(p for p in universe if p in points)
-            member = _membership_rows(sets, order)
-            bits, width = _row_words(member), len(order)
-            first, number, _ = _distinct_rows((bits[a] | bits[c]).view(">u8"))
+        if near is None:
+            first, number, _ = _distinct_rows((bits[a] | bits[c]).view(f">u{unit}"))
             m = len(first)
             unions = member[a[first]] | member[c[first]]
-            looked = _row_words(op.lookup_rows(np.repeat(member, m, axis=0),
-                                               np.tile(unions, (n, 1)), order))
+            looked = _packed_rows(op.lookup_rows(np.repeat(member, m, axis=0),
+                                                 np.tile(unions, (n, 1)), order),
+                                  unit).view(f"<u{unit}")
             at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
         out = np.empty((len(a), n), dtype=bool)
         step = max(1, APPLY_CHUNK_CELLS // max(n * width, 1))
         for lo in range(0, len(out), step):
             x = slice(lo, lo + step)
-            out[x] = near[a[x]] <= near[c[x]] if dist is not None else \
-                (looked[number[x, None] + at] & bits[a[x], None]).any(axis=-1)
+            out[x] = near[a[x]] <= near[c[x]] if near is not None else \
+                (looked.take(number[x, None] + at, axis=0) & bits[a[x], None]).any(axis=-1)
         return out
 
+    premises.near = near
     return premises
 
 
@@ -547,7 +557,8 @@ def _chain(P, i0, i1, k):
 def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
     """Check the loop condition for chains from ``family``, for every k or
     for k <= the cut-off ``k_max``: ``_verdict`` over the sorted family,
-    under ``budget``; an empty family raises ``FamilyError``.  ``samples``
+    under ``budget``, certified on symmetric set distances and walked
+    otherwise; an empty family raises ``FamilyError``.  ``samples``
     is accepted and unused, and ``LoopVerdict.sampled`` is always False:
     both stay for the benchmark's loop job until ROADMAP item 1a."""
     sets = sorted(validate_family(op.universe, family), key=sorted)
@@ -557,24 +568,37 @@ def check_loop(op, family, k_max=None, budget=10**6, samples=10**4):
 
 
 def _verdict(op, sets, universe, k_max, budget=None):
-    """The loop search: the verdict of one walk over the sorted ``sets``
-    (``_walk``) off ``_premise_reader(op, sets, universe)``, its chain
-    re-verified through ``op.lookup``.  Before it reads a premise, a walk of
-    more than ``budget`` (if given) cells per layer raises
-    ``BoundExceededError``: n^2 for a walk cut off at k = 1, else n^5 (n^2
-    starts by n^2 states by n successors).  ``checked`` counts the chains up
-    to the violation's k, the cut-off or the fixpoint."""
+    """The loop search over the sorted ``sets``, off ``_premise_reader(op,
+    sets, universe)``.  A symmetric ``premises.near`` is a ranking phi of
+    the pairs of sets: premise i reads phi{V_(i-1), V_i} <= phi{V_i,
+    V_(i+1)}, so the premises chain to phi{V_0, V_1} <= phi{V_k, V_0}, the
+    conclusion, and the pass holds for every k without a walk.  Otherwise
+    ``_walk`` decides and its chain is re-verified through ``op.lookup``.
+    Over ``budget``, if given, n^2 cells (the certificate, or a walk cut
+    off at k = 1) raise ``BoundExceededError`` before the read, and n^5
+    before a longer walk.  ``checked`` counts the chains up to the
+    violation's k, the cut-off or the fixpoint."""
     n = len(sets)
-    if budget is not None and (cells := n ** 2 if k_max == 1 else n ** 5) > budget:
-        raise BoundExceededError(
-            f"the loop walk over {n} sets needs {cells} cells per layer, "
-            f"over the budget of {budget}"
-        )
-    found, states, fixpoint = _walk(_premise_reader(op, sets, universe), n, k_max)
+
+    def charge(cells):
+        if budget is not None and cells > budget:
+            raise BoundExceededError(
+                f"the loop search over {n} sets needs {cells} cells, over the budget of {budget}")
+
+    charge(n ** 2)
+    premises = _premise_reader(op, sets, universe)
+    near, classes = premises.near, None
+    if near is not None and np.array_equal(near, near.T):
+        found, states, fixpoint, classes = None, 0, 0, len(set(near.ravel().tolist()))
+    else:
+        if k_max != 1:
+            charge(n ** 5)
+        found, states, fixpoint = _walk(premises, n, k_max)
     k = len(found) - 1 if found else fixpoint if k_max is None else k_max
     checked = sum(n ** (j + 1) for j in range(1, k + 1))
     if found is None:
-        return LoopVerdict(True, k, (), checked, states=states, fixpoint=fixpoint)
+        return LoopVerdict(True, k, (), checked, states=states, fixpoint=fixpoint,
+                           phi_classes=classes)
     chain = tuple(sets[i] for i in found)
     if not recheck_chain(op, chain):
         raise WitnessError(f"loop chain {[sorted(s) for s in chain]} fails its recheck")

@@ -325,8 +325,9 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     disjunction of theories; non-empty intersection realizes consistency
     of a union of theories.  ``_verdict`` over the consistent theories
     under ``budget``, to the fixpoint or the cut-off ``k_max``; a distance
-    operator's premises come from its set distances, a function operator's
-    from its revision table (``lookup_rows``)."""
+    operator's premises come from its set distances, which certify a pass
+    for every k when they are symmetric, and a function operator's from
+    its revision table (``lookup_rows``)."""
     space = _model_set_space(op.signature, matrix)
     return _verdict(op, space.loop, space.order, k_max, budget)
 

@@ -10,7 +10,8 @@ import distrev
 from distrev import logic
 from distrev.cli import build_parser, main
 from distrev.costs import PseudoDistance
-from distrev.fileio import save_distance, save_operator_table
+from distrev.distops import OperatorTable, _premise_reader, _walk
+from distrev.fileio import load_distance, save_distance, save_operator_table
 from distrev.revision import hamming_pseudo_distance
 
 
@@ -205,19 +206,30 @@ def test_loop_with_family(workdir, hamming_file, capsys):
         "universe: 00 01 10 11\nbacking: hamming.txt\n",
     )
     fam = _write(workdir / "fam.txt", "00\n01\n00 01\n")
+    # a symmetric backing and no entries: the set distances, 0 and 1,
+    # certify the pass for every k, and no walk runs
     assert main(["loop", str(op_path), "--k", "2", "--family", fam]) == 0
     out = capsys.readouterr().out
     assert "result: pass" in out
     assert "checked: 36\n" in out  # 3^2 + 3^3 chains
-    # 9 starts; only ({00}, {01}) and ({01}, {00}) can fail their
-    # conclusion, and each reaches 1 new state at depth 2
-    assert "states: 11\n" in out
-    assert "fixpoint: -\n" in out  # cut off before the walk could run dry
-    # with no cut-off no live start reaches a new state at depth 3: a pass
-    # for every k, at fixpoint 2
+    assert "\nstates: 0\nfixpoint: 0\nphi_classes: 2\n" in out
     assert main(["loop", str(op_path), "--family", fam]) == 0
     out = capsys.readouterr().out
-    assert "\nk_max: -\nchecked: 36\nstates: 11\nfixpoint: 2\nresult: pass\n" in out
+    assert "\nk_max: -\nchecked: 0\nstates: 0\nfixpoint: 0\nphi_classes: 2\nresult: pass\n" in out
+    # the walk on the same premises: 9 starts; only ({00}, {01}) and
+    # ({01}, {00}) can fail their conclusion, and each reaches 1 new state
+    # at depth 2.  Cut off at k = 2 it has no fixpoint; with no cut-off no
+    # live start reaches a new state at depth 3: fixpoint 2
+    op = OperatorTable(("00", "01", "10", "11"), backing=load_distance(hamming_file))
+    sets = [frozenset({"00"}), frozenset({"00", "01"}), frozenset({"01"})]
+    premises = _premise_reader(op, sets, op.universe)
+    assert _walk(premises, 3, 2) == (None, 11, None)
+    assert _walk(premises, 3, None) == (None, 11, 2)
+    # a walk's report: the explicit entry leaves the verdict as it was
+    _write(op_path, "universe: 00 01 10 11\nbacking: hamming.txt\nentry: 00 | 01 -> 01\n")
+    assert main(["loop", str(op_path), "--family", fam]) == 0
+    out = capsys.readouterr().out
+    assert "\nk_max: -\nchecked: 36\nstates: 11\nfixpoint: 2\nphi_classes: -\nresult: pass\n" in out
 
 
 def test_loop_malformed_family_exits_2(workdir, hamming_file):
@@ -455,8 +467,8 @@ def test_only_input_digests_load_openssl(workdir, capsys):
 
 def test_reports_identical_across_hash_seeds(workdir, hamming_file):
     # loop: a violated chain (explicit entries over the Hamming backing),
-    # the same from a subdirectory, a passing run and one refused over its
-    # budget; wheel: two exhaustive abstract sweeps, one given a seed; realize: the
+    # the same from a subdirectory, a passing run and a walk refused over
+    # its budget; wheel: two exhaustive abstract sweeps, one given a seed; realize: the
     # wheel fragment, whose conflict follows the order of the solver's path
     # search; agm: the postulate sweep over the cached model-set space
     _write(
@@ -487,7 +499,7 @@ def test_reports_identical_across_hash_seeds(workdir, hamming_file):
         ["loop", "cyclic.txt", "--k", "3", "--family", "fam.txt"],
         ["loop", os.path.join("sub", "cyclic.txt"), "--k", "3", "--family", "fam.txt"],
         ["loop", "op.txt", "--k", "3", "--family", "fam.txt"],
-        ["loop", "op.txt", "--k", "3", "--family", "fam.txt", "--budget", "50"],
+        ["loop", "cyclic.txt", "--k", "3", "--family", "fam.txt", "--budget", "50"],
         ["realize", "three.txt", "--budget", "2000"],
         ["realize", "sat.txt", "--symmetric"],
         ["wheel", "--n", "1", "--dir", "art"],

@@ -191,6 +191,23 @@ def test_loop_refuses_an_oversized_walk_before_reading_a_premise():
         check_loop(op, family, 1, budget=225)
 
 
+def test_loop_certificate_is_charged_n2_cells():
+    # 15 sets on symmetric set distances: the certificate holds n^2 = 225
+    # cells, so a budget far below the walk's n^5 admits it for every k.
+    # Asymmetric set distances still need the walk and its pre-flight.
+    family = _all_nonempty_subsets(U)
+    op = OperatorTable(U, {}, backing=_random_symmetric(random.Random(3)))
+    for k_max in (None, 1, 3):
+        with pytest.raises(BoundExceededError, match="225 cells"):
+            check_loop(op, family, k_max, budget=224)
+        verdict = check_loop(op, family, k_max, budget=225)
+        assert verdict.passed and verdict.phi_classes > 1
+    skewed = OperatorTable(U, {}, backing=_dist(lambda v, w: F(ord(v) < ord(w)) + F(v != w)))
+    with pytest.raises(BoundExceededError, match="759375 cells"):
+        check_loop(skewed, family, None, budget=225)
+    assert check_loop(skewed, family, 1, budget=225).phi_classes is None
+
+
 def test_loop_asks_about_unions_in_byte_order():
     # the sets cover 9 points, so packed rows span two bytes, point i at bit
     # i % 8 of byte i // 8.  The unions number in byte order: {p8} (00 01)
@@ -206,17 +223,21 @@ def test_loop_asks_about_unions_in_byte_order():
 def test_loop_walk_skips_starts_that_can_never_close(monkeypatch):
     # every cost 0: the operator answers all of W, so every conclusion
     # holds and no start can close a ring.  The walk passes at fixpoint 1
-    # on the n^2 starts alone and never walks a block.
+    # on the n^2 starts alone and never walks a block.  The checks do not
+    # walk at all: the set distances, all 0, are symmetric and certify the
+    # pass with one phi class.
     def no_block(*args):
         raise AssertionError("a block of starts was walked")
 
     op = OperatorTable(U, {}, backing=_dist(lambda v, w: F(0)))
     family = _all_nonempty_subsets(U)
     monkeypatch.setattr(distops, "_walk_block", no_block)
+    premises = distops._premise_reader(op, sorted(family, key=sorted), U)
     for k_max in (None, 3):
+        assert distops._walk(premises, 15, k_max) == (None, 15 ** 2, 1)
         for verdict in (check_loop(op, family, k_max), find_loop_violation(op, family, k_max)):
-            assert verdict.passed and (verdict.fixpoint, verdict.states) == (1, 15 ** 2)
-            assert verdict.k == (k_max or 1)
+            assert verdict.passed and (verdict.fixpoint, verdict.states) == (0, 0)
+            assert (verdict.k, verdict.phi_classes) == (k_max or 0, 1)
 
 
 def _cyclic_override_op():

@@ -29,6 +29,7 @@ from distrev.errors import UndefinedPairError
 from distrev.logic import CLASSICAL, Matrix, enumerate_valuations, formula_extensions
 from distrev.revision import (
     RevisionOperator,
+    check_star_loop,
     nonempty_model_sets,
     per_source_order_operator,
     valuation_universe,
@@ -522,8 +523,20 @@ def test_find_loop_violation_matches_enumeration_on_unclosed_sets(case, k_max, c
     # at the default chunk size every family here fits one block of
     # starts, so the walk reaches every state at every depth up to the k
     # it stops at
+    ordered = sorted(sets, key=sorted)
+    found, states, _ = distops._walk(
+        distops._premise_reader(op, ordered, op.universe), len(sets), k_max)
+    assert states == _reached_states(cached, ordered, k_max if found is None else len(found) - 1)
+    # a symmetric backing with no entries certifies the pass and walks
+    # nothing; any other operator is walked
     verdict = find_loop_violation(op, sets, k_max)
-    assert verdict.states == _reached_states(cached, sorted(sets, key=sorted), verdict.k)
+    backing = op.backing.table
+    if not op.entries and all(backing[v, w] == backing[w, v] for v, w in backing):
+        assert verdict.phi_classes is not None
+    if verdict.phi_classes is None:
+        assert verdict.states == states
+    else:
+        assert not op.entries and (verdict.states, verdict.fixpoint) == (0, 0)
     # a chunk size drawn small enough that the starts span several blocks
     with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
         blocked = find_loop_violation(op, sets, k_max)
@@ -531,6 +544,105 @@ def test_find_loop_violation_matches_enumeration_on_unclosed_sets(case, k_max, c
         assert verdict.passed == (k is None)
         assert verdict.chain == chain
         assert verdict.k == (k_max if k is None else k)
+
+
+def _least_closing_k(op, sets, k_max):
+    """The least k <= ``k_max`` at which a chain over ``sets`` has every
+    premise and fails its conclusion, or None: chains extended one set at a
+    time off scalar premises, those that agree on (V_0, V_1, V_{j-1}, V_j)
+    kept once per depth, since what follows depends on those alone."""
+    n = len(sets)
+    P = np.array([[[bool(op.lookup(b, a | c) & a) for c in sets] for b in sets]
+                  for a in sets])
+    i0, i1 = np.divmod(np.arange(n * n), n)
+    states = (i0 * n + i1) * n * n + i0 * n + i1  # (V_0, V_1, V_{j-1}, V_j) in base n
+    for k in range(1, k_max + 1):
+        if k > 1:  # premise k - 1 is (V_{k-2}, V_{k-1}, V_k)
+            rows, last = np.nonzero(P[states // n % n, states % n])
+            states = np.unique(states[rows] // (n * n) * n * n + states[rows] % n * n + last)
+        # premise k is (V_{k-1}, V_k, V_0), the conclusion (V_1, V_0, V_k)
+        v0, v1, prev, last = (states // n ** 3, states // (n * n) % n, states // n % n, states % n)
+        if (P[prev, last, v0] & ~P[v1, v0, last]).any():
+            return k
+    return None
+
+
+def _near_is_symmetric(dist, sets):
+    """Whether the least cost from V_b to V_a is that from V_a to V_b for
+    every two sets, on the exact costs."""
+    return all(min(dist.d(v, w) for v in a for w in b) == min(dist.d(v, w) for v in b for w in a)
+               for a, b in itertools.combinations(sets, 2))
+
+
+def _symmetric_costs(rng, universe, costs=COSTS[1:]):
+    table = {}
+    for i, v in enumerate(universe):
+        for w in universe[i:]:
+            table[v, w] = table[w, v] = F(0) if v == w else rng.choice(costs)
+    return table
+
+
+def _loop_certificate_cases():
+    """Seeded (decider, operator, sorted sets, k_max) cases: check_loop on
+    closed families over 3-4 points, find_loop_violation on unclosed sets,
+    the star loop over 1-2 atoms, mostly on symmetric distances, and an
+    asymmetric distance whose set distances are symmetric on its sets."""
+    rng = random.Random(37)
+    for i in range(24):
+        universe = POINTS[:3 + i % 2]
+        subsets = [frozenset(c) for r in range(1, len(universe) + 1)
+                   for c in itertools.combinations(universe, r)]
+        table = _symmetric_costs(rng, universe)
+        if i % 4 == 3:  # asymmetric: some of these are walked
+            table = {(v, w): c if v == w else rng.choice(COSTS[1:]) for (v, w), c in table.items()}
+        op = OperatorTable(universe, {}, backing=PseudoDistance(universe, OrderMode.REAL, table))
+        family = sorted(distops.family_closure(rng.sample(subsets, 3)), key=sorted)
+        yield check_loop, op, family, rng.choice((None, 3, 7))
+        sets = sorted(rng.sample(subsets, rng.randrange(2, 7)), key=sorted)
+        yield find_loop_violation, op, sets, rng.choice((None, 2, 7))
+    for sig in (("p",), ("p", "q")):
+        universe, sets = valuation_universe(sig), sorted(nonempty_model_sets(sig), key=sorted)
+        for _ in range(4):
+            dist = PseudoDistance(universe, OrderMode.REAL, _symmetric_costs(rng, universe))
+            yield (lambda op, sets, k_max: check_star_loop(op, k_max),
+                   RevisionOperator.from_distance(dist, sig), sets, rng.choice((None, 3)))
+    # d(b, a) = d(a, c) = 2, the other way 1: both least costs between {a}
+    # and {b, c} are 1, and {a, b, c} is at 0 from each
+    table = {(v, w): F(0) if v == w else F(1) for v in POINTS[:3] for w in POINTS[:3]}
+    table["b", "a"] = table["a", "c"] = F(2)
+    op = OperatorTable(POINTS[:3], {}, backing=PseudoDistance(POINTS[:3], OrderMode.REAL, table))
+    yield find_loop_violation, op, sorted(map(frozenset, ("a", "bc", "abc")), key=sorted), None
+
+
+def test_loop_certificate_matches_the_walk_and_chain_enumeration_to_k7():
+    # a certified pass (symmetric set distances) has no chain up to k = 7,
+    # and the walk on the same premises passes too; the other cases are
+    # walked, and their verdicts agree with the enumeration
+    tally = {"certified": 0, "walked": 0, "asymmetric certified": 0}
+    for decide, op, sets, k_max in _loop_certificate_cases():
+        verdict = decide(op, sets, k_max)
+        revising = isinstance(op, RevisionOperator)
+        dist = op.dist if revising else op.backing
+        universe = valuation_universe(op.signature) if revising else op.universe
+        k = _least_closing_k(op, sets, 7)
+        if _near_is_symmetric(dist, sets):
+            n, cut = len(sets), k_max or 0
+            assert verdict == distops.LoopVerdict(
+                True, cut, (), sum(n ** (j + 1) for j in range(1, cut + 1)),
+                states=0, fixpoint=0, phi_classes=verdict.phi_classes)
+            assert k is None and verdict.phi_classes == len(
+                {min(dist.d(v, w) for v in a for w in b) for a in sets for b in sets})
+            found, _, fixpoint = distops._walk(distops._premise_reader(op, sets, universe), n, None)
+            assert found is None and fixpoint is not None
+            tally["certified"] += 1
+            tally["asymmetric certified"] += any(c != dist.d(w, v) for (v, w), c in dist.table.items())
+        else:
+            assert verdict.phi_classes is None
+            assert verdict.passed == (k is None or (k_max is not None and k > k_max))
+            assert verdict.passed or verdict.k == k
+            tally["walked"] += 1
+    assert tally["certified"] >= 30 and tally["walked"] >= 5, tally
+    assert tally["asymmetric certified"] >= 1, tally
 
 
 def _wheel_premise_case():

@@ -150,9 +150,22 @@ def test_star_loop_passes_for_hamming():
     verdict = check_star_loop(_hamming_op(), k_max=3)
     assert verdict.passed
     assert not verdict.sampled
-    # 15 theories: the walk runs to its fixpoint, so the pass holds for every k
+    # 15 theories: the symmetric set distances certify the pass for every k
     verdict = check_star_loop(_hamming_op())
     assert verdict.passed and verdict.k == verdict.fixpoint
+
+
+def test_star_loop_certifies_hamming_at_three_atoms():
+    # 255 theories: the walk for every k is over the default budget (n^5 >
+    # 10^6) and took tens of seconds with the budget lifted; the set
+    # distances, Hamming distances 0 to 3, are symmetric and certify the
+    # pass with 4 phi classes off n^2 cells
+    op = _hamming_op(("p", "q", "r"))
+    began = time.perf_counter()
+    verdict = check_star_loop(op)
+    elapsed = time.perf_counter() - began
+    assert verdict == distops.LoopVerdict(True, 0, (), 0, states=0, fixpoint=0, phi_classes=4)
+    assert elapsed < 1
 
 
 def test_star_loop_violated_by_per_source_orders():
@@ -169,7 +182,9 @@ def test_star_loop_walks_k1_on_point_premises():
     # (n^2 <= 10^6 < n^5), and refuses a longer one before it reads a
     # premise.  The k = 1 walk needs premise(a, b, a) for every start, 2n^2
     # premises; filling whole premise rows instead reads n^3 = 16.6M of
-    # them (about 180 s at a 1.35 GiB peak).
+    # them (about 180 s at a 1.35 GiB peak).  An asymmetric distance, whose
+    # set distances are asymmetric, needs the walk; a symmetric one is
+    # certified for every k, and its k = 1 walk is pinned beside it.
     sig = ("p", "q", "r")
     universe = valuation_universe(sig)
     rng = random.Random(11)
@@ -177,7 +192,14 @@ def test_star_loop_walks_k1_on_point_premises():
     for i, v in enumerate(universe):
         for w in universe[i:]:
             table[v, w] = table[w, v] = F(0) if v == w else F(rng.randrange(1, 16), 4)
+    symmetric = RevisionOperator.from_distance(
+        PseudoDistance(universe, OrderMode.REAL, table), sig)
+    table = {(v, w): F(0) if v == w else F(rng.randrange(1, 16), 4)
+             for v in universe for w in universe}
     op = RevisionOperator.from_distance(PseudoDistance(universe, OrderMode.REAL, table), sig)
+    space = revision._model_set_space(sig, CLASSICAL)
+    near = distops._premise_reader(op, space.loop, space.order).near
+    assert not np.array_equal(near, near.T)
     tracemalloc.start()
     try:
         with pytest.raises(BoundExceededError, match="255 sets"):
@@ -195,6 +217,12 @@ def test_star_loop_walks_k1_on_point_premises():
     assert verdict.states == 255 ** 2
     assert peak < 64 << 20
     assert elapsed < 60
+    premises = distops._premise_reader(symmetric, space.loop, space.order)
+    assert distops._walk(premises, 255, 1) == (None, 255 ** 2, None)
+    for k_max in (1, 3):
+        assert check_star_loop(symmetric, k_max=k_max) == distops.LoopVerdict(
+            True, k_max, (), sum(255 ** (j + 1) for j in range(1, k_max + 1)),
+            states=0, fixpoint=0, phi_classes=12)
 
 
 def test_per_source_answers_do_not_depend_on_query_order():
@@ -744,16 +772,31 @@ def test_star_loop_off_the_table_matches_the_generic_loop_check(k_max):
     # the generic check asks an explicit table of the operator's answers
     # through lookup_rows; the star loop reads a distance operator's
     # premises off its set distances and a function operator's off its
-    # revision table
+    # revision table.  Symmetric set distances certify the star loop's
+    # pass, and the walk on its premises matches the generic check's
     failed = passed = 0
     for sig in (("p",), SIG):
         space = revision._model_set_space(sig, CLASSICAL)
         for seed in range(8):
-            for op in (_symmetric_op(sig, seed), _asymmetric_op(sig, seed),
+            symmetric = _symmetric_op(sig, seed)
+            for op in (symmetric, _asymmetric_op(sig, seed),
                        per_source_order_operator(sig, seed=seed), _erratic_op(sig, seed)):
                 verdict = check_star_loop(op, k_max=k_max)
-                assert verdict == check_loop(_answer_table(op, space), space.sets, k_max), (
-                    sig, seed, op)
+                assert op is not symmetric or verdict.phi_classes is not None
+                walked = check_loop(_answer_table(op, space), space.sets, k_max)
+                if verdict.phi_classes is None:
+                    assert verdict == walked, (sig, seed, op)
+                else:
+                    # certified off symmetric set distances: the walk on the
+                    # same premises passes too
+                    n, k = len(space.sets), k_max or 0
+                    assert verdict == distops.LoopVerdict(
+                        True, k, (), sum(n ** (j + 1) for j in range(1, k + 1)),
+                        states=0, fixpoint=0, phi_classes=verdict.phi_classes)
+                    assert walked.passed and walked.phi_classes is None
+                    premises = distops._premise_reader(op, space.loop, space.order)
+                    assert distops._walk(premises, n, k_max) == (
+                        None, walked.states, walked.fixpoint), (sig, seed, op)
                 failed += not verdict.passed
                 passed += verdict.passed
     assert failed >= 10 and passed >= 10

@@ -384,17 +384,24 @@ LOOP_GADGETS = [("abstract", m) for m in range(4, 9)] + [("hamming", m) for m in
 def test_loop_walk_to_its_fixpoint_decides_both_sides(variant, m):
     # the modified operator's least violation has k = 2m - 1 over the
     # generators, with no cut-off; each rung's patched distance passes for
-    # every k, its walk running dry at depth 2m + 3 - 2 min(r, m - r)
+    # every k, its walk running dry at depth 2m + 3 - 2 min(r, m - r).  The
+    # patched distance is symmetric, so its set distances certify the pass
+    # and the search walks nothing
     gadget = (build_wheel_gadget if variant == "abstract" else build_hamming_wheel)(m=m)
     sets = loop_family_generators(m)
     verdict = find_loop_violation(gadget.op, sets)
     assert (verdict.passed, verdict.k, verdict.fixpoint) == (False, 2 * m - 1, None)
     assert recheck_chain(gadget.op, verdict.chain)
+    ordered = sorted(sets, key=sorted)
     for r in range(1, m):
         patched = OperatorTable(gadget.universe, backing=gadget.patch(r)[1])
-        verdict = find_loop_violation(patched, sets)
+        premises = distops._premise_reader(patched, ordered, gadget.universe)
+        found, _, fixpoint = distops._walk(premises, len(sets), None)
         depth = 2 * m + 3 - 2 * min(r, m - r)
-        assert (verdict.passed, verdict.k, verdict.fixpoint) == (True, depth, depth), r
+        assert (found, fixpoint) == (None, depth), r
+        verdict = find_loop_violation(patched, sets)
+        assert (verdict.passed, verdict.k, verdict.fixpoint, verdict.states) == (True, 0, 0, 0), r
+        assert verdict.phi_classes == len(set(premises.near.ravel().tolist())) > 1, r
 
 
 def test_loop_walk_memory_stays_within_chunks():

@@ -362,7 +362,7 @@ class LoopVerdict:
     passed: bool
     k: int = 0
     chain: tuple = ()
-    checked: int = 0
+    checked: int = 0  # size of the chain space up to k, n^2 + ... + n^(k+1)
     sampled: bool = False
     states: int = 0  # the n^2 starts and the states the live starts reached
     fixpoint: int | None = None  # the last depth where a live start reached a new state
@@ -576,8 +576,10 @@ def _verdict(op, sets, universe, k_max, budget=None):
     ``_walk`` decides and its chain is re-verified through ``op.lookup``.
     Over ``budget``, if given, n^2 cells (the certificate, or a walk cut
     off at k = 1) raise ``BoundExceededError`` before the read, and n^5
-    before a longer walk.  ``checked`` counts the chains up to the
-    violation's k, the cut-off or the fixpoint."""
+    before a longer walk.  ``checked`` is the size of the chain space up to
+    the violation's k, the cut-off or the fixpoint, n^2 + ... + n^(k+1),
+    not the number of chains examined: a certified pass reads n^2 cells,
+    and one without a cut-off reports 0."""
     n = len(sets)
 
     def charge(cells):

@@ -2,9 +2,11 @@
 
 Each entry (V, W, X) gets a minimum variable mu: units mu <= d(v, w) over
 V x W and mu < d(v, w) for w outside X, and per w in X a clause that some
-d(v, w) <= mu.  ``solve`` propagates clauses left with one viable atom (one
-closing no strict cycle in the transitively closed order), branches on the
-clause with the fewest, and asserts a failed choice's negation (DPLL(T)).
+d(v, w) <= mu.  ``solve`` first asserts the units that close one level
+deep (nothing else below their left end or above their right end), then
+propagates clauses left with one viable atom (one closing no strict cycle
+in the transitively closed order), branches on the clause with the fewest,
+and asserts a failed choice's negation (DPLL(T)).
 Each failure is explained by one justifying path of asserted atoms per
 blocked atom, as in difference-logic theory solvers (Cotton and Maler, SAT
 2006), and a failure that does not depend on the latest choice jumps back
@@ -139,7 +141,9 @@ class _OutOfNodes(Exception):
 
 
 def solve(system, budget=200_000):
-    """Propagate-then-branch search over the clauses (see the module doc).
+    """Propagate-then-branch search over the clauses (see the module doc),
+    after the root units that close one level deep go straight into the
+    closure.  a <= a is entailed and a < a blocked.
 
     Each failure is explained by one justifying path of trail atoms per
     blocked atom, found breadth-first, and by the entries behind those
@@ -149,21 +153,21 @@ def solve(system, budget=200_000):
     explanation.
     """
     n = len(system.variables) + len(system.minima)
-    up = [0] * n  # up[x]: bits of the variables entailed >= x
+    up = [1 << x for x in range(n)]  # up[x]: bits of the variables entailed >= x
     sup = [0] * n  # sup[x]: bits of the variables entailed > x
-    down = [0] * n  # down[x]: bits of the variables entailed <= x
+    down = up[:]  # down[x]: bits of the variables entailed <= x
     trail = []  # asserted atoms (a, b, strict, why)
     out = [[] for _ in range(n)]  # out[a]: trail indices of the atoms from a
     nodes = 0
 
     def add(atom, why):
         a, b, strict = atom
-        above = up[b] | 1 << b
-        below = down[a] | 1 << a
+        above = up[b]
+        below = down[a]
         sabove = above if strict else sup[b]
         # a q already above a holds below in down[q]; taken before the loop
         # below widens up[a]
-        fresh = above & ~(up[a] | 1 << a)
+        fresh = above & ~up[a]
         m = below
         while m:
             low = m & -m
@@ -186,7 +190,7 @@ def solve(system, budget=200_000):
         variable, times 2, plus whether the path has crossed a strict atom
         (set from the start when the atom is strict)."""
         a, b, strict = atom
-        inside = (up[b] | 1 << b) & (down[a] | 1 << a)
+        inside = up[b] & down[a]
         goal = 2 * a + 1
         start = 2 * b + strict
         parent = {start: None}
@@ -286,16 +290,30 @@ def solve(system, budget=200_000):
             a, b, strict = atom
             add((b, a, not strict), failure - {depth})
 
+    # a unit a <= b or a < b, a != b, with nothing else below a or above b
+    # closes one level deep and cannot be blocked, so it goes straight into
+    # the closure; propagate takes every other clause, a < a included
+    pending = []
+    for tag, atoms in system.encoded:
+        if len(atoms) == 1:
+            a, b, strict = atoms[0]
+            if a != b and down[a] == 1 << a and up[b] == 1 << b:
+                up[a] |= 1 << b
+                sup[a] |= strict << b
+                down[b] |= 1 << a
+                out[a].append(len(trail))
+                trail.append((a, b, strict, (tag, [])))
+                continue
+        pending.append((tag, atoms))
     try:
-        failure = search(system.encoded, 0)
+        failure = search(pending, 0)
     except _OutOfNodes:
         return Verdict("unknown", nodes=nodes)
     if failure is not None:
         return Verdict("unsat", conflict=sorted(failure), nodes=nodes)
-    # rank = number of distinct classes (reach | self) strictly below
-    classes = [up[y] | 1 << y for y in range(n)]
+    # rank = number of distinct classes (up[y], self included) strictly below
     witness = {
-        var: len({classes[y] for y in range(n) if sup[y] >> x & 1})
+        var: len({up[y] for y in range(n) if sup[y] >> x & 1})
         for x, var in enumerate(system.variables)
     }
     return Verdict("sat", witness=witness, nodes=nodes)

@@ -145,30 +145,31 @@ def test_three_entry_table_is_unsat_in_few_nodes():
     ]
 
 
+def _distance_table(rng, universe, symmetric):
+    """5 entries per point minimized on a random distance."""
+    costs = {}
+    for v in universe:
+        for w in universe:
+            if symmetric and (w, v) in costs:
+                costs[v, w] = costs[w, v]
+            else:
+                costs[v, w] = F(rng.randrange(0, 7), rng.randrange(1, 3))
+    dist = PseudoDistance(universe, OrderMode.REAL, costs)
+    sets = [frozenset(c) for r in range(1, len(universe) + 1)
+            for c in itertools.combinations(universe, r)]
+    entries = {}
+    while len(entries) < 5 * len(universe):
+        v, w = rng.choice(sets), rng.choice(sets)
+        entries[v, w] = apply(dist, v, w)
+    return OperatorTable(universe, entries)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_tables_from_real_distances_are_sat(symmetric):
     # oracle-free: minimized on a distance, so realizable by construction
     rng = random.Random(7 if symmetric else 8)
     for i in range(24):
-        universe = tuple(f"p{k}" for k in range(4 + i % 5))
-        costs = {}
-        for v in universe:
-            for w in universe:
-                if symmetric and (w, v) in costs:
-                    costs[v, w] = costs[w, v]
-                else:
-                    costs[v, w] = F(rng.randrange(0, 7), rng.randrange(1, 3))
-        dist = PseudoDistance(universe, OrderMode.REAL, costs)
-        sets = [
-            frozenset(c)
-            for r in range(1, len(universe) + 1)
-            for c in itertools.combinations(universe, r)
-        ]
-        entries = {}
-        while len(entries) < 5 * len(universe):
-            v, w = rng.choice(sets), rng.choice(sets)
-            entries[v, w] = apply(dist, v, w)
-        t = OperatorTable(universe, entries)
+        t = _distance_table(rng, tuple(f"p{k}" for k in range(4 + i % 5)), symmetric)
         verdict = solve_table(t, symmetric=symmetric, budget=800)
         assert verdict.status == "sat", (i, verdict.nodes)
         assert verify_witness(verdict.witness, t, symmetric)
@@ -217,31 +218,40 @@ def test_hard_tables_are_sat_within_2000_nodes(symmetric):
 def test_unsat_conflict_names_an_unrealizable_subtable(symmetric):
     # dense tables over few variables, so that many are unsat and need
     # branching; the entries a conflict names must be unrealizable alone
-    universe = ("a", "b", "c") if symmetric else ("a", "b")
     rng = random.Random(11 if symmetric else 12)
+    unsat = 0
+    for _ in range(60 if symmetric else 300):
+        t = _dense_table(rng, symmetric)
+        verdict = solve_table(t, symmetric=symmetric)
+        assert verdict.status == brute_force_realizable(t, symmetric=symmetric).status
+        if verdict.status == "unsat":
+            unsat += 1
+            core = _conflict_table(t, verdict)
+            assert brute_force_realizable(core, symmetric=symmetric).status == "unsat"
+    assert unsat >= 10
+
+
+def _dense_table(rng, symmetric):
+    """2 to 10 random entries over 3 points if symmetric, else 2, each
+    keeping one point of W or all of it."""
+    universe = ("a", "b", "c") if symmetric else ("a", "b")
     sets = [
         frozenset(c)
         for r in range(1, len(universe) + 1)
         for c in itertools.combinations(universe, r)
     ]
-    unsat = 0
-    for _ in range(60 if symmetric else 300):
-        entries = {}
-        for _ in range(rng.randrange(2, 11)):
-            v, w = rng.choice(sets), rng.choice(sets)
-            entries[v, w] = frozenset(rng.sample(sorted(w), rng.choice([1, 1, len(w)])))
-        t = OperatorTable(universe, entries)
-        verdict = solve_table(t, symmetric=symmetric)
-        assert verdict.status == brute_force_realizable(t, symmetric=symmetric).status
-        if verdict.status == "unsat":
-            unsat += 1
-            named = {
-                k: x for k, x in t.entries.items()
-                if realizability._tag(sorted(k[0]), sorted(k[1])) in verdict.conflict
-            }
-            core = OperatorTable(universe, named)
-            assert brute_force_realizable(core, symmetric=symmetric).status == "unsat"
-    assert unsat >= 10
+    entries = {}
+    for _ in range(rng.randrange(2, 11)):
+        v, w = rng.choice(sets), rng.choice(sets)
+        entries[v, w] = frozenset(rng.sample(sorted(w), rng.choice([1, 1, len(w)])))
+    return OperatorTable(universe, entries)
+
+
+def _conflict_table(t, verdict):
+    """The entries of ``t`` that an unsat verdict's conflict names."""
+    return OperatorTable(t.universe, {
+        k: x for k, x in t.entries.items()
+        if realizability._tag(sorted(k[0]), sorted(k[1])) in verdict.conflict})
 
 
 def _letters_table(entries):
@@ -422,6 +432,93 @@ def test_closure_of_unit_atoms_matches_a_reference_closure():
             assert verdict.witness == {f"x{i}": ranks[i] for i in range(n)}, atoms
     assert tally["sat"] >= 100 and tally["unsat"] >= 30, tally
     assert widest >= 4
+
+
+def _units(clauses):
+    """A system over x0..x3 with no minima from clauses of (a, b, strict)
+    atoms, tagged u0, u1, ... in order."""
+    return ConstraintSystem(tuple(f"x{i}" for i in range(4)), (),
+                            [(f"u{k}", tuple(atoms)) for k, atoms in enumerate(clauses)])
+
+
+def _holds(rank, clauses):
+    """Whether every clause has an atom that the ranks of x0..x3 satisfy."""
+    return all(any(rank[a] < rank[b] if strict else rank[a] <= rank[b]
+                   for a, b, strict in atoms) for atoms in clauses)
+
+
+def _weak_order_exists(clauses):
+    return any(_holds({x: r for r, block in enumerate(p) for x in block}, clauses)
+               for p in ordered_set_partitions(range(4)))
+
+
+def test_self_atoms_are_entailed_or_blocked():
+    # a <= a always holds and a < a never does, whether the atom is a unit
+    # met before the search or one atom of a wider clause
+    for clauses, conflict in [
+        ([[(0, 0, True)]], ["u0"]),
+        ([[(0, 1, False)], [(1, 1, True)]], ["u1"]),
+        ([[(0, 0, True), (0, 1, False)], [(1, 0, True)]], ["u0", "u1"]),
+    ]:
+        verdict = solve(_units(clauses))
+        assert (verdict.status, verdict.conflict, verdict.nodes) == ("unsat", conflict, 1)
+    for clauses in ([[(0, 0, False)]], [[(0, 1, True)], [(1, 0, False), (1, 1, False)]]):
+        verdict = solve(_units(clauses))
+        assert verdict.status == "sat"
+        assert _holds({int(x[1:]): r for x, r in verdict.witness.items()}, clauses)
+    # random clauses of 1 to 3 atoms over 4 variables, a third of the atoms
+    # on a single variable, against every weak order of the 4 variables
+    rng = random.Random(23)
+    tally = {"sat": 0, "unsat": 0}
+    for _ in range(300):
+        clauses = [[(a, a if rng.random() < 0.3 else b, rng.random() < 0.5)
+                    for a, b in (rng.sample(range(4), 2) for _ in range(rng.randint(1, 3)))]
+                   for _ in range(rng.randint(1, 8))]
+        verdict = solve(_units(clauses))
+        assert verdict.status == ("sat" if _weak_order_exists(clauses) else "unsat"), clauses
+        tally[verdict.status] += 1
+        if verdict.status == "sat":
+            assert _holds({int(x[1:]): r for x, r in verdict.witness.items()}, clauses)
+        else:
+            core = [clauses[int(tag[1:])] for tag in verdict.conflict]
+            assert not _weak_order_exists(core), (clauses, verdict.conflict)
+    assert tally["sat"] >= 50 and tally["unsat"] >= 50, tally
+
+
+def _reordered(system, rng):
+    """The system as compiled, with its units moved last, and shuffled."""
+    units = [c for c in system.encoded if len(c[1]) == 1]
+    wide = [c for c in system.encoded if len(c[1]) > 1]
+    shuffled = system.encoded[:]
+    rng.shuffle(shuffled)
+    return [ConstraintSystem(system.variables, system.minima, encoded)
+            for encoded in (system.encoded, wide + units, shuffled)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_clause_order_does_not_change_the_verdict(symmetric):
+    # units are asserted before the search only while they close one level
+    # deep, so moving or shuffling them may change the path the search
+    # takes, but never the status, the witness check or an unsat core
+    rng = random.Random(31 if symmetric else 32)
+    tally = {"sat": 0, "unsat": 0}
+    tables = [_random_table(rng, ("a", "b", "c"), symmetric) for _ in range(60)]
+    tables += [_dense_table(rng, symmetric) for _ in range(100)]
+    tables += [_distance_table(rng, tuple(f"p{k}" for k in range(4 + i % 4)), symmetric)
+               for i in range(12)]
+    for t in tables:
+        verdicts = [solve(s, budget=2000)
+                    for s in _reordered(compile_constraints(t, symmetric), rng)]
+        status = verdicts[0].status
+        assert [v.status for v in verdicts] == [status] * 3, t.entries
+        tally[status] += 1
+        for v in verdicts:
+            if status == "sat":
+                assert verify_witness(v.witness, t, symmetric)
+            else:
+                core = _conflict_table(t, v)
+                assert brute_force_realizable(core, symmetric=symmetric).status == "unsat"
+    assert tally["sat"] >= 100 and tally["unsat"] >= 10, tally
 
 
 # ---------------------------------------------------------------------------

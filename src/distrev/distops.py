@@ -56,25 +56,19 @@ def _mask_dtype(n):
     return np.min_scalar_type((1 << n) - 1)
 
 
-def distance_int_matrix(dist, order=None):
-    """The distance's integer rank matrix as an array, its rows and columns
-    in ``order`` (default ``dist.universe``); the infinite marker ranks
-    above every finite entry."""
-    index, ranks = dist.kernel
-    matrix = np.array(ranks, dtype=np.int64)
-    if order is None:
-        return matrix
-    rows = [index[p] for p in order]
-    return matrix[np.ix_(rows, rows)]
-
-
 def narrow_ranks(dist, order=None):
-    """``distance_int_matrix(dist, order)`` in the narrowest dtype that holds
-    its top rank, one above every entry; and that rank, in the same dtype."""
-    ranks = distance_int_matrix(dist, order)
-    top = int(ranks.max(initial=0)) + 1
+    """The distance's integer rank matrix as an array, its rows and columns
+    in ``order`` (default ``dist.universe``), in the narrowest dtype that
+    holds its top rank, one above every entry (the infinite marker ranks
+    above every finite entry); and that rank, in the same dtype."""
+    index, ranks = dist.kernel
+    top = max(map(max, ranks), default=0) + 1
     dtype = np.min_scalar_type(top)
-    return ranks.astype(dtype), dtype.type(top)
+    matrix = np.array(ranks, dtype=dtype)
+    if order is not None:
+        rows = [index[p] for p in order]
+        matrix = matrix[np.ix_(rows, rows)]
+    return matrix, dtype.type(top)
 
 
 def _rank_parts(dist, order):
@@ -245,7 +239,11 @@ class OperatorTable:
         self.entries = canon
 
     def lookup(self, vset, wset):
+        """The entry for (V, W), else the backing's minimization; a point
+        outside the universe raises ``UnknownAtomError``."""
         key = (frozenset(vset), frozenset(wset))
+        if outside := (key[0] | key[1]).difference(self.universe):
+            raise UnknownAtomError(f"point {min(outside, key=repr)!r} is outside the universe")
         if key in self.entries:
             return self.entries[key]
         if self.backing is not None:
@@ -392,8 +390,8 @@ def _premise_reader(op, sets, universe):
     distance minimization (a ``RevisionOperator`` with ``dist``, or an
     ``OperatorTable`` with a backing and no entries) keeps the points of W
     closest to V, so the premise is near[a, b] <= near[c, b], near[a, b] the
-    least rank from V_b to V_a, read from ``dist.kernel`` in a narrow dtype
-    by two ``np.minimum.reduceat`` over the sets' member indices, once; it
+    least rank from V_b to V_a, read off the ``narrow_ranks`` matrix by two
+    ``np.minimum.reduceat`` over the sets' member indices, once; it
     is ``premises.near``, None on the other read.  Any other operator is
     asked through ``lookup_rows``, its columns the points of ``sets`` in
     ``universe`` order, once for every V_b with every distinct union V_a u
@@ -405,10 +403,9 @@ def _premise_reader(op, sets, universe):
         else None if op.entries else op.backing
     n, near = len(sets), None
     if dist is not None and n:  # a row is n cells
-        index, ranks = dist.kernel
-        members = [index[p] for s in sets for p in s]
-        starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-        ranks = np.array(ranks, dtype=np.min_scalar_type(max(map(max, ranks))))
+        ranks, index = narrow_ranks(dist)[0], dist.kernel[0]
+        members = np.fromiter((index[p] for s in sets for p in s), np.intp)
+        starts = np.fromiter(itertools.accumulate(map(len, sets[:-1]), initial=0), np.intp)
         to = np.minimum.reduceat(ranks.T[members], starts)  # [a, v]: least rank v -> V_a
         near, width = np.minimum.reduceat(to[:, members], starts, axis=1), 1  # [a, b]
     else:  # a row is n times the point count cells

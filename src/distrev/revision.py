@@ -123,6 +123,8 @@ def revise(op, gamma, delta):
         raise InconsistentTheoryError("cannot revise an inconsistent theory")
     if not delta.consistent:
         raise InconsistentTheoryError("cannot revise by an inconsistent theory")
+    if not gamma.signature == delta.signature == op.signature:
+        raise UnknownAtomError(f"the theories' signatures must be {op.signature}")
     return Theory(gamma.signature, op.revise_models(gamma.model_set, delta.model_set))
 
 
@@ -234,6 +236,15 @@ def _model_set_space(signature, matrix):
     return _ModelSetSpace(signature, matrix)
 
 
+def _space(signature, matrix, dist):
+    """The model-set space of (signature, matrix); a distance ``dist`` whose
+    universe is not its valuations (None: no distance) raises ``UnknownAtomError``."""
+    space = _model_set_space(tuple(signature), matrix)
+    if dist is not None and set(dist.universe) != set(space.order):
+        raise UnknownAtomError("distance universe must be the valuation universe")
+    return space
+
+
 def _labels(*model_sets):
     """A violation witness; built only for the witnesses a report keeps."""
     return tuple(_label(s) for s in model_sets)
@@ -297,7 +308,7 @@ def check_agm(op, matrix=CLASSICAL, samples=10_000, seed=0, witness_cap=16):
     on (V, W, X) where T[V, W & X] is not T[V, W] & X and the latter is
     non-empty.  ``samples`` and ``seed`` are unused: they stay for the
     benchmark's postulate job until ROADMAP item 1a."""
-    space = _model_set_space(op.signature, matrix)
+    space = _space(op.signature, matrix, op.dist)
     T = _revision_table(op, space.order, "postulate check")
     sets, masks, n = space.sets, space.masks, len(space.sets)
     result, both = T[masks[:, None], masks], masks[:, None] & masks  # [V, W]
@@ -328,7 +339,7 @@ def check_star_loop(op, k_max=None, matrix=CLASSICAL, budget=10**6):
     operator's premises come from its set distances, which certify a pass
     for every k when they are symmetric, and a function operator's from
     its revision table (``lookup_rows``)."""
-    space = _model_set_space(op.signature, matrix)
+    space = _space(op.signature, matrix, op.dist)
     return _verdict(op, space.loop, space.order, k_max, budget)
 
 
@@ -345,7 +356,7 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
     its outcome triple (T[G, A], T[G, B], T[G, A | B]): each key is tested
     against every D once, and its counts of failing D's are kept.
     ``samples`` and ``seed`` are unused, as in ``check_agm``."""
-    space = _model_set_space(op.signature, matrix)
+    space = _space(op.signature, matrix, op.dist)
     width = len(space.order)
     count_t, key_t = _mask_dtype(width), _mask_dtype(3 * width)  # count_t holds n
     T = _revision_table(op, space.order, "disjunction check", 1 + 2 * count_t.itemsize)
@@ -379,47 +390,29 @@ def check_disjunction_iteration(op, matrix=CLASSICAL, samples=10_000, seed=0,
                 ("disjunction_iteration_1", "disjunction_iteration_2"), kept, totals)}
 
 
-def check_dp_cp(dist, signature, matrix=CLASSICAL, pairs=None, witness_cap=16):
+def check_dp_cp(dist, signature, matrix=CLASSICAL, witness_cap=16):
     """Definability preservation (results stay definable model sets) and
     consistency preservation (non-empty arguments give non-empty results).
 
-    All pairs, by default every pair of definable sets, are minimized in
-    one ``apply_rows`` batch over membership rows in valuation order;
-    witnesses follow the pair order, and a valuation outside the signature
-    raises ``UnknownAtomError``.  The results are packed once into words:
-    dp looks them up among the definable sets' words (``_row_index``), and
-    cp reads an empty result as a row of zero words.  The definable sets,
+    Every pair of definable sets is minimized in one ``apply_rows`` batch
+    over membership rows in valuation order; witnesses follow the pair
+    order, V's index then W's.  The results are packed once into words: dp
+    looks them up among the definable sets' words (``_row_index``), and cp
+    reads an empty result as a row of zero words.  The definable sets,
     sorted by label, their rows and their index come from the model-set
-    space of (signature, matrix), built once and kept in a cache of 8."""
-    space = _model_set_space(tuple(signature), matrix)
-    order = space.order
-    if set(dist.universe) != set(order):
-        raise UnknownAtomError("distance universe must be the valuation universe")
-    if pairs is None:
-        defs = space.definable
-        count = len(defs)
-        vrows, wrows = _pair_rows(space.definable_rows)
-        filled = space.definable_rows.any(axis=1)
-        both = (filled[:, None] & filled).ravel()
-
-        def pair_at(p):
-            return defs[p // count], defs[p % count]
-    else:
-        pairs = list(pairs)
-        inside = set(order)
-        for p, (vset, wset) in enumerate(pairs):
-            if not set(vset) | set(wset) <= inside:
-                raise UnknownAtomError(f"pair {p} ({_label(vset)} | {_label(wset)}) has a "
-                                       f"valuation outside the signature {tuple(signature)}")
-        vrows = _membership_rows([v for v, _ in pairs], order)
-        wrows = _membership_rows([w for _, w in pairs], order)
-        both = np.array([bool(v) and bool(w) for v, w in pairs], dtype=bool)
-        pair_at = pairs.__getitem__
-    result = apply_rows(dist, vrows, wrows, order)
-    del vrows, wrows  # the lookups below need only the results
+    space of (signature, matrix) (``_space``), which refuses a distance
+    over other points."""
+    space = _space(signature, matrix, dist)
+    order, defs, rows = space.order, space.definable, space.definable_rows
+    result = apply_rows(dist, *_pair_rows(rows), order)
     words = _row_words(result)
     bad = np.flatnonzero(~space.definable_index(words)[1])
-    empty = both & ~words.any(axis=1)
+    filled = rows.any(axis=1)
+    empty = (filled[:, None] & filled).ravel() & ~words.any(axis=1)
+
+    def pair_at(p):
+        return [defs[i] for i in divmod(p, len(defs))]
+
     return {
         "dp": PropertyReport.of("dp", bad, witness_cap, lambda p: _labels(
             *pair_at(p), *_row_sets(result[p:p + 1], order))),

@@ -142,21 +142,20 @@ def _build(m, extras, mode, ladder, off_cost, near, points=None):
     return Gadget(m, universe, dist, op, near, patched, points)
 
 
-def build_wheel_gadget(n=1, m=None):
-    """The abstract gadget, m = n + 3 to defeat arity-n tests, under the
-    real order; every pair with an extra costs 1 and is near."""
-    return _build(n + 3 if m is None else m, ("x1", "x2"), OrderMode.REAL,
+def build_wheel_gadget(n=1):
+    """The abstract gadget on m = n + 3 rungs, to defeat arity-n tests, under
+    the real order; every pair with an extra costs 1 and is near."""
+    return _build(n + 3, ("x1", "x2"), OrderMode.REAL,
                   (F(11, 10), F(14, 10), F(2), F(12, 10), F(13, 10)),
                   lambda a, b: F(1), lambda a, b: True)
 
 
-def build_hamming_wheel(n=1, m=None):
-    """The Hamming gadget: unit valuations on 2m atoms plus three off-wheel
-    valuations at Hamming difference 1, 2, and >= 3 from the wheel, under
-    the liberal order; an off-wheel pair costs its difference h (7/5 for
-    h = 1) and is near below h = 3."""
-    if m is None:
-        m = n + 3
+def build_hamming_wheel(n=1):
+    """The Hamming gadget on m = n + 3 rungs: unit valuations on 2m atoms plus
+    three off-wheel valuations at Hamming difference 1, 2, and >= 3 from the
+    wheel, under the liberal order; an off-wheel pair costs its difference h
+    (7/5 for h = 1) and is near below h = 3."""
+    m = n + 3
     sig = tuple(f"p{i}" for i in range(1, m + 1)) + tuple(f"q{i}" for i in range(1, m + 1))
 
     def unit(*ones):

@@ -203,8 +203,7 @@ def _twenty_point_case():
 
 def test_apply_rows_builds_its_rank_tables_once_per_order():
     dist, order, pairs = _twenty_point_case()
-    with mock.patch.object(distops, "distance_int_matrix",
-                           wraps=distops.distance_int_matrix) as built:
+    with mock.patch.object(distops, "narrow_ranks", wraps=distops.narrow_ranks) as built:
         # the default order is the distance's own: one key for both forms
         for cols in (None, dist.universe, dist.universe, order, order, order):
             _assert_rows_match_apply(dist, pairs, cols)

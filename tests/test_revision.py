@@ -8,14 +8,25 @@ import pytest
 
 from distrev import distops, revision
 from distrev.costs import OrderMode, PseudoDistance, check_property
-from distrev.errors import BoundExceededError, InconsistentTheoryError, UnknownAtomError
-from distrev.distops import OperatorTable, apply, check_loop
+from distrev.errors import (
+    BoundExceededError,
+    DistrevError,
+    FamilyError,
+    InconsistentTheoryError,
+    UnknownAtomError,
+)
+from distrev.distops import (
+    OperatorTable,
+    apply,
+    check_inclusion,
+    check_loop,
+    find_loop_violation,
+)
 from distrev.logic import (
     CLASSICAL,
     Matrix,
     canonical_dnf,
     definable_model_sets,
-    enumerate_valuations,
     formula_to_text,
     models,
 )
@@ -122,6 +133,45 @@ def test_answers_outside_the_valuations_are_refused():
     op = RevisionOperator.from_function(lambda v, w: w | {"junk"} if len(w) == 2 else w, SIG)
     with pytest.raises(UnknownAtomError, match=r"for \[\] \| \['00', '01'\] holds 'junk'"):
         check_star_loop(op)
+
+
+def _mismatches():
+    # (call, error, message) with its id: a table over (a, b) backed by a
+    # distance over (a, b, c), asked about c (inside the backing) and z
+    # (outside both); the Hamming distance over (p, q) read for one atom and
+    # for three; and theories over (p) revised by an operator over (p, q)
+    d = PseudoDistance.from_function("abc", OrderMode.REAL, lambda v, w: F(v != w))
+    table = OperatorTable(("a", "b"), {}, backing=d)
+    point, family = UnknownAtomError, (FamilyError, "^family member outside the universe$")
+    cases = [pytest.param(call, *error, id=f"{name} {p}") for p in "cz" for name, call, error in (
+        ("lookup", lambda p=p: table.lookup({p}, {"a", "b"}), (point, f"^point '{p}' is outside")),
+        ("check_inclusion", lambda p=p: check_inclusion(table, [{p}, {"a"}]),
+         (point, f"^point '{p}' is outside")),
+        ("check_loop", lambda p=p: check_loop(table, [{p}, {"a"}, {"a", p}]), family),
+        ("find_loop_violation", lambda p=p: find_loop_violation(table, [{p}, {"a"}]), family))]
+    hamming = hamming_pseudo_distance(SIG)
+    universe = "^distance universe must be the valuation universe$"
+    for sig in (("p",), ("p", "q", "r")):
+        op = RevisionOperator.from_distance(hamming, sig)
+        cases += [pytest.param(lambda check=check, op=op: check(op), UnknownAtomError, universe,
+                               id=f"{check.__name__} {sig}")
+                  for check in (check_agm, check_disjunction_iteration, check_star_loop)]
+        cases.append(pytest.param(lambda sig=sig: check_dp_cp(hamming, sig), UnknownAtomError,
+                                  universe, id=f"check_dp_cp {sig}"))
+    one, two = Theory.from_formulas(["p"], ("p",)), Theory.from_formulas(["q"], SIG)
+    cases += [pytest.param(lambda g=g, e=e: revise(_hamming_op(), g, e), UnknownAtomError,
+                           r"^the theories' signatures must be \('p', 'q'\)$", id=f"revise {i}")
+              for i, (g, e) in enumerate([(one, one), (one, two), (two, one)])]
+    return cases
+
+
+@pytest.mark.parametrize("call, error, message", _mismatches())
+def test_points_outside_the_operator_are_refused(call, error, message):
+    # each once ended in a bare KeyError, or, for c, in an answer about a
+    # point the table does not have
+    assert issubclass(error, DistrevError)
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_agm_star1_fails_for_empty_returning_op():
@@ -336,11 +386,10 @@ def test_presentation_invariance_on_random_pairs():
 # the per-pair loops report.
 
 
-def _scalar_dp_cp(dist, sig, matrix=CLASSICAL, pairs=None, cap=16):
+def _scalar_dp_cp(dist, sig, matrix=CLASSICAL):
     definable = definable_model_sets(sig, matrix)
-    if pairs is None:
-        defs = sorted(definable, key=_labels)
-        pairs = [(a, b) for a in defs for b in defs]
+    defs = sorted(definable, key=_labels)
+    pairs = [(a, b) for a in defs for b in defs]
     dp, cp = [], []
     for vset, wset in pairs:
         result = apply(dist, vset, wset)
@@ -433,22 +482,15 @@ def _identity_matrix_case():
 
 
 def test_dp_cp_report_matches_scalar_loop_on_identity_matrix():
+    # the distance's universe in valuation order and reversed; the empty set
+    # is definable, so the pairs hold empty arguments, which give empty
+    # results: definable, and no cp failure
     dist, sig, matrix = _identity_matrix_case()
-    reports = check_dp_cp(dist, sig, matrix=matrix, witness_cap=2)
-    assert not reports["dp"].passed
-    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix), cap=2)
-
-
-def test_dp_cp_report_matches_scalar_loop_on_explicit_pairs():
-    # every subset pair, empty and non-definable sets included, in an order
-    # unlike the default one, on a distance whose universe order is reversed
-    dist, sig, matrix = _identity_matrix_case()
-    dist = PseudoDistance(dist.universe[::-1], dist.mode, dist.table)
-    subsets = [frozenset(), *nonempty_model_sets(sig, matrix)]
-    pairs = [(v, w) for w in subsets for v in reversed(subsets)]
-    reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs)
-    assert not reports["dp"].passed
-    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs))
+    assert frozenset() in revision._model_set_space(sig, matrix).definable
+    for d in (dist, PseudoDistance(dist.universe[::-1], dist.mode, dist.table)):
+        reports = check_dp_cp(d, sig, matrix=matrix, witness_cap=2)
+        assert not reports["dp"].passed
+        _assert_reports_equal(reports, _scalar_dp_cp(d, sig, matrix), cap=2)
 
 
 def _seeded_distance(universe, seed):
@@ -481,36 +523,6 @@ def test_dp_cp_report_matches_scalar_loop_beyond_one_word():
     # witnesses in pair order: (V, W, result) sizes
     assert [[len(s) for s in w] for w in reports["dp"].witnesses] == [
         [27, 81, 78], [27, 27, 25], [27, 27, 26]]
-
-
-def test_dp_cp_on_explicit_pairs_with_an_empty_argument():
-    # an empty V or W gives an empty result: definable, and no cp failure
-    sig = ("p",)
-    matrix = _identity_matrix()
-    universe = valuation_universe(sig, matrix)
-    dist = _seeded_distance(universe, 1)
-    empty, full = frozenset(), frozenset(universe)
-    sets = nonempty_model_sets(sig, matrix)
-    pairs = [(empty, empty), (empty, full), (full, empty)] \
-        + [(v, w) for v in sets for w in sets][:20] + [(sets[0], empty), (empty, sets[0])]
-    reports = check_dp_cp(dist, sig, matrix=matrix, pairs=pairs, witness_cap=2)
-    _assert_reports_equal(reports, _scalar_dp_cp(dist, sig, matrix, pairs=pairs), cap=2)
-    assert (reports["dp"].total_violations, reports["cp"].total_violations) == (14, 0)
-    assert reports["dp"].witnesses == [(["0"], ["0"], ["0"]), (["0"], ["2"], ["2"])]
-
-
-def test_dp_cp_refuses_pairs_outside_the_signature():
-    # a valuation of another signature once read as no member at all, so
-    # the pairs below passed both checks
-    sig = ("p", "q")
-    dist = hamming_pseudo_distance(sig)
-    other = enumerate_valuations(("p", "r"))
-    U = valuation_universe(sig)
-    pairs = [({U[1]}, {U[2]}), ({U[0]}, {other[3], U[1]}), ({other[0]}, {U[1]})]
-    with pytest.raises(UnknownAtomError, match=r"^pair 1 \(\['00'\] \| \['01', '11'\]\) "
-                       r"has a valuation outside the signature \('p', 'q'\)$"):
-        check_dp_cp(dist, sig, pairs=pairs)
-    assert check_dp_cp(dist, sig, pairs=pairs[:1])["dp"].passed
 
 
 def test_dp_cp_report_matches_scalar_loop_at_three_atoms():

@@ -12,9 +12,9 @@ from distrev.distops import (
     OperatorTable,
     apply,
     check_inclusion,
-    distance_int_matrix,
     find_loop_violation,
     least_rank_rows,
+    narrow_ranks,
     recheck_chain,
 )
 from distrev.errors import (
@@ -49,8 +49,6 @@ F = Fraction
 def test_params_validation():
     for build in (build_wheel_gadget, build_hamming_wheel):
         with pytest.raises(FamilyError):
-            build(m=3)
-        with pytest.raises(FamilyError):
             build(n=0)
         g = build(n=1)
         assert g.m == 4
@@ -59,7 +57,7 @@ def test_params_validation():
 
 
 def test_wheel_distance_cases():
-    d = build_wheel_gadget(m=4).dist
+    d = build_wheel_gadget(n=1).dist
     assert d.d("v1", "v1") == F(0)
     assert d.d("v1", "x1") == F(1)  # off the wheel
     assert d.d("v1", "v3") == F(11, 10)  # same side
@@ -74,7 +72,7 @@ def test_wheel_distance_cases():
 
 
 def test_modified_operator_entries():
-    op = build_wheel_gadget(m=4).op
+    op = build_wheel_gadget(n=1).op
     # every off-wheel pair is near, so only the wrap rung's two pairs remain
     assert len(op.entries) == 2
     assert op.lookup({"v4", "v1"}, {"w4", "w1"}) == {"w4"}
@@ -98,8 +96,8 @@ def test_fragment_is_unrealizable_for_all_small_m():
     # propagation at the root refutes every fragment, and the conflict names
     # the whole fragment, the 2m-entry core; removing any core entry leaves
     # a realizable table
-    gadgets = [build_wheel_gadget(m=m) for m in range(4, 13)]
-    gadgets += [build_hamming_wheel(m=m) for m in (4, 5, 6)]
+    gadgets = [build_wheel_gadget(n=m - 3) for m in range(4, 13)]
+    gadgets += [build_hamming_wheel(n=m - 3) for m in (4, 5, 6)]
     for gadget in gadgets:
         fragment = proof_fragment(gadget)
         verdict = solve_table(fragment)
@@ -119,7 +117,7 @@ def test_full_rung_fragment_is_refuted_at_the_root():
     # the 3m-entry fragment the solver benchmark solves: each rung doubleton
     # with both of its singletons; the conflict is the 2m-entry core alone
     for m in range(4, 25):
-        gadget = build_wheel_gadget(m=m)
+        gadget = build_wheel_gadget(n=m - 3)
         entries = {}
         for i in range(1, m + 1):
             j = i % m + 1
@@ -137,7 +135,7 @@ def test_full_rung_fragment_is_refuted_at_the_root():
 
 
 def test_unmodified_operator_fragment_is_sat():
-    gadget = build_wheel_gadget(m=4)
+    gadget = build_wheel_gadget(n=1)
     d = gadget.dist
     fragment = proof_fragment(gadget)
     # undo the modification: replace the wrap entry by the true minimization
@@ -201,7 +199,7 @@ def _assert_rows_match_dense(order, dist, seed):
     sets = [_labels_of(mask, order) for mask in range(1 << n)]
     index = {lab: i for i, lab in enumerate(order)}
     wanted = random.Random(seed).sample(range(1 << n), 300)
-    dense = _dense_columns(distance_int_matrix(dist, order), wanted)
+    dense = _dense_columns(narrow_ranks(dist, order)[0], wanted)
     for wmask in wanted[:20]:
         for vmask, bits in enumerate(dense[wmask].tolist()):
             got = apply(dist, sets[vmask], sets[wmask])
@@ -321,7 +319,7 @@ def test_sweeps_match_direct_enumeration(seed, monkeypatch):
         table[k] = rng.choice(values)
     d2 = PseudoDistance(tuple(order), d1.mode, table)
     size = 1 << n
-    a, b = (_dense_columns(distance_int_matrix(d, order), range(size)) for d in (d1, d2))
+    a, b = (_dense_columns(narrow_ranks(d, order)[0], range(size)) for d in (d1, d2))
     entries = {}
     for k in range(rng.randrange(5)):
         v, w = rng.randrange(size) if k else 0, rng.randrange(size)  # the first for empty V
@@ -387,7 +385,7 @@ def test_loop_walk_to_its_fixpoint_decides_both_sides(variant, m):
     # every k, its walk running dry at depth 2m + 3 - 2 min(r, m - r).  The
     # patched distance is symmetric, so its set distances certify the pass
     # and the search walks nothing
-    gadget = (build_wheel_gadget if variant == "abstract" else build_hamming_wheel)(m=m)
+    gadget = (build_wheel_gadget if variant == "abstract" else build_hamming_wheel)(n=m - 3)
     sets = loop_family_generators(m)
     verdict = find_loop_violation(gadget.op, sets)
     assert (verdict.passed, verdict.k, verdict.fixpoint) == (False, 2 * m - 1, None)
@@ -408,7 +406,7 @@ def test_loop_walk_memory_stays_within_chunks():
     # m = 10: 40 candidate sets, 2.56M (start, state) cells.  One float32
     # layer of the unchunked walk alone is 10 MiB, so an 8 MiB bound fails
     # it; the walk in blocks of starts peaks near 3 MiB.
-    gadget = build_wheel_gadget(m=10)
+    gadget = build_wheel_gadget(n=7)
     sets = loop_family_generators(gadget.m)
     assert len(sets) == 40
     tracemalloc.start()
@@ -592,7 +590,7 @@ def _corrupt_rung3_below_all(dist):
 def test_failing_sweep_stops_at_its_witness_cap(monkeypatch):
     # m=7: 16 points, so a chunk holds 4 flagged V's, whose W rows already
     # hold 16 mismatches; folding every flagged V took about 30 s
-    patched_op, patched_dist = build_wheel_gadget(m=7).patch(1)
+    patched_op, patched_dist = build_wheel_gadget(n=4).patch(1)
     corrupted = _corrupt_rung3_below_all(patched_dist)
     chunks, real = [], wheel._witnesses
 
@@ -611,7 +609,7 @@ def test_failing_sweep_stops_at_its_witness_cap(monkeypatch):
 
 def test_capped_mismatches_head_the_uncapped_list():
     # m=5: the uncapped list holds 116,036 pairs, the capped one its first 16
-    patched_op, patched_dist = build_wheel_gadget(m=5).patch(1)
+    patched_op, patched_dist = build_wheel_gadget(n=2).patch(1)
     corrupted = _corrupt_rung3_below_all(patched_dist)
     listed = wheel_equality_sweep(patched_op, corrupted, witness_cap=1 << 30).mismatches
     assert len(listed) == 116_036
@@ -664,7 +662,7 @@ def _redirected_count(g, patched_op):
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_every_abstract_patch_rung_passes(m):
-    g = build_wheel_gadget(m=m)
+    g = build_wheel_gadget(n=m - 3)
     for r in range(1, m):
         patched_op, patched_dist = g.patch(r)
         assert _redirected_count(g, patched_op) == 2  # every extra is near: no extended pair
@@ -675,7 +673,7 @@ def test_every_abstract_patch_rung_passes(m):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_every_hamming_patch_rung_passes(m):
-    g = build_hamming_wheel(m=m)
+    g = build_hamming_wheel(n=m - 3)
     for r in range(1, m):
         patched_op, patched_dist = g.patch(r)
         # e2 is near v1..v3 only, so rungs from 4 on extend by it on more sides
@@ -715,7 +713,7 @@ def test_correction_sets_of_the_pigeonhole_argument(build, m):
     # minimization on the wrap rung's pairs only, and from patch r's on
     # rung r's pairs only: m disjoint correction sets, 2 pairs each in the
     # abstract gadget and 12 in the Hamming one
-    g = build(m=m)
+    g = build(n=m - 3)
     size = 2 if build is build_wheel_gadget else 12
     wrap = _listed_exactly(g.op, g.dist, seed=0)
     assert wrap == g.op.entries.keys() == _rung_entries(g, m) and len(wrap) == size
@@ -798,7 +796,7 @@ def test_hamming_guard_routes_to_minimization():
 def test_hamming_table_sizes():
     # the redirected rung pairs with the extras that stay clear of the guard
     for m in (4, 5, 6, 7):
-        g = build_hamming_wheel(m=m)
+        g = build_hamming_wheel(n=m - 3)
         assert (len(g.op.entries), len(g.patch(1)[0].entries)) == (12, 24), m
 
 
@@ -830,7 +828,7 @@ def _scalar_hamming_operator(g, r):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_hamming_tables_match_scalar_guard(m):
-    g = build_hamming_wheel(m=m)
+    g = build_hamming_wheel(n=m - 3)
     extras = g.universe[2 * m:]
     subsets = [frozenset(e for k, e in enumerate(extras) if bits >> k & 1)
                for bits in range(1 << len(extras))]
@@ -998,24 +996,24 @@ def _assert_estimate_bounds_peak(verify, g):
 
 def test_hamming_sweep_estimate_covers_its_peak():
     for m in (4, 5, 6, 8):
-        _assert_estimate_bounds_peak(verify_hamming_claims, build_hamming_wheel(m=m))
+        _assert_estimate_bounds_peak(verify_hamming_claims, build_hamming_wheel(n=m - 3))
 
 
 @pytest.mark.parametrize("m", (4, 5, 6, 7, 8, 9))
 def test_abstract_sweep_estimate_covers_its_peak(m):
     # one estimate for both gadgets' claims checks
-    _assert_estimate_bounds_peak(verify_wheel_claims, build_wheel_gadget(m=m))
+    _assert_estimate_bounds_peak(verify_wheel_claims, build_wheel_gadget(n=m - 3))
 
 
 def test_hamming_sweep_refuses_oversized_tables_before_allocating():
     # m=12, 27 points: the folded W rows of 2^27 masks put the estimate at
     # about 2.3 GiB; m=11 is the largest it admits
-    assert sweep_bytes(*build_hamming_wheel(m=11).patch(1)) <= wheel.SWEEP_MAX_BYTES
-    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(m=12)) < 16 << 20
+    assert sweep_bytes(*build_hamming_wheel(n=8).patch(1)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_hamming_claims, build_hamming_wheel(n=9)) < 16 << 20
 
 
 def test_abstract_sweep_refuses_oversized_tables_before_allocating():
     # m=12, 26 points: the same estimate is just over 1.1 GiB; m=11 is the
     # largest it admits
-    assert sweep_bytes(*build_wheel_gadget(m=11).patch(1)) <= wheel.SWEEP_MAX_BYTES
-    assert _refusal_peak(verify_wheel_claims, build_wheel_gadget(m=12)) < 16 << 20
+    assert sweep_bytes(*build_wheel_gadget(n=8).patch(1)) <= wheel.SWEEP_MAX_BYTES
+    assert _refusal_peak(verify_wheel_claims, build_wheel_gadget(n=9)) < 16 << 20

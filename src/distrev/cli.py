@@ -111,9 +111,7 @@ def _model_labels(model_set):
 # Subcommands
 
 
-def cmd_revise(args):
-    rep = Report()
-    rep.add("command", "revise")
+def cmd_revise(args, rep):
     rep.add_input("gamma", args.gamma)
     rep.add_input("delta", args.delta)
     rep.add_input("distance", args.distance)
@@ -128,7 +126,6 @@ def cmd_revise(args):
     result = revise(op, gamma, delta)
     rep.add("models", _model_labels(result.model_set))
     rep.add("theory", formula_to_text(result.canonical_formula()))
-    rep.write(args.out)
     return EXIT_PASS
 
 
@@ -141,9 +138,7 @@ _PROP_ALIASES = {
 }
 
 
-def cmd_check(args):
-    rep = Report()
-    rep.add("command", "check")
+def cmd_check(args, rep):
     rep.add_input("distance", args.distance)
     dist = fileio.load_distance(args.distance)
     if args.props is not None:
@@ -164,13 +159,10 @@ def cmd_check(args):
             rep.add(f"property.{prop}.violations", result.total_violations)
             rep.add_list(f"property.{prop}.witnesses", _format_witnesses(result))
     rep.add("result", "pass" if all_pass else "fail")
-    rep.write(args.out)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
-def cmd_realize(args):
-    rep = Report()
-    rep.add("command", "realize")
+def cmd_realize(args, rep):
     rep.add_input("operator", args.operator)
     table, _ = fileio.load_operator_table(args.operator)
     verdict = solve_table(table, symmetric=args.symmetric, budget=args.budget)
@@ -183,7 +175,6 @@ def cmd_realize(args):
         )
     elif verdict.status == "unsat":
         rep.add_list("conflict", verdict.conflict or [])
-    rep.write(args.out)
     return {
         "sat": EXIT_PASS,
         "unsat": EXIT_FAIL,
@@ -201,9 +192,7 @@ def _sweep_line(sweep):
     return f"{'pass' if sweep.passed else 'fail'} ({sweep.pairs_checked} pairs, exhaustive)"
 
 
-def cmd_wheel(args):
-    rep = Report()
-    rep.add("command", "wheel")
+def cmd_wheel(args, rep):
     rep.add("variant", args.variant)
     rep.add("n", args.n)
     rep.add("seed", args.seed)
@@ -234,13 +223,10 @@ def cmd_wheel(args):
             "loop_violation.chain", [" ".join(sorted(s)) for s in result.loop.chain]
         )
     rep.add("result", "pass" if result.passed else "fail")
-    rep.write(args.out)
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
-def cmd_loop(args):
-    rep = Report()
-    rep.add("command", "loop")
+def cmd_loop(args, rep):
     rep.add_input("operator", args.operator)
     op, backing = fileio.load_operator_table(args.operator)
     if backing is not None:
@@ -263,13 +249,10 @@ def cmd_loop(args):
     if not verdict.passed:
         rep.add("violation.k", verdict.k)
         rep.add_list("violation.chain", [" ".join(sorted(s)) for s in verdict.chain])
-    rep.write(args.out)
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
-def cmd_agm(args):
-    rep = Report()
-    rep.add("command", "agm")
+def cmd_agm(args, rep):
     rep.add_input("distance", args.distance)
     signature = tuple(args.atoms.split(","))
     if "" in signature or len(set(signature)) < len(signature):
@@ -282,7 +265,6 @@ def cmd_agm(args):
         _add_property_section(rep, f"postulate.{name}", result)
         all_pass = all_pass and result.passed
     rep.add("result", "pass" if all_pass else "fail")
-    rep.write(args.out)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
@@ -347,13 +329,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand into a report headed ``command: <subcommand>``;
+    the report is written, to stdout and ``--out``, only if it returns."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        rep = Report()
+        rep.add("command", args.subcommand)
+        code = args.func(args, rep)
+        rep.write(args.out)
+        return code
     except InconsistentTheoryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCONSISTENT

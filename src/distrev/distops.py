@@ -163,11 +163,12 @@ def _row_sets(rows, order):
 
 
 def _packed_rows(rows, unit):
-    """Each boolean row packed into whole units of ``unit`` bytes, at least
-    one: an array [row, byte], point i at bit i % 8 of byte i // 8, spare
-    bits 0.  Rows are padded to whole bytes and packed flat in chunks of
-    about ``APPLY_CHUNK_CELLS`` bits, faster than packing along short rows;
-    the bytes past the last point stay 0."""
+    """Each boolean row packed into little-endian words of ``unit`` bytes,
+    at least one: an array [row, word] of dtype ``<u{unit}``, point i at bit
+    i % b of word i // b for b = 8 * unit, spare bits 0.  Rows are padded to
+    whole bytes and packed flat in chunks of about ``APPLY_CHUNK_CELLS``
+    bits, faster than packing along short rows; the bytes past the last
+    point stay 0."""
     rows = np.asarray(rows, dtype=bool)
     count, points = rows.shape
     size = -(-points // 8)
@@ -179,12 +180,7 @@ def _packed_rows(rows, unit):
         chunk[:, :points] = rows[lo:lo + step]
         packed = np.packbits(chunk, bitorder="little")
         out[lo:lo + len(chunk), :size] = packed.reshape(len(chunk), size)
-    return out
-
-
-def _row_words(rows):
-    """The rows packed into little-endian 64-bit words: an array [row, word]."""
-    return _packed_rows(rows, 8).view("<u8")
+    return out.view(f"<u{unit}")
 
 
 def _row_index(table):
@@ -266,10 +262,10 @@ class OperatorTable:
         keys = [key for key in self.entries if key[0] <= inside and key[1] <= inside]
         hit = np.zeros(len(out), dtype=bool)
         if keys and len(out):
-            find = _row_index(_row_words(np.hstack([
+            find = _row_index(_packed_rows(np.hstack([
                 _membership_rows([v for v, _ in keys], order),
-                _membership_rows([w for _, w in keys], order)])))
-            at, hit = find(_row_words(np.hstack([vrows, wrows])))
+                _membership_rows([w for _, w in keys], order)]), 8))
+            at, hit = find(_packed_rows(np.hstack([vrows, wrows]), 8))
             out[hit] = _membership_rows([self.entries[key] for key in keys], order)[at[hit]]
         if self.backing is None and not hit.all():
             p = int(np.argmin(hit))
@@ -413,7 +409,7 @@ def _premise_reader(op, sets, universe):
         order = tuple(p for p in universe if p in points)
         member, width = _membership_rows(sets, order), len(order)
         unit = _mask_dtype(width).itemsize
-        bits = _packed_rows(member, unit).view(f"<u{unit}")
+        bits = _packed_rows(member, unit)
 
     def premises(a, c):
         if near is None:
@@ -421,8 +417,7 @@ def _premise_reader(op, sets, universe):
             m = len(first)
             unions = member[a[first]] | member[c[first]]
             looked = _packed_rows(op.lookup_rows(np.repeat(member, m, axis=0),
-                                                 np.tile(unions, (n, 1)), order),
-                                  unit).view(f"<u{unit}")
+                                                 np.tile(unions, (n, 1)), order), unit)
             at = np.arange(0, n * m, m)  # the row of (V_b, union 0), pair b * m + u
         out = np.empty((len(a), n), dtype=bool)
         step = max(1, APPLY_CHUNK_CELLS // max(n * width, 1))

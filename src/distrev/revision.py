@@ -25,7 +25,6 @@ from .distops import (
     _packed_rows,
     _row_index,
     _row_sets,
-    _row_words,
     _verdict,
     apply,
     apply_rows,
@@ -118,13 +117,19 @@ class RevisionOperator:
 
 def revise(op, gamma, delta):
     """Revise one consistent theory by another: the theory of the minimal
-    models of the new information, seen from the old."""
+    models of the new information, seen from the old.  Theories over
+    another signature, or models outside the operator's distance, raise
+    ``UnknownAtomError``."""
     if not gamma.consistent:
         raise InconsistentTheoryError("cannot revise an inconsistent theory")
     if not delta.consistent:
         raise InconsistentTheoryError("cannot revise by an inconsistent theory")
     if not gamma.signature == delta.signature == op.signature:
         raise UnknownAtomError(f"the theories' signatures must be {op.signature}")
+    if op.dist is not None and (
+            outside := (gamma.model_set | delta.model_set).difference(op.dist.universe)):
+        raise UnknownAtomError(
+            f"point {min(outside, key=repr)!r} is outside the distance's universe")
     return Theory(gamma.signature, op.revise_models(gamma.model_set, delta.model_set))
 
 
@@ -176,7 +181,7 @@ def _read_only(rows):
 def _masks(rows):
     """Each boolean row's integer mask, column i at bit i, packed bitwise."""
     unit = _mask_dtype(np.shape(rows)[1]).itemsize
-    return _packed_rows(rows, unit).view(f"<u{unit}").ravel()
+    return _packed_rows(rows, unit).ravel()
 
 
 def _bit_rows(masks, width):
@@ -226,14 +231,12 @@ class _ModelSetSpace:
 
     @functools.cached_property
     def definable_index(self):
-        return _row_index(_row_words(self.definable_rows))
+        return _row_index(_packed_rows(self.definable_rows, 8))
 
 
 # Every checker call on one signature and matrix reads the same tables.  The
 # cache holds at most 8 spaces, like the valuation cache.
-@functools.lru_cache(maxsize=8)
-def _model_set_space(signature, matrix):
-    return _ModelSetSpace(signature, matrix)
+_model_set_space = functools.lru_cache(maxsize=8)(_ModelSetSpace)
 
 
 def _space(signature, matrix, dist):
@@ -405,7 +408,7 @@ def check_dp_cp(dist, signature, matrix=CLASSICAL, witness_cap=16):
     space = _space(signature, matrix, dist)
     order, defs, rows = space.order, space.definable, space.definable_rows
     result = apply_rows(dist, *_pair_rows(rows), order)
-    words = _row_words(result)
+    words = _packed_rows(result, 8)
     bad = np.flatnonzero(~space.definable_index(words)[1])
     filled = rows.any(axis=1)
     empty = (filled[:, None] & filled).ravel() & ~words.any(axis=1)

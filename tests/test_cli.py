@@ -438,6 +438,74 @@ def test_report_written_to_out_file(workdir, hamming_file):
     assert "result: pass" in out_path.read_text()
 
 
+def _contract_inputs(workdir):
+    # a Hamming backing over (p, q) named by its valuation labels, as the
+    # hamming_file fixture writes it
+    _write(workdir / "gamma.txt", "atoms: p q\np & q\n")
+    _write(workdir / "delta.txt", "atoms: p q\n!p\n")
+    _write(workdir / "bottom.txt", "atoms: p q\np\n!p\n")
+    _write(workdir / "op.txt", "universe: 00 01 10 11\nbacking: hamming.txt\n")
+    _write(workdir / "fam.txt", "00\n01\n00 01\n")
+    _write(workdir / "sat.txt", "universe: a b c\nentry: a | b c -> b\n")
+    # decided sat at the seventh node with --symmetric, so unknown at budget 1
+    _write(workdir / "late.txt", "universe: a b c\nentry: a b | c -> c\n"
+           "entry: b c | a c -> a c\nentry: a c | a b c -> a b c\n")
+
+
+FINISHED = {
+    "revise": ["gamma.txt", "delta.txt", "hamming.txt"],
+    "check": ["hamming.txt"],
+    "realize": ["sat.txt"],
+    "wheel": ["--n", "1", "--dir", "art"],
+    "loop": ["op.txt", "--family", "fam.txt"],
+    "agm": ["hamming.txt", "--atoms", "p,q"],
+}
+
+
+@pytest.mark.parametrize("subcommand", FINISHED)
+def test_every_report_starts_with_its_command(workdir, hamming_file, capsys, subcommand):
+    # the same report on stdout and in --out, headed by the subcommand
+    _contract_inputs(workdir)
+    assert main([subcommand, *FINISHED[subcommand], "--out", "report.txt"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == f"command: {subcommand}" and err == ""
+    assert (workdir / "report.txt").read_text(encoding="utf-8") == out
+
+
+STOPPED = {
+    "missing-input": (["check", "nope.txt"], "report.txt", 2),
+    "out-in-missing-directory": (["check", "hamming.txt"], os.path.join("gone", "r.txt"), 2),
+    "inconsistent-theory": (["revise", "gamma.txt", "bottom.txt", "hamming.txt"],
+                            "report.txt", 3),
+    "loop-over-budget": (["loop", "op.txt", "--family", "fam.txt", "--budget", "1"],
+                         "report.txt", 4),
+}
+
+
+@pytest.mark.parametrize("argv, out_path, code", STOPPED.values(), ids=STOPPED.keys())
+def test_a_run_stopped_by_an_error_writes_no_report(workdir, hamming_file, capsys,
+                                                    argv, out_path, code):
+    # one error line on stderr, nothing on stdout and no --out file
+    _contract_inputs(workdir)
+    assert main([*argv, "--out", out_path]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(out_path)
+
+
+def test_realize_unknown_writes_its_report_and_exits_4(workdir, hamming_file, capsys):
+    # the one exit 4 that finishes: the budget ran out in the search, not
+    # before it
+    _contract_inputs(workdir)
+    assert main(["realize", "late.txt", "--symmetric", "--budget", "1",
+                 "--out", "report.txt"]) == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "command: realize" and err == ""
+    assert "\nstatus: unknown\nnodes: 2\n" in out
+    assert (workdir / "report.txt").read_text(encoding="utf-8") == out
+
+
 def _child(argv, cwd, **env):
     # a fresh interpreter with this distrev first on its path
     src = os.path.dirname(os.path.dirname(distrev.__file__))

@@ -290,22 +290,30 @@ def test_lookup_rows_matches_row_by_row_lookup(data):
 
 @pytest.mark.parametrize("cells", [distops.APPLY_CHUNK_CELLS, 40])
 def test_row_packers_match_packbits(cells):
-    # 0 rows, 1 row and several chunks' worth; the words are np.packbits's
-    # bytes of each row, one zero byte for a row of no points, zero-padded
-    # to whole words
+    # 0 rows, 1 row and several chunks' worth, in each unit; the words are
+    # np.packbits's bytes of each row, one zero byte for a row of no points,
+    # zero-padded to whole units and read little-endian, so word j of a row
+    # holds its points j * bits .. j * bits + bits - 1 at bits 0 ..
     rng = np.random.default_rng(7)
     with mock.patch.object(distops, "APPLY_CHUNK_CELLS", cells):
-        for points in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+        for points in (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 130):
             for count in (0, 1, 2 * cells // 8 + 3):
                 rows = rng.random((count, points)) < 0.5
                 packed = np.packbits(rows, axis=1, bitorder="little")
                 if not points:
                     packed = np.zeros((count, 1), dtype=np.uint8)
-                words = distops._row_words(rows)
-                padded = np.zeros((count, 8 * -(-packed.shape[1] // 8)), dtype=np.uint8)
-                padded[:, :packed.shape[1]] = packed
-                assert words.dtype == np.dtype("<u8")
-                assert np.array_equal(words, padded.view("<u8"))
+                for unit in (1, 2, 4, 8):
+                    words = distops._packed_rows(rows, unit)
+                    padded = np.zeros((count, unit * -(-packed.shape[1] // unit)),
+                                      dtype=np.uint8)
+                    padded[:, :packed.shape[1]] = packed
+                    assert words.dtype == np.dtype(f"<u{unit}")
+                    assert np.array_equal(words, padded.view(f"<u{unit}"))
+                    bits = 8 * unit
+                    for row, got in zip(rows[:3].tolist(), words[:3].tolist()):
+                        mask = sum(1 << i for i, x in enumerate(row) if x)
+                        assert got == [mask >> (j * bits) & ((1 << bits) - 1)
+                                       for j in range(len(got))]
 
 
 @pytest.mark.parametrize("points", (0, 1, 8, 63, 64, 65, 130))
@@ -315,7 +323,8 @@ def test_row_index_matches_a_dict_of_rows(points):
     table = np.unique(rng.random((40, points)) < 0.5, axis=0)
     rows = np.vstack([table[rng.integers(0, len(table), 30)], rng.random((30, points)) < 0.5])
     index = {row.tobytes(): i for i, row in enumerate(table)}
-    at, found = distops._row_index(distops._row_words(table))(distops._row_words(rows))
+    find = distops._row_index(distops._packed_rows(table, 8))
+    at, found = find(distops._packed_rows(rows, 8))
     assert found.tolist() == [row.tobytes() in index for row in rows]
     assert at[found].tolist() == [index[row.tobytes()] for row in rows[found]]
 
@@ -329,7 +338,7 @@ def test_distinct_rows_match_a_dict_of_rows(points):
     pool = np.repeat(rng.random((6, points)) < 0.5, 2, axis=0)
     pool[::2, -1:] ^= True
     for count in (0, 1, 200):
-        words = distops._row_words(pool[rng.integers(0, len(pool), count)])
+        words = distops._packed_rows(pool[rng.integers(0, len(pool), count)], 8)
         first, number, _ = logic._distinct_rows(words)
         # numbers run 0..count-1 in ascending order of the rows' word tuples
         rank = {row: i for i, row in enumerate(sorted(set(map(tuple, words.tolist()))))}

@@ -139,7 +139,8 @@ def _mismatches():
     # (call, error, message) with its id: a table over (a, b) backed by a
     # distance over (a, b, c), asked about c (inside the backing) and z
     # (outside both); the Hamming distance over (p, q) read for one atom and
-    # for three; and theories over (p) revised by an operator over (p, q)
+    # for three; and theories over (p) revised by an operator over (p, q),
+    # and by one over (p) that reads the distance over (p, q)
     d = PseudoDistance.from_function("abc", OrderMode.REAL, lambda v, w: F(v != w))
     table = OperatorTable(("a", "b"), {}, backing=d)
     point, family = UnknownAtomError, (FamilyError, "^family member outside the universe$")
@@ -162,6 +163,10 @@ def _mismatches():
     cases += [pytest.param(lambda g=g, e=e: revise(_hamming_op(), g, e), UnknownAtomError,
                            r"^the theories' signatures must be \('p', 'q'\)$", id=f"revise {i}")
               for i, (g, e) in enumerate([(one, one), (one, two), (two, one)])]
+    narrow = RevisionOperator.from_distance(hamming, ("p",))
+    cases.append(pytest.param(lambda: revise(narrow, one, one), UnknownAtomError,
+                              r"^point Valuation\(1\) is outside the distance's universe$",
+                              id="revise over other points"))
     return cases
 
 
